@@ -22,7 +22,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+import uuid
 from pathlib import Path
 from typing import Sequence
 
@@ -58,30 +58,7 @@ from demazure.weyl import demazure_fold, from_word, identity, reduced_word
 
 CACHE_ENV_VAR = "DEMAZURE_CACHE_DIR"
 
-__all__ = ["JobSpec", "jobspec_from_argv", "run", "main", "CACHE_ENV_VAR"]
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """A CLI invocation in structured form; round-trips through flag syntax."""
-
-    subcommand: str
-    flags: tuple[tuple[str, str], ...]
-
-    def to_argv(self) -> list[str]:
-        return [self.subcommand, *(f"--{k}={v}" for k, v in self.flags)]
-
-
-def jobspec_from_argv(argv: Sequence[str]) -> JobSpec:
-    if not argv or argv[0].startswith("-"):
-        raise ValueError("argv must start with a subcommand")
-    flags = []
-    for tok in argv[1:]:
-        if not tok.startswith("--") or "=" not in tok:
-            raise ValueError(f"expected --name=value flags, got {tok!r}")
-        name, _, value = tok[2:].partition("=")
-        flags.append((name, value))
-    return JobSpec(argv[0], tuple(flags))
+__all__ = ["run", "main", "CACHE_ENV_VAR"]
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -129,7 +106,14 @@ def _cached_character(rs, word, lam, cache_dir: Path | None):
         "sha256": hashlib.sha256(text.encode()).hexdigest(),
         "character": text,
     }
-    path.write_text(json.dumps(payload, separators=(",", ":")))
+    # Write a uniquely named sibling and rename it over the entry, so a
+    # concurrent reader sees either no entry or a whole one.
+    tmp = path.with_name(f".{path.stem}.{uuid.uuid4().hex}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, separators=(",", ":")))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return char
 
 
@@ -285,62 +269,45 @@ def _cmd_sl3t(ns: argparse.Namespace) -> int:
     return 0 if agree else 1
 
 
+# Subcommand, handler, help, and its string flags: every one is required
+# except --cache.  growth and sl3t add their own typed flags below.
+_SUBCOMMANDS = (
+    ("char", _cmd_char, "Demazure character as canonical JSON", ("type", "word", "weight", "cache")),
+    ("dim", _cmd_dim, "Demazure module dimension", ("type", "word", "weight", "cache")),
+    ("weight-mult", _cmd_weight_mult, "weight multiplicity in an irreducible module",
+     ("type", "weight", "mu")),
+    ("dual", _cmd_dual, "highest weight of the dual module", ("type", "weight")),
+    ("hecke", _cmd_hecke, "0-Hecke product of two words", ("type", "left", "right")),
+    ("branch", _cmd_branch, "branch to a Levi subgroup, with bounds", ("type", "weight", "subset")),
+    ("unirad", _cmd_unirad, "parabolic Demazure dimension vs Levi dimension",
+     ("type", "weight", "subset")),
+    ("growth", _cmd_growth, "dilation dimensions and growth degree", ("type", "word", "weight")),
+    ("sl3t", _cmd_sl3t, "triple multiplicity audit for the SL3 torus quotient", ()),
+)
+_FLAG_HELP = {("char", "word"): "comma-separated 1-based letters; empty for the identity"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="demazure",
         description="Exact Demazure characters and multiplicity bounds.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    parsers = {}
+    for name, func, help_text, flags in _SUBCOMMANDS:
+        p = parsers[name] = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        return p
+        for flag in flags:
+            if flag == "cache":
+                p.add_argument("--cache", default=None)
+            else:
+                p.add_argument(f"--{flag}", required=True, help=_FLAG_HELP.get((name, flag)))
 
-    p = add("char", _cmd_char, help="Demazure character as canonical JSON")
-    p.add_argument("--type", required=True)
-    p.add_argument("--word", required=True, help="comma-separated 1-based letters; empty for the identity")
-    p.add_argument("--weight", required=True)
-    p.add_argument("--cache", default=None)
-
-    p = add("dim", _cmd_dim, help="Demazure module dimension")
-    p.add_argument("--type", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--cache", default=None)
-
-    p = add("weight-mult", _cmd_weight_mult, help="weight multiplicity in an irreducible module")
-    p.add_argument("--type", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--mu", required=True)
-
-    p = add("dual", _cmd_dual, help="highest weight of the dual module")
-    p.add_argument("--type", required=True)
-    p.add_argument("--weight", required=True)
-
-    p = add("hecke", _cmd_hecke, help="0-Hecke product of two words")
-    p.add_argument("--type", required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-
-    p = add("branch", _cmd_branch, help="branch to a Levi subgroup, with bounds")
-    p.add_argument("--type", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--subset", required=True)
-
-    p = add("unirad", _cmd_unirad, help="parabolic Demazure dimension vs Levi dimension")
-    p.add_argument("--type", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--subset", required=True)
-
-    p = add("growth", _cmd_growth, help="dilation dimensions and growth degree")
-    p.add_argument("--type", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--weight", required=True)
+    p = parsers["growth"]
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--format", choices=("json", "tsv"), default="json")
 
-    p = add("sl3t", _cmd_sl3t, help="triple multiplicity audit for the SL3 torus quotient")
+    p = parsers["sl3t"]
     p.add_argument("--k1", type=int, default=None)
     p.add_argument("--k2", type=int, default=None)
     p.add_argument("--l", default=None)

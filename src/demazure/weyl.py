@@ -1,12 +1,15 @@
-"""Weyl group elements in canonical matrix form, and the 0-Hecke product.
+"""Weyl group elements as rho-orbit vectors, and the 0-Hecke product.
 
-An element is stored as the integer matrix of its action on
-fundamental-weight coordinates, so equality of group elements is
-equality of matrices regardless of which word produced them.  Length is
-the number of positive roots sent to negative roots, which agrees with
-reduced-word length.  ``reduced_word`` returns the lexicographically
-smallest reduced word, obtained by greedily taking the smallest left
-descent.
+An element w is stored as the integer vector u = w^{-1}(rho) in
+fundamental-weight coordinates.  rho is regular, so u determines w, and
+equality of group elements is equality of vectors regardless of which
+word produced them.  The coordinate u_i is <rho, w(alpha_i^vee)>, so i
+is a right descent of w exactly when u_i < 0, and right multiplication
+by s_i stores s_i(u).  Peeling right descents off u until it reaches
+rho gives a reduced word; length is the number of descents peeled.
+Left descents are the negative coordinates of w(rho).
+``reduced_word`` returns the lexicographically smallest reduced word,
+obtained by greedily taking the smallest left descent.
 
 ``demazure_product`` is the monoid product generated by
 ``x * s = x s`` when that increases length and ``x * s = x`` otherwise;
@@ -32,7 +35,7 @@ from demazure.roots import (
     Weight,
     _check_index,
     _check_weight,
-    positive_roots_fund,
+    rho,
     root_system,
 )
 
@@ -57,128 +60,111 @@ __all__ = [
 ]
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a
-    )
+def _reflect(rs: RootSystem, v: Weight, letters: Iterable[int]) -> Weight:
+    """s_{ik}(... s_{i1}(v)) for letters (i1, ..., ik): the first letter acts first."""
+    cartan = rs.cartan
+    for i in letters:
+        m = v[i - 1]
+        v = tuple(x - m * row[i - 1] for x, row in zip(v, cartan))
+    return v
 
 
-def _mat_vec(m: Matrix, v: Sequence[int]) -> Weight:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+def _negative(v: Weight) -> tuple[int, ...]:
+    return tuple(i for i, x in enumerate(v, 1) if x < 0)
+
+
+def _peel(rs: RootSystem, v: Weight) -> tuple[int, ...]:
+    """Reflect v in its first negative coordinate until none is left.
+
+    For v = w(rho) the letters taken spell the lexicographically smallest
+    reduced word of w: each is the smallest left descent of what remains.
+    """
+    word = []
+    while descents := _negative(v):
+        word.append(descents[0])
+        v = _reflect(rs, v, descents[:1])
+    return tuple(word)
 
 
 @dataclass(frozen=True)
 class WeylElement:
     rs: RootSystem
-    matrix: Matrix
+    u: Weight  # w^{-1}(rho)
 
     @cached_property
+    def _word(self) -> tuple[int, ...]:
+        # u = w^{-1}(rho), so peeling it spells w^{-1}; reversed, it spells w.
+        return _peel(self.rs, self.u)[::-1]
+
+    @property
     def length(self) -> int:
-        """Number of positive roots mapped to negative roots."""
-        neg = _negative_root_set(self.rs)
-        m = self.matrix
-        return sum(1 for f in positive_roots_fund(self.rs) if _mat_vec(m, f) in neg)
+        """Number of right descents peeled off before reaching the identity."""
+        return len(self._word)
 
     @property
     def is_identity(self) -> bool:
-        return self.matrix == _identity_matrix(self.rs.rank)
+        return self.u == rho(self.rs)
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        """Integer matrix of w on fundamental coordinates; column j is w(omega_j).
+
+        Built on first use from the peeled word; ``weyl_group`` sorts by it.
+        """
+        n = self.rs.rank
+        acting = self._word[::-1]
+        cols = [_reflect(self.rs, tuple(int(i == j) for i in range(n)), acting) for j in range(n)]
+        return tuple(zip(*cols))
 
     def apply(self, mu: Sequence[int]) -> Weight:
         """Image of a weight (fundamental coordinates) under this element."""
-        return _mat_vec(self.matrix, _check_weight(self.rs, mu))
+        return _reflect(self.rs, _check_weight(self.rs, mu), self._word[::-1])
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs != other.rs:
             raise ValueError("cannot multiply elements of different root systems")
-        return WeylElement(self.rs, _mat_mul(self.matrix, other.matrix))
+        # (vw)^{-1}(rho) = w^{-1}(v^{-1}(rho)); w^{-1} acts by w's word, first letter first.
+        return WeylElement(self.rs, _reflect(self.rs, self.u, other._word))
 
     def __repr__(self) -> str:
         word = ",".join(map(str, reduced_word(self))) or "e"
         return f"WeylElement({self.rs.name}, {word})"
 
 
-@lru_cache(maxsize=None)
-def _identity_matrix(rank: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
-
-
-@lru_cache(maxsize=None)
-def _negative_root_set(rs: RootSystem) -> frozenset[Weight]:
-    return frozenset(tuple(-x for x in f) for f in positive_roots_fund(rs))
-
-
-@lru_cache(maxsize=None)
-def _gen_matrices(rs: RootSystem) -> tuple[Matrix, ...]:
-    # s_i is the identity except in column i, which holds e_i - alpha_i.
-    gens = []
-    for i in range(rs.rank):
-        col = tuple(row[i] for row in rs.cartan)
-        m = [list(row) for row in _identity_matrix(rs.rank)]
-        for k in range(rs.rank):
-            m[k][i] -= col[k]
-        gens.append(tuple(tuple(row) for row in m))
-    return tuple(gens)
-
-
 def identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs, _identity_matrix(rs.rank))
+    return WeylElement(rs, rho(rs))
 
 
 def simple_element(rs: RootSystem, i: int) -> WeylElement:
-    _check_index(rs, i)
-    return WeylElement(rs, _gen_matrices(rs)[i - 1])
+    return from_word(rs, (i,))
 
 
 def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     """Product s_{i1} s_{i2} ... s_{ik} for word (i1, ..., ik)."""
-    m = _identity_matrix(rs.rank)
-    gens = _gen_matrices(rs)
+    word = tuple(word)
     for i in word:
         _check_index(rs, i)
-        m = _mat_mul(m, gens[i - 1])
-    return WeylElement(rs, m)
+    return WeylElement(rs, _reflect(rs, rho(rs), word))
 
 
 def right_descents(w: WeylElement) -> tuple[int, ...]:
-    """Indices i with length(w s_i) < length(w), i.e. w(alpha_i) < 0."""
-    neg = _negative_root_set(w.rs)
-    out = []
-    for i in range(1, w.rs.rank + 1):
-        if _mat_vec(w.matrix, w.rs.simple_root(i)) in neg:
-            out.append(i)
-    return tuple(out)
+    """Indices i with length(w s_i) < length(w), i.e. u_i < 0 for u = w^{-1}(rho)."""
+    return _negative(w.u)
 
 
 def left_descents(w: WeylElement) -> tuple[int, ...]:
-    """Indices i with length(s_i w) < length(w), i.e. alpha_i in w(negatives)."""
-    flipped = {tuple(-x for x in _mat_vec(w.matrix, f)) for f in positive_roots_fund(w.rs)}
-    out = []
-    for i in range(1, w.rs.rank + 1):
-        if w.rs.simple_root(i) in flipped:
-            out.append(i)
-    return tuple(out)
+    """Indices i with length(s_i w) < length(w), i.e. w(rho)_i < 0."""
+    return _negative(w.apply(rho(w.rs)))
 
 
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
     """Lexicographically smallest reduced word for w.
 
     Greedy: the valid first letters of reduced words are exactly the left
-    descents, so taking the smallest one at every step is optimal.
+    descents, the negative coordinates of w(rho), so taking the smallest
+    one at every step is optimal.
     """
-    word = []
-    cur = w
-    while True:
-        lds = left_descents(cur)
-        if not lds:
-            break
-        i = lds[0]
-        word.append(i)
-        cur = simple_element(w.rs, i) * cur
-    if not cur.is_identity:
-        raise RuntimeError("descent recursion did not reach the identity")
-    return tuple(word)
+    return _peel(w.rs, w.apply(rho(w.rs)))
 
 
 def all_reduced_words(w: WeylElement) -> Iterator[tuple[int, ...]]:
@@ -192,12 +178,13 @@ def all_reduced_words(w: WeylElement) -> Iterator[tuple[int, ...]]:
 
 
 def inverse(w: WeylElement) -> WeylElement:
-    return from_word(w.rs, reversed(reduced_word(w)))
+    return WeylElement(w.rs, w.apply(rho(w.rs)))
 
 
 @lru_cache(maxsize=None)
 def longest_element(rs: RootSystem) -> WeylElement:
-    return _longest_parabolic_cached(rs, frozenset(range(1, rs.rank + 1)))
+    # w0(rho) = -rho, and w0 is an involution.
+    return WeylElement(rs, tuple(-x for x in rho(rs)))
 
 
 def longest_parabolic(rs: RootSystem, subset: Iterable[int]) -> WeylElement:
@@ -213,13 +200,10 @@ def _longest_parabolic_cached(rs: RootSystem, subset: frozenset[int]) -> WeylEle
     # Greedy ascent inside the parabolic: keep appending the smallest
     # generator that still increases length; the unique element with no
     # ascent in the subset is the parabolic longest element.
-    w = identity(rs)
-    while True:
-        rds = set(right_descents(w))
-        i = next((i for i in sorted(subset) if i not in rds), None)
-        if i is None:
-            return w
-        w = w * simple_element(rs, i)
+    u = rho(rs)
+    while ascents := [i for i in sorted(subset) if u[i - 1] > 0]:
+        u = _reflect(rs, u, ascents[:1])
+    return WeylElement(rs, u)
 
 
 def min_coset_rep(rs: RootSystem, subset: Iterable[int]) -> WeylElement:
@@ -239,14 +223,13 @@ def min_coset_rep(rs: RootSystem, subset: Iterable[int]) -> WeylElement:
 def demazure_fold(w: WeylElement, letters: Iterable[int]) -> WeylElement:
     """Fold letters into w by x*s = xs if that is longer, else x."""
     rs = w.rs
-    neg = _negative_root_set(rs)
-    x = w
+    u = w.u
     for i in letters:
         _check_index(rs, i)
-        # i is a right descent of x exactly when x(alpha_i) < 0
-        if _mat_vec(x.matrix, rs.simple_root(i)) not in neg:
-            x = x * simple_element(rs, i)
-    return x
+        # i is an ascent of x exactly when u_i > 0
+        if u[i - 1] > 0:
+            u = _reflect(rs, u, (i,))
+    return WeylElement(rs, u)
 
 
 def demazure_product(w: WeylElement, v: WeylElement) -> WeylElement:
@@ -257,20 +240,18 @@ def demazure_product(w: WeylElement, v: WeylElement) -> WeylElement:
 @lru_cache(maxsize=None)
 def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
     """The full Weyl group, sorted by (length, matrix). Small ranks only."""
-    gens = [simple_element(rs, i) for i in range(1, rs.rank + 1)]
-    start = identity(rs)
-    seen = {start.matrix: start}
-    queue = [start]
-    while queue:
-        nxt = []
-        for w in queue:
-            for g in gens:
-                x = w * g
-                if x.matrix not in seen:
-                    seen[x.matrix] = x
-                    nxt.append(x)
-        queue = nxt
-    return tuple(sorted(seen.values(), key=lambda w: (w.length, w.matrix)))
+    # Breadth-first search over the orbit of rho: right multiplication
+    # by s_i reflects u = w^{-1}(rho) in alpha_i.
+    orbit = [rho(rs)]
+    seen = set(orbit)
+    for u in orbit:
+        for i in range(1, rs.rank + 1):
+            x = _reflect(rs, u, (i,))
+            if x not in seen:
+                seen.add(x)
+                orbit.append(x)
+    elements = [WeylElement(rs, u) for u in orbit]
+    return tuple(sorted(elements, key=lambda w: (w.length, w.matrix)))
 
 
 if __name__ == "__main__":

@@ -4,10 +4,10 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
-import pytest
-
-from demazure.cli import CACHE_ENV_VAR, JobSpec, jobspec_from_argv, run
+import demazure.cli as cli
+from demazure.cli import CACHE_ENV_VAR, run
 
 
 def cap(argv):
@@ -208,6 +208,30 @@ def test_cache_unparseable_file_recovers(tmp_path):
     assert "corrupt; recomputing" in err
 
 
+def test_cache_write_is_atomic_rename(tmp_path, monkeypatch):
+    real_replace = cli.os.replace
+    renames = []
+
+    def spy(src, dst):
+        # the entry must not exist until the rename puts the whole file there
+        assert not list(tmp_path.glob("*.json"))
+        doc = json.loads(Path(src).read_text())
+        assert set(doc) == {"key", "sha256", "character"}
+        renames.append((src, dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", spy)
+    argv = ["char", "--type", "B2", "--word", "1,2", "--weight", "1,1",
+            "--cache", str(tmp_path)]
+    code, out, _ = cap(argv)
+    assert code == 0 and out
+    assert len(renames) == 1
+    src, dst = map(Path, renames[0])
+    assert src.parent == dst.parent == tmp_path
+    assert list(tmp_path.iterdir()) == [dst]
+    assert re.fullmatch(r"[0-9a-f]{64}\.json", dst.name)
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
     argv = ["char", "--type", "B2", "--word", "2,1", "--weight", "1,0"]
@@ -218,23 +242,6 @@ def test_cache_env_var(tmp_path, monkeypatch):
     assert "cache hit" in err2
 
 
-def test_jobspec_round_trip():
-    jobs = [
-        JobSpec("dim", (("type", "A2"), ("word", "1,2,1"), ("weight", "1,1"))),
-        JobSpec("weight-mult", (("type", "B2"), ("weight", "1,1"), ("mu", "-1,-1"))),
-        JobSpec("sl3t", (("k1", "1"), ("k2", "1"), ("l", "0,0,0"))),
-    ]
-    for job in jobs:
-        argv = job.to_argv()
-        assert jobspec_from_argv(argv) == job
-        code, out, _ = cap(argv)
-        assert code == 0 and out
-    with pytest.raises(ValueError):
-        jobspec_from_argv(["--type=A2"])
-    with pytest.raises(ValueError):
-        jobspec_from_argv(["dim", "--type", "A2"])
-
-
 def test_no_floating_point_in_output():
     corpus = [
         ["char", "--type", "G2", "--word", "1,2,1,2,1,2", "--weight", "1,0"],
@@ -242,10 +249,13 @@ def test_no_floating_point_in_output():
         ["branch", "--type", "B3", "--weight", "1,1,1", "--subset", "1,3"],
         ["growth", "--type", "B2", "--word", "2,1,2", "--weight", "1,1"],
         ["sl3t", "--grid", "2,2"],
+        ["dim", "--type=A2", "--word=1,2,1", "--weight=1,1"],
+        ["weight-mult", "--type=B2", "--weight=1,1", "--mu=-1,-1"],
+        ["sl3t", "--k1=1", "--k2=1", "--l=0,0,0"],
     ]
     for argv in corpus:
         code, out, _ = cap(argv)
-        assert code == 0
+        assert code == 0 and out, argv
         assert not re.search(r"\d\.\d", out), argv
 
 

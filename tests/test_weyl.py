@@ -226,3 +226,40 @@ def test_image_of_root_set_is_root_set(data):
         image = w.apply(alpha)
         neg = tuple(-x for x in image)
         assert image in roots or neg in roots
+
+
+# Independent oracles for the rho-orbit representation: they use only
+# positive_roots_fund, w.apply and plain matrix products.
+
+def test_length_counts_inverted_positive_roots():
+    samples = [weyl_group(root_system(name)) for name in ("A3", "B3", "G2")]
+    samples.append(weyl_group(root_system("F4"))[::23])
+    for group in samples:
+        for w in group:
+            positive = set(positive_roots_fund(w.rs))
+            inverted = sum(1 for alpha in positive if w.apply(alpha) not in positive)
+            assert w.length == inverted, w
+
+
+def _generator_matrix(rs, i):
+    # identity with column i replaced by e_i - alpha_i
+    alpha = rs.simple_root(i)
+    return tuple(
+        tuple(int(r == c) - (alpha[r] if c == i - 1 else 0) for c in range(rs.rank))
+        for r in range(rs.rank)
+    )
+
+
+def _matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+@given(data=st.data())
+@settings(max_examples=60)
+def test_matrix_is_product_of_generator_matrices(data):
+    rs = root_system(data.draw(st.sampled_from(["B3", "D4", "F4"])))
+    word = data.draw(st.lists(st.integers(1, rs.rank), max_size=30))
+    expected = tuple(tuple(int(r == c) for c in range(rs.rank)) for r in range(rs.rank))
+    for i in word:
+        expected = _matmul(expected, _generator_matrix(rs, i))
+    assert from_word(rs, word).matrix == expected
