@@ -18,13 +18,13 @@ exactly the dimension of the Levi module with the same highest weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from demazure.characters import (
     Character,
-    apply_demazure_word,
+    _apply_word,
     demazure_dim,
     dual_weight,
     weyl_character,
@@ -36,6 +36,7 @@ from demazure.roots import (
     _check_index,
     _check_weight,
     add_weights,
+    inverse_cartan,
     is_dominant,
     root_coordinates,
     root_pairing_data,
@@ -106,8 +107,7 @@ def _levi_char_items(
     rs: RootSystem, subset: frozenset[int], mu: Weight
 ) -> tuple[tuple[Weight, int], ...]:
     word = reduced_word(longest_parabolic(rs, subset))
-    char = apply_demazure_word(rs, word, {mu: 1})
-    return tuple(sorted(char.items()))
+    return tuple(_apply_word(rs, word, {mu: 1}))
 
 
 def levi_character(rs: RootSystem, subset: Iterable[int], mu: Sequence[int]) -> Character:
@@ -127,18 +127,15 @@ def levi_weyl_dim(rs: RootSystem, subset: Iterable[int], mu: Sequence[int]) -> i
         raise ValueError(f"weight {mu} is not dominant on subset {sorted(s)}")
     shifted = add_weights(mu, rho(rs))
     data = root_pairing_data(rs)
-    acc = Fraction(1)
+    num = den = 1
     for k in _levi_root_indices(rs, s):
         dots, _halfnorm = data[k]
-        acc *= Fraction(sum(d * x for d, x in zip(dots, shifted)), sum(dots))
-    if acc.denominator != 1:
+        num *= sum(d * x for d, x in zip(dots, shifted))
+        den *= sum(dots)
+    dim, rem = divmod(num, den)
+    if rem:
         raise RuntimeError(f"{rs.name}: non-integral Levi dimension for {mu}")
-    return int(acc)
-
-
-def _s_height(rs: RootSystem, subset: frozenset[int], mu: Weight) -> Fraction:
-    coords = root_coordinates(rs, mu)
-    return sum((coords[i - 1] for i in subset), Fraction(0))
+    return dim
 
 
 def s_maximal_weights(
@@ -185,8 +182,19 @@ def restrict_to_levi(
     found: dict[Weight, int] = {}
     # Support only shrinks during extraction, so the default argmax can
     # walk a single descending sort of the initial support instead of
-    # rescanning the dict each round.
-    queue = sorted(remaining, key=lambda w: (_s_height(rs, s, w), w), reverse=True)
+    # rescanning the dict each round.  The S-height is the sum over S of
+    # the rows of the inverse Cartan matrix applied to w; scaling that
+    # functional by the lcm of its denominators makes it integral without
+    # changing the order or the ties.
+    inv = inverse_cartan(rs)
+    height = [sum(inv[i - 1][j] for i in s) for j in range(rs.rank)]
+    scale = lcm(*(x.denominator for x in height))
+    height = [int(x * scale) for x in height]
+    queue = sorted(
+        remaining,
+        key=lambda w: (sum(h * x for h, x in zip(height, w)), w),
+        reverse=True,
+    )
     pos = 0
     while remaining:
         if _select is None:

@@ -21,6 +21,18 @@ Intermediate characters may hold negative coefficients; the final
 result of ``demazure_character`` on a dominant weight is always
 nonnegative and contains e^lambda with coefficient 1.
 
+Every operator chain runs through one kernel, ``_apply_word``.  It packs
+each weight once into a single integer with one base-(2R+1) digit per
+coordinate, offset by R, coordinate 1 most significant, so integer order
+is lexicographic weight order and subtracting alpha_i is subtracting one
+fixed integer.  An alpha_i-string is then a ``range`` of integers, and
+the pairing m is one digit read off the key.  The radius is
+R = h * max_mu sum_j |mu_j| + 1 over the input support, with h the
+largest simple-root coefficient of a positive root: every weight a
+chain writes lies in the convex hull of the Weyl orbit of the input
+support, where no coordinate exceeds h * sum_j |mu_j| in absolute value.
+Weights are unpacked once, at the end, already sorted.
+
 ``weyl_dim`` (dimension product formula) and ``freudenthal_multiplicity``
 are independent of the operator path and serve as cross-checks.
 """
@@ -67,42 +79,73 @@ __all__ = [
 ]
 
 
+def _apply_word(
+    rs: RootSystem, word: Sequence[int], char: Character
+) -> list[tuple[Weight, int]]:
+    """Operators along a word, last letter first, on packed weights.
+
+    Returns the nonzero terms sorted lexicographically by weight.
+    """
+    word = tuple(word)
+    for i in word:
+        _check_index(rs, i)
+    n = rs.rank
+    # Every weight written lies in the convex hull of W.supp(char): a
+    # letter writes only weights on the segment from mu to s_i(mu), and
+    # the hull is W-stable.  On that hull <nu, alpha_k^vee> is a convex
+    # combination of <mu, w^{-1} alpha_k^vee> for mu in supp(char), and a
+    # coroot has simple-coroot coefficients of absolute value at most h,
+    # the largest simple-root coefficient of a positive root (the two
+    # maxima agree in every type A-G).  So every coordinate stays within
+    # h * sum|mu_j| < R, for non-dominant starts (such as the S-dominant
+    # weights of the Levi characters) as for dominant ones, and each
+    # coordinate fits a base-(2R+1) digit offset by R.
+    h = max(max(c) for c in rs.positive_roots)
+    radius = h * max((sum(map(abs, mu)) for mu in char), default=0) + 1
+    base = 2 * radius + 1
+    places = [base ** (n - 1 - j) for j in range(n)]  # coordinate 1 most significant
+    offset = radius * sum(places)
+    cur = {sum(x * p for x, p in zip(mu, places)) + offset: c for mu, c in char.items() if c}
+    for i in reversed(word):
+        a = sum(row[i - 1] * p for row, p in zip(rs.cartan, places))
+        place = places[i - 1]
+        out: dict[int, int] = {}
+        get = out.get
+        for key, c in cur.items():
+            m = key // place % base - radius
+            if m >= 0:
+                for k in range(key, key - (m + 1) * a, -a):
+                    out[k] = get(k, 0) + c
+            elif m <= -2:
+                for k in range(key + a, key - m * a, a):
+                    out[k] = get(k, 0) - c
+        cur = {k: c for k, c in out.items() if c}
+    terms = []
+    for key in sorted(cur):
+        digits = []
+        rest = key
+        for _ in range(n):
+            rest, d = divmod(rest, base)
+            digits.append(d - radius)
+        terms.append((tuple(digits[::-1]), cur[key]))
+    return terms
+
+
 def demazure_operator(rs: RootSystem, i: int, char: Character) -> Character:
     """Apply the single-index operator for alpha_i to a character."""
-    _check_index(rs, i)
-    alpha = rs.simple_root(i)
-    k = i - 1
-    out: Character = {}
-    get = out.get
-    for mu, coeff in char.items():
-        m = mu[k]
-        if m >= 0:
-            w = mu
-            for _ in range(m + 1):
-                out[w] = get(w, 0) + coeff
-                w = sub_weights(w, alpha)
-        elif m <= -2:
-            w = mu
-            for _ in range(-1 - m):
-                w = add_weights(w, alpha)
-                out[w] = get(w, 0) - coeff
-    return {w: c for w, c in out.items() if c}
+    return dict(_apply_word(rs, (i,), char))
 
 
 def apply_demazure_word(rs: RootSystem, word: Sequence[int], char: Character) -> Character:
     """Compose operators along a word, last letter applied first."""
-    cur = char
-    for i in reversed(tuple(word)):
-        cur = demazure_operator(rs, i, cur)
-    return cur
+    return dict(_apply_word(rs, word, char))
 
 
 @lru_cache(maxsize=None)
 def _demazure_items(
     rs: RootSystem, word: tuple[int, ...], lam: Weight
 ) -> tuple[tuple[Weight, int], ...]:
-    char = apply_demazure_word(rs, word, {lam: 1})
-    return tuple(sorted(char.items()))
+    return tuple(_apply_word(rs, word, {lam: 1}))
 
 
 def demazure_character(rs: RootSystem, word: Sequence[int], lam: Sequence[int]) -> Character:
@@ -156,21 +199,22 @@ def weyl_dim(rs: RootSystem, lam: Sequence[int]) -> int:
 
     prod <lam+rho, alpha^vee> / <rho, alpha^vee>; the half-norms cancel
     within each factor, so each factor is a ratio of integer dot
-    products.  Raises if the accumulated product is not an integer,
+    products, and the numerators and denominators are multiplied
+    separately.  Raises if the product is not an integer,
     which would signal a broken root table.
     """
     lam = _check_weight(rs, lam)
     if not is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
     shifted = add_weights(lam, rho(rs))
-    acc = Fraction(1)
+    num = den = 1
     for dots, _halfnorm in root_pairing_data(rs):
-        num = sum(d * x for d, x in zip(dots, shifted))
-        den = sum(dots)  # dot with rho = all ones
-        acc *= Fraction(num, den)
-    if acc.denominator != 1:
+        num *= sum(d * x for d, x in zip(dots, shifted))
+        den *= sum(dots)  # dot with rho = all ones
+    dim, rem = divmod(num, den)
+    if rem:
         raise RuntimeError(f"{rs.name}: non-integral dimension product for {lam}")
-    return int(acc)
+    return dim
 
 
 def dual_weight(rs: RootSystem, lam: Sequence[int]) -> Weight:

@@ -95,6 +95,11 @@ class RootSystem:
     def __repr__(self) -> str:
         return f"RootSystem({self.name})"
 
+    def __hash__(self) -> int:
+        # Family and rank determine the rest; hashing them alone keeps
+        # every lru_cache keyed on a root system cheap.
+        return hash((self.family, self.rank))
+
 
 def _classical_positive_count(family: str, rank: int) -> int:
     if family == "A":

@@ -241,17 +241,27 @@ def demazure_product(w: WeylElement, v: WeylElement) -> WeylElement:
 def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
     """The full Weyl group, sorted by (length, matrix). Small ranks only."""
     # Breadth-first search over the orbit of rho: right multiplication
-    # by s_i reflects u = w^{-1}(rho) in alpha_i.
-    orbit = [rho(rs)]
-    seen = set(orbit)
-    for u in orbit:
-        for i in range(1, rs.rank + 1):
+    # by s_i reflects u = w^{-1}(rho) in alpha_i.  The search carries each
+    # element's sort key: its length is the depth at which it is first
+    # reached, and w s_i keeps the columns of w's matrix except column i,
+    # which becomes w(omega_i - alpha_i) = col_i - sum_k cartan[k][i-1] col_k.
+    n = rs.rank
+    cartan = rs.cartan
+    unit = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    orbit = [(rho(rs), 0, unit)]
+    seen = {orbit[0][0]}
+    for u, length, cols in orbit:
+        for i in range(1, n + 1):
             x = _reflect(rs, u, (i,))
             if x not in seen:
                 seen.add(x)
-                orbit.append(x)
-    elements = [WeylElement(rs, u) for u in orbit]
-    return tuple(sorted(elements, key=lambda w: (w.length, w.matrix)))
+                col = tuple(
+                    c - sum(row[i - 1] * v[r] for row, v in zip(cartan, cols))
+                    for r, c in enumerate(cols[i - 1])
+                )
+                orbit.append((x, length + 1, cols[: i - 1] + (col,) + cols[i:]))
+    orbit.sort(key=lambda entry: (entry[1], tuple(zip(*entry[2]))))
+    return tuple(WeylElement(rs, u) for u, _length, _cols in orbit)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from demazure import (
+    add_weights,
     apply_demazure_word,
     character_from_json,
     character_to_json,
@@ -19,6 +20,7 @@ from demazure import (
     root_system,
     scale_weight,
     simple_reflection,
+    sub_weights,
     weight_multiplicity,
     weyl_character,
     weyl_dim,
@@ -257,3 +259,86 @@ def test_big_dimensions_stay_exact():
     # so the 72-digit answer is pinned exactly
     e8 = root_system("E8")
     assert weyl_dim(e8, scale_weight(3, rho(e8))) == 4 ** 120
+
+
+# The tuple string walk that the packed-integer kernel replaced, kept as
+# its oracle: it shares no code with the kernel beyond the Cartan matrix.
+
+def _reference_operator(rs, i, char):
+    alpha = rs.simple_root(i)
+    k = i - 1
+    out = {}
+    for mu, coeff in char.items():
+        m = mu[k]
+        if m >= 0:
+            w = mu
+            for _ in range(m + 1):
+                out[w] = out.get(w, 0) + coeff
+                w = sub_weights(w, alpha)
+        elif m <= -2:
+            w = mu
+            for _ in range(-1 - m):
+                w = add_weights(w, alpha)
+                out[w] = out.get(w, 0) - coeff
+    return {w: c for w, c in out.items() if c}
+
+
+def _reference_word(rs, word, char):
+    for i in reversed(word):
+        char = _reference_operator(rs, i, char)
+    return char
+
+
+KERNEL_TYPES = ["A1", "A3", "B3", "C3", "D4", "G2", "F4", "E6"]
+
+
+@st.composite
+def _kernel_cases(draw):
+    rs = root_system(draw(st.sampled_from(KERNEL_TYPES)))
+    n = rs.rank
+    top = 3 if n <= 3 else 2
+    # a spike puts the whole of sum|mu_j| on one coordinate, the shape
+    # whose orbit reaches the packing radius
+    spike = st.builds(
+        lambda j, m: tuple(m if k == j else 0 for k in range(n)),
+        st.integers(0, n - 1),
+        st.integers(-2 * top, 2 * top),
+    )
+    weight = st.one_of(
+        st.just((0,) * n), st.tuples(*[st.integers(-top, top)] * n), spike
+    )
+    char = draw(
+        st.dictionaries(weight, st.integers(-5, 5).filter(bool), min_size=1, max_size=4)
+    )
+    # free words, so repeated and otherwise non-reduced ones are common
+    word = draw(st.lists(st.integers(1, n), max_size=6))
+    return rs, tuple(word), char
+
+
+@given(case=_kernel_cases())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_reference_operator(case):
+    rs, word, char = case
+    out = apply_demazure_word(rs, word, char)
+    assert out == _reference_word(rs, word, char)
+    assert list(out) == sorted(out)  # the memos rely on sorted terms
+
+
+def test_kernel_reaches_packing_radius():
+    # Along the longest word, the full characters of the fundamental
+    # weights contain whole Weyl orbits, so some coordinate reaches
+    # h = max root coefficient, one below the radius R = h + 1 of the
+    # packed digits.
+    for name in KERNEL_TYPES:
+        rs = root_system(name)
+        h = max(max(c) for c in rs.positive_roots)
+        word = reduced_word(longest_element(rs))
+        reach = 0
+        for j in range(rs.rank):
+            for sign in (1, -1):
+                lam = tuple(sign * int(k == j) for k in range(rs.rank))
+                out = apply_demazure_word(rs, word, {lam: 1})
+                assert out == _reference_word(rs, word, {lam: 1}), (name, lam)
+                reach = max([reach, *(abs(x) for mu in out for x in mu)])
+        assert reach == h, name
+

@@ -17,7 +17,7 @@ from demazure import (
     sub_weights,
     symmetrizer,
 )
-from demazure.roots import inverse_cartan, root_coordinates, root_pairing_data
+from demazure.roots import RootSystem, inverse_cartan, root_coordinates, root_pairing_data
 
 ALL_NAMES = [
     "A1", "A2", "A3", "A4",
@@ -231,3 +231,14 @@ def test_instances_are_cached():
 def test_name_round_trip():
     for name in ALL_NAMES:
         assert root_system(name).name == name
+
+
+def test_directly_built_system_equals_and_hashes_like_named_one():
+    for name in ALL_NAMES:
+        named = root_system(name)
+        direct = RootSystem(named.family, named.rank, named.cartan, named.positive_roots)
+        assert direct is not named
+        assert direct == named and hash(direct) == hash(named), name
+        assert {named: name}[direct] == name
+        # equality still compares every field
+        assert RootSystem(named.family, named.rank, named.cartan, ()) != named

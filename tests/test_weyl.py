@@ -263,3 +263,11 @@ def test_matrix_is_product_of_generator_matrices(data):
     for i in word:
         expected = _matmul(expected, _generator_matrix(rs, i))
     assert from_word(rs, word).matrix == expected
+
+
+def test_weyl_group_sorted_by_length_then_matrix():
+    # weyl_group builds its sort keys during the search; they must be the
+    # elements' own lengths and matrices
+    for name in ("A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4", "F4"):
+        keys = [(w.length, w.matrix) for w in weyl_group(root_system(name))]
+        assert keys == sorted(keys), name
