@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from demazure.characters import (
@@ -35,10 +34,9 @@ from demazure.roots import (
     Weight,
     _check_index,
     _check_weight,
+    _scaled_inverse_cartan,
     add_weights,
-    inverse_cartan,
     is_dominant,
-    root_coordinates,
     root_pairing_data,
     rho,
     sub_weights,
@@ -145,15 +143,18 @@ def s_maximal_weights(
     s = frozenset(subset)
     pool = list(weights)
     off = [j for j in range(rs.rank) if (j + 1) not in s]
+    scale, rows = _scaled_inverse_cartan(rs)
     out = []
     for w in pool:
         dominated = False
         for v in pool:
             if v == w:
                 continue
-            diff = root_coordinates(rs, sub_weights(v, w))
-            if all(diff[j] == 0 for j in off) and all(
-                diff[i - 1].denominator == 1 and diff[i - 1] >= 0 for i in s
+            # scale times the simple-root coordinates of v - w
+            diff = sub_weights(v, w)
+            coords = [sum(r * x for r, x in zip(row, diff)) for row in rows]
+            if all(coords[j] == 0 for j in off) and all(
+                coords[i - 1] % scale == 0 and coords[i - 1] >= 0 for i in s
             ):
                 dominated = True
                 break
@@ -183,13 +184,11 @@ def restrict_to_levi(
     # Support only shrinks during extraction, so the default argmax can
     # walk a single descending sort of the initial support instead of
     # rescanning the dict each round.  The S-height is the sum over S of
-    # the rows of the inverse Cartan matrix applied to w; scaling that
-    # functional by the lcm of its denominators makes it integral without
-    # changing the order or the ties.
-    inv = inverse_cartan(rs)
-    height = [sum(inv[i - 1][j] for i in s) for j in range(rs.rank)]
-    scale = lcm(*(x.denominator for x in height))
-    height = [int(x * scale) for x in height]
+    # the rows of the inverse Cartan matrix applied to w; the integral
+    # rows of D times that matrix give a positive multiple of it, with
+    # the same order and the same ties.
+    _, rows = _scaled_inverse_cartan(rs)
+    height = [sum(rows[i - 1][j] for i in s) for j in range(rs.rank)]
     queue = sorted(
         remaining,
         key=lambda w: (sum(h * x for h, x in zip(height, w)), w),

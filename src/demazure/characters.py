@@ -35,13 +35,22 @@ Weights are unpacked once, at the end, already sorted.
 
 ``weyl_dim`` (dimension product formula) and ``freudenthal_multiplicity``
 are independent of the operator path and serve as cross-checks.
+Freudenthal's recursion runs as one loop over the dominant weights
+between mu and lam, in order of height below lam, on integers only.  It
+stores for each of them the tail of every positive-root string above it
+and gets each new tail from a stored one at a dominant weight higher up,
+by one reflection into the dominant chamber (multiplicities and the
+inner product are W-invariant).  Each tail is an exact finite sum and
+each multiplicity one integer division whose remainder must be zero, so
+nothing is rounded and a broken table raises instead of returning a
+wrong number.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import lru_cache
+from operator import add, le, mul, sub
 from typing import Sequence
 
 from demazure.roots import (
@@ -49,15 +58,16 @@ from demazure.roots import (
     Weight,
     _check_index,
     _check_weight,
+    _scaled_inverse_cartan,
     add_weights,
     dominant_conjugate,
     is_dominant,
     positive_roots_fund,
     rho,
-    root_coordinates,
     root_pairing_data,
     root_system,
     sub_weights,
+    symmetrizer,
 )
 from demazure.weyl import WeylElement, from_word, longest_element, reduced_word
 
@@ -229,64 +239,113 @@ def dual_weight(rs: RootSystem, lam: Sequence[int]) -> Weight:
     return out
 
 
-def _inner(rs: RootSystem, x: Sequence[int], y: Sequence[int]) -> Fraction:
-    # (x, y) for fundamental-coordinate vectors, via simple-root coords of y.
-    from demazure.roots import symmetrizer
-
-    d = symmetrizer(rs)
-    c = root_coordinates(rs, y)
-    return sum((cj * dj * xj for cj, dj, xj in zip(c, d, x)), Fraction(0))
-
-
 def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -> int:
-    """Weight multiplicity by the Freudenthal recursion.
+    """Weight multiplicity by Freudenthal's formula, in one iterative pass.
 
-    Independent of the operator machinery: walks weights from lam
-    downward, so it serves as an oracle for ``weight_multiplicity``.
+    Independent of the operator machinery, so it serves as an oracle for
+    ``weight_multiplicity``.  Freudenthal's formula reads
+
+        (|lam+rho|^2 - |nu+rho|^2) m(nu) = 2 sum_{alpha > 0} T(nu, alpha),
+        T(nu, alpha) = sum_{k >= 1} m(nu + k alpha) (nu + k alpha, alpha).
+
+    Multiplicities are W-invariant, so only the dominant nu with
+    mu+ <= nu <= lam are visited, mu+ the dominant conjugate of mu.  A
+    search down from lam that subtracts positive roots and keeps the
+    dominant weights above mu+ reaches all of them (Stembridge, "The
+    partial order of dominant weights", 1998); they are processed in
+    order of the height of lam - nu.  Each stores its tails
+    T(nu, alpha), and a later tail takes O(1) from an earlier one:
+    reflect nu + alpha to the dominant weight d by some w and put
+    beta = w(alpha).  As m and ( , ) are W-invariant,
+
+        T(nu, alpha) = m(d) (d, beta) + T(d, beta),
+
+    and d lies above nu, so it was processed first.  beta is a positive
+    root: (d, beta) = (nu + alpha, alpha) = (nu, alpha) + (alpha, alpha)
+    is positive, and a dominant d pairs to at most 0 with every negative
+    root.  So T(d, beta) is a stored tail, and the string symmetry
+    T(d, -gamma) = T(d, gamma) + m(d) (d, gamma) is never needed.  When d
+    is not below lam, nu + alpha is not a weight, and since weights fill
+    unbroken root strings and nu is one, no nu + k alpha is: the tail
+    is 0.
+
+    Everything is an integer: lam - nu has integral simple-root
+    coordinates p, and |lam+rho|^2 - |nu+rho|^2 = (lam - nu, lam + nu +
+    2 rho) = sum_j p_j d_j (lam + nu + 2 rho)_j with d the symmetrizer.
+    Each multiplicity is one exact division; a remainder or a negative
+    quotient raises RuntimeError.
+
+    >>> freudenthal_multiplicity(root_system("A1"), (4000,), (0,))
+    1
     """
     lam = _check_weight(rs, lam)
     mu = _check_weight(rs, mu)
     if not is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
-    r = rho(rs)
-    lam_norm = _inner(rs, add_weights(lam, r), add_weights(lam, r))
-    pos_fund = positive_roots_fund(rs)
-    pairing_data = root_pairing_data(rs)
-    memo: dict[Weight, int] = {}
-
-    def in_system(nu_dom: Weight) -> bool:
-        coords = root_coordinates(rs, sub_weights(lam, nu_dom))
-        return all(c.denominator == 1 and c >= 0 for c in coords)
-
-    def mult(nu: Weight) -> int:
-        nu_dom = dominant_conjugate(rs, nu)
-        if nu_dom == lam:
-            return 1
-        cached = memo.get(nu_dom)
-        if cached is not None:
-            return cached
-        if not in_system(nu_dom):
-            memo[nu_dom] = 0
+    bottom = dominant_conjugate(rs, mu)
+    scale, rows = _scaled_inverse_cartan(rs)
+    diff = sub_weights(lam, bottom)
+    gap = []  # simple-root coordinates of lam - bottom
+    for row in rows:
+        c, rem = divmod(sum(map(mul, row, diff)), scale)
+        if rem or c < 0:
             return 0
-        total = 0
-        for alpha, (dots, _halfnorm) in zip(pos_fund, pairing_data):
-            k = 1
-            while True:
-                target = tuple(x + k * a for x, a in zip(nu_dom, alpha))
-                m_t = mult(target)
-                if m_t == 0:
-                    break
-                total += m_t * sum(d * x for d, x in zip(dots, target))
-                k += 1
-        shifted = add_weights(nu_dom, r)
-        denom = lam_norm - _inner(rs, shifted, shifted)
-        value = Fraction(2 * total) / denom
-        if value.denominator != 1 or value < 0:
-            raise RuntimeError(f"{rs.name}: Freudenthal recursion broke at {nu_dom}")
-        memo[nu_dom] = int(value)
-        return int(value)
-
-    return mult(mu)
+        gap.append(c)
+    n = rs.rank
+    cols = [rs.simple_root(i) for i in range(1, n + 1)]
+    pos_fund = positive_roots_fund(rs)
+    roots = [
+        (alpha, coords, dots)
+        for alpha, coords, (dots, _halfnorm) in zip(
+            pos_fund, rs.positive_roots, root_pairing_data(rs)
+        )
+    ]
+    index = {alpha: k for k, alpha in enumerate(pos_fund)}
+    sym = symmetrizer(rs)
+    shift = tuple(x + 2 for x in lam)  # lam + 2 rho
+    # dominant weight -> (multiplicity, tails in positive-root order)
+    memo: dict[Weight, tuple[int, list[int]]] = {lam: (1, [0] * len(roots))}
+    # height of lam - nu -> [(nu, simple-root coordinates of lam - nu)]
+    levels: dict[int, list[tuple[Weight, Weight]]] = {0: [(lam, (0,) * n)]}
+    seen = {lam}
+    for height in range(sum(gap) + 1):
+        for nu, depth in levels.pop(height, ()):
+            for alpha, coords, _dots in roots:
+                below = tuple(map(sub, nu, alpha))
+                if below in seen or min(below) < 0:
+                    continue
+                down = tuple(map(add, depth, coords))
+                if all(map(le, down, gap)):
+                    seen.add(below)
+                    levels.setdefault(height + sum(coords), []).append((below, down))
+            if nu == lam:  # its entry is preset: m = 1, every tail 0
+                continue
+            tails = []
+            for alpha, _coords, dots in roots:
+                x = list(map(add, nu, alpha))
+                pair = sum(map(mul, dots, x))  # (nu + alpha, alpha)
+                beta = list(alpha)
+                i = 0
+                while i < n:
+                    if x[i] < 0:
+                        m, mb, col = x[i], beta[i], cols[i]
+                        x = [a - m * c for a, c in zip(x, col)]
+                        beta = [b - mb * c for b, c in zip(beta, col)]
+                        i = 0
+                    else:
+                        i += 1
+                entry = memo.get(tuple(x))
+                if entry is None:
+                    tails.append(0)
+                else:
+                    m_d, tails_d = entry
+                    tails.append(m_d * pair + tails_d[index[tuple(beta)]])
+            norm = sum(p * d * (a + b) for p, d, a, b in zip(depth, sym, shift, nu))
+            value, rem = divmod(2 * sum(tails), norm)
+            if rem or value < 0:
+                raise RuntimeError(f"{rs.name}: Freudenthal recursion broke at {nu}")
+            memo[nu] = (value, tails)
+    return memo[bottom][0]
 
 
 def character_to_json(rs: RootSystem, char: Character) -> str:

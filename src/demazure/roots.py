@@ -317,6 +317,19 @@ def inverse_cartan(rs: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row[n:]) for row in aug)
 
 
+@lru_cache(maxsize=None)
+def _scaled_inverse_cartan(rs: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, rows): rows == D * inverse_cartan(rs), integral, D the least such.
+
+    Row j applied to a weight in fundamental coordinates gives D times its
+    j-th simple-root coordinate, so membership in the root lattice and in
+    the positive cone are integer divisibility and sign tests.
+    """
+    inv = inverse_cartan(rs)
+    scale = lcm(*(x.denominator for row in inv for x in row))
+    return scale, tuple(tuple(int(x * scale) for x in row) for row in inv)
+
+
 def root_coordinates(rs: RootSystem, mu: Sequence[int]) -> tuple[Fraction, ...]:
     """Simple-root coordinates of a weight given in fundamental coordinates."""
     t = _check_weight(rs, mu)
@@ -347,12 +360,14 @@ def root_pairing_data(rs: RootSystem) -> tuple[tuple[Weight, int], ...]:
 
 def dominant_conjugate(rs: RootSystem, mu: Sequence[int]) -> Weight:
     """The unique dominant weight in the Weyl orbit of mu."""
-    cur = _check_weight(rs, mu)
+    cur = list(_check_weight(rs, mu))
     while True:
         i = next((k for k, x in enumerate(cur) if x < 0), None)
         if i is None:
-            return cur
-        cur = simple_reflection(rs, i + 1, cur)
+            return tuple(cur)
+        m = cur[i]
+        for j, row in enumerate(rs.cartan):
+            cur[j] -= m * row[i]
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from demazure import (
     weyl_dim,
     weyl_group,
 )
+from demazure.roots import root_coordinates
 
 A1 = root_system("A1")
 A2 = root_system("A2")
@@ -194,6 +195,47 @@ def test_freudenthal_agrees_with_character_expansion():
             # and a zero outside the support
             outside = tuple(x + 2 for x in lam)
             assert freudenthal_multiplicity(rs, lam, outside) == 0
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4", "E6"])
+def test_freudenthal_matches_operator_character_across_families(name):
+    # every support weight of each fundamental module (only omega_1 in
+    # E6), plus a weight of the coset above the support, a weight off
+    # the coset where lam + Q is not all of P, and a non-dominant one
+    rs = root_system(name)
+    n = rs.rank
+    fundamentals = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    for lam in fundamentals[: 1 if name == "E6" else n]:
+        char = weyl_character(rs, lam)
+        extra = [add_weights(lam, rs.simple_root(1)), scale_weight(-1, add_weights(lam, rho(rs)))]
+        off_coset = [
+            sub_weights(lam, om)
+            for om in fundamentals
+            if any(c.denominator != 1 for c in root_coordinates(rs, om))
+        ]
+        for mu in list(char) + extra + off_coset[:1]:
+            assert freudenthal_multiplicity(rs, lam, mu) == char.get(mu, 0), (name, lam, mu)
+
+
+@pytest.mark.parametrize("k", [4000, 4001])
+def test_freudenthal_rank_one_deep(k):
+    # V(k omega) of A1 has the weights k, k-2, ..., -k, each once; the
+    # search visits (k - |mu|)/2 + 1 weights, so the ones are checked on
+    # a stride plus both ends, and the zeros everywhere
+    ends = set(range(k - 60, k + 1, 2))
+    ones = set(range(-k, k + 1, 2)[::97]) | ends | {-mu for mu in ends} | {k % 2}
+    for mu in ones:
+        assert freudenthal_multiplicity(A1, (k,), (mu,)) == 1, (k, mu)
+    for mu in range(-k - 5, k + 6):
+        if (k - mu) % 2 or abs(mu) > k:
+            assert freudenthal_multiplicity(A1, (k,), (mu,)) == 0, (k, mu)
+
+
+def test_freudenthal_a2_closed_form():
+    # the zero weight of V((k, k)) in A2 has multiplicity k + 1
+    assert freudenthal_multiplicity(A2, (200, 200), (0, 0)) == 201
+    for k in range(6):
+        assert freudenthal_multiplicity(A2, (k, k), (0, 0)) == k + 1
 
 
 def test_dual_weight():
