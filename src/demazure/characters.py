@@ -21,17 +21,29 @@ Intermediate characters may hold negative coefficients; the final
 result of ``demazure_character`` on a dominant weight is always
 nonnegative and contains e^lambda with coefficient 1.
 
-Every operator chain runs through one kernel, ``_apply_word``.  It packs
-each weight once into a single integer with one base-(2R+1) digit per
-coordinate, offset by R, coordinate 1 most significant, so integer order
-is lexicographic weight order and subtracting alpha_i is subtracting one
-fixed integer.  An alpha_i-string is then a ``range`` of integers, and
-the pairing m is one digit read off the key.  The radius is
-R = h * max_mu sum_j |mu_j| + 1 over the input support, with h the
-largest simple-root coefficient of a positive root: every weight a
-chain writes lies in the convex hull of the Weyl orbit of the input
-support, where no coordinate exceeds h * sum_j |mu_j| in absolute value.
-Weights are unpacked once, at the end, already sorted.
+Every operator letter runs through one kernel, ``_letter``, on packed
+weights.  Each weight is packed once into a single integer with one
+base-(2R+1) digit per coordinate, offset by R, coordinate 1 most
+significant, so integer order is lexicographic weight order and
+subtracting alpha_i is subtracting one fixed integer.  An alpha_i-string
+is then a ``range`` of integers, and the pairing m is one digit read off
+the key.  The radius is R = h * max_mu sum_j |mu_j| + 1 over the input
+support, with h the largest simple-root coefficient of a positive root:
+every weight a chain writes lies in the convex hull of the Weyl orbit of
+the input support, where no coordinate exceeds h * sum_j |mu_j| in
+absolute value.  ``_apply_word`` packs, applies the letters and unpacks
+once, at the end, already sorted.
+
+Characters of dominant weights are memoised by word suffix.  For a word
+(i, i_2, ..., i_k) the character is D_i applied to the character of
+(i_2, ..., i_k), so ``_demazure_items`` keeps packed characters and
+builds each from the entry of ``word[1:]`` by one letter; the packing
+depends on lam alone (R = h * sum_j |lam_j| + 1), so every suffix shares
+it.  ``reduced_word`` is greedy: it takes the smallest left descent i of
+w and continues on s_i w, so ``reduced_word(w)[1:]`` is
+``reduced_word(s_i w)``.  The lex-least words of W thus share their
+suffixes, and once s_i w is in the memo, w costs one letter: all of W
+costs |W| letters, not the sum of the lengths.
 
 ``weyl_dim`` (dimension product formula) and ``freudenthal_multiplicity``
 are independent of the operator path and serve as cross-checks.
@@ -51,7 +63,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from operator import add, le, mul, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from demazure.roots import (
     RootSystem,
@@ -89,6 +101,77 @@ __all__ = [
 ]
 
 
+class _Packing(NamedTuple):
+    radius: int
+    base: int
+    places: tuple[int, ...]  # coordinate 1 most significant
+    offset: int  # packed zero weight
+    simple: tuple[int, ...]  # packed alpha_i
+
+
+@lru_cache(maxsize=256)
+def _packing(rs: RootSystem, size: int) -> _Packing:
+    """Digits for the chains that start from weights with sum_j |mu_j| <= size.
+
+    Every weight written lies in the convex hull of W.supp(char): a
+    letter writes only weights on the segment from mu to s_i(mu), and
+    the hull is W-stable.  On that hull <nu, alpha_k^vee> is a convex
+    combination of <mu, w^{-1} alpha_k^vee> for mu in supp(char), and a
+    coroot has simple-coroot coefficients of absolute value at most h,
+    the largest simple-root coefficient of a positive root (the two
+    maxima agree in every type A-G).  So every coordinate stays within
+    h * size < R, for non-dominant starts (such as the S-dominant
+    weights of the Levi characters) as for dominant ones, and each
+    coordinate fits a base-(2R+1) digit offset by R.
+    """
+    h = max(max(c) for c in rs.positive_roots)
+    radius = h * size + 1
+    base = 2 * radius + 1
+    n = rs.rank
+    places = tuple(base ** (n - 1 - j) for j in range(n))
+    simple = tuple(sum(row[i] * p for row, p in zip(rs.cartan, places)) for i in range(n))
+    return _Packing(radius, base, places, radius * sum(places), simple)
+
+
+def _pack(pk: _Packing, mu: Weight) -> int:
+    return sum(x * p for x, p in zip(mu, pk.places)) + pk.offset
+
+
+def _letter(pk: _Packing, i: int, cur: dict[int, int]) -> dict[int, int]:
+    """The operator for alpha_i on a packed character, into a new dict."""
+    a = pk.simple[i - 1]
+    place = pk.places[i - 1]
+    base = pk.base
+    radius = pk.radius
+    out: dict[int, int] = {}
+    get = out.get
+    for key, c in cur.items():
+        m = key // place % base - radius
+        if m >= 0:
+            for k in range(key, key - (m + 1) * a, -a):
+                out[k] = get(k, 0) + c
+        elif m <= -2:
+            for k in range(key + a, key - m * a, a):
+                out[k] = get(k, 0) - c
+    return {k: c for k, c in out.items() if c}
+
+
+def _unpack(pk: _Packing, cur: dict[int, int]) -> list[tuple[Weight, int]]:
+    """The terms of a packed character, sorted lexicographically by weight."""
+    n = len(pk.places)
+    base = pk.base
+    radius = pk.radius
+    terms = []
+    for key in sorted(cur):
+        digits = []
+        rest = key
+        for _ in range(n):
+            rest, d = divmod(rest, base)
+            digits.append(d - radius)
+        terms.append((tuple(digits[::-1]), cur[key]))
+    return terms
+
+
 def _apply_word(
     rs: RootSystem, word: Sequence[int], char: Character
 ) -> list[tuple[Weight, int]]:
@@ -99,46 +182,11 @@ def _apply_word(
     word = tuple(word)
     for i in word:
         _check_index(rs, i)
-    n = rs.rank
-    # Every weight written lies in the convex hull of W.supp(char): a
-    # letter writes only weights on the segment from mu to s_i(mu), and
-    # the hull is W-stable.  On that hull <nu, alpha_k^vee> is a convex
-    # combination of <mu, w^{-1} alpha_k^vee> for mu in supp(char), and a
-    # coroot has simple-coroot coefficients of absolute value at most h,
-    # the largest simple-root coefficient of a positive root (the two
-    # maxima agree in every type A-G).  So every coordinate stays within
-    # h * sum|mu_j| < R, for non-dominant starts (such as the S-dominant
-    # weights of the Levi characters) as for dominant ones, and each
-    # coordinate fits a base-(2R+1) digit offset by R.
-    h = max(max(c) for c in rs.positive_roots)
-    radius = h * max((sum(map(abs, mu)) for mu in char), default=0) + 1
-    base = 2 * radius + 1
-    places = [base ** (n - 1 - j) for j in range(n)]  # coordinate 1 most significant
-    offset = radius * sum(places)
-    cur = {sum(x * p for x, p in zip(mu, places)) + offset: c for mu, c in char.items() if c}
+    pk = _packing(rs, max((sum(map(abs, mu)) for mu in char), default=0))
+    cur = {_pack(pk, mu): c for mu, c in char.items() if c}
     for i in reversed(word):
-        a = sum(row[i - 1] * p for row, p in zip(rs.cartan, places))
-        place = places[i - 1]
-        out: dict[int, int] = {}
-        get = out.get
-        for key, c in cur.items():
-            m = key // place % base - radius
-            if m >= 0:
-                for k in range(key, key - (m + 1) * a, -a):
-                    out[k] = get(k, 0) + c
-            elif m <= -2:
-                for k in range(key + a, key - m * a, a):
-                    out[k] = get(k, 0) - c
-        cur = {k: c for k, c in out.items() if c}
-    terms = []
-    for key in sorted(cur):
-        digits = []
-        rest = key
-        for _ in range(n):
-            rest, d = divmod(rest, base)
-            digits.append(d - radius)
-        terms.append((tuple(digits[::-1]), cur[key]))
-    return terms
+        cur = _letter(pk, i, cur)
+    return _unpack(pk, cur)
 
 
 def demazure_operator(rs: RootSystem, i: int, char: Character) -> Character:
@@ -151,11 +199,33 @@ def apply_demazure_word(rs: RootSystem, word: Sequence[int], char: Character) ->
     return dict(_apply_word(rs, word, char))
 
 
+# Longest run of memo misses one call may recurse through; longer words
+# fill their suffixes in steps of this many letters first, so a long
+# chain (820 letters for the longest element of A40) stays well inside
+# the interpreter's recursion limit.
+_RECURSION_STEP = 200
+
+
 @lru_cache(maxsize=None)
-def _demazure_items(
-    rs: RootSystem, word: tuple[int, ...], lam: Weight
-) -> tuple[tuple[Weight, int], ...]:
-    return tuple(_apply_word(rs, word, {lam: 1}))
+def _demazure_items(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> dict[int, int]:
+    # The packed character of (word, lam), built from the memo entry of
+    # word[1:] by one letter.  Every suffix of every word asked for stays
+    # in the memo: the longest word of E8 keeps 120 characters for one
+    # lam where a chain without the memo kept one at a time.  That is the
+    # price of reading every element of W at one letter each.  Readers
+    # must not change the dict they get back.
+    pk = _packing(rs, sum(map(abs, lam)))
+    if not word:
+        return {_pack(pk, lam): 1}
+    if len(word) > _RECURSION_STEP:
+        _demazure_items(rs, word[_RECURSION_STEP:], lam)
+    return _letter(pk, word[0], _demazure_items(rs, word[1:], lam))
+
+
+def _character(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> Character:
+    """A fresh, sorted dict of the memoised character of (word, lam)."""
+    pk = _packing(rs, sum(map(abs, lam)))
+    return dict(_unpack(pk, _demazure_items(rs, word, lam)))
 
 
 def demazure_character(rs: RootSystem, word: Sequence[int], lam: Sequence[int]) -> Character:
@@ -170,7 +240,7 @@ def demazure_character(rs: RootSystem, word: Sequence[int], lam: Sequence[int]) 
     word = tuple(word)
     if from_word(rs, word).length != len(word):
         raise ValueError(f"word {word} is not reduced")
-    return dict(_demazure_items(rs, word, lam))
+    return _character(rs, word, lam)
 
 
 def demazure_dim(w: WeylElement, lam: Sequence[int]) -> int:
@@ -178,8 +248,7 @@ def demazure_dim(w: WeylElement, lam: Sequence[int]) -> int:
     lam = _check_weight(w.rs, lam)
     if not is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
-    items = _demazure_items(w.rs, reduced_word(w), lam)
-    return sum(c for _, c in items)
+    return sum(_demazure_items(w.rs, reduced_word(w), lam).values())
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +261,7 @@ def weyl_character(rs: RootSystem, lam: Sequence[int]) -> Character:
     lam = _check_weight(rs, lam)
     if not is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
-    return dict(_demazure_items(rs, _w0_word(rs), lam))
+    return _character(rs, _w0_word(rs), lam)
 
 
 def weight_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -> int:
@@ -201,7 +270,12 @@ def weight_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -
     mu = _check_weight(rs, mu)
     if not is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
-    return dict(_demazure_items(rs, _w0_word(rs), lam)).get(mu, 0)
+    pk = _packing(rs, sum(map(abs, lam)))
+    # |mu_j| >= R is beyond every weight of the module, and a range test
+    # also reads a non-integral coordinate as 0, as a dict lookup would
+    if not all(x in range(1 - pk.radius, pk.radius) for x in mu):
+        return 0
+    return _demazure_items(rs, _w0_word(rs), lam).get(_pack(pk, mu), 0)
 
 
 def weyl_dim(rs: RootSystem, lam: Sequence[int]) -> int:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from demazure.characters import demazure_dim
+from demazure.characters import _demazure_items
 from demazure.roots import Weight, _check_weight, is_dominant, scale_weight
-from demazure.weyl import WeylElement
+from demazure.weyl import WeylElement, reduced_word
 
 __all__ = ["DilationSequence", "dimension_sequence", "finite_differences", "growth_degree"]
 
@@ -39,7 +39,12 @@ def dimension_sequence(w: WeylElement, lam: Sequence[int], n_max: int | None = N
         n_max = w.length + 4
     if n_max < need:
         raise ValueError(f"n_max={n_max} too small; need at least length(w)+2 = {need}")
-    values = tuple(demazure_dim(w, scale_weight(n, lam)) for n in range(n_max + 1))
+    # demazure_dim for every n, with lam checked and the word peeled once
+    word = reduced_word(w)
+    values = tuple(
+        sum(_demazure_items(w.rs, word, scale_weight(n, lam)).values())
+        for n in range(n_max + 1)
+    )
     if values[0] != 1:
         raise RuntimeError("dilation sequence must start at 1")
     if any(a > b for a, b in zip(values, values[1:])):

@@ -1,10 +1,12 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from demazure import (
     add_weights,
+    all_reduced_words,
     apply_demazure_word,
     character_from_json,
     character_to_json,
@@ -26,6 +28,7 @@ from demazure import (
     weyl_dim,
     weyl_group,
 )
+from demazure.characters import _demazure_items
 from demazure.roots import root_coordinates
 
 A1 = root_system("A1")
@@ -384,3 +387,89 @@ def test_kernel_reaches_packing_radius():
                 reach = max([reach, *(abs(x) for mu in out for x in mu)])
         assert reach == h, name
 
+
+
+# The memo builds each (word, lam) from its suffix word[1:], so the
+# result must not depend on which words were asked for before.
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2"])
+@pytest.mark.parametrize("which", ["rho", "omega1", "2omega_n"])
+def test_memo_matches_reference_in_any_order(name, which):
+    rs = root_system(name)
+    n = rs.rank
+    lam = {
+        "rho": rho(rs),
+        "omega1": (1,) + (0,) * (n - 1),
+        "2omega_n": (0,) * (n - 1) + (2,),
+    }[which]
+    group = weyl_group(rs)
+    expected = {w: _reference_word(rs, reduced_word(w), {lam: 1}) for w in group}
+    for order in (group[::-1], group):  # longest first, then shortest first
+        _demazure_items.cache_clear()
+        for w in order:
+            char = demazure_character(rs, reduced_word(w), lam)
+            assert char == expected[w], (name, lam, w)
+            assert demazure_dim(w, lam) == sum(char.values()), (name, lam, w)
+
+
+def test_memo_agrees_across_reduced_words():
+    # words other than the lex-least one fill the memo with their own suffixes
+    rs = root_system("A3")
+    lam = (1, 1, 2)
+    w0 = longest_element(rs)
+    expected = _reference_word(rs, reduced_word(w0), {lam: 1})
+    _demazure_items.cache_clear()
+    words = list(all_reduced_words(w0))
+    assert len(words) == 16
+    for word in words:
+        assert demazure_character(rs, word, lam) == expected, word
+    assert weyl_character(rs, lam) == expected
+
+
+def test_long_word_stays_within_recursion_limit():
+    # the longest element of A40 has 820 letters, a cold memo chain of
+    # that many nested calls would pass the interpreter's limit
+    rs = root_system("A40")
+    lam = (1,) + (0,) * 39
+    _demazure_items.cache_clear()
+    char = weyl_character(rs, lam)
+    assert len(char) == 41 and set(char.values()) == {1}
+    assert demazure_dim(longest_element(rs), lam) == 41
+
+
+def test_returned_characters_are_fresh_dicts():
+    lam = (2, 1)
+    word = (1, 2)
+    first = demazure_character(A2, word, lam)
+    full = weyl_character(A2, lam)
+    expected, expected_full = dict(first), dict(full)
+    for char in (first, full):
+        char[(0, 0)] = char.get((0, 0), 0) + 7
+        char[(99, 99)] = 1
+        del char[lam]
+    assert demazure_character(A2, word, lam) == expected
+    assert weyl_character(A2, lam) == expected_full
+    assert demazure_dim(from_word(A2, word), lam) == sum(expected.values())
+    assert weight_multiplicity(A2, lam, (99, 99)) == 0
+    assert weight_multiplicity(A2, lam, lam) == 1
+
+
+@pytest.mark.parametrize("name, lam", [("A2", (2, 1)), ("B2", (1, 2)), ("G2", (1, 1))])
+def test_weight_multiplicity_at_packing_boundary(name, lam):
+    # R = h * sum|lam_j| + 1 bounds every coordinate of the module's
+    # weights; mu at or past it must read 0, not another weight's digit
+    rs = root_system(name)
+    h = max(max(c) for c in rs.positive_roots)
+    radius = h * sum(lam) + 1
+    char = weyl_character(rs, lam)
+    base = 2 * radius + 1
+    mus = [(10**6, -(10**6)), (-(10**6), 10**6)]
+    for x in (radius, -radius, radius - 1, 1 - radius):
+        mus += [(x, 0), (0, x), (x, -x), (x, x)]
+    for nu in char:  # each of the last two packs to nu's own key
+        mus += [(nu[0], nu[1] + base), (nu[0] - 1, nu[1] + base), (nu[0] + 1, nu[1] - base)]
+    rng = random.Random(2003)
+    mus += [(rng.randint(-3 * radius, 3 * radius), rng.randint(-3 * radius, 3 * radius)) for _ in range(200)]
+    mus += list(char)
+    for mu in mus:
+        assert weight_multiplicity(rs, lam, mu) == char.get(mu, 0), (name, lam, mu)
