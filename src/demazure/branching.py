@@ -1,12 +1,53 @@
 """Branching to Levi subgroups and the associated multiplicity bounds.
 
-``restrict_to_levi`` decomposes an irreducible character into characters
-of the Levi subgroup attached to a subset S of simple indices, by
-repeatedly extracting an S-maximal S-dominant weight and subtracting the
-Levi character it generates.  The result does not depend on which
-maximal weight is picked when several are incomparable; the default
-picks the one with the largest S-height (sum of simple-root coordinates
-over S), breaking ties lexicographically.
+``restrict_to_levi`` decomposes the irreducible character of a dominant
+lam into characters of the Levi subgroup L_S attached to a subset S of
+simple indices, by Klimyk's alternating sum (Humphreys, "Introduction
+to Lie Algebras and Representation Theory", section 24; the LiE manual,
+``branch``).  The Levi module with S-dominant highest weight mu occurs
+
+    n_mu = sum_{x in W_S} eps(x) m_lam(x(mu + rho) - rho)
+
+times, m_lam the weight multiplicities of V(lam) and eps(x) the sign
+(-1)^length(x).
+
+Proof.  Let rho_S be half the sum of the positive roots of L_S.  For i
+in S, s_i permutes the positive roots of L_S other than alpha_i, so
+<rho_S, alpha_i^vee> = 1 = <rho, alpha_i^vee>: s_i fixes rho - rho_S,
+and so does all of W_S.  Multiplying the Weyl character formula of L_S
+through by e^{rho - rho_S} therefore gives, with
+Delta = sum_{x in W_S} eps(x) e^{x rho},
+
+    ch L(mu) Delta = sum_{x in W_S} eps(x) e^{x(mu + rho)}.
+
+Write ch V(lam) = sum_mu n_mu ch L(mu) and multiply by Delta:
+
+    sum_nu m_lam(nu) e^nu Delta = sum_mu n_mu sum_x eps(x) e^{x(mu + rho)}.
+
+For S-dominant mu, mu + rho pairs to at least 1 with every alpha_i^vee,
+i in S.  Two S-dominant weights in one W_S-orbit are equal, and an
+S-regular one has trivial stabiliser, so x(mu' + rho) = mu + rho with
+mu' S-dominant forces mu' = mu and x = 1.  The coefficient of
+e^{mu + rho} is n_mu on the right and sum_x eps(x) m_lam(mu + rho - x rho)
+on the left.  As m_lam is W-invariant, m_lam(mu + rho - x rho) =
+m_lam(x^{-1}(mu + rho) - rho), and eps(x^{-1}) = eps(x), which is the
+formula.
+
+The sum runs over the dot-orbit x.mu = x(mu + rho) - rho of W_S, one
+level at a time.  For nu = x.mu, <nu + rho, alpha_i^vee> > 0, that is
+nu_i >= 0, exactly when x^{-1} alpha_i is positive, that is when s_i x
+is longer than x; and x -> x.mu is one to one since mu + rho is
+S-regular.  So the images s_i.nu = nu - (nu_i + 1) alpha_i, for i in S
+with nu_i >= 0, of one level make up the next, the k-th level is the
+image of the elements of length k, and its sign is (-1)^k.  A level
+keeps only weights of V(lam): if nu is not one, neither is s_i.nu,
+since s_i(s_i.nu) = nu + alpha_i pairs to nu_i + 2 > 0 with alpha_i^vee
+and subtracting alpha_i from such a weight leaves a weight.  So nothing
+below a dropped nu contributes, and a level never holds more than the
+support of V(lam), however large W_S is.  Only S-dominant weights of
+V(lam) are tried, since a constituent's highest weight is a weight of
+V(lam).  A negative n_mu or a total that misses dim V(lam) raises
+RuntimeError.
 
 The bound functions compare Levi multiplicities and constituent counts
 against the dimension of the Demazure module attached to the minimal
@@ -19,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from demazure.characters import (
     Character,
@@ -34,12 +75,10 @@ from demazure.roots import (
     Weight,
     _check_index,
     _check_weight,
-    _scaled_inverse_cartan,
     add_weights,
     is_dominant,
     root_pairing_data,
     rho,
-    sub_weights,
 )
 from demazure.weyl import longest_parabolic, min_coset_rep, reduced_word
 
@@ -54,7 +93,6 @@ __all__ = [
     "levi_length_bound",
     "unirad_mult_identity",
     "s_dominant",
-    "s_maximal_weights",
 ]
 
 
@@ -136,89 +174,38 @@ def levi_weyl_dim(rs: RootSystem, subset: Iterable[int], mu: Sequence[int]) -> i
     return dim
 
 
-def s_maximal_weights(
-    rs: RootSystem, subset: Iterable[int], weights: Iterable[Weight]
-) -> list[Weight]:
-    """Weights with no other listed weight above them in the S-partial-order."""
-    s = frozenset(subset)
-    pool = list(weights)
-    off = [j for j in range(rs.rank) if (j + 1) not in s]
-    scale, rows = _scaled_inverse_cartan(rs)
-    out = []
-    for w in pool:
-        dominated = False
-        for v in pool:
-            if v == w:
-                continue
-            # scale times the simple-root coordinates of v - w
-            diff = sub_weights(v, w)
-            coords = [sum(r * x for r, x in zip(row, diff)) for row in rows]
-            if all(coords[j] == 0 for j in off) and all(
-                coords[i - 1] % scale == 0 and coords[i - 1] >= 0 for i in s
-            ):
-                dominated = True
-                break
-        if not dominated:
-            out.append(w)
-    return out
+def _dot_below(rs: RootSystem, s: Iterable[int], nu: Weight) -> Iterator[Weight]:
+    """s_i.nu = nu - (nu_i + 1) alpha_i for each i in s where that is lower."""
+    for i in s:
+        k = nu[i - 1] + 1
+        if k > 0:
+            yield tuple(x - k * row[i - 1] for x, row in zip(nu, rs.cartan))
 
 
-def restrict_to_levi(
-    lam: Sequence[int],
-    levi: LeviDatum,
-    _select: Callable[[list[Weight]], Weight] | None = None,
-) -> BranchingResult:
-    """Decompose the irreducible character of lam into Levi constituents.
-
-    ``_select`` is a hook for tests: given the sorted remaining support
-    it must return some S-maximal weight.  The default picks the weight
-    of largest S-height, ties broken by lexicographic order.
-    """
+def restrict_to_levi(lam: Sequence[int], levi: LeviDatum) -> BranchingResult:
+    """Decompose the irreducible character of lam into Levi constituents."""
     rs = levi.rs
     s = levi.subset
     lam = _check_weight(rs, lam)
     if not is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
-    remaining = dict(weyl_character(rs, lam))
-    found: dict[Weight, int] = {}
-    # Support only shrinks during extraction, so the default argmax can
-    # walk a single descending sort of the initial support instead of
-    # rescanning the dict each round.  The S-height is the sum over S of
-    # the rows of the inverse Cartan matrix applied to w; the integral
-    # rows of D times that matrix give a positive multiple of it, with
-    # the same order and the same ties.
-    _, rows = _scaled_inverse_cartan(rs)
-    height = [sum(rows[i - 1][j] for i in s) for j in range(rs.rank)]
-    queue = sorted(
-        remaining,
-        key=lambda w: (sum(h * x for h, x in zip(height, w)), w),
-        reverse=True,
-    )
-    pos = 0
-    while remaining:
-        if _select is None:
-            while queue[pos] not in remaining:
-                pos += 1
-            mu = queue[pos]
-        else:
-            mu = _select(sorted(remaining))
+    char = weyl_character(rs, lam)
+    found = []
+    for mu in char:  # sorted, so found is too
         if not s_dominant(s, mu):
-            raise RuntimeError(f"extracted top weight {mu} is not S-dominant")
-        mult = remaining[mu]
-        if mult <= 0:
-            raise RuntimeError(f"nonpositive multiplicity {mult} at {mu} during extraction")
-        for w, c in _levi_char_items(rs, s, mu):
-            left = remaining.get(w, 0) - mult * c
-            if left < 0:
-                raise RuntimeError(f"extraction drove coefficient of {w} negative")
-            if left:
-                remaining[w] = left
-            else:
-                remaining.pop(w, None)
-        found[mu] = found.get(mu, 0) + mult
-    result = BranchingResult(levi, lam, tuple(sorted(found.items())))
+            continue
+        n, sign, level = 0, 1, {mu}
+        while level:
+            n += sign * sum(char[nu] for nu in level)
+            level = {x for nu in level for x in _dot_below(rs, s, nu) if x in char}
+            sign = -sign
+        if n < 0:
+            raise RuntimeError(f"alternating sum gave multiplicity {n} at {mu}")
+        if n:
+            found.append((mu, n))
+    result = BranchingResult(levi, lam, tuple(found))
     if not dimension_conserved(result):
-        raise RuntimeError("branching lost dimensions; extraction is broken")
+        raise RuntimeError("branching lost dimensions; the alternating sum is broken")
     return result
 
 

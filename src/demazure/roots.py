@@ -32,7 +32,6 @@ classical formula for each family at construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Sequence
@@ -53,8 +52,6 @@ __all__ = [
     "scale_weight",
     "positive_roots_fund",
     "symmetrizer",
-    "inverse_cartan",
-    "root_coordinates",
     "dominant_conjugate",
 ]
 
@@ -273,68 +270,63 @@ def symmetrizer(rs: RootSystem) -> tuple[int, ...]:
     """Minimal positive integers d with d_i * a_ij == d_j * a_ji.
 
     d_i is proportional to (alpha_i, alpha_i)/2, so short roots get the
-    smallest value.  Computed by propagating along the Dynkin graph.
+    smallest value.  Computed by propagating integer ratios along the
+    Dynkin graph, scaling every value found so far up when a ratio does
+    not divide.
     """
     a = rs.cartan
     n = rs.rank
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
+    d = [1] + [0] * (n - 1)
     queue = [0]
     while queue:
         i = queue.pop()
         for j in range(n):
-            if i != j and a[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * a[i][j] / a[j][i]
+            if i != j and a[i][j] != 0 and not d[j]:
+                num, den = d[i] * a[i][j], a[j][i]
+                if num % den:
+                    k = abs(den) // gcd(num, den)
+                    d = [x * k for x in d]
+                    num *= k
+                d[j] = num // den
                 queue.append(j)
-    if any(x is None for x in d):
+    if not all(d):
         raise RuntimeError(f"{rs.name}: Dynkin graph is not connected")
-    scale = lcm(*(x.denominator for x in d))
-    ints = [int(x * scale) for x in d]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
+    g = gcd(*d)
+    d = [x // g for x in d]
     for i in range(n):
         for j in range(n):
-            if ints[i] * a[i][j] != ints[j] * a[j][i]:
+            if d[i] * a[i][j] != d[j] * a[j][i]:
                 raise RuntimeError(f"{rs.name}: Cartan matrix is not symmetrizable")
-    return tuple(ints)
-
-
-@lru_cache(maxsize=None)
-def inverse_cartan(rs: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of the Cartan matrix (maps fundamental to simple-root coords)."""
-    n = rs.rank
-    aug = [[Fraction(rs.cartan[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    return tuple(d)
 
 
 @lru_cache(maxsize=None)
 def _scaled_inverse_cartan(rs: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(D, rows): rows == D * inverse_cartan(rs), integral, D the least such.
+    """(D, rows): rows == D * A^{-1} for the Cartan matrix A, integral, D the least such.
 
     Row j applied to a weight in fundamental coordinates gives D times its
     j-th simple-root coordinate, so membership in the root lattice and in
     the positive cone are integer divisibility and sign tests.
+
+    Fraction-free Gauss-Jordan elimination on [A | I]: each row operation
+    is an integer combination of two rows, divided by the gcd of its
+    entries.  Every row of [A | I] has gcd 1, and so every row keeps it;
+    at the end row i reads [p_i e_i | E_i], and E_i / p_i, row i of
+    A^{-1}, has least common denominator |p_i|.  So D = lcm |p_i|.
     """
-    inv = inverse_cartan(rs)
-    scale = lcm(*(x.denominator for row in inv for x in row))
-    return scale, tuple(tuple(int(x * scale) for x in row) for row in inv)
-
-
-def root_coordinates(rs: RootSystem, mu: Sequence[int]) -> tuple[Fraction, ...]:
-    """Simple-root coordinates of a weight given in fundamental coordinates."""
-    t = _check_weight(rs, mu)
-    inv = inverse_cartan(rs)
-    return tuple(sum(row[j] * t[j] for j in range(rs.rank)) for row in inv)
+    n = rs.rank
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rs.cartan)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        top = aug[col]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                row = [top[col] * x - aug[r][col] * y for x, y in zip(aug[r], top)]
+                g = gcd(*row)
+                aug[r] = [x // g for x in row]
+    scale = lcm(*(abs(aug[i][i]) for i in range(n)))
+    return scale, tuple(tuple(x * (scale // aug[i][i]) for x in aug[i][n:]) for i in range(n))
 
 
 @lru_cache(maxsize=None)

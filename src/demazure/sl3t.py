@@ -70,16 +70,14 @@ class Biweight:
         return Biweight(self.k1, self.k2, tuple(x + m for x in self.l))
 
 
-def _n_value(k1: int, k2: int, l: Sequence[int]) -> Fraction:
-    total = Fraction(k1 + k2, 2)
-    for i, j, k in _CYCLIC:
-        total -= Fraction(abs(k1 - k2 + 2 * l[i] - l[j] - l[k]), 6)
-    return total
+def _six_n(k1: int, k2: int, l: Sequence[int]) -> int:
+    """6n = 3(k1 + k2) - sum over cyclic (i, j, k) of |k1 - k2 + 2 l_i - l_j - l_k|."""
+    return 3 * (k1 + k2) - sum(abs(k1 - k2 + 2 * l[i] - l[j] - l[k]) for i, j, k in _CYCLIC)
 
 
 def closed_n(bw: Biweight) -> Fraction:
     """The closed-formula parameter n; the multiplicity is n + 1 for members."""
-    return _n_value(bw.k1, bw.k2, bw.l)
+    return Fraction(_six_n(bw.k1, bw.k2, bw.l), 6)
 
 
 def _member(k1: int, k2: int, l: Sequence[int]) -> bool:
@@ -87,8 +85,8 @@ def _member(k1: int, k2: int, l: Sequence[int]) -> bool:
         return False
     if (k1 - k2 - sum(l)) % 3:
         return False
-    n = _n_value(k1, k2, l)
-    return n.denominator == 1 and n >= 0
+    six_n = _six_n(k1, k2, l)
+    return six_n >= 0 and six_n % 6 == 0
 
 
 def sigma_member(bw: Biweight) -> bool:

@@ -39,8 +39,6 @@ from demazure.roots import (
     root_system,
 )
 
-Matrix = tuple[tuple[int, ...], ...]
-
 __all__ = [
     "WeylElement",
     "identity",
@@ -104,17 +102,6 @@ class WeylElement:
     @property
     def is_identity(self) -> bool:
         return self.u == rho(self.rs)
-
-    @cached_property
-    def matrix(self) -> Matrix:
-        """Integer matrix of w on fundamental coordinates; column j is w(omega_j).
-
-        Built on first use from the peeled word; ``weyl_group`` sorts by it.
-        """
-        n = self.rs.rank
-        acting = self._word[::-1]
-        cols = [_reflect(self.rs, tuple(int(i == j) for i in range(n)), acting) for j in range(n)]
-        return tuple(zip(*cols))
 
     def apply(self, mu: Sequence[int]) -> Weight:
         """Image of a weight (fundamental coordinates) under this element."""
@@ -239,7 +226,11 @@ def demazure_product(w: WeylElement, v: WeylElement) -> WeylElement:
 
 @lru_cache(maxsize=None)
 def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
-    """The full Weyl group, sorted by (length, matrix). Small ranks only."""
+    """The full Weyl group, sorted by (length, matrix). Small ranks only.
+
+    The matrix is that of w on fundamental coordinates, with column j
+    equal to w(omega_j), compared row by row.
+    """
     # Breadth-first search over the orbit of rho: right multiplication
     # by s_i reflects u = w^{-1}(rho) in alpha_i.  The search carries each
     # element's sort key: its length is the depth at which it is first

@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,11 +17,70 @@ from demazure import (
     weyl_character,
     weyl_dim,
 )
-from demazure.branching import _coset_bound, s_dominant, s_maximal_weights
+from demazure.branching import _coset_bound, s_dominant
+from demazure.roots import _scaled_inverse_cartan, sub_weights
 
 A2 = root_system("A2")
 A3 = root_system("A3")
 B3 = root_system("B3")
+
+
+def _s_maximal_weights(rs, subset, weights):
+    """Weights with no other listed weight above them in the S-partial-order."""
+    pool = list(weights)
+    off = [j for j in range(rs.rank) if (j + 1) not in subset]
+    scale, rows = _scaled_inverse_cartan(rs)
+    out = []
+    for w in pool:
+        dominated = False
+        for v in pool:
+            if v == w:
+                continue
+            # scale times the simple-root coordinates of v - w
+            diff = sub_weights(v, w)
+            coords = [sum(r * x for r, x in zip(row, diff)) for row in rows]
+            if all(coords[j] == 0 for j in off) and all(
+                coords[i - 1] % scale == 0 and coords[i - 1] >= 0 for i in subset
+            ):
+                dominated = True
+                break
+        if not dominated:
+            out.append(w)
+    return out
+
+
+def _peel_off(lam, levi, select=None):
+    """Oracle: subtract the Levi character of an S-maximal weight until nothing is left.
+
+    ``select`` gets the sorted remaining support and must return some
+    S-maximal weight; the default takes the largest S-height (sum of the
+    simple-root coordinates over S), ties broken lexicographically.
+    """
+    rs, s = levi.rs, levi.subset
+    remaining = dict(weyl_character(rs, lam))
+    if select is None:
+        _, rows = _scaled_inverse_cartan(rs)
+        height = [sum(rows[i - 1][j] for i in s) for j in range(rs.rank)]
+
+        def select(support):
+            return max(support, key=lambda w: (sum(h * x for h, x in zip(height, w)), w))
+
+    found = {}
+    while remaining:
+        mu = select(sorted(remaining))
+        if not s_dominant(s, mu):
+            raise RuntimeError(f"extracted top weight {mu} is not S-dominant")
+        mult = remaining[mu]
+        for w, c in levi_character(rs, s, mu).items():
+            left = remaining.get(w, 0) - mult * c
+            if left < 0:
+                raise RuntimeError(f"extraction drove coefficient of {w} negative")
+            if left:
+                remaining[w] = left
+            else:
+                remaining.pop(w, None)
+        found[mu] = found.get(mu, 0) + mult
+    return tuple(sorted(found.items()))
 
 
 def test_fundamental_restriction_a2():
@@ -98,32 +159,52 @@ def test_constituent_weights_are_s_dominant():
 
 def test_s_maximal_weights():
     support = list(weyl_character(A2, (1, 1)))
-    assert s_maximal_weights(A2, frozenset({1}), support) == [(1, -2), (1, 1), (2, -1)]
-    assert len(s_maximal_weights(A2, frozenset(), support)) == len(support)
+    assert _s_maximal_weights(A2, frozenset({1}), support) == [(1, -2), (1, 1), (2, -1)]
+    assert len(_s_maximal_weights(A2, frozenset(), support)) == len(support)
     # with both simple directions available only the highest weight survives
-    assert s_maximal_weights(A2, frozenset({1, 2}), support) == [(1, 1)]
+    assert _s_maximal_weights(A2, frozenset({1, 2}), support) == [(1, 1)]
 
 
 def test_extraction_is_order_independent():
-    # any rule that picks some S-maximal weight gives the same answer
+    # any rule that picks some S-maximal weight gives the same answer,
+    # and it is the alternating sum's
     for lam in ((1, 1), (2, 1), (3, 2)):
         for subset in ({1}, {2}):
             levi = LeviDatum(A2, frozenset(subset))
 
             def pick_maximal_lex_first(sorted_support, _s=levi.subset):
-                return s_maximal_weights(A2, _s, sorted_support)[0]
+                return _s_maximal_weights(A2, _s, sorted_support)[0]
 
             def pick_maximal_lex_last(sorted_support, _s=levi.subset):
-                return s_maximal_weights(A2, _s, sorted_support)[-1]
+                return _s_maximal_weights(A2, _s, sorted_support)[-1]
 
             default = restrict_to_levi(lam, levi)
-            first = restrict_to_levi(lam, levi, _select=pick_maximal_lex_first)
-            last = restrict_to_levi(lam, levi, _select=pick_maximal_lex_last)
-            assert first.constituents == default.constituents
-            assert last.constituents == default.constituents
+            assert _peel_off(lam, levi) == default.constituents
+            assert _peel_off(lam, levi, pick_maximal_lex_first) == default.constituents
+            assert _peel_off(lam, levi, pick_maximal_lex_last) == default.constituents
     # a selector that picks a non-maximal weight must be rejected loudly
     with pytest.raises(RuntimeError):
-        restrict_to_levi((1, 1), LeviDatum(A2, {1}), _select=lambda sup: sup[0])
+        _peel_off((1, 1), LeviDatum(A2, {1}), lambda sup: sup[0])
+
+
+def _small_dominant(rank, top):
+    return [lam for lam in product(range(top + 1), repeat=rank) if sum(lam) <= top]
+
+
+def test_alternating_sum_matches_peel_off_oracle():
+    # every subset, the empty and the full one included, at small weights
+    cases = [(name, lam) for name in ("A1", "A2", "B2", "G2", "A3", "B3", "C3")
+             for lam in _small_dominant(int(name[1]), 2)]
+    cases += [(name, lam) for name in ("A4", "B4", "C4", "D4", "F4")
+              for lam in _small_dominant(4, 1)]
+    cases += [("E6", (1, 0, 0, 0, 0, 0))]
+    for name, lam in cases:
+        rs = root_system(name)
+        for k in range(rs.rank + 1):
+            for subset in combinations(range(1, rs.rank + 1), k):
+                levi = LeviDatum(rs, frozenset(subset))
+                got = restrict_to_levi(lam, levi).constituents
+                assert got == _peel_off(lam, levi), (name, lam, subset)
 
 
 @given(data=st.data())

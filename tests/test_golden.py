@@ -1,0 +1,89 @@
+"""Byte-for-byte golden outputs of the CLI and the two scripts.
+
+Each case runs one invocation and compares its exit code and stdout with
+``tests/golden/<name>.out``.  Bad-input cases also compare stderr, the
+error message, with ``tests/golden/<name>.err``.  CLI cases run in
+process; the scripts run as subprocesses with ``PYTHONPATH=src``.
+
+After an intended output change, re-record every expected file with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from demazure.cli import CACHE_ENV_VAR, run as cli_run
+from test_acceptance import GOLDEN_CORPUS
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+# (name, argv, exit code, compare stderr)
+CLI_CASES = [
+    (f"corpus{k:02d}_{argv[0]}", argv, 0, False) for k, argv in enumerate(GOLDEN_CORPUS)
+] + [
+    ("branch_B3_212_S13", ["branch", "--type", "B3", "--weight", "2,1,2", "--subset", "1,3"], 0, False),
+    ("branch_C3_121_S2", ["branch", "--type", "C3", "--weight", "1,2,1", "--subset", "2"], 0, False),
+    ("branch_A4_1010_S123", ["branch", "--type", "A4", "--weight", "1,0,1,0", "--subset", "1,2,3"], 0, False),
+    ("bad_branch_not_dominant", ["branch", "--type", "A2", "--weight=-1,1", "--subset", "1"], 2, True),
+    ("bad_branch_index", ["branch", "--type", "A2", "--weight", "1,1", "--subset", "3"], 2, True),
+    ("bad_branch_rank", ["branch", "--type", "A2", "--weight", "1,1,1", "--subset", "1"], 2, True),
+    ("bad_branch_family", ["branch", "--type", "H3", "--weight", "1,1,1", "--subset", "1"], 2, True),
+    ("bad_unirad_not_s_dominant", ["unirad", "--type", "A2", "--weight=-1,1", "--subset", "1"], 2, True),
+]
+SCRIPT_CASES = [
+    (f"growth_table_{t}", ["scripts/growth_table.py", "--type", t], 0, False) for t in ("A2", "B2", "G2")
+] + [
+    ("sl3t_audit_k3_l2", ["scripts/sl3t_audit.py", "--kmax", "3", "--lmax", "2", "--table"], 0, False),
+]
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_run(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def _run_script(argv):
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV_VAR}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _cases():
+    return [(case, _run_cli) for case in CLI_CASES] + [(case, _run_script) for case in SCRIPT_CASES]
+
+
+@pytest.mark.parametrize(
+    "case, runner", _cases(), ids=[case[0] for case, _runner in _cases()]
+)
+def test_golden_output(case, runner, monkeypatch):
+    name, argv, expected_code, check_stderr = case
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    code, out, err = runner(argv)
+    assert code == expected_code, (name, err)
+    assert out == (GOLDEN / f"{name}.out").read_bytes(), name
+    if check_stderr:
+        assert err == (GOLDEN / f"{name}.err").read_bytes(), name
+
+
+if __name__ == "__main__":
+    os.environ.pop(CACHE_ENV_VAR, None)
+    GOLDEN.mkdir(exist_ok=True)
+    for (name, argv, expected_code, check_stderr), runner in _cases():
+        code, out, err = runner(argv)
+        if code != expected_code:
+            raise SystemExit(f"{name}: exit {code}, expected {expected_code}")
+        (GOLDEN / f"{name}.out").write_bytes(out)
+        if check_stderr:
+            (GOLDEN / f"{name}.err").write_bytes(err)
+    print(f"recorded {len(_cases())} cases in {GOLDEN}")

@@ -1,4 +1,4 @@
-from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +17,7 @@ from demazure import (
     sub_weights,
     symmetrizer,
 )
-from demazure.roots import RootSystem, inverse_cartan, root_coordinates, root_pairing_data
+from demazure.roots import RootSystem, _scaled_inverse_cartan, root_pairing_data
 
 ALL_NAMES = [
     "A1", "A2", "A3", "A4",
@@ -120,22 +120,25 @@ def test_symmetrizer_symmetrizes():
                 assert d[i] * a[i][j] == d[j] * a[j][i], name
 
 
-def test_inverse_cartan_is_inverse():
-    for name in ("A2", "B3", "F4", "G2", "E6"):
+def test_scaled_inverse_cartan_is_least_integral_inverse():
+    # rows . A == D . I, and no proper divisor of D leaves D A^{-1} integral
+    for name in ALL_NAMES:
         rs = root_system(name)
-        inv = inverse_cartan(rs)
+        scale, rows = _scaled_inverse_cartan(rs)
         n = rs.rank
         for i in range(n):
             for j in range(n):
-                s = sum(rs.cartan[i][k] * inv[k][j] for k in range(n))
-                assert s == Fraction(int(i == j)), name
+                s = sum(rows[i][k] * rs.cartan[k][j] for k in range(n))
+                assert s == scale * int(i == j), name
+        assert gcd(scale, *(x for row in rows for x in row)) == 1, name
 
 
-def test_root_coordinates_of_simple_roots():
+def test_scaled_inverse_cartan_of_simple_roots():
     rs = root_system("B3")
+    scale, rows = _scaled_inverse_cartan(rs)
     for i in range(1, 4):
-        coords = root_coordinates(rs, rs.simple_root(i))
-        assert coords == tuple(Fraction(int(j == i - 1)) for j in range(3))
+        coords = tuple(sum(r * x for r, x in zip(row, rs.simple_root(i))) for row in rows)
+        assert coords == tuple(scale * int(j == i - 1) for j in range(3))
 
 
 def test_root_pairing_data_coroot_pairing_is_two():
