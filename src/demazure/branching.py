@@ -161,17 +161,27 @@ def levi_weyl_dim(rs: RootSystem, subset: Iterable[int], mu: Sequence[int]) -> i
     mu = _check_weight(rs, mu)
     if not s_dominant(s, mu):
         raise ValueError(f"weight {mu} is not dominant on subset {sorted(s)}")
-    shifted = add_weights(mu, rho(rs))
+    return _levi_dims(rs, s, [mu])[0]
+
+
+def _levi_dims(rs: RootSystem, s: frozenset[int], mus: Iterable[Weight]) -> list[int]:
+    """levi_weyl_dim of each mu, for weights already checked to be S-dominant."""
     data = root_pairing_data(rs)
-    num = den = 1
-    for k in _levi_root_indices(rs, s):
-        dots, _halfnorm = data[k]
-        num *= sum(d * x for d, x in zip(dots, shifted))
-        den *= sum(dots)
-    dim, rem = divmod(num, den)
-    if rem:
-        raise RuntimeError(f"{rs.name}: non-integral Levi dimension for {mu}")
-    return dim
+    roots = [data[k][0] for k in _levi_root_indices(rs, s)]
+    den = 1
+    for dots in roots:
+        den *= sum(dots)  # dot with rho = all ones
+    dims = []
+    for mu in mus:
+        shifted = add_weights(mu, rho(rs))
+        num = 1
+        for dots in roots:
+            num *= sum(d * x for d, x in zip(dots, shifted))
+        dim, rem = divmod(num, den)
+        if rem:
+            raise RuntimeError(f"{rs.name}: non-integral Levi dimension for {mu}")
+        dims.append(dim)
+    return dims
 
 
 def _dot_below(rs: RootSystem, s: Iterable[int], nu: Weight) -> Iterator[Weight]:
@@ -184,6 +194,11 @@ def _dot_below(rs: RootSystem, s: Iterable[int], nu: Weight) -> Iterator[Weight]
 
 def restrict_to_levi(lam: Sequence[int], levi: LeviDatum) -> BranchingResult:
     """Decompose the irreducible character of lam into Levi constituents."""
+    return _branch(lam, levi)[0]
+
+
+def _branch(lam: Sequence[int], levi: LeviDatum) -> tuple[BranchingResult, list[int]]:
+    """restrict_to_levi, together with the Levi dimension of each constituent."""
     rs = levi.rs
     s = levi.subset
     lam = _check_weight(rs, lam)
@@ -204,17 +219,21 @@ def restrict_to_levi(lam: Sequence[int], levi: LeviDatum) -> BranchingResult:
         if n:
             found.append((mu, n))
     result = BranchingResult(levi, lam, tuple(found))
-    if not dimension_conserved(result):
+    dims = _levi_dims(rs, s, (mu for mu, _ in found))
+    if not _conserved(result, dims):
         raise RuntimeError("branching lost dimensions; the alternating sum is broken")
-    return result
+    return result, dims
 
 
 def dimension_conserved(result: BranchingResult) -> bool:
-    rs = result.levi.rs
-    total = sum(
-        m * levi_weyl_dim(rs, result.levi.subset, mu) for mu, m in result.constituents
-    )
-    return total == weyl_dim(rs, result.lam)
+    mus = (mu for mu, _ in result.constituents)
+    return _conserved(result, _levi_dims(result.levi.rs, result.levi.subset, mus))
+
+
+def _conserved(result: BranchingResult, dims: Sequence[int]) -> bool:
+    """Whether the constituents, of Levi dimensions dims, fill V(lam)."""
+    total = sum(m * d for (_, m), d in zip(result.constituents, dims))
+    return total == weyl_dim(result.levi.rs, result.lam)
 
 
 def _coset_bound(lam: Weight, levi: LeviDatum) -> int:

@@ -9,6 +9,11 @@ JSON integers; potentially large quantities (dimensions, coefficients,
 multiplicities) are decimal strings.  stdout is deterministic for a
 given invocation; cache messages go to stderr.
 
+``run(argv)`` runs one invocation in process and returns its exit code.
+One argument parser serves every ``run`` in a process: it is built on
+the first call and reused, since building it costs far more than
+parsing with it.
+
 The character cache (``--cache DIR``, default from the environment
 variable DEMAZURE_CACHE_DIR) stores canonical character JSON keyed by
 (type, word, weight) with a content checksum; corrupt or mismatched
@@ -18,6 +23,7 @@ entries are recomputed and overwritten with a warning.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -26,14 +32,8 @@ import uuid
 from pathlib import Path
 from typing import Sequence
 
-from demazure.branching import (
-    LeviDatum,
-    dimension_conserved,
-    levi_weyl_dim,
-    restrict_to_levi,
-    unirad_mult_identity,
-)
-from demazure.branching import _coset_bound
+from demazure.branching import LeviDatum, unirad_mult_identity
+from demazure.branching import _branch, _conserved, _coset_bound
 from demazure.characters import (
     character_from_json,
     character_to_json,
@@ -160,23 +160,18 @@ def _cmd_branch(ns: argparse.Namespace) -> int:
     lam = _csv_ints(ns.weight)
     subset = _csv_ints(ns.subset)
     levi = LeviDatum(rs, frozenset(subset))
-    result = restrict_to_levi(lam, levi)
+    result, dims = _branch(lam, levi)
     bound = _coset_bound(result.lam, levi)
     constituents = []
     ok = True
-    for mu, mult in result.constituents:
+    for (mu, mult), dim in zip(result.constituents, dims):
         holds = mult <= bound
         ok = ok and holds
         constituents.append(
-            {
-                "weight": list(mu),
-                "mult": str(mult),
-                "levi_dim": str(levi_weyl_dim(rs, levi.subset, mu)),
-                "holds": holds,
-            }
+            {"weight": list(mu), "mult": str(mult), "levi_dim": str(dim), "holds": holds}
         )
     length_holds = result.length <= bound
-    conserved = dimension_conserved(result)
+    conserved = _conserved(result, dims)
     out = {
         "root_system": rs.name,
         "weight": list(result.lam),
@@ -259,7 +254,7 @@ def _cmd_sl3t(ns: argparse.Namespace) -> int:
         "k2": bw.k2,
         "l": list(bw.l),
         "member": sigma_member(bw),
-        "n": str(n) if n.denominator != 1 else str(int(n)),
+        "n": str(n),
         "closed_mult": str(a),
         "weight_mult": str(b),
         "theorem2_mult": str(c),
@@ -287,7 +282,9 @@ _SUBCOMMANDS = (
 _FLAG_HELP = {("char", "word"): "comma-separated 1-based letters; empty for the identity"}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser shared by every ``run``; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="demazure",
         description="Exact Demazure characters and multiplicity bounds.",

@@ -97,7 +97,7 @@ def sigma_member(bw: Biweight) -> bool:
 def closed_mult(bw: Biweight) -> int:
     if not sigma_member(bw):
         return 0
-    return int(closed_n(bw)) + 1
+    return _six_n(bw.k1, bw.k2, bw.l) // 6 + 1
 
 
 def torus_weight_coords(l: Sequence[int]) -> Weight:
@@ -165,9 +165,8 @@ def audit_rows(kmax: int, lmax: int) -> Iterator[tuple]:
                         a = closed_mult(bw)
                         b = mult_via_weights(bw)
                         c = theorem2_mult(bw)
-                        n_text = str(n) if n.denominator != 1 else str(int(n))
                         yield (
                             k1, k2, l1, l2, l3,
-                            member, n_text, a, b, c,
+                            member, str(n), a, b, c,
                             a == b == c,
                         )

@@ -17,7 +17,7 @@ from demazure import (
     weyl_character,
     weyl_dim,
 )
-from demazure.branching import _coset_bound, s_dominant
+from demazure.branching import BranchingResult, _branch, _coset_bound, s_dominant
 from demazure.roots import _scaled_inverse_cartan, sub_weights
 
 A2 = root_system("A2")
@@ -103,6 +103,22 @@ def test_adjoint_restriction_a2():
     assert sorted(dims) == [1, 2, 2, 3]
     assert sum(dims) == weyl_dim(A2, (1, 1))
     assert dimension_conserved(result)
+
+
+def test_branch_dims_are_the_levi_dims():
+    # the dimensions the CLI prints come with the branching, one per constituent
+    for rs, lam, subset in ((A2, (1, 1), {1}), (B3, (2, 1, 2), {1, 3}), (A3, (1, 0, 2), {2})):
+        levi = LeviDatum(rs, subset)
+        result, dims = _branch(lam, levi)
+        assert result == restrict_to_levi(lam, levi)
+        assert dims == [levi_weyl_dim(rs, levi.subset, mu) for mu, _ in result.constituents]
+
+
+def test_dimension_conserved_detects_a_missing_constituent():
+    result = restrict_to_levi((1, 1), LeviDatum(A2, {1}))
+    assert dimension_conserved(result)
+    short = BranchingResult(result.levi, result.lam, result.constituents[1:])
+    assert not dimension_conserved(short)
 
 
 def test_adjoint_restriction_b3():

@@ -1,10 +1,13 @@
 import io
 import contextlib
 import json
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import demazure.cli as cli
 from demazure.cli import CACHE_ENV_VAR, run
@@ -267,3 +270,80 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "8\n"
+
+
+# --- the parser across many in-process calls ------------------------------
+#
+# One process may serve many ``run`` calls.  Help texts, usage errors and
+# parse results must not depend on what ran before, so each case below
+# runs after a mixed sequence of earlier calls and is compared with a
+# fresh ``python -m demazure.cli`` on the same interpreter.
+
+_SUBCOMMAND_NAMES = (
+    "char", "dim", "weight-mult", "dual", "hecke", "branch", "unirad", "growth", "sl3t",
+)
+_GROWTH = ["growth", "--type", "A2", "--word", "1,2", "--weight", "1,1"]
+_EARLIER_CALLS = [
+    ["dim", "--type", "A2", "--word", "1,2,1", "--weight", "1,1"],
+    ["sl3t", "--grid", "1", "1"],
+    ["dim", "--type", "A2", "--word", "1"],
+    [*_GROWTH, "--n", "6", "--format", "tsv"],
+    ["hecke", "--help"],
+    ["branch", "--type", "A2", "--weight", "1,1", "--subset", "1"],
+    ["sl3t", "--k1", "1", "--k2", "0", "--l", "1,0,0"],
+    ["nonesuch"],
+    ["--help"],
+    ["dual", "--type", "A3", "--weight", "1,2,3"],
+]
+_PARSER_CASES = [["--help"]] + [[name, "--help"] for name in _SUBCOMMAND_NAMES] + [
+    [],
+    ["frobnicate"],
+    ["dim", "--type", "A2", "--word", "1"],
+    [*_GROWTH, "--format", "xml"],
+    [*_GROWTH, "--n", "x"],
+]
+
+
+def _fresh(argv):
+    """Run the CLI in a new interpreter; return (exit code, stdout, stderr)."""
+    env = {k: v for k, v in os.environ.items() if k not in (CACHE_ENV_VAR, "FORCE_COLOR")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    env["COLUMNS"] = "80"
+    proc = subprocess.run(
+        [sys.executable, "-m", "demazure.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _after_earlier_calls(argv):
+    for earlier in _EARLIER_CALLS:
+        cap(earlier)
+    return cap(argv)
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=lambda a: " ".join(a) or "<none>")
+def test_help_and_usage_errors_match_a_fresh_process(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    got = _after_earlier_calls(argv)
+    assert got == _fresh(argv)
+    assert got[0] == (0 if "--help" in argv else 2)
+
+
+def test_no_state_leaks_between_runs(monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    code, out, _ = cap(["growth", "--type", "A2", "--word", "", "--weight", "1,1", "--n", "2"])
+    assert code == 0 and len(json.loads(out)["values"]) == 3
+    argv = ["growth", "--type", "A2", "--word", "", "--weight", "1,1"]
+    code, out, err = cap(argv)
+    assert len(json.loads(out)["values"]) == 5  # the default n_max, length(w) + 4
+    assert (code, out, err) == _fresh(argv)
+
+    code, out, _ = cap(["sl3t", "--grid", "1", "1"])
+    assert code == 0 and out.startswith("k1\t")
+    argv = ["sl3t", "--k1", "1", "--k2", "1", "--l", "0,0,0"]
+    code, out, err = cap(argv)
+    assert code == 0
+    assert json.loads(out)["closed_mult"] == "2"
+    assert (code, out, err) == _fresh(argv)

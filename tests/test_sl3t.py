@@ -26,6 +26,15 @@ def test_spot_values():
     assert closed_mult(Biweight(1, 0, (1, 0, 0))) == 1
 
 
+def test_closed_mult_is_closed_n_plus_one_on_members():
+    for k1, k2, *l in product(range(4), range(4), *[range(-2, 3)] * 3):
+        bw = Biweight(k1, k2, l)
+        n = closed_n(bw)
+        assert isinstance(n, Fraction)
+        expected = int(n) + 1 if sigma_member(bw) else 0
+        assert closed_mult(bw) == expected
+
+
 def test_non_members():
     # k1 - k2 - sum(l) must vanish mod 3
     bw = Biweight(1, 0, (0, 0, 0))
