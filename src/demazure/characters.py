@@ -212,8 +212,9 @@ def _demazure_items(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> dict[
     # word[1:] by one letter.  Every suffix of every word asked for stays
     # in the memo: the longest word of E8 keeps 120 characters for one
     # lam where a chain without the memo kept one at a time.  That is the
-    # price of reading every element of W at one letter each.  Readers
-    # must not change the dict they get back.
+    # price of reading every element of W at one letter each.  Dilation
+    # sequences do not fill it: ``growth`` specialises along the Bruhat
+    # interval instead.  Readers must not change the dict they get back.
     pk = _packing(rs, sum(map(abs, lam)))
     if not word:
         return {_pack(pk, lam): 1}

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from demazure.characters import dual_weight, weight_multiplicity
+from demazure.characters import weight_multiplicity
 from demazure.roots import Weight, root_system
 
 __all__ = [
@@ -106,10 +106,12 @@ def torus_weight_coords(l: Sequence[int]) -> Weight:
 
 
 def mult_via_weights(bw: Biweight) -> int:
-    """Multiplicity read off the weight spaces of the dual module."""
-    rs = root_system("A2")
-    lam_star = dual_weight(rs, (bw.k1, bw.k2))
-    return weight_multiplicity(rs, lam_star, torus_weight_coords(bw.l))
+    """Multiplicity read off the weight spaces of the dual module V(k2, k1).
+
+    In A2, -w0 swaps the two fundamental weights, so the dual of
+    (k1, k2) is (k2, k1); ``dual_weight`` computes the same from w0.
+    """
+    return weight_multiplicity(root_system("A2"), (bw.k2, bw.k1), torus_weight_coords(bw.l))
 
 
 def theorem2_mult(bw: Biweight) -> int:

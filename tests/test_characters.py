@@ -273,6 +273,56 @@ def test_extremal_coefficient_is_one():
         assert all(c > 0 for c in char.values())
 
 
+# Kohnert's rule (Kohnert, Bayreuth. Math. Schr. 38, 1991): the key polynomial of a weak composition a
+# sums x^{wt(D)} over the diagrams D reached from the left-justified
+# diagram of a (a_i cells in row i, row 1 lowest) by moving the rightmost
+# cell of a row to the nearest empty cell below it in its column.  In type
+# A_r the key polynomial of a = w(lam) is the Demazure character of (w, lam)
+# with x^b read as the weight (b_1 - b_2, ..., b_r - b_{r+1}).  The rule
+# shares no code with the operator kernel.
+
+def _kohnert(a):
+    start = frozenset((r, c) for r, length in enumerate(a) for c in range(length))
+    seen = {start}
+    todo = [start]
+    while todo:
+        diagram = todo.pop()
+        ends = {}
+        for r, c in diagram:
+            ends[r] = max(ends.get(r, c), c)
+        for r, c in ends.items():
+            below = next((s for s in range(r - 1, -1, -1) if (s, c) not in diagram), None)
+            if below is not None:
+                moved = diagram - {(r, c)} | {(below, c)}
+                if moved not in seen:
+                    seen.add(moved)
+                    todo.append(moved)
+    poly = {}
+    for diagram in seen:
+        rows = [0] * len(a)
+        for r, _c in diagram:
+            rows[r] += 1
+        weight = tuple(x - y for x, y in zip(rows, rows[1:]))
+        poly[weight] = poly.get(weight, 0) + 1
+    return poly
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4"])
+def test_type_a_characters_are_kohnert_key_polynomials(name):
+    rs = root_system(name)
+    lams = [rho(rs), tuple(int(j in (0, rs.rank - 1)) for j in range(rs.rank))]
+    if rs.rank < 4:
+        lams += [(2,) + (0,) * (rs.rank - 1), (0,) * (rs.rank - 1) + (1,)]
+    for lam in lams:
+        parts = [sum(lam[j:]) for j in range(rs.rank)] + [0]
+        for w in weyl_group(rs):
+            word = reduced_word(w)
+            a = list(parts)
+            for i in reversed(word):  # w(lam) = s_{i1}(... s_{ik}(lam)), s_i swaps parts i, i+1
+                a[i - 1], a[i] = a[i], a[i - 1]
+            assert demazure_character(rs, word, lam) == _kohnert(a), (name, word, lam)
+
+
 def test_apply_demazure_word_matches_demazure_character():
     lam = (2, 1)
     word = (2, 1, 2)

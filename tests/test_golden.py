@@ -39,8 +39,9 @@ CLI_CASES = [
     ("bad_unirad_not_s_dominant", ["unirad", "--type", "A2", "--weight=-1,1", "--subset", "1"], 2, True),
 ]
 SCRIPT_CASES = [
-    (f"growth_table_{t}", ["scripts/growth_table.py", "--type", t], 0, False) for t in ("A2", "B2", "G2")
+    (f"growth_table_{t}", ["scripts/growth_table.py", "--type", t], 0, False) for t in ("A2", "B2", "G2", "B3")
 ] + [
+    ("growth_table_A3_101_w0", ["scripts/growth_table.py", "--type", "A3", "--weight", "1,0,1", "--window", "0"], 0, False),
     ("sl3t_audit_k3_l2", ["scripts/sl3t_audit.py", "--kmax", "3", "--lmax", "2", "--table"], 0, False),
 ]
 

@@ -1,17 +1,25 @@
+import random
+
 import pytest
 
 from demazure import (
     DilationSequence,
+    demazure_character,
+    demazure_dim,
+    demazure_fold,
     dimension_sequence,
     finite_differences,
     from_word,
     growth_degree,
     identity,
     longest_element,
+    reduced_word,
     rho,
     root_system,
     weyl_group,
 )
+from demazure import growth
+from demazure.roots import _scaled_inverse_cartan
 
 A2 = root_system("A2")
 
@@ -95,3 +103,74 @@ def test_sequence_is_frozen_record():
     assert isinstance(seq, DilationSequence)
     with pytest.raises(AttributeError):
         seq.values = ()
+
+
+def _check_against_operator(w, lam):
+    # the specialisation shares no code with the operator kernel behind demazure_dim
+    seq = dimension_sequence(w, lam, w.length + 2)
+    expected = tuple(demazure_dim(w, tuple(n * x for x in lam)) for n in range(w.length + 3))
+    assert seq.values == expected, (w, lam)
+
+
+# regular and singular weights; omega_1 + omega_3 is singular in rank 3
+WHOLE_GROUP_WEIGHTS = {
+    "A1": [(1,), (3,)], "A2": [(1, 1), (0, 2)], "A3": [(1, 1, 1), (1, 0, 1)],
+    "B2": [(1, 1), (1, 0)], "B3": [(1, 0, 1)], "C3": [(1, 0, 1)], "G2": [(1, 1), (0, 1)],
+}
+
+
+@pytest.mark.parametrize("name", WHOLE_GROUP_WEIGHTS)
+def test_dimensions_match_operator_on_whole_group(name):
+    lams = WHOLE_GROUP_WEIGHTS[name]
+    for w in weyl_group(root_system(name)):
+        for lam in lams:
+            _check_against_operator(w, lam)
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "C4", "D4", "F4"])
+def test_dimensions_match_operator_on_sampled_elements(name):
+    rs = root_system(name)
+    rng = random.Random(f"growth-{name}")
+    lam = tuple(int(j in (0, rs.rank - 1)) for j in range(rs.rank))
+    for w in rng.sample([w for w in weyl_group(rs) if w.length <= 7], 6):
+        _check_against_operator(w, lam)
+
+
+def _principal(rs, char, lam):
+    """sum_mu c_mu q^{ht(lam - mu)} as a coefficient list."""
+    scale, rows = _scaled_inverse_cartan(rs)
+    out = {}
+    for mu, c in char.items():
+        diff = [a - b for a, b in zip(lam, mu)]
+        ht, rem = divmod(sum(sum(r * x for r, x in zip(row, diff)) for row in rows), scale)
+        assert rem == 0 and ht >= 0
+        out[ht] = out.get(ht, 0) + c
+    return [out.get(k, 0) for k in range(max(out) + 1)]
+
+
+@pytest.mark.parametrize("name, lam", [
+    ("A4", (1, 0, 1, 0)), ("B3", (1, 1, 0)), ("C3", (0, 1, 1)), ("D4", (1, 0, 0, 1)),
+    ("E6", (1, 0, 0, 0, 0, 0)), ("F4", (0, 0, 0, 1)), ("G2", (1, 1)),
+])
+def test_packed_slices_are_principal_specialisations(name, lam):
+    rs = root_system(name)
+    rng = random.Random(f"principal-{name}")
+    top = len(rs.positive_roots)
+    for _ in range(4):
+        letters = [rng.randint(1, rs.rank) for _ in range(rng.randint(1, min(top - 1, 9)))]
+        w = demazure_fold(identity(rs), letters)
+        assert 0 < w.length < top
+        word = reduced_word(w)
+        for n, got in enumerate(growth._specialisation(rs, word, lam, 2)):
+            n_lam = tuple(n * x for x in lam)
+            assert got == _principal(rs, demazure_character(rs, word, n_lam), n_lam), (word, n)
+
+
+def test_corrupted_division_raises(monkeypatch):
+    # lengthen one c: the quotient is then not a polynomial, and the gap test must see it
+    points, sizes, pairs = growth._interval(A2, (1, 2, 1))
+    low, high, c, targets = pairs[0][0]
+    broken = ((low, high, c + 1, targets),) + pairs[0][1:]
+    monkeypatch.setattr(growth, "_interval", lambda rs, word: (points, sizes, (broken,) + pairs[1:]))
+    with pytest.raises(RuntimeError, match="principal specialisation"):
+        dimension_sequence(longest_element(A2), (1, 1), 5)

@@ -8,6 +8,7 @@ from demazure import (
     Biweight,
     closed_mult,
     closed_n,
+    dual_weight,
     generator_biweights,
     mult_via_weights,
     root_system,
@@ -68,6 +69,13 @@ def test_weights_route_is_a_weight_multiplicity():
     a2 = root_system("A2")
     bw = Biweight(1, 1, (0, 0, 0))
     assert mult_via_weights(bw) == weight_multiplicity(a2, (1, 1), (0, 0)) == 2
+
+
+def test_a2_dual_swaps_coordinates():
+    # mult_via_weights reads the dual of (k1, k2) as (k2, k1) without w0
+    a2 = root_system("A2")
+    for a, b in product(range(7), repeat=2):
+        assert dual_weight(a2, (a, b)) == (b, a)
 
 
 def test_triple_agreement_small_grid():
