@@ -29,12 +29,16 @@ def main() -> int:
                     help="extra entries beyond the minimal length(w)+2")
     args = ap.parse_args()
 
-    rs = root_system(args.type)
+    try:
+        rs = root_system(args.type)
+        group = weyl_group(rs)
+    except ValueError as exc:
+        ap.error(str(exc))  # exits 2
     lam = rho(rs) if args.weight is None else tuple(int(x) for x in args.weight.split(","))
-    print(f"# {rs.name}, weight {lam}, |W| = {len(weyl_group(rs))}")
+    print(f"# {rs.name}, weight {lam}, |W| = {len(group)}")
     print("word\tlength\tdegree\tmatch\tvalues")
     mismatches = 0
-    for w in weyl_group(rs):
+    for w in group:
         seq = dimension_sequence(w, lam, w.length + 2 + args.window)
         degree = growth_degree(seq)
         if degree > w.length:

@@ -75,6 +75,7 @@ from demazure.roots import (
     Weight,
     _check_index,
     _check_weight,
+    _columns,
     add_weights,
     is_dominant,
     root_pairing_data,
@@ -186,10 +187,14 @@ def _levi_dims(rs: RootSystem, s: frozenset[int], mus: Iterable[Weight]) -> list
 
 def _dot_below(rs: RootSystem, s: Iterable[int], nu: Weight) -> Iterator[Weight]:
     """s_i.nu = nu - (nu_i + 1) alpha_i for each i in s where that is lower."""
+    cols = _columns(rs)
     for i in s:
         k = nu[i - 1] + 1
         if k > 0:
-            yield tuple(x - k * row[i - 1] for x, row in zip(nu, rs.cartan))
+            x = list(nu)
+            for j, c in cols[i - 1]:
+                x[j] -= k * c
+            yield tuple(x)
 
 
 def restrict_to_levi(lam: Sequence[int], levi: LeviDatum) -> BranchingResult:

@@ -70,6 +70,7 @@ from demazure.roots import (
     Weight,
     _check_index,
     _check_weight,
+    _columns,
     _scaled_inverse_cartan,
     add_weights,
     dominant_conjugate,
@@ -129,7 +130,7 @@ def _packing(rs: RootSystem, size: int) -> _Packing:
     base = 2 * radius + 1
     n = rs.rank
     places = tuple(base ** (n - 1 - j) for j in range(n))
-    simple = tuple(sum(row[i] * p for row, p in zip(rs.cartan, places)) for i in range(n))
+    simple = tuple(sum(c * places[j] for j, c in col) for col in _columns(rs))
     return _Packing(radius, base, places, radius * sum(places), simple)
 
 
@@ -367,7 +368,7 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
             return 0
         gap.append(c)
     n = rs.rank
-    cols = [rs.simple_root(i) for i in range(1, n + 1)]
+    cols = _columns(rs)
     pos_fund = positive_roots_fund(rs)
     roots = [
         (alpha, coords, dots)
@@ -403,9 +404,10 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
                 i = 0
                 while i < n:
                     if x[i] < 0:
-                        m, mb, col = x[i], beta[i], cols[i]
-                        x = [a - m * c for a, c in zip(x, col)]
-                        beta = [b - mb * c for b, c in zip(beta, col)]
+                        m, mb = x[i], beta[i]
+                        for j, c in cols[i]:
+                            x[j] -= m * c
+                            beta[j] -= mb * c
                         i = 0
                     else:
                         i += 1

@@ -76,7 +76,14 @@ from itertools import accumulate
 from operator import mul, sub
 from typing import Sequence
 
-from demazure.roots import RootSystem, Weight, _check_weight, _scaled_inverse_cartan, is_dominant
+from demazure.roots import (
+    RootSystem,
+    Weight,
+    _check_weight,
+    _columns,
+    _scaled_inverse_cartan,
+    is_dominant,
+)
 from demazure.weyl import WeylElement, reduced_word
 
 __all__ = ["DilationSequence", "dimension_sequence", "finite_differences", "growth_degree"]
@@ -106,17 +113,18 @@ def _interval(
     points of S_{j-1} that take the quotient.
     """
     scale, rows = _scaled_inverse_cartan(rs)
+    cols = _columns(rs)
     points = [tuple(map(sum, zip(*rows)))]
     index = {points[0]: 0}
     sizes = [1]
     pairs = []
     for i in word:
-        alpha = rs.simple_root(i)
+        col = cols[i - 1]
         size = sizes[-1]
         letter = []
         for v in range(size):
             g = points[v]
-            drop = sum(map(mul, g, alpha))  # g_v(alpha_i) = D ht(v alpha_i)
+            drop = sum(g[j] * c for j, c in col)  # g_v(alpha_i) = D ht(v alpha_i)
             partner = g[: i - 1] + (g[i - 1] - drop,) + g[i:]
             p = index.get(partner)
             if p is None:

@@ -10,6 +10,19 @@ fundamental coordinates:
 so ``alpha_j = sum_i cartan[i][j] * omega_i``.  Simple indices in the
 public API are 1-based throughout.
 
+A simple reflection s_i(mu) = mu - mu_i alpha_i touches only the
+coordinates where alpha_i is nonzero: i itself and its Dynkin
+neighbours, at most four coordinates (the branch node of type D or E
+has three neighbours).  ``_columns`` lists those entries of each column
+once per root system, and every reflection in the package runs through
+it, on a list in place::
+
+    m = x[i - 1]
+    for j, c in _columns(rs)[i - 1]:
+        x[j] -= m * c
+
+No module but this one reads the Cartan matrix itself.
+
 Node numbering follows the standard tables: chains for the classical
 families, with the short root last in type B and the long root last in
 type C; in G2 node 1 is short (so the first fundamental weight carries
@@ -227,12 +240,27 @@ def pairing(rs: RootSystem, mu: Sequence[int], i: int) -> int:
     return _check_weight(rs, mu)[i - 1]
 
 
+@lru_cache(maxsize=None)
+def _columns(rs: RootSystem) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Entry i-1: the pairs (j, cartan[j][i-1]) with a nonzero entry, j ascending.
+
+    These are the 0-based coordinates of alpha_i that are not zero, so the
+    only coordinates s_i can change: i itself and its Dynkin neighbours.
+    """
+    n = rs.rank
+    return tuple(
+        tuple((j, rs.cartan[j][i]) for j in range(n) if rs.cartan[j][i]) for i in range(n)
+    )
+
+
 def simple_reflection(rs: RootSystem, i: int, mu: Sequence[int]) -> Weight:
     """s_i(mu) = mu - <mu, alpha_i^vee> * alpha_i."""
-    t = _check_weight(rs, mu)
+    x = list(_check_weight(rs, mu))
     _check_index(rs, i)
-    m = t[i - 1]
-    return tuple(x - m * row[i - 1] for x, row in zip(t, rs.cartan))
+    m = x[i - 1]
+    for j, c in _columns(rs)[i - 1]:
+        x[j] -= m * c
+    return tuple(x)
 
 
 def is_dominant(mu: Sequence[int]) -> bool:
@@ -353,13 +381,14 @@ def root_pairing_data(rs: RootSystem) -> tuple[tuple[Weight, int], ...]:
 def dominant_conjugate(rs: RootSystem, mu: Sequence[int]) -> Weight:
     """The unique dominant weight in the Weyl orbit of mu."""
     cur = list(_check_weight(rs, mu))
+    cols = _columns(rs)
     while True:
         i = next((k for k, x in enumerate(cur) if x < 0), None)
         if i is None:
             return tuple(cur)
         m = cur[i]
-        for j, row in enumerate(rs.cartan):
-            cur[j] -= m * row[i]
+        for j, c in cols[i]:
+            cur[j] -= m * c
 
 
 if __name__ == "__main__":

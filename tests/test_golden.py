@@ -43,6 +43,7 @@ SCRIPT_CASES = [
 ] + [
     ("growth_table_A3_101_w0", ["scripts/growth_table.py", "--type", "A3", "--weight", "1,0,1", "--window", "0"], 0, False),
     ("sl3t_audit_k3_l2", ["scripts/sl3t_audit.py", "--kmax", "3", "--lmax", "2", "--table"], 0, False),
+    ("bad_growth_table_E7", ["scripts/growth_table.py", "--type", "E7"], 2, True),
 ]
 
 

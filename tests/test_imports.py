@@ -1,6 +1,9 @@
-"""The library computes on plain integers; only ``sl3t`` may import ``fractions``.
+"""Static checks on the package sources.
 
-``sl3t.closed_n`` is the one value in the package that really is rational.
+The library computes on plain integers; only ``sl3t`` may import
+``fractions``, as ``sl3t.closed_n`` is the one value in the package that
+really is rational.  Only ``roots`` reads the Cartan matrix: every other
+module reflects through ``roots._columns``.
 """
 
 import ast
@@ -22,3 +25,15 @@ def _imported_modules(path):
 def test_only_sl3t_imports_fractions():
     users = sorted(p.name for p in SRC.glob("*.py") if "fractions" in _imported_modules(p))
     assert users == ["sl3t.py"]
+
+
+def test_only_roots_reads_the_cartan_matrix():
+    readers = sorted(
+        p.name
+        for p in SRC.glob("*.py")
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "cartan"
+            for node in ast.walk(ast.parse(p.read_text(), str(p)))
+        )
+    )
+    assert readers == ["roots.py"]

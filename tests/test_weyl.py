@@ -5,6 +5,7 @@ from demazure import (
     all_reduced_words,
     demazure_fold,
     demazure_product,
+    dominant_conjugate,
     from_word,
     identity,
     inverse,
@@ -17,8 +18,11 @@ from demazure import (
     right_descents,
     root_system,
     simple_element,
+    simple_reflection,
     weyl_group,
 )
+from demazure.branching import _dot_below
+from demazure.weyl import _group_order
 
 WEYL_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12, "D4": 192}
 
@@ -126,6 +130,29 @@ def test_inverse():
 def test_mixed_systems_refuse_to_multiply():
     with pytest.raises(ValueError):
         simple_element(root_system("A2"), 1) * simple_element(root_system("B2"), 1)
+
+
+def test_mixed_systems_refuse_the_demazure_product():
+    pairs = [
+        (from_word(root_system("A2"), (1,)), from_word(root_system("G2"), (2, 1))),
+        (longest_element(root_system("B3")), longest_element(root_system("C3"))),
+    ]
+    for x, y in pairs:
+        with pytest.raises(ValueError, match="different root systems"):
+            demazure_product(x, y)
+
+
+def test_group_order_formula_matches_enumeration():
+    # every type whose group the tests enumerate, and E6, the largest allowed
+    for name in ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2", "E6"):
+        rs = root_system(name)
+        assert _group_order(rs) == len(weyl_group(rs)), name
+
+
+def test_weyl_group_refuses_large_groups():
+    for name, order in (("E7", "2,903,040"), ("E8", "696,729,600"), ("A9", "3,628,800")):
+        with pytest.raises(ValueError, match=order):
+            weyl_group(root_system(name))
 
 
 def test_longest_parabolic():
@@ -277,3 +304,122 @@ def test_weyl_group_sorted_by_length_then_matrix():
     for name in ("A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4", "F4"):
         keys = [(w.length, _matrix(w)) for w in weyl_group(root_system(name))]
         assert keys == sorted(keys), name
+
+
+# The seed's tuple reflection, kept as the oracle of the sparse column
+# kernel: it shares no code with it, reading the Cartan matrix row by row.
+
+def _reference_reflect(rs, v, i):
+    m = v[i - 1]
+    return tuple(x - m * row[i - 1] for x, row in zip(v, rs.cartan))
+
+
+def _reference_peel(rs, v):
+    # reflect in the first negative coordinate until none is left
+    word = []
+    while negative := [i for i, x in enumerate(v, 1) if x < 0]:
+        word.append(negative[0])
+        v = _reference_reflect(rs, v, negative[0])
+    return word, v
+
+
+def _reference_walk(rs, v, letters):
+    for i in letters:
+        v = _reference_reflect(rs, v, i)
+    return v
+
+
+class _Reference:
+    """w through u = w^{-1}(rho), every operation by the tuple reflection."""
+
+    def __init__(self, rs, u):
+        self.rs, self.u = rs, u
+        # peeling u spells w^{-1} = s_a1 ... s_ak, so w = s_ak ... s_a1
+        self.letters, _ = _reference_peel(rs, u)
+        self.rho_image = self.apply((1,) * rs.rank)
+
+    @classmethod
+    def from_word(cls, rs, word):
+        return cls(rs, _reference_walk(rs, (1,) * rs.rank, word))
+
+    def apply(self, mu):
+        return _reference_walk(self.rs, mu, self.letters)
+
+    def fold(self, letters):
+        u = self.u
+        for i in letters:
+            if u[i - 1] > 0:
+                u = _reference_reflect(self.rs, u, i)
+        return _Reference(self.rs, u)
+
+    def reduced_word(self):
+        return tuple(_reference_peel(self.rs, self.rho_image)[0])
+
+
+ORACLE_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def _words(rs):
+    return st.lists(st.integers(1, rs.rank), max_size=2 * len(rs.positive_roots))
+
+
+def _weights(rs):
+    small = st.integers(-4, 4)
+    large = st.integers(-(10**12), 10**12)
+    return st.tuples(*[st.one_of(small, large)] * rs.rank)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_weyl_layer_matches_reference_reflection(data):
+    rs = root_system(data.draw(st.sampled_from(ORACLE_TYPES)))
+    words = [data.draw(_words(rs)) for _ in range(3)]
+    mu = data.draw(_weights(rs))
+    x, y = (from_word(rs, word) for word in words[:2])
+    ref_x, ref_y = (_Reference.from_word(rs, word) for word in words[:2])
+    assert (x.u, y.u) == (ref_x.u, ref_y.u)
+    assert x.length == len(ref_x.letters)
+    assert x.apply(mu) == ref_x.apply(mu)
+    assert right_descents(x) == tuple(i for i, c in enumerate(ref_x.u, 1) if c < 0)
+    assert left_descents(x) == tuple(i for i, c in enumerate(ref_x.rho_image, 1) if c < 0)
+    assert inverse(x).u == ref_x.rho_image
+    assert reduced_word(x) == ref_x.reduced_word()
+    assert demazure_fold(x, words[2]).u == ref_x.fold(words[2]).u
+    assert demazure_product(x, y).u == ref_x.fold(ref_y.reduced_word()).u
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_reduced_word_is_first_of_all_reduced_words(data):
+    rs = root_system(data.draw(st.sampled_from(["A3", "B3", "G2"])))
+    w = from_word(rs, data.draw(_words(rs)))
+    assert reduced_word(w) == next(all_reduced_words(w)) == _Reference(rs, w.u).reduced_word()
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_weight_reflections_match_reference_reflection(data):
+    rs = root_system(data.draw(st.sampled_from(ORACLE_TYPES)))
+    mu = data.draw(_weights(rs))
+    i = data.draw(st.integers(1, rs.rank))
+    assert simple_reflection(rs, i, mu) == _reference_reflect(rs, mu, i)
+    # the dominant conjugate is unique, so the oracle may reflect in the
+    # last negative coordinate where the library takes the first
+    nu = mu
+    while negative := [j for j, c in enumerate(nu, 1) if c < 0]:
+        nu = _reference_reflect(rs, nu, negative[-1])
+    assert dominant_conjugate(rs, mu) == nu
+    # the dot action s_i.nu = s_i(nu + rho) - rho, where that is lower
+    subset = data.draw(st.sets(st.integers(1, rs.rank)))
+    expected = [
+        tuple(c - 1 for c in _reference_reflect(rs, tuple(c + 1 for c in mu), j))
+        for j in subset
+        if mu[j - 1] >= 0
+    ]
+    assert list(_dot_below(rs, subset, mu)) == expected
