@@ -65,6 +65,7 @@ from typing import Iterable, Iterator, Sequence
 from demazure.characters import (
     Character,
     _apply_word,
+    _weyl_dims,
     demazure_dim,
     dual_weight,
     weyl_character,
@@ -73,13 +74,10 @@ from demazure.characters import (
 from demazure.roots import (
     RootSystem,
     Weight,
+    _check_dominant,
     _check_index,
     _check_weight,
     _columns,
-    add_weights,
-    is_dominant,
-    root_pairing_data,
-    rho,
 )
 from demazure.weyl import longest_parabolic, min_coset_rep, reduced_word
 
@@ -130,6 +128,14 @@ def s_dominant(subset: Iterable[int], mu: Sequence[int]) -> bool:
     return all(mu[i - 1] >= 0 for i in subset)
 
 
+def _check_s_dominant(rs: RootSystem, s: frozenset[int], mu: Sequence[int]) -> Weight:
+    """mu as a checked weight tuple; ValueError unless it is dominant on s."""
+    t = _check_weight(rs, mu)
+    if not s_dominant(s, t):
+        raise ValueError(f"weight {t} is not dominant on subset {sorted(s)}")
+    return t
+
+
 @lru_cache(maxsize=None)
 def _levi_root_indices(rs: RootSystem, subset: frozenset[int]) -> tuple[int, ...]:
     # positive roots supported on the subset
@@ -150,39 +156,13 @@ def _levi_char_items(
 def levi_character(rs: RootSystem, subset: Iterable[int], mu: Sequence[int]) -> Character:
     """Character of the Levi module with highest weight mu, on the ambient lattice."""
     s = frozenset(subset)
-    mu = _check_weight(rs, mu)
-    if not s_dominant(s, mu):
-        raise ValueError(f"weight {mu} is not dominant on subset {sorted(s)}")
-    return dict(_levi_char_items(rs, s, mu))
+    return dict(_levi_char_items(rs, s, _check_s_dominant(rs, s, mu)))
 
 
 def levi_weyl_dim(rs: RootSystem, subset: Iterable[int], mu: Sequence[int]) -> int:
     """Dimension of the Levi module by the product formula over its roots."""
     s = frozenset(subset)
-    mu = _check_weight(rs, mu)
-    if not s_dominant(s, mu):
-        raise ValueError(f"weight {mu} is not dominant on subset {sorted(s)}")
-    return _levi_dims(rs, s, [mu])[0]
-
-
-def _levi_dims(rs: RootSystem, s: frozenset[int], mus: Iterable[Weight]) -> list[int]:
-    """levi_weyl_dim of each mu, for weights already checked to be S-dominant."""
-    data = root_pairing_data(rs)
-    roots = [data[k][0] for k in _levi_root_indices(rs, s)]
-    den = 1
-    for dots in roots:
-        den *= sum(dots)  # dot with rho = all ones
-    dims = []
-    for mu in mus:
-        shifted = add_weights(mu, rho(rs))
-        num = 1
-        for dots in roots:
-            num *= sum(d * x for d, x in zip(dots, shifted))
-        dim, rem = divmod(num, den)
-        if rem:
-            raise RuntimeError(f"{rs.name}: non-integral Levi dimension for {mu}")
-        dims.append(dim)
-    return dims
+    return _weyl_dims(rs, _levi_root_indices(rs, s), [_check_s_dominant(rs, s, mu)])[0]
 
 
 def _dot_below(rs: RootSystem, s: Iterable[int], nu: Weight) -> Iterator[Weight]:
@@ -206,9 +186,7 @@ def _branch(lam: Sequence[int], levi: LeviDatum) -> tuple[BranchingResult, list[
     """restrict_to_levi, together with the Levi dimension of each constituent."""
     rs = levi.rs
     s = levi.subset
-    lam = _check_weight(rs, lam)
-    if not is_dominant(lam):
-        raise ValueError(f"weight {lam} is not dominant")
+    lam = _check_dominant(rs, lam)
     char = weyl_character(rs, lam)
     found = []
     for mu in char:  # sorted, so found is too
@@ -224,15 +202,16 @@ def _branch(lam: Sequence[int], levi: LeviDatum) -> tuple[BranchingResult, list[
         if n:
             found.append((mu, n))
     result = BranchingResult(levi, lam, tuple(found))
-    dims = _levi_dims(rs, s, (mu for mu, _ in found))
+    dims = _weyl_dims(rs, _levi_root_indices(rs, s), (mu for mu, _ in found))
     if not _conserved(result, dims):
         raise RuntimeError("branching lost dimensions; the alternating sum is broken")
     return result, dims
 
 
 def dimension_conserved(result: BranchingResult) -> bool:
+    rs = result.levi.rs
     mus = (mu for mu, _ in result.constituents)
-    return _conserved(result, _levi_dims(result.levi.rs, result.levi.subset, mus))
+    return _conserved(result, _weyl_dims(rs, _levi_root_indices(rs, result.levi.subset), mus))
 
 
 def _conserved(result: BranchingResult, dims: Sequence[int]) -> bool:
@@ -273,9 +252,7 @@ def unirad_mult_identity(lam: Sequence[int], levi: LeviDatum) -> tuple[int, int,
     """
     rs = levi.rs
     s = levi.subset
-    lam = _check_weight(rs, lam)
-    if not s_dominant(s, lam):
-        raise ValueError(f"weight {lam} is not dominant on subset {sorted(s)}")
+    lam = _check_s_dominant(rs, s, lam)
     demazure_side = sum(c for _, c in _levi_char_items(rs, s, lam))
     levi_side = levi_weyl_dim(rs, s, lam)
     return demazure_side, levi_side, demazure_side == levi_side

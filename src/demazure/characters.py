@@ -62,16 +62,19 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from math import prod
 from operator import add, le, mul, sub
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from demazure.roots import (
     RootSystem,
     Weight,
+    _check_dominant,
     _check_index,
     _check_weight,
     _columns,
     _scaled_inverse_cartan,
+    _to_dominant,
     add_weights,
     dominant_conjugate,
     is_dominant,
@@ -236,9 +239,7 @@ def demazure_character(rs: RootSystem, word: Sequence[int], lam: Sequence[int]) 
     Rejects non-reduced words (the word must have length equal to the
     length of the group element it spells) and non-dominant weights.
     """
-    lam = _check_weight(rs, lam)
-    if not is_dominant(lam):
-        raise ValueError(f"weight {lam} is not dominant")
+    lam = _check_dominant(rs, lam)
     word = tuple(word)
     if from_word(rs, word).length != len(word):
         raise ValueError(f"word {word} is not reduced")
@@ -247,9 +248,7 @@ def demazure_character(rs: RootSystem, word: Sequence[int], lam: Sequence[int]) 
 
 def demazure_dim(w: WeylElement, lam: Sequence[int]) -> int:
     """Dimension of the Demazure module: coefficient sum of its character."""
-    lam = _check_weight(w.rs, lam)
-    if not is_dominant(lam):
-        raise ValueError(f"weight {lam} is not dominant")
+    lam = _check_dominant(w.rs, lam)
     return sum(_demazure_items(w.rs, reduced_word(w), lam).values())
 
 
@@ -260,18 +259,14 @@ def _w0_word(rs: RootSystem) -> tuple[int, ...]:
 
 def weyl_character(rs: RootSystem, lam: Sequence[int]) -> Character:
     """Character of the irreducible module with highest weight lam."""
-    lam = _check_weight(rs, lam)
-    if not is_dominant(lam):
-        raise ValueError(f"weight {lam} is not dominant")
-    return _character(rs, _w0_word(rs), lam)
+    return _character(rs, _w0_word(rs), _check_dominant(rs, lam))
 
 
 def weight_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -> int:
     """Multiplicity of the weight mu in the irreducible module of highest weight lam."""
     lam = _check_weight(rs, lam)
     mu = _check_weight(rs, mu)
-    if not is_dominant(lam):
-        raise ValueError(f"weight {lam} is not dominant")
+    _check_dominant(rs, lam)  # after both length checks, whose errors come first
     pk = _packing(rs, sum(map(abs, lam)))
     # |mu_j| >= R is beyond every weight of the module, and a range test
     # also reads a non-integral coordinate as 0, as a dict lookup would
@@ -289,27 +284,28 @@ def weyl_dim(rs: RootSystem, lam: Sequence[int]) -> int:
     separately.  Raises if the product is not an integer,
     which would signal a broken root table.
     """
-    lam = _check_weight(rs, lam)
-    if not is_dominant(lam):
-        raise ValueError(f"weight {lam} is not dominant")
-    shifted = add_weights(lam, rho(rs))
-    num = den = 1
-    for dots, _halfnorm in root_pairing_data(rs):
-        num *= sum(d * x for d, x in zip(dots, shifted))
-        den *= sum(dots)  # dot with rho = all ones
-    dim, rem = divmod(num, den)
-    if rem:
-        raise RuntimeError(f"{rs.name}: non-integral dimension product for {lam}")
-    return dim
+    return _weyl_dims(rs, range(len(rs.positive_roots)), [_check_dominant(rs, lam)])[0]
+
+
+def _weyl_dims(rs: RootSystem, root_indices: Sequence[int], mus: Iterable[Weight]) -> list[int]:
+    """``weyl_dim`` of each checked weight mu, over the positive roots at root_indices."""
+    data = root_pairing_data(rs)
+    roots = [data[k][0] for k in root_indices]
+    den = prod(map(sum, roots))  # dot with rho = all ones
+    dims = []
+    for mu in mus:
+        shifted = add_weights(mu, rho(rs))
+        dim, rem = divmod(prod(sum(map(mul, dots, shifted)) for dots in roots), den)
+        if rem:
+            raise RuntimeError(f"{rs.name}: non-integral dimension product for {mu}")
+        dims.append(dim)
+    return dims
 
 
 def dual_weight(rs: RootSystem, lam: Sequence[int]) -> Weight:
     """Highest weight of the dual module: -w0(lam)."""
-    lam = _check_weight(rs, lam)
-    if not is_dominant(lam):
-        raise ValueError(f"weight {lam} is not dominant")
-    image = longest_element(rs).apply(lam)
-    out = tuple(-x for x in image)
+    lam = _check_dominant(rs, lam)
+    out = tuple(-x for x in longest_element(rs).apply(lam))
     if not is_dominant(out):
         raise RuntimeError(f"{rs.name}: dual of {lam} came out non-dominant")
     return out
@@ -332,7 +328,8 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
     order of the height of lam - nu.  Each stores its tails
     T(nu, alpha), and a later tail takes O(1) from an earlier one:
     reflect nu + alpha to the dominant weight d by some w and put
-    beta = w(alpha).  As m and ( , ) are W-invariant,
+    beta = w(alpha), both in one ``roots._to_dominant`` walk.  As m and
+    ( , ) are W-invariant,
 
         T(nu, alpha) = m(d) (d, beta) + T(d, beta),
 
@@ -356,8 +353,7 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
     """
     lam = _check_weight(rs, lam)
     mu = _check_weight(rs, mu)
-    if not is_dominant(lam):
-        raise ValueError(f"weight {lam} is not dominant")
+    _check_dominant(rs, lam)  # after both length checks, whose errors come first
     bottom = dominant_conjugate(rs, mu)
     scale, rows = _scaled_inverse_cartan(rs)
     diff = sub_weights(lam, bottom)
@@ -367,22 +363,16 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
         if rem or c < 0:
             return 0
         gap.append(c)
-    n = rs.rank
     cols = _columns(rs)
     pos_fund = positive_roots_fund(rs)
-    roots = [
-        (alpha, coords, dots)
-        for alpha, coords, (dots, _halfnorm) in zip(
-            pos_fund, rs.positive_roots, root_pairing_data(rs)
-        )
-    ]
+    roots = list(zip(pos_fund, rs.positive_roots, (d for d, _halfnorm in root_pairing_data(rs))))
     index = {alpha: k for k, alpha in enumerate(pos_fund)}
     sym = symmetrizer(rs)
     shift = tuple(x + 2 for x in lam)  # lam + 2 rho
     # dominant weight -> (multiplicity, tails in positive-root order)
     memo: dict[Weight, tuple[int, list[int]]] = {lam: (1, [0] * len(roots))}
     # height of lam - nu -> [(nu, simple-root coordinates of lam - nu)]
-    levels: dict[int, list[tuple[Weight, Weight]]] = {0: [(lam, (0,) * n)]}
+    levels: dict[int, list[tuple[Weight, Weight]]] = {0: [(lam, (0,) * rs.rank)]}
     seen = {lam}
     for height in range(sum(gap) + 1):
         for nu, depth in levels.pop(height, ()):
@@ -401,16 +391,7 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
                 x = list(map(add, nu, alpha))
                 pair = sum(map(mul, dots, x))  # (nu + alpha, alpha)
                 beta = list(alpha)
-                i = 0
-                while i < n:
-                    if x[i] < 0:
-                        m, mb = x[i], beta[i]
-                        for j, c in cols[i]:
-                            x[j] -= m * c
-                            beta[j] -= mb * c
-                        i = 0
-                    else:
-                        i += 1
+                _to_dominant(cols, x, beta)
                 entry = memo.get(tuple(x))
                 if entry is None:
                     tails.append(0)

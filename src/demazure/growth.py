@@ -79,10 +79,9 @@ from typing import Sequence
 from demazure.roots import (
     RootSystem,
     Weight,
-    _check_weight,
+    _check_dominant,
     _columns,
     _scaled_inverse_cartan,
-    is_dominant,
 )
 from demazure.weyl import WeylElement, reduced_word
 
@@ -185,9 +184,7 @@ def dimension_sequence(w: WeylElement, lam: Sequence[int], n_max: int | None = N
     n_max defaults to length(w)+4 and must be at least length(w)+2 so
     the (length+1)-st finite difference can be confirmed on two entries.
     """
-    lam = _check_weight(w.rs, lam)
-    if not is_dominant(lam):
-        raise ValueError(f"weight {lam} is not dominant")
+    lam = _check_dominant(w.rs, lam)
     need = w.length + 2
     if n_max is None:
         n_max = w.length + 4

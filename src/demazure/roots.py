@@ -21,6 +21,10 @@ it, on a list in place::
     for j, c in _columns(rs)[i - 1]:
         x[j] -= m * c
 
+``_to_dominant`` is the one walk into the dominant chamber, reflecting
+at the first negative coordinate until none is left: reduced words,
+w(rho), ``dominant_conjugate`` and Freudenthal's tails all take it.
+
 No module but this one reads the Cartan matrix itself.
 
 Node numbering follows the standard tables: chains for the classical
@@ -47,7 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Sequence
+from operator import mul
+from typing import Iterable, Sequence
 
 Weight = tuple[int, ...]
 
@@ -167,14 +172,16 @@ def _close_under_reflections(
     simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     seen = set(simples)
     frontier = list(simples)
+    # <alpha, alpha_i^vee> from row i's nonzero entries; 0 fixes alpha
+    rows = [tuple((j, a) for j, a in enumerate(row) if a) for row in cartan]
     while frontier:
         nxt = []
         for c in frontier:
-            for i in range(rank):
-                p = sum(cartan[i][j] * c[j] for j in range(rank))
-                r = list(c)
-                r[i] -= p
-                t = tuple(r)
+            for i, row in enumerate(rows):
+                p = sum(a * c[j] for j, a in row)
+                if not p:
+                    continue
+                t = c[:i] + (c[i] - p,) + c[i + 1 :]
                 if t not in seen:
                     seen.add(t)
                     nxt.append(t)
@@ -253,18 +260,68 @@ def _columns(rs: RootSystem) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
+def _reflect(rs: RootSystem, v: Sequence[int], letters: Iterable[int]) -> Weight:
+    """s_{ik}(... s_{i1}(v)) for letters (i1, ..., ik): the first letter acts first."""
+    cols = _columns(rs)
+    x = list(v)
+    for i in letters:
+        m = x[i - 1]
+        for j, c in cols[i - 1]:
+            x[j] -= m * c
+    return tuple(x)
+
+
 def simple_reflection(rs: RootSystem, i: int, mu: Sequence[int]) -> Weight:
     """s_i(mu) = mu - <mu, alpha_i^vee> * alpha_i."""
-    x = list(_check_weight(rs, mu))
+    mu = _check_weight(rs, mu)
     _check_index(rs, i)
-    m = x[i - 1]
-    for j, c in _columns(rs)[i - 1]:
-        x[j] -= m * c
-    return tuple(x)
+    return _reflect(rs, mu, (i,))
+
+
+def _to_dominant(cols: Sequence, x: list[int], y: list[int] | None = None) -> list[int]:
+    """Reflect the list x in place at its first negative coordinate until none is left.
+
+    cols is ``_columns(rs)``.  Returns the 1-based letters taken, in order,
+    and applies each reflection to the list y as well, when given.
+    """
+    # Invariant: every coordinate before k is >= 0, so k stops at the
+    # first negative coordinate, as a scan from 0 would.  Reflecting at k
+    # changes only the coordinates listed in column k, the smallest of
+    # which is at most k (k itself is listed); the ones before it keep
+    # their values, so the scan resumes there instead of at 0.
+    n = len(x)
+    word = []
+    k = 0
+    while k < n:
+        m = x[k]
+        if m < 0:
+            word.append(k + 1)
+            col = cols[k]
+            # x and y share one loop over col: a second loop cost hecke ~8% queries/s
+            if y is None:
+                for j, c in col:
+                    x[j] -= m * c
+            else:
+                p = y[k]
+                for j, c in col:
+                    x[j] -= m * c
+                    y[j] -= p * c
+            k = col[0][0]
+        else:
+            k += 1
+    return word
 
 
 def is_dominant(mu: Sequence[int]) -> bool:
     return all(x >= 0 for x in mu)
+
+
+def _check_dominant(rs: RootSystem, lam: Sequence[int]) -> Weight:
+    """lam as a checked weight tuple; ValueError unless it is dominant."""
+    t = _check_weight(rs, lam)
+    if not is_dominant(t):
+        raise ValueError(f"weight {t} is not dominant")
+    return t
 
 
 def rho(rs: RootSystem) -> Weight:
@@ -287,10 +344,7 @@ def scale_weight(n: int, a: Sequence[int]) -> Weight:
 @lru_cache(maxsize=None)
 def positive_roots_fund(rs: RootSystem) -> tuple[Weight, ...]:
     """Positive roots in fundamental coordinates (cartan times simple coords)."""
-    out = []
-    for c in rs.positive_roots:
-        out.append(tuple(sum(row[j] * c[j] for j in range(rs.rank)) for row in rs.cartan))
-    return tuple(out)
+    return tuple(tuple(sum(map(mul, row, c)) for row in rs.cartan) for c in rs.positive_roots)
 
 
 @lru_cache(maxsize=None)
@@ -381,14 +435,8 @@ def root_pairing_data(rs: RootSystem) -> tuple[tuple[Weight, int], ...]:
 def dominant_conjugate(rs: RootSystem, mu: Sequence[int]) -> Weight:
     """The unique dominant weight in the Weyl orbit of mu."""
     cur = list(_check_weight(rs, mu))
-    cols = _columns(rs)
-    while True:
-        i = next((k for k, x in enumerate(cur) if x < 0), None)
-        if i is None:
-            return tuple(cur)
-        m = cur[i]
-        for j, c in cols[i]:
-            cur[j] -= m * c
+    _to_dominant(_columns(rs), cur)
+    return tuple(cur)
 
 
 if __name__ == "__main__":

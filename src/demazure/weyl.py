@@ -15,7 +15,9 @@ Every letter is one simple reflection, and s_i changes only coordinate
 i and the coordinates of i's Dynkin neighbours: the entries of column i
 of the Cartan matrix that are not zero.  ``roots._columns`` holds those
 entries per root system, and every loop here reflects a list in place
-through it and builds one tuple at the end.
+through it and builds one tuple at the end.  Peeling is
+``roots._to_dominant``, the package's one walk into the dominant
+chamber; its docstring says why each scan may resume where it does.
 
 ``demazure_product`` is the monoid product generated by
 ``x * s = x s`` when that increases length and ``x * s = x`` otherwise;
@@ -42,6 +44,8 @@ from demazure.roots import (
     _check_index,
     _check_weight,
     _columns,
+    _reflect,
+    _to_dominant,
     rho,
     root_system,
 )
@@ -65,48 +69,8 @@ __all__ = [
 ]
 
 
-def _reflect(rs: RootSystem, v: Weight, letters: Iterable[int]) -> Weight:
-    """s_{ik}(... s_{i1}(v)) for letters (i1, ..., ik): the first letter acts first."""
-    cols = _columns(rs)
-    x = list(v)
-    for i in letters:
-        m = x[i - 1]
-        for j, c in cols[i - 1]:
-            x[j] -= m * c
-    return tuple(x)
-
-
 def _negative(v: Weight) -> tuple[int, ...]:
     return tuple(i for i, x in enumerate(v, 1) if x < 0)
-
-
-def _peel(rs: RootSystem, v: Weight) -> tuple[int, ...]:
-    """Reflect v in its first negative coordinate until none is left.
-
-    For v = w(rho) the letters taken spell the lexicographically smallest
-    reduced word of w: each is the smallest left descent of what remains.
-    """
-    # Invariant: every coordinate before k is >= 0, so k stops at the
-    # first negative coordinate, as a scan from 0 would.  Reflecting at k
-    # changes only the coordinates listed in column k, the smallest of
-    # which is at most k (k itself is listed); the ones before it keep
-    # their values, so the scan resumes there instead of at 0.
-    cols = _columns(rs)
-    x = list(v)
-    n = len(x)
-    word = []
-    k = 0
-    while k < n:
-        m = x[k]
-        if m < 0:
-            word.append(k + 1)
-            col = cols[k]
-            for j, c in col:
-                x[j] -= m * c
-            k = col[0][0]
-        else:
-            k += 1
-    return tuple(word)
 
 
 def _rho_image(rs: RootSystem, u: Weight) -> Weight:
@@ -114,25 +78,10 @@ def _rho_image(rs: RootSystem, u: Weight) -> Weight:
 
     Peeling u takes letters a1, ..., ak with s_ak ... s_a1 w^{-1} = 1, so
     w = s_ak ... s_a1 and w(rho) is rho reflected in a1 first: the second
-    vector takes each letter as the peel finds it.  The scan resumes as
-    in ``_peel``.
+    vector takes each letter as the peel finds it.
     """
-    cols = _columns(rs)
-    x = list(u)
-    y = [1] * len(x)  # rho
-    n = len(x)
-    k = 0
-    while k < n:
-        m = x[k]
-        if m < 0:
-            p = y[k]
-            col = cols[k]
-            for j, c in col:
-                x[j] -= m * c
-                y[j] -= p * c
-            k = col[0][0]
-        else:
-            k += 1
+    y = list(rho(rs))
+    _to_dominant(_columns(rs), list(u), y)
     return tuple(y)
 
 
@@ -144,7 +93,7 @@ class WeylElement:
     @cached_property
     def _word(self) -> tuple[int, ...]:
         # u = w^{-1}(rho), so peeling it spells w^{-1}; reversed, it spells w.
-        return _peel(self.rs, self.u)[::-1]
+        return tuple(_to_dominant(_columns(self.rs), list(self.u))[::-1])
 
     @property
     def length(self) -> int:
@@ -203,17 +152,32 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
     descents, the negative coordinates of w(rho), so taking the smallest
     one at every step is optimal.
     """
-    return _peel(w.rs, _rho_image(w.rs, w.u))
+    cols = _columns(w.rs)
+    y = list(rho(w.rs))
+    _to_dominant(cols, list(w.u), y)  # y = w(rho), as in _rho_image, one call fewer
+    return tuple(_to_dominant(cols, y))
 
 
 def all_reduced_words(w: WeylElement) -> Iterator[tuple[int, ...]]:
     """All reduced words for w, in lexicographic order."""
-    if w.is_identity:
-        yield ()
-        return
-    for i in left_descents(w):
-        for rest in all_reduced_words(simple_element(w.rs, i) * w):
-            yield (i, *rest)
+    # Depth first on v = x(rho), x the part of w not spelt yet: the next
+    # letters are x's left descents, the negative coordinates of v, and
+    # s_i x has v reflected in i.  The stack holds v and the untried
+    # descents per letter taken, so no word costs Python recursion.
+    word: list[int] = []
+    v = _rho_image(w.rs, w.u)
+    stack = [(v, iter(_negative(v)))]
+    while stack:
+        v, todo = stack[-1]
+        del word[len(stack) - 1 :]
+        if min(v) > 0:  # nothing left to spell
+            yield tuple(word)
+        if i := next(todo, 0):
+            word.append(i)
+            v = _reflect(w.rs, v, (i,))
+            stack.append((v, iter(_negative(v))))
+        else:
+            stack.pop()
 
 
 def inverse(w: WeylElement) -> WeylElement:
@@ -239,14 +203,11 @@ def _longest_parabolic_cached(rs: RootSystem, subset: frozenset[int]) -> WeylEle
     # Greedy ascent inside the parabolic: keep appending the smallest
     # generator that still increases length; the unique element with no
     # ascent in the subset is the parabolic longest element.
-    cols = _columns(rs)
     order = sorted(subset)
-    u = list(rho(rs))
+    u = rho(rs)
     while i := next((i for i in order if u[i - 1] > 0), 0):
-        m = u[i - 1]
-        for j, c in cols[i - 1]:
-            u[j] -= m * c
-    return WeylElement(rs, tuple(u))
+        u = _reflect(rs, u, (i,))
+    return WeylElement(rs, u)
 
 
 def min_coset_rep(rs: RootSystem, subset: Iterable[int]) -> WeylElement:

@@ -3,10 +3,12 @@
 The library computes on plain integers; only ``sl3t`` may import
 ``fractions``, as ``sl3t.closed_n`` is the one value in the package that
 really is rational.  Only ``roots`` reads the Cartan matrix: every other
-module reflects through ``roots._columns``.
+module reflects through ``roots._columns``.  No module imports a name it
+never uses.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "demazure"
@@ -37,3 +39,34 @@ def test_only_roots_reads_the_cartan_matrix():
         )
     )
     assert readers == ["roots.py"]
+
+
+def _unused_imports(path):
+    """Names the module imports and never reads.
+
+    A name counts as read when it occurs as a name in the code or as a
+    word in a docstring, where doctests use it.  ``__future__`` imports
+    are directives, and ``__init__`` imports exist to be re-exported.
+    """
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            used.update(re.findall(r"\w+", ast.get_docstring(node) or ""))
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {
+        p.name: names
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "__init__.py" and (names := _unused_imports(p))
+    }
+    assert unused == {}

@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from demazure import (
     add_weights,
@@ -17,7 +17,14 @@ from demazure import (
     sub_weights,
     symmetrizer,
 )
-from demazure.roots import RootSystem, _scaled_inverse_cartan, root_pairing_data
+from demazure.roots import (
+    RootSystem,
+    _cartan_matrix,
+    _columns,
+    _scaled_inverse_cartan,
+    _to_dominant,
+    root_pairing_data,
+)
 
 ALL_NAMES = [
     "A1", "A2", "A3", "A4",
@@ -245,3 +252,63 @@ def test_directly_built_system_equals_and_hashes_like_named_one():
         assert {named: name}[direct] == name
         # equality still compares every field
         assert RootSystem(named.family, named.rank, named.cartan, ()) != named
+
+
+# Dense references that share no code with the library: every reflection
+# reads the Cartan matrix row by row, and every scan starts at coordinate 1.
+
+def _reference_to_dominant(rs, x, y):
+    letters = []
+    while negative := [k for k, c in enumerate(x) if c < 0]:
+        k = negative[0]
+        m, p = x[k], y[k]
+        x = [a - m * row[k] for a, row in zip(x, rs.cartan)]
+        y = [b - p * row[k] for b, row in zip(y, rs.cartan)]
+        letters.append(k + 1)
+    return letters, x, y
+
+
+def _reference_positive_roots(cartan, rank):
+    seen = {tuple(int(i == j) for j in range(rank)) for i in range(rank)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for i in range(rank):
+                r = list(c)
+                r[i] -= sum(cartan[i][j] * c[j] for j in range(rank))
+                if tuple(r) not in seen:
+                    seen.add(tuple(r))
+                    nxt.append(tuple(r))
+        frontier = nxt
+    return sorted((c for c in seen if min(c) >= 0), key=lambda c: (sum(c), c))
+
+
+WALK_NAMES = ["A1", "A2", "A6", "B2", "B5", "C3", "C5", "D4", "D6", "E6", "E7", "E8", "F4", "G2"]
+
+
+@given(name=st.sampled_from(WALK_NAMES), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_to_dominant_matches_restart_from_zero_walk(name, data):
+    rs = root_system(name)
+    coords = st.lists(st.integers(-8, 8), min_size=rs.rank, max_size=rs.rank)
+    x, y = data.draw(coords), data.draw(coords)
+    assume(y != list(rho(rs)))
+    letters, x_ref, y_ref = _reference_to_dominant(rs, x, y)
+    x_walk, y_walk = list(x), list(y)
+    assert _to_dominant(_columns(rs), x_walk, y_walk) == letters
+    assert (x_walk, y_walk) == (x_ref, y_ref)
+    x_alone = list(x)
+    assert _to_dominant(_columns(rs), x_alone) == letters
+    assert x_alone == x_ref
+    assert is_dominant(x_alone)
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 12), ("B", 8), ("C", 8), ("D", 8), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
+)
+def test_positive_roots_match_dense_closure(family, rank):
+    cartan = _cartan_matrix(family, rank)
+    rs = build_root_system(family, rank)
+    assert list(rs.positive_roots) == _reference_positive_roots(cartan, rank)

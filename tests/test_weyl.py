@@ -97,6 +97,32 @@ def test_all_reduced_words_evaluate_back():
     assert all(from_word(rs, word) == w0 for word in words)
 
 
+def _reference_all_reduced_words(w):
+    # the seed's recursion: each smallest left descent first
+    if w.is_identity:
+        yield ()
+        return
+    for i in left_descents(w):
+        for rest in _reference_all_reduced_words(simple_element(w.rs, i) * w):
+            yield (i, *rest)
+
+
+def test_all_reduced_words_match_recursive_enumeration():
+    for name in ("A1", "A3", "B3", "C3", "G2"):
+        for w in weyl_group(root_system(name)):
+            assert list(all_reduced_words(w)) == list(_reference_all_reduced_words(w)), name
+
+
+def test_all_reduced_words_of_a_long_element_need_no_recursion():
+    # length 1275, beyond the interpreter's recursion limit
+    w0 = longest_element(root_system("A50"))
+    words = all_reduced_words(w0)
+    assert next(words) == reduced_word(w0)
+    second = next(words)
+    assert len(second) == 1275 and second > reduced_word(w0)
+    assert from_word(w0.rs, second) == w0
+
+
 def test_descents_match_length_drop():
     for name in ("A2", "B2"):
         rs = root_system(name)
