@@ -1,53 +1,43 @@
 """Branching to Levi subgroups and the associated multiplicity bounds.
 
 ``restrict_to_levi`` decomposes the irreducible character of a dominant
-lam into characters of the Levi subgroup L_S attached to a subset S of
-simple indices, by Klimyk's alternating sum (Humphreys, "Introduction
-to Lie Algebras and Representation Theory", section 24; the LiE manual,
-``branch``).  The Levi module with S-dominant highest weight mu occurs
+lam into characters L(nu) of the Levi subgroup L_S attached to a subset
+S of simple indices, by straightening one Demazure character (Demazure,
+"Une nouvelle formule des caracteres", Bull. Sci. Math. 98 (1974);
+Kumar, "Kac-Moody Groups, their Flag Varieties and Representation
+Theory" (2002), ch. VIII).  With w_S the longest element of W_S,
+v = w_S w0 the minimal coset representative and eps(x) = (-1)^length(x),
 
-    n_mu = sum_{x in W_S} eps(x) m_lam(x(mu + rho) - rho)
+    ch V(lam) = D_{w_S}(ch V_v(lam)),
+    D_{w_S} e^mu = eps(x) ch L(x.mu), or 0 when mu + rho is S-singular,
 
-times, m_lam the weight multiplicities of V(lam) and eps(x) the sign
-(-1)^length(x).
+where x in W_S takes mu + rho into the S-dominant chamber and
+x.mu = x(mu + rho) - rho is the dot action.
 
-Proof.  Let rho_S be half the sum of the positive roots of L_S.  For i
-in S, s_i permutes the positive roots of L_S other than alpha_i, so
-<rho_S, alpha_i^vee> = 1 = <rho, alpha_i^vee>: s_i fixes rho - rho_S,
-and so does all of W_S.  Multiplying the Weyl character formula of L_S
-through by e^{rho - rho_S} therefore gives, with
-Delta = sum_{x in W_S} eps(x) e^{x rho},
+Proof.  ``min_coset_rep`` checks that w0 = w_S v with lengths adding, so
+a reduced word of w_S followed by one of v spells w0, and
+D_{w0} = D_{w_S} D_v.  Demazure's character formula reads
+ch V(lam) = D_{w0} e^lam and ch V_v(lam) = D_v e^lam.
 
-    ch L(mu) Delta = sum_{x in W_S} eps(x) e^{x(mu + rho)}.
+Let rho_S be half the sum of the positive roots of L_S.  For i in S,
+s_i permutes the positive roots of L_S other than alpha_i, so
+<rho_S, alpha_i^vee> = 1 = <rho, alpha_i^vee>: all of W_S fixes
+rho - rho_S.  D_{w_S} is the Weyl symmetriser of L_S,
+D_{w_S} f = J(e^{rho_S} f) / J(e^{rho_S}) with
+J(g) = sum_{x in W_S} eps(x) x(g), and multiplying through by the
+W_S-invariant e^{rho - rho_S} gives D_{w_S} e^mu = J(e^{mu+rho}) / J(e^rho).
+As J(e^{x(mu+rho)}) = eps(x) J(e^{mu+rho}), this is 0 when a reflection
+in W_S fixes mu + rho, and otherwise eps(x) ch L(x.mu) by the Weyl
+character formula of L_S.
 
-Write ch V(lam) = sum_mu n_mu ch L(mu) and multiply by Delta:
-
-    sum_nu m_lam(nu) e^nu Delta = sum_mu n_mu sum_x eps(x) e^{x(mu + rho)}.
-
-For S-dominant mu, mu + rho pairs to at least 1 with every alpha_i^vee,
-i in S.  Two S-dominant weights in one W_S-orbit are equal, and an
-S-regular one has trivial stabiliser, so x(mu' + rho) = mu + rho with
-mu' S-dominant forces mu' = mu and x = 1.  The coefficient of
-e^{mu + rho} is n_mu on the right and sum_x eps(x) m_lam(mu + rho - x rho)
-on the left.  As m_lam is W-invariant, m_lam(mu + rho - x rho) =
-m_lam(x^{-1}(mu + rho) - rho), and eps(x^{-1}) = eps(x), which is the
-formula.
-
-The sum runs over the dot-orbit x.mu = x(mu + rho) - rho of W_S, one
-level at a time.  For nu = x.mu, <nu + rho, alpha_i^vee> > 0, that is
-nu_i >= 0, exactly when x^{-1} alpha_i is positive, that is when s_i x
-is longer than x; and x -> x.mu is one to one since mu + rho is
-S-regular.  So the images s_i.nu = nu - (nu_i + 1) alpha_i, for i in S
-with nu_i >= 0, of one level make up the next, the k-th level is the
-image of the elements of length k, and its sign is (-1)^k.  A level
-keeps only weights of V(lam): if nu is not one, neither is s_i.nu,
-since s_i(s_i.nu) = nu + alpha_i pairs to nu_i + 2 > 0 with alpha_i^vee
-and subtracting alpha_i from such a weight leaves a weight.  So nothing
-below a dropped nu contributes, and a level never holds more than the
-support of V(lam), however large W_S is.  Only S-dominant weights of
-V(lam) are tried, since a constituent's highest weight is a weight of
-V(lam).  A negative n_mu or a total that misses dim V(lam) raises
-RuntimeError.
+The walk finds x one simple reflection at a time.  For i in S,
+<mu + rho, alpha_i^vee> = mu_i + 1.  At mu_i = -1 the term is 0; at
+mu_i <= -2 it is minus that of s_i.mu = mu - (mu_i + 1) alpha_i, whose
+mu + rho is higher by a positive multiple of alpha_i.  The W_S-orbit is
+finite, so the walk stops, at an S-dominant weight.  The signed sums per
+S-dominant nu are the multiplicities, since the characters L(nu) are
+linearly independent.  A negative one, or a total that misses
+dim V(lam), raises RuntimeError.
 
 The bound functions compare Levi multiplicities and constituent counts
 against the dimension of the Demazure module attached to the minimal
@@ -60,15 +50,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from demazure.characters import (
     Character,
     _apply_word,
+    _character,
     _weyl_dims,
     demazure_dim,
     dual_weight,
-    weyl_character,
     weyl_dim,
 )
 from demazure.roots import (
@@ -165,16 +155,18 @@ def levi_weyl_dim(rs: RootSystem, subset: Iterable[int], mu: Sequence[int]) -> i
     return _weyl_dims(rs, _levi_root_indices(rs, s), [_check_s_dominant(rs, s, mu)])[0]
 
 
-def _dot_below(rs: RootSystem, s: Iterable[int], nu: Weight) -> Iterator[Weight]:
-    """s_i.nu = nu - (nu_i + 1) alpha_i for each i in s where that is lower."""
+def _straighten(rs: RootSystem, s: Iterable[int], mu: Weight) -> tuple[Weight, int] | None:
+    """(x.mu, eps(x)) for the x in W_S with x.mu S-dominant; None if mu + rho is S-singular."""
     cols = _columns(rs)
-    for i in s:
+    nu, sign = list(mu), 1
+    while i := next((t for t in s if nu[t - 1] < 0), 0):
         k = nu[i - 1] + 1
-        if k > 0:
-            x = list(nu)
-            for j, c in cols[i - 1]:
-                x[j] -= k * c
-            yield tuple(x)
+        if k == 0:
+            return None
+        for j, c in cols[i - 1]:
+            nu[j] -= k * c
+        sign = -sign
+    return tuple(nu), sign
 
 
 def restrict_to_levi(lam: Sequence[int], levi: LeviDatum) -> BranchingResult:
@@ -187,16 +179,13 @@ def _branch(lam: Sequence[int], levi: LeviDatum) -> tuple[BranchingResult, list[
     rs = levi.rs
     s = levi.subset
     lam = _check_dominant(rs, lam)
-    char = weyl_character(rs, lam)
+    totals: dict[Weight, int] = {}
+    for mu, c in _character(rs, reduced_word(min_coset_rep(rs, s)), lam).items():
+        if straight := _straighten(rs, s, mu):
+            nu, sign = straight
+            totals[nu] = totals.get(nu, 0) + sign * c
     found = []
-    for mu in char:  # sorted, so found is too
-        if not s_dominant(s, mu):
-            continue
-        n, sign, level = 0, 1, {mu}
-        while level:
-            n += sign * sum(char[nu] for nu in level)
-            level = {x for nu in level for x in _dot_below(rs, s, nu) if x in char}
-            sign = -sign
+    for mu, n in sorted(totals.items()):
         if n < 0:
             raise RuntimeError(f"alternating sum gave multiplicity {n} at {mu}")
         if n:

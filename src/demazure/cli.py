@@ -236,7 +236,10 @@ def _cmd_growth(ns: argparse.Namespace) -> int:
 
 def _cmd_sl3t(ns: argparse.Namespace) -> int:
     if ns.grid:
-        kmax, lmax = _csv_ints(",".join(ns.grid))
+        grid = ",".join(ns.grid).split(",")
+        if len(grid) != 2 or not all(x.strip().isdecimal() for x in grid):
+            raise ValueError(f"--grid takes two non-negative integers, got {' '.join(ns.grid)!r}")
+        kmax, lmax = map(int, grid)
         print("\t".join(AUDIT_COLUMNS))
         ok = True
         for row in audit_rows(kmax, lmax):

@@ -73,11 +73,12 @@ __all__ = [
     "dominant_conjugate",
 ]
 
+_MAX_RANK = 100  # refused before the closure, which costs about rank**3
 _RANK_RANGES = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (3, None),
-    "D": (4, None),
+    "A": (1, _MAX_RANK),
+    "B": (2, _MAX_RANK),
+    "C": (3, _MAX_RANK),
+    "D": (4, _MAX_RANK),
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
@@ -196,16 +197,15 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     """Build (and memoize) the root system of the given family and rank.
 
     Raises ValueError for families outside A-G or ranks outside the
-    valid range of the family (A: n>=1, B: n>=2, C: n>=3, D: n>=4,
-    E: 6..8, F: 4, G: 2).
+    valid range of the family (A: 1..100, B: 2..100, C: 3..100,
+    D: 4..100, E: 6..8, F: 4, G: 2), before any work.
     """
     fam = family.upper()
     if fam not in _RANK_RANGES:
         raise ValueError(f"unknown family {family!r}; expected one of A..G")
     lo, hi = _RANK_RANGES[fam]
-    if rank < lo or (hi is not None and rank > hi):
-        hi_text = "n" if hi is None else str(hi)
-        raise ValueError(f"rank {rank} invalid for type {fam}; allowed {lo}..{hi_text}")
+    if not lo <= rank <= hi:
+        raise ValueError(f"rank {rank} invalid for type {fam}; allowed {lo}..{hi}")
     cartan = _cartan_matrix(fam, rank)
     pos = _close_under_reflections(cartan, rank)
     expected = _classical_positive_count(fam, rank)

@@ -17,7 +17,7 @@ from demazure import (
     weyl_character,
     weyl_dim,
 )
-from demazure.branching import BranchingResult, _branch, _coset_bound, s_dominant
+from demazure.branching import BranchingResult, _branch, _coset_bound, _straighten, s_dominant
 from demazure.roots import _scaled_inverse_cartan, sub_weights
 
 A2 = root_system("A2")
@@ -81,6 +81,55 @@ def _peel_off(lam, levi, select=None):
                 remaining.pop(w, None)
         found[mu] = found.get(mu, 0) + mult
     return tuple(sorted(found.items()))
+
+
+def _klimyk(lam, levi):
+    """Oracle: Klimyk's alternating sum over the W_S dot-orbit.
+
+    The Levi module of S-dominant highest weight mu occurs
+
+        n_mu = sum_{x in W_S} eps(x) m_lam(x(mu + rho) - rho)
+
+    times (Humphreys, "Introduction to Lie Algebras and Representation
+    Theory", section 24; the LiE manual, ``branch``).  The sum walks the
+    dot-orbit one length level at a time: the images s_i.nu = nu - (nu_i
+    + 1) alpha_i, for i in S with nu_i >= 0, of one level make up the
+    next, with the opposite sign.  A level keeps only weights of V(lam),
+    since below a weight that is not one no weight of the orbit is.
+    """
+    rs, s = levi.rs, levi.subset
+    char = weyl_character(rs, lam)
+    found = []
+    for mu in char:  # sorted, so found is too
+        if not s_dominant(s, mu):
+            continue
+        n, sign, level = 0, 1, {mu}
+        while level:
+            n += sign * sum(char[nu] for nu in level)
+            below = set()
+            for nu in level:
+                for i in s:
+                    k = nu[i - 1] + 1
+                    x = tuple(a - k * b for a, b in zip(nu, rs.simple_root(i)))
+                    if k > 0 and x in char:
+                        below.add(x)
+            level, sign = below, -sign
+        if n:
+            found.append((mu, n))
+    return tuple(found)
+
+
+def test_straighten_spots():
+    s = frozenset({1, 2})
+    # already S-dominant, and s_1.(-3, 3) = (1, 1) with sign -1
+    assert _straighten(A2, s, (2, 0)) == ((2, 0), 1)
+    assert _straighten(A2, s, (-3, 3)) == ((1, 1), -1)
+    # S-singular: mu_1 = -1 at once, or after the step s_2.(1, -3) = (-1, 1)
+    assert _straighten(A2, s, (-1, 5)) is None
+    assert _straighten(A2, s, (1, -3)) is None
+    # off the subset a coordinate may stay negative
+    assert _straighten(A2, frozenset({1}), (-3, 3)) == ((1, 1), -1)
+    assert _straighten(A2, frozenset(), (-3, 3)) == ((-3, 3), 1)
 
 
 def test_fundamental_restriction_a2():
@@ -221,6 +270,7 @@ def test_alternating_sum_matches_peel_off_oracle():
                 levi = LeviDatum(rs, frozenset(subset))
                 got = restrict_to_levi(lam, levi).constituents
                 assert got == _peel_off(lam, levi), (name, lam, subset)
+                assert got == _klimyk(lam, levi), (name, lam, subset)
 
 
 @given(data=st.data())

@@ -146,6 +146,18 @@ def test_sl3t_grid_forms():
     assert len(lines) == 1 + 4 * 27
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [["--grid", "1"], ["--grid", "0", "-1"], ["--grid=-1,0"], ["--grid", "1", "1", "1"],
+     ["--grid", "1,1,1"], ["--grid", "1", "x"], ["--grid", "1,"]],
+    ids=" ".join,
+)
+def test_sl3t_grid_takes_two_non_negative_integers(grid):
+    code, out, err = cap(["sl3t", *grid])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --grid takes two non-negative integers")
+
+
 def test_sl3t_needs_arguments():
     code, _, err = cap(["sl3t"])
     assert code == 2
@@ -167,6 +179,10 @@ def test_usage_errors_exit_two():
     code, _, err = cap(["dim", "--type", "A2", "--word", "x", "--weight", "1,1"])
     assert code == 2
     assert "comma-separated integers" in err
+    # refused before the root system is built
+    code, _, err = cap(["dual", "--type", "A200", "--weight", "1"])
+    assert code == 2
+    assert err == "error: rank 200 invalid for type A; allowed 1..100\n"
 
 
 def test_cache_cold_then_warm(tmp_path):

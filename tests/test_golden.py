@@ -32,6 +32,11 @@ CLI_CASES = [
     ("branch_B3_212_S13", ["branch", "--type", "B3", "--weight", "2,1,2", "--subset", "1,3"], 0, False),
     ("branch_C3_121_S2", ["branch", "--type", "C3", "--weight", "1,2,1", "--subset", "2"], 0, False),
     ("branch_A4_1010_S123", ["branch", "--type", "A4", "--weight", "1,0,1,0", "--subset", "1,2,3"], 0, False),
+    ("branch_G2_21_S1", ["branch", "--type", "G2", "--weight", "2,1", "--subset", "1"], 0, False),
+    ("branch_D4_1011_S134", ["branch", "--type", "D4", "--weight", "1,0,1,1", "--subset", "1,3,4"], 0, False),
+    ("branch_F4_1001_S23", ["branch", "--type", "F4", "--weight", "1,0,0,1", "--subset", "2,3"], 0, False),
+    ("branch_B2_21_empty", ["branch", "--type", "B2", "--weight", "2,1", "--subset", ""], 0, False),
+    ("branch_A3_111_full", ["branch", "--type", "A3", "--weight", "1,1,1", "--subset", "1,2,3"], 0, False),
     ("bad_branch_not_dominant", ["branch", "--type", "A2", "--weight=-1,1", "--subset", "1"], 2, True),
     ("bad_branch_index", ["branch", "--type", "A2", "--weight", "1,1", "--subset", "3"], 2, True),
     ("bad_branch_rank", ["branch", "--type", "A2", "--weight", "1,1,1", "--subset", "1"], 2, True),

@@ -3,8 +3,9 @@
 The library computes on plain integers; only ``sl3t`` may import
 ``fractions``, as ``sl3t.closed_n`` is the one value in the package that
 really is rational.  Only ``roots`` reads the Cartan matrix: every other
-module reflects through ``roots._columns``.  No module imports a name it
-never uses.
+module reflects through ``roots._columns``.  ``branching`` reads
+Demazure characters only, never an irreducible character or a weight
+multiplicity.  No module imports a name it never uses.
 """
 
 import ast
@@ -39,6 +40,22 @@ def test_only_roots_reads_the_cartan_matrix():
         )
     )
     assert readers == ["roots.py"]
+
+
+def _imported_names(path):
+    """Names imported from a module, or read as an attribute of one."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_branching_reads_demazure_characters_only():
+    irreducible = {"weyl_character", "weight_multiplicity", "freudenthal_multiplicity"}
+    assert _imported_names(SRC / "branching.py") & irreducible == set()
 
 
 def _unused_imports(path):

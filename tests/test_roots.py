@@ -1,3 +1,4 @@
+import time
 from math import gcd
 
 import pytest
@@ -221,6 +222,14 @@ def test_build_validation():
         root_system("bogus")
     with pytest.raises(ValueError):
         build_root_system("H", 3)
+
+
+def test_rank_cap_fails_before_building():
+    for name in ("A101", "B101", "C101", "D101", "A100000"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"rank {name[1:]} invalid for type {name[0]}"):
+            root_system(name)
+        assert time.perf_counter() - start < 0.1, name
 
 
 def test_weight_length_checked():
