@@ -126,7 +126,7 @@ def _check_s_dominant(rs: RootSystem, s: frozenset[int], mu: Sequence[int]) -> W
     return t
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _levi_root_indices(rs: RootSystem, subset: frozenset[int]) -> tuple[int, ...]:
     # positive roots supported on the subset
     off = [j for j in range(rs.rank) if (j + 1) not in subset]
@@ -135,7 +135,7 @@ def _levi_root_indices(rs: RootSystem, subset: frozenset[int]) -> tuple[int, ...
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _levi_char_items(
     rs: RootSystem, subset: frozenset[int], mu: Weight
 ) -> tuple[tuple[Weight, int], ...]:

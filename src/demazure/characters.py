@@ -34,16 +34,12 @@ the input support, where no coordinate exceeds h * sum_j |mu_j| in
 absolute value.  ``_apply_word`` packs, applies the letters and unpacks
 once, at the end, already sorted.
 
-Characters of dominant weights are memoised by word suffix.  For a word
-(i, i_2, ..., i_k) the character is D_i applied to the character of
-(i_2, ..., i_k), so ``_demazure_items`` keeps packed characters and
-builds each from the entry of ``word[1:]`` by one letter; the packing
-depends on lam alone (R = h * sum_j |lam_j| + 1), so every suffix shares
-it.  ``reduced_word`` is greedy: it takes the smallest left descent i of
-w and continues on s_i w, so ``reduced_word(w)[1:]`` is
-``reduced_word(s_i w)``.  The lex-least words of W thus share their
-suffixes, and once s_i w is in the memo, w costs one letter: all of W
-costs |W| letters, not the sum of the lengths.
+Characters of dominant weights are memoised whole: ``_demazure_items``
+keeps the packed character of each (word, lam) asked for, the 256 most
+recently used, and builds a new one from e^lam by ``_chain``, the letter
+loop of ``_apply_word``.  The packing depends on lam alone
+(R = h * sum_j |lam_j| + 1).  A repeat is one lookup; a new word costs
+all of its letters, even when it shares a suffix with an earlier one.
 
 ``weyl_dim`` (dimension product formula) and ``freudenthal_multiplicity``
 are independent of the operator path and serve as cross-checks.
@@ -187,10 +183,14 @@ def _apply_word(
     for i in word:
         _check_index(rs, i)
     pk = _packing(rs, max((sum(map(abs, mu)) for mu in char), default=0))
-    cur = {_pack(pk, mu): c for mu, c in char.items() if c}
+    return _unpack(pk, _chain(pk, word, {_pack(pk, mu): c for mu, c in char.items() if c}))
+
+
+def _chain(pk: _Packing, word: Sequence[int], cur: dict[int, int]) -> dict[int, int]:
+    """The operators along a word, last letter first, on a packed character."""
     for i in reversed(word):
         cur = _letter(pk, i, cur)
-    return _unpack(pk, cur)
+    return cur
 
 
 def demazure_operator(rs: RootSystem, i: int, char: Character) -> Character:
@@ -203,28 +203,12 @@ def apply_demazure_word(rs: RootSystem, word: Sequence[int], char: Character) ->
     return dict(_apply_word(rs, word, char))
 
 
-# Longest run of memo misses one call may recurse through; longer words
-# fill their suffixes in steps of this many letters first, so a long
-# chain (820 letters for the longest element of A40) stays well inside
-# the interpreter's recursion limit.
-_RECURSION_STEP = 200
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _demazure_items(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> dict[int, int]:
-    # The packed character of (word, lam), built from the memo entry of
-    # word[1:] by one letter.  Every suffix of every word asked for stays
-    # in the memo: the longest word of E8 keeps 120 characters for one
-    # lam where a chain without the memo kept one at a time.  That is the
-    # price of reading every element of W at one letter each.  Dilation
-    # sequences do not fill it: ``growth`` specialises along the Bruhat
-    # interval instead.  Readers must not change the dict they get back.
+    # The packed character of (word, lam).  Readers must not change the
+    # dict they get back.
     pk = _packing(rs, sum(map(abs, lam)))
-    if not word:
-        return {_pack(pk, lam): 1}
-    if len(word) > _RECURSION_STEP:
-        _demazure_items(rs, word[_RECURSION_STEP:], lam)
-    return _letter(pk, word[0], _demazure_items(rs, word[1:], lam))
+    return _chain(pk, word, {_pack(pk, lam): 1})
 
 
 def _character(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> Character:

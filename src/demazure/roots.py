@@ -170,22 +170,27 @@ def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
 def _close_under_reflections(
     cartan: tuple[tuple[int, ...], ...], rank: int
 ) -> tuple[tuple[int, ...], ...]:
-    simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    seen = set(simples)
-    frontier = list(simples)
-    # <alpha, alpha_i^vee> from row i's nonzero entries; 0 fixes alpha
-    rows = [tuple((j, a) for j, a in enumerate(row) if a) for row in cartan]
+    # each root carries its pairings <alpha, alpha_i^vee>, its fundamental
+    # coordinates, and s_i moves them by column i of the Cartan matrix
+    cols = [tuple((j, row[i]) for j, row in enumerate(cartan) if row[i]) for i in range(rank)]
+    seen = {
+        tuple(int(j == i) for j in range(rank)): tuple(row[i] for row in cartan)
+        for i in range(rank)
+    }
+    frontier = list(seen.items())
     while frontier:
         nxt = []
-        for c in frontier:
-            for i, row in enumerate(rows):
-                p = sum(a * c[j] for j, a in row)
+        for c, f in frontier:
+            for i, p in enumerate(f):
                 if not p:
                     continue
                 t = c[:i] + (c[i] - p,) + c[i + 1 :]
                 if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
+                    g = list(f)
+                    for j, a in cols[i]:
+                        g[j] -= p * a
+                    seen[t] = g = tuple(g)
+                    nxt.append((t, g))
         frontier = nxt
     pos = [c for c in seen if all(x >= 0 for x in c)]
     pos.sort(key=lambda c: (sum(c), c))
@@ -343,8 +348,17 @@ def scale_weight(n: int, a: Sequence[int]) -> Weight:
 
 @lru_cache(maxsize=None)
 def positive_roots_fund(rs: RootSystem) -> tuple[Weight, ...]:
-    """Positive roots in fundamental coordinates (cartan times simple coords)."""
-    return tuple(tuple(sum(map(mul, row, c)) for row in rs.cartan) for c in rs.positive_roots)
+    """Positive roots in fundamental coordinates: sum_i c_i alpha_i over the columns."""
+    cols = _columns(rs)
+    out = []
+    for c in rs.positive_roots:
+        x = [0] * rs.rank
+        for ci, col in zip(c, cols):
+            if ci:
+                for j, a in col:
+                    x[j] += ci * a
+        out.append(tuple(x))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -416,16 +430,15 @@ def root_pairing_data(rs: RootSystem) -> tuple[tuple[Weight, int], ...]:
     """Per positive root alpha: (dot vector, half-norm).
 
     The dot vector v has v_j = c_j * d_j so that (mu, alpha) = v . mu for
-    mu in fundamental coordinates, and half-norm is (alpha, alpha)/2;
-    the coroot pairing <mu, alpha^vee> is their quotient.
+    mu in fundamental coordinates, and half-norm is (alpha, alpha)/2,
+    half of v dotted with alpha's own fundamental coordinates; the coroot
+    pairing <mu, alpha^vee> is their quotient.
     """
     d = symmetrizer(rs)
-    a = rs.cartan
-    n = rs.rank
     out = []
-    for c in rs.positive_roots:
-        dots = tuple(cj * dj for cj, dj in zip(c, d))
-        s = sum(c[j] * c[k] * d[k] * a[k][j] for j in range(n) for k in range(n))
+    for c, fund in zip(rs.positive_roots, positive_roots_fund(rs)):
+        dots = tuple(map(mul, c, d))
+        s = sum(map(mul, dots, fund))
         if s <= 0 or s % 2:
             raise RuntimeError(f"{rs.name}: bad norm for root {c}")
         out.append((dots, s // 2))

@@ -198,7 +198,7 @@ def longest_parabolic(rs: RootSystem, subset: Iterable[int]) -> WeylElement:
     return _longest_parabolic_cached(rs, s)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _longest_parabolic_cached(rs: RootSystem, subset: frozenset[int]) -> WeylElement:
     # Greedy ascent inside the parabolic: keep appending the smallest
     # generator that still increases length; the unique element with no

@@ -63,29 +63,50 @@ def test_operator_is_linear_and_cancels():
     assert out == {(2,): 1, (-2,): 1}
 
 
-@given(data=st.data())
-@settings(max_examples=80)
-def test_operator_idempotent(data):
-    rs = root_system(data.draw(st.sampled_from(["A2", "B2"])))
-    n_terms = data.draw(st.integers(1, 5))
-    char = {}
-    for _ in range(n_terms):
-        mu = data.draw(st.tuples(*[st.integers(-4, 4)] * rs.rank))
-        char[mu] = data.draw(st.integers(-5, 5))
-    char = {k: v for k, v in char.items() if v}
+FAMILY_TYPES = ["A3", "B3", "C3", "D4", "E6", "F4", "G2"]
+
+
+@st.composite
+def _small_characters(draw):
+    rs = root_system(draw(st.sampled_from(FAMILY_TYPES)))
+    weight = st.tuples(*[st.integers(-4, 4)] * rs.rank)
+    char = draw(st.dictionaries(weight, st.integers(-5, 5).filter(bool), min_size=1, max_size=5))
+    return rs, char
+
+
+def _braid_order(rs, i, j):
+    # m_ij = 2, 3, 4, 6 as a_ij * a_ji = 0, 1, 2, 3
+    return (2, 3, 4, 6)[rs.cartan[i - 1][j - 1] * rs.cartan[j - 1][i - 1]]
+
+
+@given(case=_small_characters(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_operator_braid_relations(case, data):
+    rs, char = case
+    i, j = data.draw(st.lists(st.integers(1, rs.rank), min_size=2, max_size=2, unique=True))
+    m = _braid_order(rs, i, j)
+    left = ((i, j) * m)[:m]
+    right = ((j, i) * m)[:m]
+    assert apply_demazure_word(rs, left, char) == apply_demazure_word(rs, right, char)
+
+
+@given(case=_small_characters(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_operator_idempotent(case, data):
+    rs, char = case
     i = data.draw(st.integers(1, rs.rank))
-    once = demazure_operator(rs, i, char)
-    assert demazure_operator(rs, i, once) == once
+    once = apply_demazure_word(rs, (i,), char)
+    assert apply_demazure_word(rs, (i, i), char) == once
+    assert apply_demazure_word(rs, (i,), once) == once
 
 
-@given(data=st.data())
-@settings(max_examples=80)
-def test_operator_output_symmetric(data):
+@given(case=_small_characters(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_operator_output_symmetric(case, data):
     # the image of D_i is pointwise s_i-invariant
-    rs = root_system(data.draw(st.sampled_from(["A2", "G2"])))
-    mu = data.draw(st.tuples(*[st.integers(-4, 4)] * rs.rank))
+    rs, char = case
     i = data.draw(st.integers(1, rs.rank))
-    out = demazure_operator(rs, i, {mu: 1})
+    out = apply_demazure_word(rs, (i,), char)
     for w, c in out.items():
         assert out.get(simple_reflection(rs, i, w), 0) == c
 
@@ -440,8 +461,8 @@ def test_kernel_reaches_packing_radius():
 
 
 
-# The memo builds each (word, lam) from its suffix word[1:], so the
-# result must not depend on which words were asked for before.
+# The memo keeps whole characters of (word, lam); the result must not
+# depend on which words were asked for before, nor in which order.
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2"])
 @pytest.mark.parametrize("which", ["rho", "omega1", "2omega_n"])

@@ -1,5 +1,6 @@
 import io
 import contextlib
+import hashlib
 import json
 import os
 import re
@@ -259,6 +260,55 @@ def test_cache_env_var(tmp_path, monkeypatch):
     _, out2, err2 = cap(argv)
     assert out2 == out1
     assert "cache hit" in err2
+
+
+# Each racer imports the package, then waits (a minute at most) for the
+# go file, so the processes compute and write their entries at one moment.
+_RACER = """
+import sys, time
+from pathlib import Path
+from demazure.cli import run
+deadline = time.monotonic() + 60
+while not Path(sys.argv[1]).exists() and time.monotonic() < deadline:
+    time.sleep(0.001)
+sys.exit(run(sys.argv[2:]))
+"""
+
+
+def test_cache_concurrent_writers_leave_one_whole_entry(tmp_path):
+    cache = tmp_path / "cache"
+    go = tmp_path / "go"
+    argv = ["char", "--type", "G2", "--word", "1,2,1,2,1,2", "--weight", "1,0",
+            "--cache", str(cache)]
+    golden = (Path(__file__).resolve().parent / "golden" / "corpus02_char.out").read_text()
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV_VAR}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    racers = [
+        subprocess.Popen(
+            [sys.executable, "-c", _RACER, str(go), *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for _ in range(4)
+    ]
+    try:
+        go.touch()
+        results = [(p.communicate(timeout=120), p.returncode) for p in racers]
+    finally:
+        for p in racers:
+            p.kill()  # does nothing to a racer that has exited
+            p.wait()
+    for (out, err), code in results:
+        assert (code, out) == (0, golden), err
+        assert "corrupt" not in err  # a reader sees a whole entry or none
+    # one entry, no stray temporary file, and its checksum holds
+    entries = list(cache.iterdir())
+    assert [p.suffix for p in entries] == [".json"]
+    doc = json.loads(entries[0].read_text())
+    assert hashlib.sha256(doc["character"].encode()).hexdigest() == doc["sha256"]
+    assert doc["character"] + "\n" == golden
+    code, out, err = cap(argv)
+    assert (code, out) == (0, golden)
+    assert err == f"cache hit: {entries[0].name}\n"
 
 
 def test_no_floating_point_in_output():

@@ -1,0 +1,64 @@
+"""The package's memos: which are bounded, and what the benchmark reads from them.
+
+A memo keyed on a weight, a word or a subset grows with the input, so it
+has a finite ``maxsize``.  Only memos keyed on the root system alone (or
+on nothing) may be unbounded: there are finitely many root systems.
+``perfbench/worker.py`` reads ``cache_info()`` of two of them under
+``--trace``, and the CI ``bench-smoke`` job runs that path.
+"""
+
+import importlib
+import pkgutil
+
+import demazure
+from demazure import root_system, weyl_character
+from demazure.branching import _levi_char_items
+from demazure.characters import _demazure_items
+
+# memos whose key is a root system, a (family, rank) pair or nothing
+UNBOUNDED = {
+    "cli.build_parser",
+    "characters._w0_word",
+    "roots.build_root_system",
+    "roots._columns",
+    "roots.positive_roots_fund",
+    "roots.symmetrizer",
+    "roots._scaled_inverse_cartan",
+    "roots.root_pairing_data",
+    "weyl.longest_element",
+    "weyl.weyl_group",
+}
+
+
+def _memos():
+    found = {}
+    for info in pkgutil.iter_modules(demazure.__path__):
+        module = importlib.import_module(f"demazure.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                found[f"{info.name}.{name}"] = obj
+    return found
+
+
+def test_memos_keyed_on_input_are_bounded():
+    memos = _memos()
+    assert UNBOUNDED <= set(memos)
+    unbounded = {name for name, memo in memos.items() if memo.cache_info().maxsize is None}
+    assert unbounded == UNBOUNDED
+
+
+def test_benchmark_reads_bounded_memos():
+    for memo in (_demazure_items, _levi_char_items):
+        info = memo.cache_info()
+        assert isinstance(info.maxsize, int) and info.maxsize > 0
+        assert {"hits", "misses", "currsize"} <= set(info._fields)
+        memo.cache_clear()
+        assert memo.cache_info().currsize == 0
+
+
+def test_full_character_keeps_one_memo_entry():
+    # one whole character, not one per suffix of the 120-letter w0 word
+    _demazure_items.cache_clear()
+    char = weyl_character(root_system("E8"), (1, 0, 0, 0, 0, 0, 0, 0))
+    assert sum(char.values()) == 3875
+    assert _demazure_items.cache_info().currsize == 1

@@ -321,3 +321,25 @@ def test_positive_roots_match_dense_closure(family, rank):
     cartan = _cartan_matrix(family, rank)
     rs = build_root_system(family, rank)
     assert list(rs.positive_roots) == _reference_positive_roots(cartan, rank)
+
+
+def _reference_root_tables(rs):
+    """(fundamental coordinates, pairing data) of the positive roots by dense rank**2 sums."""
+    a, n, d = rs.cartan, rs.rank, symmetrizer(rs)
+    fund = tuple(tuple(sum(row[j] * c[j] for j in range(n)) for row in a) for c in rs.positive_roots)
+    data = tuple(
+        (
+            tuple(cj * dj for cj, dj in zip(c, d)),
+            sum(c[j] * c[k] * d[k] * a[k][j] for j in range(n) for k in range(n)) // 2,
+        )
+        for c in rs.positive_roots
+    )
+    return fund, data
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A12", "B2", "B9", "C3", "C9", "D4", "D9", "E6", "E7", "E8", "F4", "G2"]
+)
+def test_root_tables_match_dense_oracle(name):
+    rs = root_system(name)
+    assert (positive_roots_fund(rs), root_pairing_data(rs)) == _reference_root_tables(rs)
