@@ -69,7 +69,6 @@ from demazure.roots import (
     _check_index,
     _check_weight,
     _columns,
-    _scaled_inverse_cartan,
     _to_dominant,
     add_weights,
     dominant_conjugate,
@@ -326,6 +325,19 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
     unbroken root strings and nu is one, no nu + k alpha is: the tail
     is 0.
 
+    The simple-root coordinates of lam - mu+ come from the identity
+
+        sum_{alpha > 0} (x, alpha) alpha = K x   for every weight x,
+
+    which holds because sum over all roots of (x, alpha)(y, alpha) is a
+    W-invariant symmetric form on the irreducible reflection
+    representation, so a multiple K (x, y) of the invariant one.  The sum
+    runs over the positive-root table in simple-root coordinates, and K
+    is its first coordinate at x = alpha_1.  Each coordinate is one exact
+    division by K; a remainder means lam - mu+ is not in the root lattice
+    and a negative quotient that mu+ is not below lam, and either way the
+    multiplicity is 0.
+
     Everything is an integer: lam - nu has integral simple-root
     coordinates p, and |lam+rho|^2 - |nu+rho|^2 = (lam - nu, lam + nu +
     2 rho) = sum_j p_j d_j (lam + nu + 2 rho)_j with d the symmetrizer.
@@ -339,17 +351,22 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
     mu = _check_weight(rs, mu)
     _check_dominant(rs, lam)  # after both length checks, whose errors come first
     bottom = dominant_conjugate(rs, mu)
-    scale, rows = _scaled_inverse_cartan(rs)
-    diff = sub_weights(lam, bottom)
+    pos_fund = positive_roots_fund(rs)
+    roots = list(zip(pos_fund, rs.positive_roots, (d for d, _halfnorm in root_pairing_data(rs))))
+
+    def root_sum(x: Weight) -> list[int]:
+        # sum_{alpha > 0} (x, alpha) alpha in simple-root coordinates
+        pairs = [sum(map(mul, dots, x)) for _alpha, _coords, dots in roots]
+        return [sum(map(mul, pairs, column)) for column in zip(*rs.positive_roots)]
+
+    scale = root_sum(rs.simple_root(1))[0]  # K, read off at x = alpha_1
     gap = []  # simple-root coordinates of lam - bottom
-    for row in rows:
-        c, rem = divmod(sum(map(mul, row, diff)), scale)
+    for x in root_sum(sub_weights(lam, bottom)):
+        c, rem = divmod(x, scale)
         if rem or c < 0:
             return 0
         gap.append(c)
     cols = _columns(rs)
-    pos_fund = positive_roots_fund(rs)
-    roots = list(zip(pos_fund, rs.positive_roots, (d for d, _halfnorm in root_pairing_data(rs))))
     index = {alpha: k for k, alpha in enumerate(pos_fund)}
     sym = symmetrizer(rs)
     shift = tuple(x + 2 for x in lam)  # lam + 2 rho

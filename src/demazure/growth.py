@@ -8,21 +8,26 @@ differences, no fitting involved.
 The dimensions come from the principal specialisation of the Demazure
 character, carried along the Bruhat interval below w, and never from the
 character itself (Demazure, Bull. Sci. Math. 98, 1974; Kumar, Kac-Moody
-Groups, ch. VIII).  Let h be the integer functional D * height, D the
-scale of ``_scaled_inverse_cartan``; on a weight in fundamental
-coordinates it is the dot product with the column sums of D * A^{-1}.
-For v in W let g_v = h o v, stored as its values on the fundamental
-weights.  Then g_{v s_i}(mu) = g_v(mu) - <mu, alpha_i^vee> g_v(alpha_i),
-so g_{v s_i} is g_v with coordinate i lowered by g_v(alpha_i), and
-g_v(alpha_i) = D ht(v alpha_i) is nonzero, of the sign of the root
-v alpha_i.  For f in Z[P] put
+Groups, ch. VIII).  Each v in W is stored as the integer simple-coroot
+coordinates k_v of rho^vee - v^{-1} rho^vee, the sum of the coroots of
+the positive roots that v sends negative; k_e = 0.  The height of a root
+v alpha_i is its pairing with rho^vee, so
 
-    F_v(f) = q^{-g_e(lam)/D} ev_v(f),   ev_v(e^mu) = q^{-g_v(mu)/D}.
+    c = ht(v alpha_i) = <alpha_i, v^{-1} rho^vee>
+      = 1 - sum_j k_j <alpha_i, alpha_j^vee>,
+
+a nonzero integer of the sign of the root v alpha_i, read from column i
+of the Cartan matrix.  As (v s_i)^{-1} rho^vee = s_i v^{-1} rho^vee =
+v^{-1} rho^vee - c alpha_i^vee, the partner point is k_{v s_i} = k_v +
+c e_i.  For f in Z[P] put
+
+    F_v(f) = q^{ht(lam)} ev_v(f),   ev_v(e^mu) = q^{-ht(v mu)}.
 
 ev_v is a ring map to Laurent polynomials (the exponent is linear in
 mu), ev_v(s_i f) = ev_{v s_i}(f) because v(s_i mu) = (v s_i)(mu), and
 ev_v(e^{-alpha_i}) = q^c with c = ht(v alpha_i).  On a weight of V(lam),
-F_v(e^mu) = q^{ht(lam - v mu)}, an integer power.
+F_v(e^mu) = q^{ht(lam - v mu)}, an integer power, and F_z(e^lam) =
+q^{k_z . lam}, since ht(lam - z lam) = <lam, rho^vee - z^{-1} rho^vee>.
 
 *The orbit-vector recursion.*  The operator is D_i f = (f - e^{-alpha_i}
 s_i f) / (1 - e^{-alpha_i}); with m = <mu, alpha_i^vee> >= 0 it sends
@@ -76,13 +81,7 @@ from itertools import accumulate
 from operator import mul, sub
 from typing import Sequence
 
-from demazure.roots import (
-    RootSystem,
-    Weight,
-    _check_dominant,
-    _columns,
-    _scaled_inverse_cartan,
-)
+from demazure.roots import RootSystem, Weight, _check_dominant, _columns
 from demazure.weyl import WeylElement, reduced_word
 
 __all__ = ["DilationSequence", "dimension_sequence", "finite_differences", "growth_degree"]
@@ -105,15 +104,14 @@ def _interval(
 ) -> tuple[tuple[Weight, ...], tuple[int, ...], tuple[tuple[_Pair, ...], ...]]:
     """The Bruhat interval below a reduced word's element, as chain stages.
 
-    Returns (points, sizes, pairs).  points holds g_v for each point v,
+    Returns (points, sizes, pairs).  points holds k_v for each point v,
     with e first; S_j is points[:sizes[j]].  pairs[j-1] lists the pairs
     {v, v s_i} of letter i = word[j-1] that meet S_{j-1}, by index into
     points, with c = ht(l alpha_i) > 0 for the lower point l and the
     points of S_{j-1} that take the quotient.
     """
-    scale, rows = _scaled_inverse_cartan(rs)
     cols = _columns(rs)
-    points = [tuple(map(sum, zip(*rows)))]
+    points = [(0,) * rs.rank]
     index = {points[0]: 0}
     sizes = [1]
     pairs = []
@@ -122,17 +120,17 @@ def _interval(
         size = sizes[-1]
         letter = []
         for v in range(size):
-            g = points[v]
-            drop = sum(g[j] * c for j, c in col)  # g_v(alpha_i) = D ht(v alpha_i)
-            partner = g[: i - 1] + (g[i - 1] - drop,) + g[i:]
+            k = points[v]
+            c = 1 - sum(k[j] * a for j, a in col)  # ht(v alpha_i)
+            partner = k[: i - 1] + (k[i - 1] + c,) + k[i:]
             p = index.get(partner)
             if p is None:
                 p = index[partner] = len(points)
                 points.append(partner)
             elif p < v:
                 continue  # paired when p came up
-            low, high = (v, p) if drop > 0 else (p, v)
-            letter.append((low, high, abs(drop) // scale, (v, p) if p < size else (v,)))
+            low, high = (v, p) if c > 0 else (p, v)
+            letter.append((low, high, abs(c), (v, p) if p < size else (v,)))
         pairs.append(tuple(letter))
         sizes.append(len(points))
     return tuple(points), tuple(sizes), tuple(pairs)
@@ -147,9 +145,7 @@ def _specialisation(
     with ht(n*lam - mu) = k in the Demazure character of (word, n*lam).
     """
     points, sizes, pairs = _interval(rs, word)
-    scale = _scaled_inverse_cartan(rs)[0]
-    top = sum(map(mul, points[0], lam))
-    heights = [(top - sum(map(mul, g, lam))) // scale for g in points]
+    heights = [sum(map(mul, k, lam)) for k in points]
     span = max(heights)
     gap = max((c for letter in pairs for _l, _h, c, _t in letter), default=0)
     starts = [n * (n - 1) // 2 * span + n * (gap + 1) for n in range(n_max + 2)]

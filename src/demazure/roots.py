@@ -33,8 +33,12 @@ type C; in G2 node 1 is short (so the first fundamental weight carries
 the 7-dimensional module); in F4 nodes 1 and 2 are long, 3 and 4 short.
 
 Positive roots are stored in simple-root coordinates.  They are produced
-by closing the simple roots under all simple reflections and keeping the
-vectors with nonnegative coordinates; the count is checked against the
+upward from the simple roots: a positive root beta with
+p = <beta, alpha_i^vee> < 0 gives the positive root s_i(beta) =
+beta - p alpha_i, higher by -p.  Every positive root that is not simple
+is reached this way, as it pairs positively with some alpha_i and s_i
+takes it down to a lower positive root; the negative half is never
+built.  The count is checked against the
 classical formula for each family at construction time.
 
 >>> a2 = root_system("A2")
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -171,7 +175,8 @@ def _close_under_reflections(
     cartan: tuple[tuple[int, ...], ...], rank: int
 ) -> tuple[tuple[int, ...], ...]:
     # each root carries its pairings <alpha, alpha_i^vee>, its fundamental
-    # coordinates, and s_i moves them by column i of the Cartan matrix
+    # coordinates, and s_i moves them by column i of the Cartan matrix;
+    # a root is reflected only where its pairing is negative, which raises it
     cols = [tuple((j, row[i]) for j, row in enumerate(cartan) if row[i]) for i in range(rank)]
     seen = {
         tuple(int(j == i) for j in range(rank)): tuple(row[i] for row in cartan)
@@ -182,7 +187,7 @@ def _close_under_reflections(
         nxt = []
         for c, f in frontier:
             for i, p in enumerate(f):
-                if not p:
+                if p >= 0:
                     continue
                 t = c[:i] + (c[i] - p,) + c[i + 1 :]
                 if t not in seen:
@@ -192,7 +197,7 @@ def _close_under_reflections(
                     seen[t] = g = tuple(g)
                     nxt.append((t, g))
         frontier = nxt
-    pos = [c for c in seen if all(x >= 0 for x in c)]
+    pos = list(seen)
     pos.sort(key=lambda c: (sum(c), c))
     return tuple(pos)
 
@@ -394,35 +399,6 @@ def symmetrizer(rs: RootSystem) -> tuple[int, ...]:
             if d[i] * a[i][j] != d[j] * a[j][i]:
                 raise RuntimeError(f"{rs.name}: Cartan matrix is not symmetrizable")
     return tuple(d)
-
-
-@lru_cache(maxsize=None)
-def _scaled_inverse_cartan(rs: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(D, rows): rows == D * A^{-1} for the Cartan matrix A, integral, D the least such.
-
-    Row j applied to a weight in fundamental coordinates gives D times its
-    j-th simple-root coordinate, so membership in the root lattice and in
-    the positive cone are integer divisibility and sign tests.
-
-    Fraction-free Gauss-Jordan elimination on [A | I]: each row operation
-    is an integer combination of two rows, divided by the gcd of its
-    entries.  Every row of [A | I] has gcd 1, and so every row keeps it;
-    at the end row i reads [p_i e_i | E_i], and E_i / p_i, row i of
-    A^{-1}, has least common denominator |p_i|.  So D = lcm |p_i|.
-    """
-    n = rs.rank
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rs.cartan)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        top = aug[col]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                row = [top[col] * x - aug[r][col] * y for x, y in zip(aug[r], top)]
-                g = gcd(*row)
-                aug[r] = [x // g for x in row]
-    scale = lcm(*(abs(aug[i][i]) for i in range(n)))
-    return scale, tuple(tuple(x * (scale // aug[i][i]) for x in aug[i][n:]) for i in range(n))
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,8 @@ from demazure import (
     weyl_dim,
 )
 from demazure.branching import BranchingResult, _branch, _coset_bound, _straighten, s_dominant
-from demazure.roots import _scaled_inverse_cartan, sub_weights
+from demazure.roots import sub_weights
+from oracles import scaled_inverse_cartan
 
 A2 = root_system("A2")
 A3 = root_system("A3")
@@ -29,7 +30,7 @@ def _s_maximal_weights(rs, subset, weights):
     """Weights with no other listed weight above them in the S-partial-order."""
     pool = list(weights)
     off = [j for j in range(rs.rank) if (j + 1) not in subset]
-    scale, rows = _scaled_inverse_cartan(rs)
+    scale, rows = scaled_inverse_cartan(rs)
     out = []
     for w in pool:
         dominated = False
@@ -59,7 +60,7 @@ def _peel_off(lam, levi, select=None):
     rs, s = levi.rs, levi.subset
     remaining = dict(weyl_character(rs, lam))
     if select is None:
-        _, rows = _scaled_inverse_cartan(rs)
+        _, rows = scaled_inverse_cartan(rs)
         height = [sum(rows[i - 1][j] for i in s) for j in range(rs.rank)]
 
         def select(support):

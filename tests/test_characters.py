@@ -29,7 +29,7 @@ from demazure import (
     weyl_group,
 )
 from demazure.characters import _demazure_items
-from demazure.roots import _scaled_inverse_cartan
+from oracles import scaled_inverse_cartan
 
 A1 = root_system("A1")
 A2 = root_system("A2")
@@ -229,7 +229,7 @@ def test_freudenthal_matches_operator_character_across_families(name):
     rs = root_system(name)
     n = rs.rank
     fundamentals = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    scale, rows = _scaled_inverse_cartan(rs)
+    scale, rows = scaled_inverse_cartan(rs)
     for lam in fundamentals[: 1 if name == "E6" else n]:
         char = weyl_character(rs, lam)
         extra = [add_weights(lam, rs.simple_root(1)), scale_weight(-1, add_weights(lam, rho(rs)))]

@@ -1,9 +1,12 @@
 import random
+from operator import mul
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from demazure import (
     DilationSequence,
+    WeylElement,
     demazure_character,
     demazure_dim,
     demazure_fold,
@@ -13,13 +16,15 @@ from demazure import (
     growth_degree,
     identity,
     longest_element,
+    positive_roots_fund,
     reduced_word,
     rho,
     root_system,
     weyl_group,
 )
 from demazure import growth
-from demazure.roots import _scaled_inverse_cartan
+from demazure.roots import root_pairing_data
+from oracles import scaled_inverse_cartan
 
 A2 = root_system("A2")
 
@@ -138,7 +143,7 @@ def test_dimensions_match_operator_on_sampled_elements(name):
 
 def _principal(rs, char, lam):
     """sum_mu c_mu q^{ht(lam - mu)} as a coefficient list."""
-    scale, rows = _scaled_inverse_cartan(rs)
+    scale, rows = scaled_inverse_cartan(rs)
     out = {}
     for mu, c in char.items():
         diff = [a - b for a, b in zip(lam, mu)]
@@ -174,3 +179,87 @@ def test_corrupted_division_raises(monkeypatch):
     monkeypatch.setattr(growth, "_interval", lambda rs, word: (points, sizes, (broken,) + pairs[1:]))
     with pytest.raises(RuntimeError, match="principal specialisation"):
         dimension_sequence(longest_element(A2), (1, 1), 5)
+
+
+def _covers_below(w, lam):
+    """The pairs (w s_beta, <lam, beta^vee>) over the beta > 0 with l(w s_beta) = l(w) - 1.
+
+    w s_beta is built from w's orbit vector u = w^{-1} rho as
+    s_beta(u) = u - <u, beta^vee> beta; a coroot pairing is the dot
+    vector's product over the half-norm.
+    """
+    rs = w.rs
+    for beta, (dots, half) in zip(positive_roots_fund(rs), root_pairing_data(rs)):
+        k = sum(map(mul, dots, w.u)) // half
+        v = WeylElement(rs, tuple(x - k * b for x, b in zip(w.u, beta)))
+        if v.length == w.length - 1:
+            yield v, sum(map(mul, dots, lam)) // half
+
+
+def _chevalley_degree(w, lam, memo):
+    """deg_lam of the Schubert variety X_w by Chevalley's formula.
+
+    deg(e) = 1 and deg(w) = sum <lam, beta^vee> deg(w s_beta) over the
+    Bruhat covers w s_beta of w; memo maps orbit vectors to degrees at lam.
+    """
+    if w.u not in memo:
+        memo[w.u] = 1 if w.length == 0 else sum(
+            pair * _chevalley_degree(v, lam, memo) for v, pair in _covers_below(w, lam)
+        )
+    return memo[w.u]
+
+
+def _check_leading_term(w, lam, memo):
+    # the l(w)-th finite difference of n -> dim V_w(n lam) is the constant deg_lam X_w
+    diffs = dimension_sequence(w, lam).values
+    for _ in range(w.length):
+        diffs = finite_differences(diffs)
+    assert set(diffs) == {_chevalley_degree(w, lam, memo)}, (w, lam)
+
+
+# a regular and a singular weight each
+CHEVALLEY_WEIGHTS = {
+    "A2": [(1, 1), (0, 2)], "B2": [(1, 1), (1, 0)], "G2": [(1, 1), (0, 1)],
+    "A3": [(1, 1, 1), (1, 0, 1)], "B3": [(1, 1, 1), (1, 0, 1)], "C3": [(2, 1, 1), (0, 1, 0)],
+}
+
+
+@pytest.mark.parametrize("name", CHEVALLEY_WEIGHTS)
+def test_leading_term_is_chevalley_degree_on_whole_group(name):
+    rs = root_system(name)
+    for lam in CHEVALLEY_WEIGHTS[name]:
+        memo = {}
+        for w in weyl_group(rs):
+            _check_leading_term(w, lam, memo)
+
+
+@pytest.mark.parametrize("name, lams", [
+    ("D4", [(1, 1, 1, 1), (0, 1, 0, 0)]), ("F4", [(1, 1, 1, 1), (1, 0, 0, 1)]),
+])
+def test_leading_term_is_chevalley_degree_on_sampled_elements(name, lams):
+    rs = root_system(name)
+    rng = random.Random(f"chevalley-{name}")
+    sample = rng.sample([w for w in weyl_group(rs) if w.length <= 9], 6)
+    for lam in lams:
+        memo = {}
+        for w in sample:
+            _check_leading_term(w, lam, memo)
+
+
+@given(
+    name=st.sampled_from(["A3", "B3", "C3", "D4", "E6", "F4", "G2"]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_dimensions_grow_along_bruhat_covers(name, data):
+    # V_v(lam) is a submodule of V_w(lam) for v <= w, in every dilation
+    rs = root_system(name)
+    letters = data.draw(st.lists(st.integers(1, rs.rank), min_size=1, max_size=8))
+    w = demazure_fold(identity(rs), letters)
+    assume(w.length > 0)
+    lam = data.draw(st.tuples(*[st.integers(0, 2)] * rs.rank))
+    v = data.draw(st.sampled_from([v for v, _pair in _covers_below(w, lam)]))
+    n = w.length + 2
+    below = dimension_sequence(v, lam, n).values
+    above = dimension_sequence(w, lam, n).values
+    assert all(a <= b for a, b in zip(below, above)), (v, w, lam)

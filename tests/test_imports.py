@@ -5,14 +5,17 @@ The library computes on plain integers; only ``sl3t`` may import
 really is rational.  Only ``roots`` reads the Cartan matrix: every other
 module reflects through ``roots._columns``.  ``branching`` reads
 Demazure characters only, never an irreducible character or a weight
-multiplicity.  No module imports a name it never uses.
+multiplicity.  No module imports a name it never uses, and no private
+function or class is left that only the tests call.  The tests' own
+oracles in ``tests/oracles.py`` import nothing from the package.
 """
 
 import ast
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "demazure"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "demazure"
 
 
 def _imported_modules(path):
@@ -87,3 +90,22 @@ def test_no_module_imports_a_name_it_never_uses():
         if p.name != "__init__.py" and (names := _unused_imports(p))
     }
     assert unused == {}
+
+
+def test_every_private_definition_is_used_in_the_package():
+    defined = set()
+    used = set()
+    for p in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(defined - used) == []
+
+
+def test_oracles_import_nothing_from_the_package():
+    assert "demazure" not in _imported_modules(TESTS / "oracles.py")

