@@ -94,8 +94,8 @@ class DilationSequence:
     values: tuple[int, ...]
 
 
-# A pair of one letter: (lower point, upper point, c, points written).
-_Pair = tuple[int, int, int, tuple[int, ...]]
+# A pair of one letter: (lower point, upper point, c).
+_Pair = tuple[int, int, int]
 
 
 @lru_cache(maxsize=1024)
@@ -107,8 +107,9 @@ def _interval(
     Returns (points, sizes, pairs).  points holds k_v for each point v,
     with e first; S_j is points[:sizes[j]].  pairs[j-1] lists the pairs
     {v, v s_i} of letter i = word[j-1] that meet S_{j-1}, by index into
-    points, with c = ht(l alpha_i) > 0 for the lower point l and the
-    points of S_{j-1} that take the quotient.
+    points, with c = ht(l alpha_i) > 0 for the lower point l.  These
+    pairs partition S_j, and both points of a pair take the quotient;
+    the points outside S_{j-1} are dropped after the letter.
     """
     cols = _columns(rs)
     points = [(0,) * rs.rank]
@@ -117,9 +118,8 @@ def _interval(
     pairs = []
     for i in word:
         col = cols[i - 1]
-        size = sizes[-1]
         letter = []
-        for v in range(size):
+        for v in range(sizes[-1]):
             k = points[v]
             c = 1 - sum(k[j] * a for j, a in col)  # ht(v alpha_i)
             partner = k[: i - 1] + (k[i - 1] + c,) + k[i:]
@@ -130,7 +130,7 @@ def _interval(
             elif p < v:
                 continue  # paired when p came up
             low, high = (v, p) if c > 0 else (p, v)
-            letter.append((low, high, abs(c), (v, p) if p < size else (v,)))
+            letter.append((low, high, abs(c)))
         pairs.append(tuple(letter))
         sizes.append(len(points))
     return tuple(points), tuple(sizes), tuple(pairs)
@@ -147,7 +147,7 @@ def _specialisation(
     points, sizes, pairs = _interval(rs, word)
     heights = [sum(map(mul, k, lam)) for k in points]
     span = max(heights)
-    gap = max((c for letter in pairs for _l, _h, c, _t in letter), default=0)
+    gap = max((c for letter in pairs for _l, _h, c in letter), default=0)
     starts = [n * (n - 1) // 2 * span + n * (gap + 1) for n in range(n_max + 2)]
     size = starts.pop()
     gaps = [(s + n * span + 1, t) for n, (s, t) in enumerate(zip(starts, starts[1:] + [size]))]
@@ -158,7 +158,7 @@ def _specialisation(
             f[s + n * h] = 1
         chain.append(f)
     for j in range(len(word), 0, -1):
-        for low, high, c, targets in pairs[j - 1]:
+        for low, high, c in pairs[j - 1]:
             a = chain[low]
             quotient = a[:c] + list(map(sub, a[c:], chain[high]))
             if c == 1:
@@ -168,8 +168,7 @@ def _specialisation(
                     quotient[r::c] = accumulate(quotient[r::c])
             if any(any(quotient[s:t]) for s, t in gaps):
                 raise RuntimeError(f"{rs.name}: principal specialisation of {word} at {lam} broke")
-            for t in targets:
-                chain[t] = quotient
+            chain[low] = chain[high] = quotient
         del chain[sizes[j - 1]:]
     return [chain[0][s:s + n * span + 1] for n, s in enumerate(starts)]
 

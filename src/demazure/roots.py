@@ -25,12 +25,23 @@ it, on a list in place::
 at the first negative coordinate until none is left: reduced words,
 w(rho), ``dominant_conjugate`` and Freudenthal's tails all take it.
 
-No module but this one reads the Cartan matrix itself.
+No module but this one reads the Cartan matrix itself, or a root
+system's family: what is known per family stays here.
 
-Node numbering follows the standard tables: chains for the classical
-families, with the short root last in type B and the long root last in
-type C; in G2 node 1 is short (so the first fundamental weight carries
-the 7-dimensional module); in F4 nodes 1 and 2 are long, 3 and 4 short.
+A root system is given by its Dynkin graph and the half-norms
+d_i = (alpha_i, alpha_i)/2 of its simple roots, short roots 1 and long
+roots 2 (3 in G2), as ``_dynkin`` lists them.  On an edge
+(alpha_i, alpha_j) = -max(d_i, d_j), and off one it is 0, so
+
+    cartan[i][j] == (alpha_i, alpha_j) / d_i == -max(d_i, d_j) / d_i,
+
+and d is the symmetrizer by construction.  Node numbering follows the
+standard tables (Bourbaki, ch. VI, plates I-IX): chains for the
+classical families, with the short root last in type B and the long
+root last in type C; D forks at node rank-2; E hangs node 2 off node 4
+of the chain 1-3-4-5-...; in G2 node 1 is short (so the first
+fundamental weight carries the 7-dimensional module); in F4 nodes 1 and
+2 are long, 3 and 4 short.
 
 Positive roots are stored in simple-root coordinates.  They are produced
 upward from the simple roots: a positive root beta with
@@ -54,7 +65,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -135,39 +145,34 @@ def _classical_positive_count(family: str, rank: int) -> int:
     return 6  # G2
 
 
-def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    a = [[0] * rank for _ in range(rank)]
-    for i in range(rank):
-        a[i][i] = 2
+def _dynkin(family: str, rank: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """(edges, d): the Dynkin graph as 0-based node pairs, and (alpha_i, alpha_i)/2.
 
-    def bond(i: int, j: int, aij: int = -1, aji: int = -1) -> None:
-        a[i][j] = aij
-        a[j][i] = aji
-
-    if family in ("A", "B", "C"):
-        for i in range(rank - 1):
-            if i == rank - 2 and family == "B":
-                bond(i, i + 1, -1, -2)
-            elif i == rank - 2 and family == "C":
-                bond(i, i + 1, -2, -1)
-            else:
-                bond(i, i + 1)
+    Short roots have d = 1 and long roots d = 2 (3 in G2).
+    """
+    edges = [(i, i + 1) for i in range(rank - 1)]  # the chain 1-2-...-rank
+    d = [1] * rank
+    if family == "B":
+        d[:-1] = [2] * (rank - 1)
+    elif family == "C":
+        d[-1] = 2
     elif family == "D":
-        for i in range(rank - 3):
-            bond(i, i + 1)
-        bond(rank - 3, rank - 2)
-        bond(rank - 3, rank - 1)
+        edges[-1] = (rank - 3, rank - 1)
     elif family == "E":
-        chain = [0, 2, 3, 4, 5, 6, 7][: rank - 1]
-        for i, j in zip(chain, chain[1:]):
-            bond(i, j)
-        bond(1, 3)
+        edges = [(0, 2), (1, 3)] + edges[2:]
     elif family == "F":
-        bond(0, 1)
-        bond(1, 2, -1, -2)
-        bond(2, 3)
-    else:  # G
-        bond(0, 1, -3, -1)
+        d = [2, 2, 1, 1]
+    elif family == "G":
+        d = [1, 3]
+    return edges, d
+
+
+def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    edges, d = _dynkin(family, rank)
+    a = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+    for i, j in edges:
+        m = max(d[i], d[j])  # -(alpha_i, alpha_j)
+        a[i][j], a[j][i] = -m // d[i], -m // d[j]
     return tuple(tuple(row) for row in a)
 
 
@@ -368,37 +373,12 @@ def positive_roots_fund(rs: RootSystem) -> tuple[Weight, ...]:
 
 @lru_cache(maxsize=None)
 def symmetrizer(rs: RootSystem) -> tuple[int, ...]:
-    """Minimal positive integers d with d_i * a_ij == d_j * a_ji.
+    """d_i = (alpha_i, alpha_i)/2 with short roots 1, as ``_dynkin`` lists it.
 
-    d_i is proportional to (alpha_i, alpha_i)/2, so short roots get the
-    smallest value.  Computed by propagating integer ratios along the
-    Dynkin graph, scaling every value found so far up when a ratio does
-    not divide.
+    These are the least positive integers with d_i * a_ij == d_j * a_ji,
+    since a_ij = (alpha_i, alpha_j)/d_i.
     """
-    a = rs.cartan
-    n = rs.rank
-    d = [1] + [0] * (n - 1)
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        for j in range(n):
-            if i != j and a[i][j] != 0 and not d[j]:
-                num, den = d[i] * a[i][j], a[j][i]
-                if num % den:
-                    k = abs(den) // gcd(num, den)
-                    d = [x * k for x in d]
-                    num *= k
-                d[j] = num // den
-                queue.append(j)
-    if not all(d):
-        raise RuntimeError(f"{rs.name}: Dynkin graph is not connected")
-    g = gcd(*d)
-    d = [x // g for x in d]
-    for i in range(n):
-        for j in range(n):
-            if d[i] * a[i][j] != d[j] * a[j][i]:
-                raise RuntimeError(f"{rs.name}: Cartan matrix is not symmetrizable")
-    return tuple(d)
+    return tuple(_dynkin(rs.family, rs.rank)[1])
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,8 @@
 """Reference computations shared by the tests, independent of the library.
 
 Nothing here imports ``demazure``: an oracle reads only the public fields
-of the objects it is handed (``rs.rank``, ``rs.cartan``), so it shares no
-code with the routes it checks.
+of the objects it is handed (``rs.rank``, ``rs.cartan``, ``rs.name``), so
+it shares no code with the routes it checks.
 """
 
 from functools import lru_cache
@@ -36,3 +36,72 @@ def scaled_inverse_cartan(rs):
                 aug[r] = [x // g for x in row]
     scale = lcm(*(abs(aug[i][i]) for i in range(n)))
     return scale, tuple(tuple(x * (scale // aug[i][i]) for x in aug[i][n:]) for i in range(n))
+
+
+def bond_cartan_matrix(family, rank):
+    """The Cartan matrix written as asymmetric bond pairs (a_ij, a_ji) per Dynkin edge."""
+    a = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        a[i][i] = 2
+
+    def bond(i, j, aij=-1, aji=-1):
+        a[i][j] = aij
+        a[j][i] = aji
+
+    if family in ("A", "B", "C"):
+        for i in range(rank - 1):
+            if i == rank - 2 and family == "B":
+                bond(i, i + 1, -1, -2)
+            elif i == rank - 2 and family == "C":
+                bond(i, i + 1, -2, -1)
+            else:
+                bond(i, i + 1)
+    elif family == "D":
+        for i in range(rank - 3):
+            bond(i, i + 1)
+        bond(rank - 3, rank - 2)
+        bond(rank - 3, rank - 1)
+    elif family == "E":
+        chain = [0, 2, 3, 4, 5, 6, 7][: rank - 1]
+        for i, j in zip(chain, chain[1:]):
+            bond(i, j)
+        bond(1, 3)
+    elif family == "F":
+        bond(0, 1)
+        bond(1, 2, -1, -2)
+        bond(2, 3)
+    else:  # G
+        bond(0, 1, -3, -1)
+    return tuple(tuple(row) for row in a)
+
+
+def propagated_symmetrizer(rs):
+    """Minimal positive integers d with d_i * a_ij == d_j * a_ji.
+
+    Computed by propagating integer ratios along the Dynkin graph,
+    scaling every value found so far up when a ratio does not divide.
+    """
+    a = rs.cartan
+    n = rs.rank
+    d = [1] + [0] * (n - 1)
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for j in range(n):
+            if i != j and a[i][j] != 0 and not d[j]:
+                num, den = d[i] * a[i][j], a[j][i]
+                if num % den:
+                    k = abs(den) // gcd(num, den)
+                    d = [x * k for x in d]
+                    num *= k
+                d[j] = num // den
+                queue.append(j)
+    if not all(d):
+        raise RuntimeError(f"{rs.name}: Dynkin graph is not connected")
+    g = gcd(*d)
+    d = [x // g for x in d]
+    for i in range(n):
+        for j in range(n):
+            if d[i] * a[i][j] != d[j] * a[j][i]:
+                raise RuntimeError(f"{rs.name}: Cartan matrix is not symmetrizable")
+    return tuple(d)

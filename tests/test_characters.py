@@ -1,5 +1,7 @@
 import json
 import random
+from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from demazure import (
     freudenthal_multiplicity,
     from_word,
     longest_element,
+    positive_roots_fund,
     reduced_word,
     rho,
     root_system,
@@ -29,6 +32,7 @@ from demazure import (
     weyl_group,
 )
 from demazure.characters import _demazure_items
+from demazure.roots import root_pairing_data
 from oracles import scaled_inverse_cartan
 
 A1 = root_system("A1")
@@ -342,6 +346,115 @@ def test_type_a_characters_are_kohnert_key_polynomials(name):
             for i in reversed(word):  # w(lam) = s_{i1}(... s_{ik}(lam)), s_i swaps parts i, i+1
                 a[i - 1], a[i] = a[i], a[i - 1]
             assert demazure_character(rs, word, lam) == _kohnert(a), (name, word, lam)
+
+
+# Lakshmibai-Seshadri paths (Littelmann, Invent. Math. 116, 1994, and
+# Ann. of Math. 142, 1995).  An LS path of shape lam is a sequence
+# tau_1 > ... > tau_r in the orbit W lam, in the Bruhat order there, with
+# rationals 0 < a_1 < ... < a_{r-1} < 1.  For each i, tau_i and tau_{i+1}
+# are joined by an a_i-chain: a descending chain of covers kappa < s_beta
+# kappa, beta > 0, with <kappa, beta^vee> > 0 and a_i <kappa, beta^vee> an
+# integer.  The path ends at pi(1) = sum_i (a_i - a_{i-1}) tau_i (a_0 = 0,
+# a_r = 1), and ch V_w(lam) sums e^{pi(1)} over the paths whose first
+# direction tau_1 is at most w lam.  In W lam the length of kappa is the
+# number of positive roots beta with <kappa, beta^vee> < 0, and lam is the
+# least element.  The paths read only the root tables and reflections,
+# never the operator kernel.
+
+def _ls_paths(rs, lam):
+    """(below, paths) for the shape lam.
+
+    below[kappa] is the set of orbit points strictly below kappa in the
+    Bruhat order, and paths lists (tau_1, pi(1)) for every LS path.
+    """
+    orbit = {lam}
+    todo = [lam]
+    while todo:
+        mu = todo.pop()
+        for i in range(1, rs.rank + 1):
+            nu = simple_reflection(rs, i, mu)
+            if nu not in orbit:
+                orbit.add(nu)
+                todo.append(nu)
+    roots = [(beta, dots, half) for beta, (dots, half) in zip(positive_roots_fund(rs), root_pairing_data(rs))]
+
+    def coroot(kappa, dots, half):
+        return sum(map(mul, dots, kappa)) // half
+
+    length = {kappa: sum(coroot(kappa, d, h) < 0 for _b, d, h in roots) for kappa in orbit}
+    covers = {kappa: [] for kappa in orbit}  # upper -> [(kappa, <kappa, beta^vee>)]
+    for kappa in orbit:
+        for beta, dots, half in roots:
+            p = coroot(kappa, dots, half)
+            upper = tuple(k - p * b for k, b in zip(kappa, beta))
+            if p > 0 and length[upper] == length[kappa] + 1:
+                covers[upper].append((kappa, p))
+    by_length = sorted(orbit, key=length.get)
+
+    def below(step):
+        # the elements reached from each one by a nonempty chain of the covers step admits
+        reach = {}
+        for sigma in by_length:
+            reach[sigma] = set()
+            for kappa, p in covers[sigma]:
+                if step(p):
+                    reach[sigma] |= {kappa} | reach[kappa]
+        return reach
+
+    stops = sorted({Fraction(k, p) for cs in covers.values() for _k, p in cs for k in range(1, p)})
+    chains = [(a, below(lambda p, a=a: (a * p).denominator == 1)) for a in stops]
+    paths = []
+
+    def extend(first, tau, a, point):
+        paths.append((first, tuple(x + (1 - a) * t for x, t in zip(point, tau))))
+        for b, reach in chains:
+            if b > a:
+                for nxt in reach[tau]:
+                    extend(first, nxt, b, tuple(x + (b - a) * t for x, t in zip(point, tau)))
+
+    for tau in orbit:
+        extend(tau, tau, Fraction(0), (Fraction(0),) * rs.rank)
+    return below(lambda p: True), paths
+
+
+def _ls_character(bruhat_below, paths, top):
+    allowed = bruhat_below[top] | {top}
+    char = {}
+    for first, end in paths:
+        if first in allowed:
+            assert all(x.denominator == 1 for x in end), end
+            mu = tuple(map(int, end))
+            char[mu] = char.get(mu, 0) + 1
+    return char
+
+
+LS_CASES = [
+    ("A2", [(1, 1), (2, 1)], None),
+    ("B2", [(1, 1), (2, 1)], None),
+    ("G2", [(1, 0), (1, 1)], None),
+    ("A3", [(1, 1, 1)], None),
+    ("B3", [(1, 1, 1)], None),
+    ("C3", [(1, 1, 1)], None),
+    ("F4", [(1, 0, 0, 0), (0, 0, 0, 1)], 6),
+    ("E6", [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)], 6),
+]
+
+
+@pytest.mark.parametrize("name,lams,samples", LS_CASES)
+def test_demazure_characters_are_ls_path_sums(name, lams, samples):
+    rs = root_system(name)
+    if samples is None:
+        group = weyl_group(rs)
+    else:
+        rng = random.Random(name)
+        group = [from_word(rs, rng.choices(range(1, rs.rank + 1), k=4 * k + 3)) for k in range(samples)]
+    for lam in lams:
+        bruhat_below, paths = _ls_paths(rs, lam)
+        assert len(paths) == weyl_dim(rs, lam), (name, lam)
+        for w in group:
+            word = reduced_word(w)
+            expected = _ls_character(bruhat_below, paths, w.apply(lam))
+            assert demazure_character(rs, word, lam) == expected, (name, word, lam)
 
 
 def test_apply_demazure_word_matches_demazure_character():

@@ -174,8 +174,8 @@ def test_packed_slices_are_principal_specialisations(name, lam):
 def test_corrupted_division_raises(monkeypatch):
     # lengthen one c: the quotient is then not a polynomial, and the gap test must see it
     points, sizes, pairs = growth._interval(A2, (1, 2, 1))
-    low, high, c, targets = pairs[0][0]
-    broken = ((low, high, c + 1, targets),) + pairs[0][1:]
+    low, high, c = pairs[0][0]
+    broken = ((low, high, c + 1),) + pairs[0][1:]
     monkeypatch.setattr(growth, "_interval", lambda rs, word: (points, sizes, (broken,) + pairs[1:]))
     with pytest.raises(RuntimeError, match="principal specialisation"):
         dimension_sequence(longest_element(A2), (1, 1), 5)

@@ -3,7 +3,9 @@
 The library computes on plain integers; only ``sl3t`` may import
 ``fractions``, as ``sl3t.closed_n`` is the one value in the package that
 really is rational.  Only ``roots`` reads the Cartan matrix: every other
-module reflects through ``roots._columns``.  ``branching`` reads
+module reflects through ``roots._columns``.  Only ``roots`` reads a root
+system's family, so what is known per family (the Dynkin graphs, the
+rank ranges, the root counts) stays in one module.  ``branching`` reads
 Demazure characters only, never an irreducible character or a weight
 multiplicity.  No module imports a name it never uses, and no private
 function or class is left that only the tests call.  The tests' own
@@ -33,16 +35,23 @@ def test_only_sl3t_imports_fractions():
     assert users == ["sl3t.py"]
 
 
-def test_only_roots_reads_the_cartan_matrix():
-    readers = sorted(
+def _attribute_readers(attr):
+    return sorted(
         p.name
         for p in SRC.glob("*.py")
         if any(
-            isinstance(node, ast.Attribute) and node.attr == "cartan"
+            isinstance(node, ast.Attribute) and node.attr == attr
             for node in ast.walk(ast.parse(p.read_text(), str(p)))
         )
     )
-    assert readers == ["roots.py"]
+
+
+def test_only_roots_reads_the_cartan_matrix():
+    assert _attribute_readers("cartan") == ["roots.py"]
+
+
+def test_only_roots_reads_a_root_systems_family():
+    assert _attribute_readers("family") == ["roots.py"]
 
 
 def _imported_names(path):

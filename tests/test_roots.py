@@ -25,7 +25,7 @@ from demazure.roots import (
     _to_dominant,
     root_pairing_data,
 )
-from oracles import scaled_inverse_cartan
+from oracles import bond_cartan_matrix, propagated_symmetrizer, scaled_inverse_cartan
 
 ALL_NAMES = [
     "A1", "A2", "A3", "A4",
@@ -126,6 +126,21 @@ def test_symmetrizer_symmetrizes():
         for i in range(n):
             for j in range(n):
                 assert d[i] * a[i][j] == d[j] * a[j][i], name
+
+
+TABLE_SYSTEMS = [
+    (family, rank)
+    for family, low in (("A", 1), ("B", 2), ("C", 3), ("D", 4))
+    for rank in [*range(low, 13), 50, 100]
+] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
+def test_dynkin_tables_match_bond_tables_and_propagated_symmetrizer():
+    # the Cartan matrix as bond pairs and d by ratio propagation along the graph
+    for family, rank in TABLE_SYSTEMS:
+        rs = build_root_system(family, rank)
+        assert rs.cartan == bond_cartan_matrix(family, rank), rs.name
+        assert symmetrizer(rs) == propagated_symmetrizer(rs), rs.name
 
 
 def test_scaled_inverse_cartan_is_least_integral_inverse():
