@@ -174,8 +174,8 @@ def restrict_to_levi(lam: Sequence[int], levi: LeviDatum) -> BranchingResult:
     return _branch(lam, levi)[0]
 
 
-def _branch(lam: Sequence[int], levi: LeviDatum) -> tuple[BranchingResult, list[int]]:
-    """restrict_to_levi, together with the Levi dimension of each constituent."""
+def _branch(lam: Sequence[int], levi: LeviDatum) -> tuple[BranchingResult, list[int], int]:
+    """restrict_to_levi, with the Levi dimension of each constituent and dim V(lam)."""
     rs = levi.rs
     s = levi.subset
     lam = _check_dominant(rs, lam)
@@ -192,21 +192,22 @@ def _branch(lam: Sequence[int], levi: LeviDatum) -> tuple[BranchingResult, list[
             found.append((mu, n))
     result = BranchingResult(levi, lam, tuple(found))
     dims = _weyl_dims(rs, _levi_root_indices(rs, s), (mu for mu, _ in found))
-    if not _conserved(result, dims):
+    dim = weyl_dim(rs, lam)
+    if _filled(result, dims) != dim:
         raise RuntimeError("branching lost dimensions; the alternating sum is broken")
-    return result, dims
+    return result, dims, dim
 
 
 def dimension_conserved(result: BranchingResult) -> bool:
     rs = result.levi.rs
     mus = (mu for mu, _ in result.constituents)
-    return _conserved(result, _weyl_dims(rs, _levi_root_indices(rs, result.levi.subset), mus))
+    dims = _weyl_dims(rs, _levi_root_indices(rs, result.levi.subset), mus)
+    return _filled(result, dims) == weyl_dim(rs, result.lam)
 
 
-def _conserved(result: BranchingResult, dims: Sequence[int]) -> bool:
-    """Whether the constituents, of Levi dimensions dims, fill V(lam)."""
-    total = sum(m * d for (_, m), d in zip(result.constituents, dims))
-    return total == weyl_dim(result.levi.rs, result.lam)
+def _filled(result: BranchingResult, dims: Sequence[int]) -> int:
+    """The dimension the constituents fill, given their Levi dimensions dims."""
+    return sum(m * d for (_, m), d in zip(result.constituents, dims))
 
 
 def _coset_bound(lam: Weight, levi: LeviDatum) -> int:

@@ -72,7 +72,6 @@ from demazure.roots import (
     _to_dominant,
     add_weights,
     dominant_conjugate,
-    is_dominant,
     positive_roots_fund,
     rho,
     root_pairing_data,
@@ -235,14 +234,9 @@ def demazure_dim(w: WeylElement, lam: Sequence[int]) -> int:
     return sum(_demazure_items(w.rs, reduced_word(w), lam).values())
 
 
-@lru_cache(maxsize=None)
-def _w0_word(rs: RootSystem) -> tuple[int, ...]:
-    return reduced_word(longest_element(rs))
-
-
 def weyl_character(rs: RootSystem, lam: Sequence[int]) -> Character:
     """Character of the irreducible module with highest weight lam."""
-    return _character(rs, _w0_word(rs), _check_dominant(rs, lam))
+    return _character(rs, reduced_word(longest_element(rs)), _check_dominant(rs, lam))
 
 
 def weight_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -> int:
@@ -255,7 +249,7 @@ def weight_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -
     # also reads a non-integral coordinate as 0, as a dict lookup would
     if not all(x in range(1 - pk.radius, pk.radius) for x in mu):
         return 0
-    return _demazure_items(rs, _w0_word(rs), lam).get(_pack(pk, mu), 0)
+    return _demazure_items(rs, reduced_word(longest_element(rs)), lam).get(_pack(pk, mu), 0)
 
 
 def weyl_dim(rs: RootSystem, lam: Sequence[int]) -> int:
@@ -286,12 +280,8 @@ def _weyl_dims(rs: RootSystem, root_indices: Sequence[int], mus: Iterable[Weight
 
 
 def dual_weight(rs: RootSystem, lam: Sequence[int]) -> Weight:
-    """Highest weight of the dual module: -w0(lam)."""
-    lam = _check_dominant(rs, lam)
-    out = tuple(-x for x in longest_element(rs).apply(lam))
-    if not is_dominant(out):
-        raise RuntimeError(f"{rs.name}: dual of {lam} came out non-dominant")
-    return out
+    """Highest weight of the dual module: -w0(lam), the dominant conjugate of -lam."""
+    return dominant_conjugate(rs, [-x for x in _check_dominant(rs, lam)])
 
 
 def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -> int:
@@ -331,12 +321,15 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
 
     which holds because sum over all roots of (x, alpha)(y, alpha) is a
     W-invariant symmetric form on the irreducible reflection
-    representation, so a multiple K (x, y) of the invariant one.  The sum
-    runs over the positive-root table in simple-root coordinates, and K
-    is its first coordinate at x = alpha_1.  Each coordinate is one exact
-    division by K; a remainder means lam - mu+ is not in the root lattice
-    and a negative quotient that mu+ is not below lam, and either way the
-    multiplicity is 0.
+    representation, so a multiple K (x, y) of the invariant one.  K is
+    read off the trace: x -> (x, alpha) alpha has trace (alpha, alpha),
+    so K times the rank is sum_{alpha > 0} (alpha, alpha), twice the sum
+    of the half-norms of ``root_pairing_data``; a remainder in that
+    division raises RuntimeError.  The sum at x = lam - mu+ runs over the
+    positive-root table in simple-root coordinates, and each coordinate
+    is one exact division by K; a remainder means lam - mu+ is not in the
+    root lattice and a negative quotient that mu+ is not below lam, and
+    either way the multiplicity is 0.
 
     Everything is an integer: lam - nu has integral simple-root
     coordinates p, and |lam+rho|^2 - |nu+rho|^2 = (lam - nu, lam + nu +
@@ -352,17 +345,17 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
     _check_dominant(rs, lam)  # after both length checks, whose errors come first
     bottom = dominant_conjugate(rs, mu)
     pos_fund = positive_roots_fund(rs)
-    roots = list(zip(pos_fund, rs.positive_roots, (d for d, _halfnorm in root_pairing_data(rs))))
-
-    def root_sum(x: Weight) -> list[int]:
-        # sum_{alpha > 0} (x, alpha) alpha in simple-root coordinates
-        pairs = [sum(map(mul, dots, x)) for _alpha, _coords, dots in roots]
-        return [sum(map(mul, pairs, column)) for column in zip(*rs.positive_roots)]
-
-    scale = root_sum(rs.simple_root(1))[0]  # K, read off at x = alpha_1
+    data = root_pairing_data(rs)
+    roots = list(zip(pos_fund, rs.positive_roots, (dots for dots, _halfnorm in data)))
+    scale, rem = divmod(2 * sum(halfnorm for _dots, halfnorm in data), rs.rank)  # K
+    if rem:
+        raise RuntimeError(f"{rs.name}: the root norms do not sum to a multiple of the rank")
+    # sum_{alpha > 0} (x, alpha) alpha at x = lam - bottom, in simple-root coordinates
+    diff = sub_weights(lam, bottom)
+    pairs = [sum(map(mul, dots, diff)) for _alpha, _coords, dots in roots]
     gap = []  # simple-root coordinates of lam - bottom
-    for x in root_sum(sub_weights(lam, bottom)):
-        c, rem = divmod(x, scale)
+    for column in zip(*rs.positive_roots):
+        c, rem = divmod(sum(map(mul, pairs, column)), scale)
         if rem or c < 0:
             return 0
         gap.append(c)

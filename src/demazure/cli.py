@@ -40,7 +40,6 @@ from demazure.characters import (
     demazure_character,
     dual_weight,
     weight_multiplicity,
-    weyl_dim,
 )
 from demazure.growth import dimension_sequence, finite_differences, growth_degree
 from demazure.roots import root_system
@@ -160,7 +159,7 @@ def _cmd_branch(ns: argparse.Namespace) -> int:
     lam = _csv_ints(ns.weight)
     subset = _csv_ints(ns.subset)
     levi = LeviDatum(rs, frozenset(subset))
-    result, dims = _branch(lam, levi)
+    result, dims, full_dim = _branch(lam, levi)
     bound = _coset_bound(result.lam, levi)
     constituents = []
     ok = True
@@ -175,7 +174,7 @@ def _cmd_branch(ns: argparse.Namespace) -> int:
         "root_system": rs.name,
         "weight": list(result.lam),
         "subset": sorted(levi.subset),
-        "weyl_dim": str(weyl_dim(rs, result.lam)),
+        "weyl_dim": str(full_dim),
         "bound": str(bound),
         "constituents": constituents,
         "length": str(result.length),

@@ -109,7 +109,7 @@ def mult_via_weights(bw: Biweight) -> int:
     """Multiplicity read off the weight spaces of the dual module V(k2, k1).
 
     In A2, -w0 swaps the two fundamental weights, so the dual of
-    (k1, k2) is (k2, k1); ``dual_weight`` computes the same from w0.
+    (k1, k2) is (k2, k1); ``dual_weight`` computes the same by a chamber walk.
     """
     return weight_multiplicity(root_system("A2"), (bw.k2, bw.k1), torus_weight_coords(bw.l))
 

@@ -6,10 +6,17 @@ equality of group elements is equality of vectors regardless of which
 word produced them.  The coordinate u_i is <rho, w(alpha_i^vee)>, so i
 is a right descent of w exactly when u_i < 0, and right multiplication
 by s_i stores s_i(u).  Peeling right descents off u until it reaches
-rho gives a reduced word; length is the number of descents peeled.
-Left descents are the negative coordinates of w(rho).
-``reduced_word`` returns the lexicographically smallest reduced word,
-obtained by greedily taking the smallest left descent.
+rho spells a reduced word of w^{-1}; length is the number of descents
+peeled, cached per element.  Left descents are the negative coordinates
+of w(rho).
+
+Each element keeps one word, cached on first use: the
+lexicographically smallest reduced word, obtained by greedily taking
+the smallest left descent.  ``reduced_word`` returns it, and ``apply``
+and ``*`` read it.  Length stays a plain peel, one walk where the word
+takes two.  ``min_coset_rep`` is memoised per subset, so the minimal
+coset representative of a Levi subset, and with it its word, is built
+once.
 
 Every letter is one simple reflection, and s_i changes only coordinate
 i and the coordinates of i's Dynkin neighbours: the entries of column i
@@ -91,14 +98,16 @@ class WeylElement:
     u: Weight  # w^{-1}(rho)
 
     @cached_property
-    def _word(self) -> tuple[int, ...]:
-        # u = w^{-1}(rho), so peeling it spells w^{-1}; reversed, it spells w.
-        return tuple(_to_dominant(_columns(self.rs), list(self.u))[::-1])
-
-    @property
     def length(self) -> int:
         """Number of right descents peeled off before reaching the identity."""
-        return len(self._word)
+        return len(_to_dominant(_columns(self.rs), list(self.u)))
+
+    @cached_property
+    def _word(self) -> tuple[int, ...]:
+        # The valid first letters of reduced words are exactly the left
+        # descents, the negative coordinates of w(rho), so the walk that
+        # always reflects at the smallest one spells the least word.
+        return tuple(_to_dominant(_columns(self.rs), list(_rho_image(self.rs, self.u))))
 
     @property
     def is_identity(self) -> bool:
@@ -106,7 +115,7 @@ class WeylElement:
 
     def apply(self, mu: Sequence[int]) -> Weight:
         """Image of a weight (fundamental coordinates) under this element."""
-        return _reflect(self.rs, _check_weight(self.rs, mu), self._word[::-1])
+        return _reflect(self.rs, _check_weight(self.rs, mu), reversed(self._word))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs != other.rs:
@@ -146,16 +155,8 @@ def left_descents(w: WeylElement) -> tuple[int, ...]:
 
 
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
-    """Lexicographically smallest reduced word for w.
-
-    Greedy: the valid first letters of reduced words are exactly the left
-    descents, the negative coordinates of w(rho), so taking the smallest
-    one at every step is optimal.
-    """
-    cols = _columns(w.rs)
-    y = list(rho(w.rs))
-    _to_dominant(cols, list(w.u), y)  # y = w(rho), as in _rho_image, one call fewer
-    return tuple(_to_dominant(cols, y))
+    """Lexicographically smallest reduced word for w, computed once per element."""
+    return w._word
 
 
 def all_reduced_words(w: WeylElement) -> Iterator[tuple[int, ...]]:
@@ -195,15 +196,10 @@ def longest_parabolic(rs: RootSystem, subset: Iterable[int]) -> WeylElement:
     s = frozenset(subset)
     for i in s:
         _check_index(rs, i)
-    return _longest_parabolic_cached(rs, s)
-
-
-@lru_cache(maxsize=1024)
-def _longest_parabolic_cached(rs: RootSystem, subset: frozenset[int]) -> WeylElement:
     # Greedy ascent inside the parabolic: keep appending the smallest
     # generator that still increases length; the unique element with no
     # ascent in the subset is the parabolic longest element.
-    order = sorted(subset)
+    order = sorted(s)
     u = rho(rs)
     while i := next((i for i in order if u[i - 1] > 0), 0):
         u = _reflect(rs, u, (i,))
@@ -215,7 +211,13 @@ def min_coset_rep(rs: RootSystem, subset: Iterable[int]) -> WeylElement:
 
     w_P is the parabolic longest element for the subset; the result is
     w_P^{-1} w0 (= w_P w0 since parabolic longest elements are involutions).
+    It is memoised per subset, so its reduced word is spelt once.
     """
+    return _min_coset_rep(rs, frozenset(subset))
+
+
+@lru_cache(maxsize=1024)
+def _min_coset_rep(rs: RootSystem, subset: frozenset[int]) -> WeylElement:
     w_p = longest_parabolic(rs, subset)
     w0 = longest_element(rs)
     rep = w_p * w0

@@ -159,9 +159,10 @@ def test_branch_dims_are_the_levi_dims():
     # the dimensions the CLI prints come with the branching, one per constituent
     for rs, lam, subset in ((A2, (1, 1), {1}), (B3, (2, 1, 2), {1, 3}), (A3, (1, 0, 2), {2})):
         levi = LeviDatum(rs, subset)
-        result, dims = _branch(lam, levi)
+        result, dims, dim = _branch(lam, levi)
         assert result == restrict_to_levi(lam, levi)
         assert dims == [levi_weyl_dim(rs, levi.subset, mu) for mu, _ in result.constituents]
+        assert dim == weyl_dim(rs, lam)
 
 
 def test_dimension_conserved_detects_a_missing_constituent():

@@ -246,6 +246,28 @@ def test_freudenthal_matches_operator_character_across_families(name):
             assert freudenthal_multiplicity(rs, lam, mu) == char.get(mu, 0), (name, lam, mu)
 
 
+def _scale_at_alpha_1(rs):
+    """Freudenthal's K as the first coordinate of sum_{alpha > 0} (alpha_1, alpha) alpha."""
+    pairs = [sum(map(mul, dots, rs.simple_root(1))) for dots, _halfnorm in root_pairing_data(rs)]
+    return sum(p * coords[0] for p, coords in zip(pairs, rs.positive_roots))
+
+
+def test_freudenthal_scale_is_the_trace():
+    # freudenthal_multiplicity reads K as sum_{alpha > 0} (alpha, alpha) / rank,
+    # the trace of x -> sum_{alpha > 0} (x, alpha) alpha over the rank
+    names = (
+        [f"A{n}" for n in range(1, 13)]
+        + [f"B{n}" for n in range(2, 13)]
+        + [f"C{n}" for n in range(3, 13)]
+        + [f"D{n}" for n in range(4, 13)]
+        + ["E6", "E7", "E8", "F4", "G2"]
+    )
+    for name in names:
+        rs = root_system(name)
+        scale, rem = divmod(2 * sum(h for _dots, h in root_pairing_data(rs)), rs.rank)
+        assert rem == 0 and scale == _scale_at_alpha_1(rs), name
+
+
 @pytest.mark.parametrize("k", [4000, 4001])
 def test_freudenthal_rank_one_deep(k):
     # V(k omega) of A1 has the weights k, k-2, ..., -k, each once; the
@@ -276,6 +298,19 @@ def test_dual_weight():
     assert dual_weight(e6, (1, 0, 0, 0, 0, 0)) == (0, 0, 0, 0, 0, 1)
     with pytest.raises(ValueError):
         dual_weight(A2, (-1, 0))
+
+
+def test_dual_weight_is_minus_w0_in_every_family():
+    # dual_weight walks -lam into the dominant chamber; w0 takes lam to the
+    # antidominant weight of its orbit, so -w0(lam) is that same weight
+    rng = random.Random(5)
+    for name in ("A4", "B3", "C4", "D5", "E6", "F4", "G2"):
+        rs = root_system(name)
+        w0 = longest_element(rs)
+        fundamentals = [tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank)]
+        randoms = [tuple(rng.randint(0, 4) for _ in range(rs.rank)) for _ in range(20)]
+        for lam in fundamentals + randoms:
+            assert dual_weight(rs, lam) == tuple(-x for x in w0.apply(lam)), (name, lam)
 
 
 @given(data=st.data())

@@ -10,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import demazure.branching
+import demazure.characters
 import demazure.cli as cli
+from demazure import root_system, weyl_dim
 from demazure.cli import CACHE_ENV_VAR, run
 
 
@@ -82,6 +85,23 @@ def test_branch_output():
     assert len(doc["constituents"]) == 4
     assert all(c["holds"] for c in doc["constituents"])
     assert sorted(int(c["levi_dim"]) for c in doc["constituents"]) == [1, 2, 2, 3]
+
+
+def test_branch_computes_the_weyl_dimension_once(monkeypatch):
+    # _branch checks that the constituents fill dim V(lam), and the CLI
+    # prints that same total instead of a second product
+    calls = []
+
+    def counted(rs, lam):
+        calls.append(tuple(lam))
+        return weyl_dim(rs, lam)
+
+    for module in (demazure.characters, demazure.branching, cli):
+        monkeypatch.setattr(module, "weyl_dim", counted, raising=False)
+    code, out, _ = cap(["branch", "--type", "B3", "--weight", "2,1,2", "--subset", "1,3"])
+    assert code == 0
+    assert json.loads(out)["weyl_dim"] == str(weyl_dim(root_system("B3"), (2, 1, 2)))
+    assert calls == [(2, 1, 2)]
 
 
 def test_unirad_output():

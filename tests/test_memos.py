@@ -18,7 +18,6 @@ from demazure.characters import _demazure_items
 # memos whose key is a root system, a (family, rank) pair or nothing
 UNBOUNDED = {
     "cli.build_parser",
-    "characters._w0_word",
     "roots.build_root_system",
     "roots._columns",
     "roots.positive_roots_fund",
