@@ -34,7 +34,9 @@ The walk finds x one simple reflection at a time.  For i in S,
 <mu + rho, alpha_i^vee> = mu_i + 1.  At mu_i = -1 the term is 0; at
 mu_i <= -2 it is minus that of s_i.mu = mu - (mu_i + 1) alpha_i, whose
 mu + rho is higher by a positive multiple of alpha_i.  The W_S-orbit is
-finite, so the walk stops, at an S-dominant weight.  The signed sums per
+finite, so the walk stops, at an S-dominant weight.  The walk runs in
+``characters._straightened``, on the packed keys of the memoised
+character of v, and only the totals per S-dominant weight are unpacked.  The signed sums per
 S-dominant nu are the multiplicities, since the characters L(nu) are
 linearly independent.  A negative one, or a total that misses
 dim V(lam), raises RuntimeError.
@@ -55,7 +57,7 @@ from typing import Iterable, Sequence
 from demazure.characters import (
     Character,
     _apply_word,
-    _character,
+    _straightened,
     _weyl_dims,
     demazure_dim,
     dual_weight,
@@ -67,7 +69,6 @@ from demazure.roots import (
     _check_dominant,
     _check_index,
     _check_weight,
-    _columns,
 )
 from demazure.weyl import longest_parabolic, min_coset_rep, reduced_word
 
@@ -155,20 +156,6 @@ def levi_weyl_dim(rs: RootSystem, subset: Iterable[int], mu: Sequence[int]) -> i
     return _weyl_dims(rs, _levi_root_indices(rs, s), [_check_s_dominant(rs, s, mu)])[0]
 
 
-def _straighten(rs: RootSystem, s: Iterable[int], mu: Weight) -> tuple[Weight, int] | None:
-    """(x.mu, eps(x)) for the x in W_S with x.mu S-dominant; None if mu + rho is S-singular."""
-    cols = _columns(rs)
-    nu, sign = list(mu), 1
-    while i := next((t for t in s if nu[t - 1] < 0), 0):
-        k = nu[i - 1] + 1
-        if k == 0:
-            return None
-        for j, c in cols[i - 1]:
-            nu[j] -= k * c
-        sign = -sign
-    return tuple(nu), sign
-
-
 def restrict_to_levi(lam: Sequence[int], levi: LeviDatum) -> BranchingResult:
     """Decompose the irreducible character of lam into Levi constituents."""
     return _branch(lam, levi)[0]
@@ -179,13 +166,8 @@ def _branch(lam: Sequence[int], levi: LeviDatum) -> tuple[BranchingResult, list[
     rs = levi.rs
     s = levi.subset
     lam = _check_dominant(rs, lam)
-    totals: dict[Weight, int] = {}
-    for mu, c in _character(rs, reduced_word(min_coset_rep(rs, s)), lam).items():
-        if straight := _straighten(rs, s, mu):
-            nu, sign = straight
-            totals[nu] = totals.get(nu, 0) + sign * c
     found = []
-    for mu, n in sorted(totals.items()):
+    for mu, n in _straightened(rs, reduced_word(min_coset_rep(rs, s)), lam, s):
         if n < 0:
             raise RuntimeError(f"alternating sum gave multiplicity {n} at {mu}")
         if n:

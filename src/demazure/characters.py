@@ -41,6 +41,13 @@ loop of ``_apply_word``.  The packing depends on lam alone
 (R = h * sum_j |lam_j| + 1).  A repeat is one lookup; a new word costs
 all of its letters, even when it shares a suffix with an earlier one.
 
+The packed format has one other reader, ``_straightened``, the walk of
+Levi branching (``demazure.branching``).  It takes each key of a
+memoised packed character into the S-dominant chamber by the dot action,
+one subtraction of a packed simple root per reflection, sums the signed
+terms by packed key and unpacks only those totals.  No other module
+reads a packing.
+
 ``weyl_dim`` (dimension product formula) and ``freudenthal_multiplicity``
 are independent of the operator path and serve as cross-checks.
 Freudenthal's recursion runs as one loop over the dominant weights
@@ -156,18 +163,10 @@ def _letter(pk: _Packing, i: int, cur: dict[int, int]) -> dict[int, int]:
 
 def _unpack(pk: _Packing, cur: dict[int, int]) -> list[tuple[Weight, int]]:
     """The terms of a packed character, sorted lexicographically by weight."""
-    n = len(pk.places)
+    places = pk.places
     base = pk.base
     radius = pk.radius
-    terms = []
-    for key in sorted(cur):
-        digits = []
-        rest = key
-        for _ in range(n):
-            rest, d = divmod(rest, base)
-            digits.append(d - radius)
-        terms.append((tuple(digits[::-1]), cur[key]))
-    return terms
+    return [(tuple([key // p % base - radius for p in places]), cur[key]) for key in sorted(cur)]
 
 
 def _apply_word(
@@ -213,6 +212,41 @@ def _character(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> Character:
     """A fresh, sorted dict of the memoised character of (word, lam)."""
     pk = _packing(rs, sum(map(abs, lam)))
     return dict(_unpack(pk, _demazure_items(rs, word, lam)))
+
+
+def _straightened(
+    rs: RootSystem, word: tuple[int, ...], lam: Weight, subset: frozenset[int]
+) -> list[tuple[Weight, int]]:
+    """The character of (word, lam), each term walked into the S-dominant chamber.
+
+    S is subset, and the walk is the dot action: at the first i in S
+    where m = <mu, alpha_i^vee> is negative, the term is dropped if
+    m = -1 (mu + rho is S-singular) and otherwise replaced by
+    -e^{mu - (m + 1) alpha_i}.  The walk runs on the memoised packed
+    keys and stays in range: s_i.mu lies on the segment from mu to
+    s_i(mu), so in the hull of W.lam that ``_packing`` covers.  Returns
+    the signed totals per S-dominant weight, zeros included, sorted.
+    """
+    pk = _packing(rs, sum(map(abs, lam)))
+    walls = [(pk.places[i - 1], pk.simple[i - 1]) for i in sorted(subset)]
+    base = pk.base
+    radius = pk.radius
+    totals: dict[int, int] = {}
+    for key, c in _demazure_items(rs, word, lam).items():
+        k = 0
+        while k < len(walls):
+            place, a = walls[k]
+            m = key // place % base - radius
+            k += 1
+            if m == -1:
+                break
+            if m < -1:
+                key -= (m + 1) * a
+                c = -c
+                k = 0
+        else:
+            totals[key] = totals.get(key, 0) + c
+    return _unpack(pk, totals)
 
 
 def demazure_character(rs: RootSystem, word: Sequence[int], lam: Sequence[int]) -> Character:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a verification the command performs
 comes out false (a bound fails, an identity breaks, the audit routes
-disagree), 2 on usage or validation errors.
+disagree), 2 on usage or validation errors and on a cache directory
+that cannot be created or written.
 
 Output discipline: coordinates, indices, and word letters are plain
 JSON integers; potentially large quantities (dimensions, coefficients,
@@ -327,7 +328,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return ns.func(ns)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,12 +14,16 @@ A simple reflection s_i(mu) = mu - mu_i alpha_i touches only the
 coordinates where alpha_i is nonzero: i itself and its Dynkin
 neighbours, at most four coordinates (the branch node of type D or E
 has three neighbours).  ``_columns`` lists those entries of each column
-once per root system, and every reflection in the package runs through
-it, on a list in place::
+once per root system, and every reflection of a weight held as a list
+runs through it, in place::
 
     m = x[i - 1]
     for j, c in _columns(rs)[i - 1]:
         x[j] -= m * c
+
+The packed characters of ``demazure.characters`` reflect otherwise: a
+packed alpha_i is one integer, built from the same column, and the
+Levi walk there subtracts a multiple of it from a packed weight.
 
 ``_to_dominant`` is the one walk into the dominant chamber, reflecting
 at the first negative coordinate until none is left: reduced words,

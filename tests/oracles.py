@@ -1,8 +1,9 @@
 """Reference computations shared by the tests, independent of the library.
 
 Nothing here imports ``demazure``: an oracle reads only the public fields
-of the objects it is handed (``rs.rank``, ``rs.cartan``, ``rs.name``), so
-it shares no code with the routes it checks.
+of the objects it is handed (``rs.rank``, ``rs.cartan``, ``rs.name``), or
+the plain tables it is handed, so it shares no code with the routes it
+checks.
 """
 
 from functools import lru_cache
@@ -105,3 +106,24 @@ def propagated_symmetrizer(rs):
             if d[i] * a[i][j] != d[j] * a[j][i]:
                 raise RuntimeError(f"{rs.name}: Cartan matrix is not symmetrizable")
     return tuple(d)
+
+
+def straighten(cols, subset, mu):
+    """(x.mu, eps(x)) for the x in W_S with x.mu S-dominant; None if mu + rho is S-singular.
+
+    S is subset, x.mu = x(mu + rho) - rho is the dot action and eps the
+    sign of x.  cols is the column table of the root system: entry i-1
+    lists the pairs (j, c) of the nonzero coordinates c of alpha_i in
+    fundamental coordinates, 0-based j.  The walk runs on weight tuples
+    and reflects at the first i in S with mu_i < 0, taking
+    mu - (mu_i + 1) alpha_i; at mu_i = -1 the weight is S-singular.
+    """
+    nu, sign = list(mu), 1
+    while i := next((t for t in subset if nu[t - 1] < 0), 0):
+        k = nu[i - 1] + 1
+        if k == 0:
+            return None
+        for j, c in cols[i - 1]:
+            nu[j] -= k * c
+        sign = -sign
+    return tuple(nu), sign

@@ -5,11 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from demazure import (
     LeviDatum,
+    demazure_character,
     dimension_conserved,
     levi_branching_bound,
     levi_character,
     levi_length_bound,
     levi_weyl_dim,
+    min_coset_rep,
+    reduced_word,
     restrict_to_levi,
     root_system,
     unirad_mult_identity,
@@ -17,9 +20,9 @@ from demazure import (
     weyl_character,
     weyl_dim,
 )
-from demazure.branching import BranchingResult, _branch, _coset_bound, _straighten, s_dominant
-from demazure.roots import sub_weights
-from oracles import scaled_inverse_cartan
+from demazure.branching import BranchingResult, _branch, _coset_bound, s_dominant
+from demazure.roots import _columns, sub_weights
+from oracles import scaled_inverse_cartan, straighten
 
 A2 = root_system("A2")
 A3 = root_system("A3")
@@ -123,14 +126,14 @@ def _klimyk(lam, levi):
 def test_straighten_spots():
     s = frozenset({1, 2})
     # already S-dominant, and s_1.(-3, 3) = (1, 1) with sign -1
-    assert _straighten(A2, s, (2, 0)) == ((2, 0), 1)
-    assert _straighten(A2, s, (-3, 3)) == ((1, 1), -1)
+    assert straighten(_columns(A2), s, (2, 0)) == ((2, 0), 1)
+    assert straighten(_columns(A2), s, (-3, 3)) == ((1, 1), -1)
     # S-singular: mu_1 = -1 at once, or after the step s_2.(1, -3) = (-1, 1)
-    assert _straighten(A2, s, (-1, 5)) is None
-    assert _straighten(A2, s, (1, -3)) is None
+    assert straighten(_columns(A2), s, (-1, 5)) is None
+    assert straighten(_columns(A2), s, (1, -3)) is None
     # off the subset a coordinate may stay negative
-    assert _straighten(A2, frozenset({1}), (-3, 3)) == ((1, 1), -1)
-    assert _straighten(A2, frozenset(), (-3, 3)) == ((-3, 3), 1)
+    assert straighten(_columns(A2), frozenset({1}), (-3, 3)) == ((1, 1), -1)
+    assert straighten(_columns(A2), frozenset(), (-3, 3)) == ((-3, 3), 1)
 
 
 def test_fundamental_restriction_a2():
@@ -273,6 +276,36 @@ def test_alternating_sum_matches_peel_off_oracle():
                 got = restrict_to_levi(lam, levi).constituents
                 assert got == _peel_off(lam, levi), (name, lam, subset)
                 assert got == _klimyk(lam, levi), (name, lam, subset)
+
+
+def _straightened_by_oracle(rs, lam, subset):
+    """The Levi constituents from the tuple walk of ``oracles.straighten``."""
+    word = reduced_word(min_coset_rep(rs, subset))
+    cols = _columns(rs)
+    totals = {}
+    for mu, c in demazure_character(rs, word, lam).items():
+        if straight := straighten(cols, subset, mu):
+            nu, sign = straight
+            totals[nu] = totals.get(nu, 0) + sign * c
+    return tuple((nu, n) for nu, n in sorted(totals.items()) if n)
+
+
+def test_packed_walk_matches_tuple_walk_oracle():
+    cases = []
+    for name in ("A3", "B3", "C3", "D4", "G2"):
+        rank = int(name[1])
+        subsets = [s for k in range(rank + 1) for s in combinations(range(1, rank + 1), k)]
+        for lam in ((1,) * rank, (0,) * (rank - 1) + (2,)):  # rho and 2 omega_n
+            cases += [(name, lam, s) for s in subsets]
+    cases.append(("B3", (6, 6, 6), (1,)))
+    for lam in ((1, 0, 0, 0), (0, 0, 0, 1)):
+        cases += [("F4", lam, s) for s in ((1,), (2, 3), (1, 2, 4))]
+    cases += [("E6", (1, 0, 0, 0, 0, 0), s) for s in ((1,), (2, 3, 4), (1, 3, 5, 6))]
+    for name, lam, subset in cases:
+        rs = root_system(name)
+        levi = LeviDatum(rs, frozenset(subset))
+        expected = _straightened_by_oracle(rs, lam, levi.subset)
+        assert restrict_to_levi(lam, levi).constituents == expected, (name, lam, subset)
 
 
 @given(data=st.data())

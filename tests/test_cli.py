@@ -185,7 +185,7 @@ def test_sl3t_needs_arguments():
     assert "need either --grid" in err
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(tmp_path, monkeypatch):
     assert cap(["définitivement-pas-une-commande"])[0] == 2
     assert cap(["dim", "--type", "A2", "--word", "1"])[0] == 2  # missing --weight
     code, _, err = cap(["dim", "--type", "Z9", "--word", "1", "--weight", "1,1"])
@@ -204,6 +204,19 @@ def test_usage_errors_exit_two():
     code, _, err = cap(["dual", "--type", "A200", "--weight", "1"])
     assert code == 2
     assert err == "error: rank 200 invalid for type A; allowed 1..100\n"
+    # a cache directory that is a regular file, or lies under one
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    for sub in ("char", "dim"):
+        for cache in (blocker, blocker / "sub"):
+            code, out, err = cap([sub, "--type", "A2", "--word", "1", "--weight", "1,0",
+                                  "--cache", str(cache)])
+            assert (code, out) == (2, ""), (sub, cache)
+            assert err.startswith("error: ") and "Traceback" not in err
+    monkeypatch.setenv(CACHE_ENV_VAR, str(blocker))
+    code, out, err = cap(["dim", "--type", "A2", "--word", "1", "--weight", "1,0"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cache_cold_then_warm(tmp_path):

@@ -3,13 +3,16 @@
 The library computes on plain integers; only ``sl3t`` may import
 ``fractions``, as ``sl3t.closed_n`` is the one value in the package that
 really is rational.  Only ``roots`` reads the Cartan matrix: every other
-module reflects through ``roots._columns``.  Only ``roots`` reads a root
+module reflects through ``roots._columns``, or through the packed simple
+roots that ``characters`` builds from it.  Only ``roots`` reads a root
 system's family, so what is known per family (the Dynkin graphs, the
-rank ranges, the root counts) stays in one module.  ``branching`` reads
-Demazure characters only, never an irreducible character or a weight
-multiplicity.  No module imports a name it never uses, and no private
-function or class is left that only the tests call.  The tests' own
-oracles in ``tests/oracles.py`` import nothing from the package.
+rank ranges, the root counts) stays in one module.  Only ``characters``
+reads the fields of a packing, so the packed weight format stays in one
+module too.  ``branching`` reads Demazure characters only, never an
+irreducible character or a weight multiplicity.  No module imports a
+name it never uses, and no private function or class is left that only
+the tests call.  The tests' own oracles in ``tests/oracles.py`` import
+nothing from the package.
 """
 
 import ast
@@ -52,6 +55,12 @@ def test_only_roots_reads_the_cartan_matrix():
 
 def test_only_roots_reads_a_root_systems_family():
     assert _attribute_readers("family") == ["roots.py"]
+
+
+def test_only_characters_reads_the_packing():
+    # the packed weight format is known to one module
+    for field in ("places", "radius", "base", "offset", "simple"):
+        assert _attribute_readers(field) == ["characters.py"], field
 
 
 def _imported_names(path):
