@@ -77,10 +77,8 @@ from demazure.roots import (
     _check_weight,
     _columns,
     _to_dominant,
-    add_weights,
     dominant_conjugate,
     positive_roots_fund,
-    rho,
     root_pairing_data,
     root_system,
     sub_weights,
@@ -302,11 +300,11 @@ def _weyl_dims(rs: RootSystem, root_indices: Sequence[int], mus: Iterable[Weight
     """``weyl_dim`` of each checked weight mu, over the positive roots at root_indices."""
     data = root_pairing_data(rs)
     roots = [data[k][0] for k in root_indices]
-    den = prod(map(sum, roots))  # dot with rho = all ones
+    rho_dots = list(map(sum, roots))  # dot with rho = all ones
+    den = prod(rho_dots)
     dims = []
     for mu in mus:
-        shifted = add_weights(mu, rho(rs))
-        dim, rem = divmod(prod(sum(map(mul, dots, shifted)) for dots in roots), den)
+        dim, rem = divmod(prod(sum(map(mul, dots, mu)) + r for dots, r in zip(roots, rho_dots)), den)
         if rem:
             raise RuntimeError(f"{rs.name}: non-integral dimension product for {mu}")
         dims.append(dim)

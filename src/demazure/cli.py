@@ -79,6 +79,10 @@ def _cache_dir(ns: argparse.Namespace) -> Path | None:
 def _cached_character(rs, word, lam, cache_dir: Path | None):
     if cache_dir is None:
         return demazure_character(rs, word, lam)
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot create cache directory {cache_dir}: {exc.strerror}") from None
     key = (
         f"{rs.name};word={','.join(map(str, word))};"
         f"weight={','.join(map(str, lam))}"
@@ -100,7 +104,6 @@ def _cached_character(rs, word, lam, cache_dir: Path | None):
             print(f"cache entry {path.name} is corrupt; recomputing", file=sys.stderr)
     char = demazure_character(rs, word, lam)
     text = character_to_json(rs, char)
-    cache_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "key": key,
         "sha256": hashlib.sha256(text.encode()).hexdigest(),

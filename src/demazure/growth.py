@@ -53,34 +53,37 @@ sum_mu c_mu q^{ht(lam - mu)} of the Demazure character; its value at
 q = 1 is dim V_w(lam).  ``_interval`` keeps the points and the pairs of
 every letter per (root system, word); they do not depend on lam.
 
-*Bounds and exactness.*  Let N = max ht(lam - z lam) over z in S_k.  If
-A and B have exponents in [0, N] and G (1 - q^c) = A - q^c B, then the
-lowest term of G is that of the right side, at exponent >= 0, and
-deg G + c is its degree, at most N + c.  So every F_v at every stage has
-exponents in [0, N], and every dilation n lam in [0, n N].  The quotient
-is G_k = P_k + G_{k-c}, P = A - q^c B, summed along each residue class
-mod c; it is a polynomial exactly when G_k = 0 for N < k <= N + c, since
-P_k = 0 beyond N + c and so G_k = G_{k-c} there.
+*Evaluation at Q.*  Only the value at q = 1 is read, so each F_v is
+kept, per dilation n, as one integer: its value at Q = 2^b, with b the
+bit length of D = dim V(n_max lam) plus 2, so Q > 4D.  The chain starts
+from F_z(Q) = Q^{n k_z . lam}, and each pair takes
 
-*Every dilation at once.*  All n = 0..n_max share one integer list per
-point: slice n holds exponents 0..n N, and consecutive slices, and the
-end of the list, are separated by a gap of zeros at least as long as
-every c of the chain.  The shifted q^c B then stays inside the gap after
-its own slice, and the residue-class sums run through the whole list in
-one ``itertools.accumulate`` per class: where slice n divides exactly,
-its gap is zero and nothing carries into slice n + 1.  So the division
-is exact exactly when every gap entry of the quotient is 0; otherwise
-RuntimeError is raised, and a broken table never returns a wrong number.
+    g = (Q^c F_high(Q) - F_low(Q)) / (Q^c - 1),
+
+raising RuntimeError when the integer division leaves a remainder.
+Each f_j is the Demazure character of a suffix of the word at n lam, so
+its coefficients are nonnegative and sum to at most D; ev_v sends
+monomials to monomials, so every F_v at every stage has the same
+property, and F_v(Q) is F_v's coefficient list read in base Q.  For A
+and B of that kind, let s_r be the sum of the coefficients of P = A -
+q^c B at the exponents congruent to r mod c: it lies in [-D, D], below
+Q/2 in absolute value.  P is congruent to R = sum_{r<c} s_r q^r modulo
+1 - q^c, and so P(Q) to R(Q) modulo Q^c - 1.  As |R(Q)| < Q^c - 1 and
+digits below Q/2 are unique, Q^c - 1 divides P(Q) exactly when every s_r
+is 0, which is when 1 - q^c divides P; the quotient is then G(Q).  A
+broken table therefore raises instead of returning a wrong number.  At
+the end F_e(1) = F_e(Q) mod (Q - 1), as Q = 1 mod (Q - 1), and
+0 <= F_e(1) <= D < Q - 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from operator import mul, sub
+from operator import mul
 from typing import Sequence
 
+from demazure.characters import weyl_dim
 from demazure.roots import RootSystem, Weight, _check_dominant, _columns
 from demazure.weyl import WeylElement, reduced_word
 
@@ -138,39 +141,29 @@ def _interval(
 
 def _specialisation(
     rs: RootSystem, word: tuple[int, ...], lam: Weight, n_max: int
-) -> list[list[int]]:
-    """F_e for n*lam, n = 0..n_max, from one packed chain.
+) -> tuple[int, list[int]]:
+    """(Q, [F_e(Q) for n*lam, n = 0..n_max]), Q = 2^b > 4 dim V(n_max*lam).
 
-    Entry k of list n is the sum of the coefficients of the weights mu
-    with ht(n*lam - mu) = k in the Demazure character of (word, n*lam).
+    Base-Q digit k of F_e(Q) for n*lam is the sum of the coefficients of
+    the weights mu with ht(n*lam - mu) = k in the Demazure character of
+    (word, n*lam).
     """
     points, sizes, pairs = _interval(rs, word)
-    heights = [sum(map(mul, k, lam)) for k in points]
-    span = max(heights)
-    gap = max((c for letter in pairs for _l, _h, c in letter), default=0)
-    starts = [n * (n - 1) // 2 * span + n * (gap + 1) for n in range(n_max + 2)]
-    size = starts.pop()
-    gaps = [(s + n * span + 1, t) for n, (s, t) in enumerate(zip(starts, starts[1:] + [size]))]
-    chain = []
-    for h in heights:
-        f = [0] * size
-        for n, s in enumerate(starts):
-            f[s + n * h] = 1
-        chain.append(f)
+    b = weyl_dim(rs, [n_max * x for x in lam]).bit_length() + 2
+    chain = [[1 << b * n * sum(map(mul, k, lam)) for n in range(n_max + 1)] for k in points]
     for j in range(len(word), 0, -1):
         for low, high, c in pairs[j - 1]:
-            a = chain[low]
-            quotient = a[:c] + list(map(sub, a[c:], chain[high]))
-            if c == 1:
-                quotient = list(accumulate(quotient))
-            else:
-                for r in range(c):
-                    quotient[r::c] = accumulate(quotient[r::c])
-            if any(any(quotient[s:t]) for s, t in gaps):
-                raise RuntimeError(f"{rs.name}: principal specialisation of {word} at {lam} broke")
+            bc = b * c
+            divisor = (1 << bc) - 1
+            quotient = []
+            for a, h in zip(chain[low], chain[high]):
+                g, rem = divmod((h << bc) - a, divisor)
+                if rem:
+                    raise RuntimeError(f"{rs.name}: principal specialisation of {word} at {lam} broke")
+                quotient.append(g)
             chain[low] = chain[high] = quotient
         del chain[sizes[j - 1]:]
-    return [chain[0][s:s + n * span + 1] for n, s in enumerate(starts)]
+    return 1 << b, chain[0]
 
 
 def dimension_sequence(w: WeylElement, lam: Sequence[int], n_max: int | None = None) -> DilationSequence:
@@ -185,7 +178,8 @@ def dimension_sequence(w: WeylElement, lam: Sequence[int], n_max: int | None = N
         n_max = w.length + 4
     if n_max < need:
         raise ValueError(f"n_max={n_max} too small; need at least length(w)+2 = {need}")
-    values = tuple(map(sum, _specialisation(w.rs, reduced_word(w), lam, n_max)))
+    q, at_q = _specialisation(w.rs, reduced_word(w), lam, n_max)
+    values = tuple(f % (q - 1) for f in at_q)
     if values[0] != 1:
         raise RuntimeError("dilation sequence must start at 1")
     if any(a > b for a, b in zip(values, values[1:])):

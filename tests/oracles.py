@@ -7,6 +7,7 @@ checks.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
 
 
@@ -127,3 +128,43 @@ def straighten(cols, subset, mu):
             nu[j] -= k * c
         sign = -sign
     return tuple(nu), sign
+
+
+def principal_specialisation(tables, lam, n_max):
+    """Coefficient lists of the principal specialisations F_e at n*lam, n = 0..n_max.
+
+    tables is the (points, sizes, pairs) chain of a reduced word: points
+    holds the simple-coroot coordinates k_v, S_j = points[:sizes[j]], and
+    pairs[j-1] lists the (low, high, c) of letter j.  Entry k of list n
+    sums the coefficients at ht(n*lam - mu) = k.  Every point holds all
+    dilations in one integer list: slice n holds exponents 0..n N, N the
+    largest height k_v . lam, and slices are kept apart by gaps of zeros
+    at least as long as every c.  Each pair divides (A - q^c B) by
+    1 - q^c with one running sum per residue class mod c; the division is
+    exact exactly when every gap entry of the quotient is 0, and
+    RuntimeError is raised otherwise.
+    """
+    points, sizes, pairs = tables
+    heights = [sum(k * x for k, x in zip(point, lam)) for point in points]
+    span = max(heights)
+    gap = max((c for letter in pairs for _l, _h, c in letter), default=0)
+    starts = [n * (n - 1) // 2 * span + n * (gap + 1) for n in range(n_max + 2)]
+    size = starts.pop()
+    gaps = [(s + n * span + 1, t) for n, (s, t) in enumerate(zip(starts, starts[1:] + [size]))]
+    chain = []
+    for h in heights:
+        f = [0] * size
+        for n, s in enumerate(starts):
+            f[s + n * h] = 1
+        chain.append(f)
+    for j in range(len(pairs), 0, -1):
+        for low, high, c in pairs[j - 1]:
+            a = chain[low]
+            quotient = a[:c] + [x - y for x, y in zip(a[c:], chain[high])]
+            for r in range(c):
+                quotient[r::c] = accumulate(quotient[r::c])
+            if any(any(quotient[s:t]) for s, t in gaps):
+                raise RuntimeError("principal specialisation broke")
+            chain[low] = chain[high] = quotient
+        del chain[sizes[j - 1]:]
+    return [chain[0][s:s + n * span + 1] for n, s in enumerate(starts)]

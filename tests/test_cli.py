@@ -219,6 +219,27 @@ def test_usage_errors_exit_two(tmp_path, monkeypatch):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_unusable_cache_directory_fails_before_any_work(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("character computed before the cache directory was made")
+
+    monkeypatch.setattr(cli, "demazure_character", refuse)
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    argv = ["dim", "--type", "B3", "--word", "1,2,1,3,2,1,3,2,3", "--weight", "12,12,12"]
+
+    def check(argv):
+        code, out, err = cap(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot create cache directory {blocker}: ")
+        assert err.count("\n") == 1
+
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    check(argv + ["--cache", str(blocker)])
+    monkeypatch.setenv(CACHE_ENV_VAR, str(blocker))
+    check(argv)
+
+
 def test_cache_cold_then_warm(tmp_path):
     argv = ["char", "--type", "A2", "--word", "1,2,1", "--weight", "1,1",
             "--cache", str(tmp_path)]

@@ -24,7 +24,7 @@ from demazure import (
 )
 from demazure import growth
 from demazure.roots import root_pairing_data
-from oracles import scaled_inverse_cartan
+from oracles import principal_specialisation, scaled_inverse_cartan
 
 A2 = root_system("A2")
 
@@ -153,11 +153,20 @@ def _principal(rs, char, lam):
     return [out.get(k, 0) for k in range(max(out) + 1)]
 
 
+def _digits(x, q):
+    """The base-q digits of x >= 0, lowest first."""
+    out = []
+    while x:
+        x, d = divmod(x, q)
+        out.append(d)
+    return out
+
+
 @pytest.mark.parametrize("name, lam", [
     ("A4", (1, 0, 1, 0)), ("B3", (1, 1, 0)), ("C3", (0, 1, 1)), ("D4", (1, 0, 0, 1)),
     ("E6", (1, 0, 0, 0, 0, 0)), ("F4", (0, 0, 0, 1)), ("G2", (1, 1)),
 ])
-def test_packed_slices_are_principal_specialisations(name, lam):
+def test_base_q_digits_are_principal_specialisations(name, lam):
     rs = root_system(name)
     rng = random.Random(f"principal-{name}")
     top = len(rs.positive_roots)
@@ -166,19 +175,79 @@ def test_packed_slices_are_principal_specialisations(name, lam):
         w = demazure_fold(identity(rs), letters)
         assert 0 < w.length < top
         word = reduced_word(w)
-        for n, got in enumerate(growth._specialisation(rs, word, lam, 2)):
+        q, at_q = growth._specialisation(rs, word, lam, 2)
+        for n, got in enumerate(at_q):
             n_lam = tuple(n * x for x in lam)
-            assert got == _principal(rs, demazure_character(rs, word, n_lam), n_lam), (word, n)
+            assert _digits(got, q) == _principal(rs, demazure_character(rs, word, n_lam), n_lam), (word, n)
+
+
+def _check_against_slices(w, lam):
+    # the gap-separated coefficient lists of the oracle, summed, and read as base-Q digits
+    word = reduced_word(w)
+    slices = principal_specialisation(growth._interval(w.rs, word), lam, w.length + 4)
+    assert dimension_sequence(w, lam).values == tuple(map(sum, slices)), (w, lam)
+    q, at_q = growth._specialisation(w.rs, word, lam, w.length + 4)
+    for got, coeffs in zip(at_q, slices):
+        digits = _digits(got, q)
+        assert digits + [0] * (len(coeffs) - len(digits)) == coeffs, (w, lam)
+
+
+@pytest.mark.parametrize("name", ["B3", "C3"])
+def test_dimensions_match_slice_oracle_on_whole_group(name):
+    for w in weyl_group(root_system(name)):
+        _check_against_slices(w, (1, 0, 1))
+
+
+def test_dimensions_match_slice_oracle_on_sampled_elements():
+    rs = root_system("F4")
+    sample = random.Random("slices-F4").sample([w for w in weyl_group(rs) if w.length <= 12], 6)
+    for w in sample:
+        _check_against_slices(w, (1, 0, 0, 1))
+
+
+def _corrupted(monkeypatch, rs, word, j, k, pair):
+    """Make growth read the chain of word with pair k of letter j replaced."""
+    points, sizes, pairs = growth._interval(rs, word)
+    letter = pairs[j][:k] + (pair,) + pairs[j][k + 1:]
+    broken = pairs[:j] + (letter,) + pairs[j + 1:]
+    monkeypatch.setattr(growth, "_interval", lambda rs, word: (points, sizes, broken))
 
 
 def test_corrupted_division_raises(monkeypatch):
-    # lengthen one c: the quotient is then not a polynomial, and the gap test must see it
-    points, sizes, pairs = growth._interval(A2, (1, 2, 1))
-    low, high, c = pairs[0][0]
-    broken = ((low, high, c + 1),) + pairs[0][1:]
-    monkeypatch.setattr(growth, "_interval", lambda rs, word: (points, sizes, (broken,) + pairs[1:]))
+    # lengthen one c: the quotient is then not a polynomial, and the remainder test must see it
+    low, high, c = growth._interval(A2, (1, 2, 1))[2][0][0]
+    _corrupted(monkeypatch, A2, (1, 2, 1), 0, 0, (low, high, c + 1))
     with pytest.raises(RuntimeError, match="principal specialisation"):
         dimension_sequence(longest_element(A2), (1, 1), 5)
+
+
+def test_swapped_pair_raises(monkeypatch):
+    # divide from the upper point of a pair of the second letter
+    low, high, c = growth._interval(A2, (1, 2, 1))[2][1][0]
+    _corrupted(monkeypatch, A2, (1, 2, 1), 1, 0, (high, low, c))
+    with pytest.raises(RuntimeError, match="principal specialisation"):
+        dimension_sequence(longest_element(A2), (1, 1), 5)
+
+
+def test_every_shifted_c_raises_on_b3():
+    # c + 1 and c - 1 on each pair with c >= 2 in the chain of w0 at rho
+    rs = root_system("B3")
+    w0 = longest_element(rs)
+    word = reduced_word(w0)
+    pairs = growth._interval(rs, word)[2]
+    cases = [
+        (j, k, (low, high, c + d))
+        for j, letter in enumerate(pairs)
+        for k, (low, high, c) in enumerate(letter)
+        if c >= 2
+        for d in (1, -1)
+    ]
+    assert len(cases) == 128
+    for j, k, pair in cases:
+        with pytest.MonkeyPatch.context() as mp:
+            _corrupted(mp, rs, word, j, k, pair)
+            with pytest.raises(RuntimeError, match="principal specialisation"):
+                dimension_sequence(w0, rho(rs))
 
 
 def _covers_below(w, lam):
