@@ -25,9 +25,16 @@ Every operator letter runs through one kernel, ``_letter``, on packed
 weights.  Each weight is packed once into a single integer with one
 base-(2R+1) digit per coordinate, offset by R, coordinate 1 most
 significant, so integer order is lexicographic weight order and
-subtracting alpha_i is subtracting one fixed integer.  An alpha_i-string
-is then a ``range`` of integers, and the pairing m is one digit read off
-the key.  The radius is R = h * max_mu sum_j |mu_j| + 1 over the input
+subtracting alpha_i is subtracting one fixed integer a, and the pairing
+m is one digit read off the key.  A letter is Demazure's formula
+D_i f = (f - e^{-alpha_i} s_i f)/(1 - e^{-alpha_i}): each term that
+moves puts two signed entries into a difference table, +c at its key
+and -c at key - (m + 1) a, and one sweep down each alpha_i-string, a
+running sum that steps by -a, divides by 1 - e^{-alpha_i}.  So a letter
+costs a sort of the table plus one dict write per weight it outputs,
+not one per step of every term's string; terms with m = 0 are fixed and
+added afterwards, and a letter that fixes every term returns its input
+as it is.  The radius is R = h * max_mu sum_j |mu_j| + 1 over the input
 support, with h the largest simple-root coefficient of a positive root:
 every weight a chain writes lies in the convex hull of the Weyl orbit of
 the input support, where no coordinate exceeds h * sum_j |mu_j| in
@@ -141,22 +148,70 @@ def _pack(pk: _Packing, mu: Weight) -> int:
 
 
 def _letter(pk: _Packing, i: int, cur: dict[int, int]) -> dict[int, int]:
-    """The operator for alpha_i on a packed character, into a new dict."""
+    """The operator for alpha_i on a packed character, with no zero entries.
+
+    Returns cur itself when every term pairs to 0 with alpha_i^vee, so
+    that the letter fixes the character, and a new dict otherwise.
+
+    Demazure's formula reads D_i f = (f - e^{-alpha_i} s_i f)/(1 - e^{-alpha_i}).
+    For one term c e^mu with m = <mu, alpha_i^vee>, s_i mu = mu - m alpha_i,
+    so the numerator is c e^mu - c e^{mu - (m + 1) alpha_i}: the term puts
+    +c at its key and -c at key - (m + 1) a into a difference table, a
+    the packed alpha_i.  For m <= -2 the second key lies above mu; for
+    m = -1 the two entries cancel and the term is skipped.
+
+    Dividing by 1 - e^{-alpha_i} multiplies by 1 + e^{-alpha_i} +
+    e^{-2 alpha_i} + ..., a running sum down each alpha_i-string.  The
+    sweep visits the table's keys in integer order down the strings
+    (descending when a > 0, ascending when a < 0), so each key is
+    reached after every key above it on its string.  At a key whose
+    running sum s is nonzero it writes s there and at each step of -a
+    below it, up to the next key of the table on the string, which takes
+    s into its own entry and carries the sum on.  The walk stops: a
+    term's two entries lie on one string and sum to 0, so the entries of
+    each string sum to 0, and a nonzero running sum leaves a nonzero
+    remainder further down the string, at a key of the table.  The
+    stretches between keys are disjoint, so each weight is written once,
+    with its final value, and a zero sum writes nothing: the output holds
+    no zero entry, and no filter pass is needed.
+
+    Terms with m = 0 are fixed by the letter; they skip the table and
+    are added after the sweep, deleting any key whose sum comes to 0.
+    """
     a = pk.simple[i - 1]
     place = pk.places[i - 1]
     base = pk.base
     radius = pk.radius
-    out: dict[int, int] = {}
-    get = out.get
+    diff: dict[int, int] = {}
+    get = diff.get
+    fixed = []
     for key, c in cur.items():
         m = key // place % base - radius
-        if m >= 0:
-            for k in range(key, key - (m + 1) * a, -a):
-                out[k] = get(k, 0) + c
-        elif m <= -2:
-            for k in range(key + a, key - m * a, a):
-                out[k] = get(k, 0) - c
-    return {k: c for k, c in out.items() if c}
+        if not m:
+            fixed.append(key)
+        elif m != -1:
+            diff[key] = get(key, 0) + c
+            key -= (m + 1) * a
+            diff[key] = get(key, 0) - c
+    if len(fixed) == len(cur):
+        return cur
+    out: dict[int, int] = {}
+    for key in sorted(diff, reverse=a > 0):
+        s = diff[key]
+        if s:
+            out[key] = s
+            key -= a
+            while key not in diff:
+                out[key] = s
+                key -= a
+            diff[key] += s
+    for key in fixed:
+        c = out.get(key, 0) + cur[key]
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return out
 
 
 def _unpack(pk: _Packing, cur: dict[int, int]) -> list[tuple[Weight, int]]:
@@ -316,6 +371,36 @@ def dual_weight(rs: RootSystem, lam: Sequence[int]) -> Weight:
     return dominant_conjugate(rs, [-x for x in _check_dominant(rs, lam)])
 
 
+@lru_cache(maxsize=16)
+def _freudenthal_data(
+    rs: RootSystem,
+) -> tuple[tuple[tuple[Weight, Weight, Weight], ...], dict[Weight, int], int, tuple[Weight, ...]]:
+    """What ``freudenthal_multiplicity`` reads of a root system.
+
+    Returns the positive roots as (fundamental coordinates, simple-root
+    coordinates, dot vector), the position of each root by its
+    fundamental coordinates, K, and the rows of the map
+    x -> sum_{alpha > 0} (x, alpha) alpha = K x from fundamental to
+    simple-root coordinates.  The dot vector of alpha is c(alpha) d
+    entrywise, so entry (j, k) is d_k sum_{alpha > 0} c_j(alpha) c_k(alpha),
+    d the symmetrizer.  Readers must not change the dict.
+    """
+    data = root_pairing_data(rs)
+    scale, rem = divmod(2 * sum(halfnorm for _dots, halfnorm in data), rs.rank)  # K
+    if rem:
+        raise RuntimeError(f"{rs.name}: the root norms do not sum to a multiple of the rank")
+    pos_fund = positive_roots_fund(rs)
+    roots = tuple(zip(pos_fund, rs.positive_roots, (dots for dots, _halfnorm in data)))
+    cols = tuple(zip(*rs.positive_roots))
+    gram: dict[tuple[int, int], int] = {}  # sum_{alpha > 0} c_j(alpha) c_k(alpha)
+    for j, col in enumerate(cols):
+        for k in range(j, rs.rank):
+            gram[j, k] = gram[k, j] = sum(map(mul, col, cols[k]))
+    rows = tuple(tuple(gram[j, k] * d for k, d in enumerate(symmetrizer(rs))) for j in range(rs.rank))
+    index = {alpha: k for k, alpha in enumerate(pos_fund)}
+    return roots, index, scale, rows
+
+
 def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -> int:
     """Weight multiplicity by Freudenthal's formula, in one iterative pass.
 
@@ -357,11 +442,14 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
     read off the trace: x -> (x, alpha) alpha has trace (alpha, alpha),
     so K times the rank is sum_{alpha > 0} (alpha, alpha), twice the sum
     of the half-norms of ``root_pairing_data``; a remainder in that
-    division raises RuntimeError.  The sum at x = lam - mu+ runs over the
-    positive-root table in simple-root coordinates, and each coordinate
-    is one exact division by K; a remainder means lam - mu+ is not in the
-    root lattice and a negative quotient that mu+ is not below lam, and
-    either way the multiplicity is 0.
+    division raises RuntimeError.  The map is linear, so
+    ``_freudenthal_data`` keeps it per root system as an integer n x n
+    matrix, built once from the positive-root table along with K.  Each
+    simple-root coordinate of lam - mu+ is then one row of it times
+    lam - mu+ and one exact division by K, before any sum over the
+    roots; a remainder means lam - mu+ is not in the root lattice and a
+    negative quotient that mu+ is not below lam, and either way the
+    multiplicity is 0.
 
     Everything is an integer: lam - nu has integral simple-root
     coordinates p, and |lam+rho|^2 - |nu+rho|^2 = (lam - nu, lam + nu +
@@ -376,23 +464,15 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
     mu = _check_weight(rs, mu)
     _check_dominant(rs, lam)  # after both length checks, whose errors come first
     bottom = dominant_conjugate(rs, mu)
-    pos_fund = positive_roots_fund(rs)
-    data = root_pairing_data(rs)
-    roots = list(zip(pos_fund, rs.positive_roots, (dots for dots, _halfnorm in data)))
-    scale, rem = divmod(2 * sum(halfnorm for _dots, halfnorm in data), rs.rank)  # K
-    if rem:
-        raise RuntimeError(f"{rs.name}: the root norms do not sum to a multiple of the rank")
-    # sum_{alpha > 0} (x, alpha) alpha at x = lam - bottom, in simple-root coordinates
+    roots, index, scale, rows = _freudenthal_data(rs)
     diff = sub_weights(lam, bottom)
-    pairs = [sum(map(mul, dots, diff)) for _alpha, _coords, dots in roots]
     gap = []  # simple-root coordinates of lam - bottom
-    for column in zip(*rs.positive_roots):
-        c, rem = divmod(sum(map(mul, pairs, column)), scale)
+    for row in rows:
+        c, rem = divmod(sum(map(mul, row, diff)), scale)
         if rem or c < 0:
             return 0
         gap.append(c)
     cols = _columns(rs)
-    index = {alpha: k for k, alpha in enumerate(pos_fund)}
     sym = symmetrizer(rs)
     shift = tuple(x + 2 for x in lam)  # lam + 2 rho
     # dominant weight -> (multiplicity, tails in positive-root order)

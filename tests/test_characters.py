@@ -31,7 +31,7 @@ from demazure import (
     weyl_dim,
     weyl_group,
 )
-from demazure.characters import _demazure_items
+from demazure.characters import _demazure_items, _freudenthal_data, _letter, _pack, _packing
 from demazure.roots import root_pairing_data
 from oracles import scaled_inverse_cartan
 
@@ -266,6 +266,16 @@ def test_freudenthal_scale_is_the_trace():
         rs = root_system(name)
         scale, rem = divmod(2 * sum(h for _dots, h in root_pairing_data(rs)), rs.rank)
         assert rem == 0 and scale == _scale_at_alpha_1(rs), name
+
+
+def test_freudenthal_rows_are_k_times_inverse_cartan():
+    # the stored map x -> sum_{alpha > 0} (x, alpha) alpha is K A^{-1},
+    # against the Gauss-Jordan oracle's D A^{-1}
+    for name in ["A1", "A7", "B5", "C6", "D8", "E6", "E7", "E8", "F4", "G2"]:
+        rs = root_system(name)
+        _roots, _index, scale, rows = _freudenthal_data(rs)
+        d, inverse = scaled_inverse_cartan(rs)
+        assert [[d * x for x in row] for row in rows] == [[scale * x for x in row] for row in inverse], name
 
 
 @pytest.mark.parametrize("k", [4000, 4001])
@@ -607,6 +617,52 @@ def test_kernel_reaches_packing_radius():
                 reach = max([reach, *(abs(x) for mu in out for x in mu)])
         assert reach == h, name
 
+
+# Long alpha_i-strings, packed simple roots of both signs (alpha_2 of A2
+# packs to a negative integer) and starts whose running sums along a
+# string return to 0 part of the way down, or cancel altogether.
+LONG_STRING_CASES = [
+    ("A1", (1,), {(2400,): 1}),
+    ("A1", (1,), {(-2400,): 1}),
+    ("A2", (1, 2, 1), {(40, 0): 1}),
+    ("A2", (2, 1, 2), {(40, 0): 1}),
+    ("A2", (1, 2, 1), {(0, 40): 1}),
+    ("A2", (2, 1, 2), {(0, 40): 1}),
+    ("G2", None, {(12, 12): 1}),
+    ("A1", (1,), {(6,): 1, (2,): -1}),
+    ("A1", (1,), {(5,): 1, (-7,): 2}),
+    ("A1", (1,), {(3,): 1, (-5,): 1}),
+    ("A2", (1, 2, 1), {(5, -3): 2, (1, -1): -2, (-4, 2): 1, (3, 0): -1}),
+    ("B2", (2, 1, 2), {(-6, 4): 3, (2, -5): -1, (4, 0): -3}),
+]
+
+
+@pytest.mark.parametrize("name, word, char", LONG_STRING_CASES)
+def test_kernel_on_long_strings_and_both_signs(name, word, char):
+    rs = root_system(name)
+    if word is None:
+        word = reduced_word(longest_element(rs))
+    out = apply_demazure_word(rs, word, char)
+    assert out == _reference_word(rs, word, char)
+    assert all(out.values())
+
+
+def test_letter_that_fixes_every_term_returns_its_input():
+    # every term pairs to 0 with alpha_1^vee: the letter is the identity
+    pk = _packing(A2, 6)
+    fixed = {_pack(pk, mu): c for mu, c in {(0, 3): 1, (0, -2): -4}.items()}
+    assert _letter(pk, 1, fixed) is fixed
+    moved = {**fixed, _pack(pk, (1, 0)): 2}
+    out = _letter(pk, 1, moved)
+    assert out is not moved and out == {**fixed, _pack(pk, (1, 0)): 2, _pack(pk, (-1, 1)): 2}
+
+
+def test_weight_multiplicity_of_a_long_string_character():
+    # V((200, 200)) of A2: strings of up to 401 weights through the kernel
+    assert weight_multiplicity(A2, (200, 200), (0, 0)) == 201
+    # (180, 195) is dominant and (-180, 375) = s_1 (180, 195)
+    for mu in [(180, 195), (-180, 375)]:
+        assert weight_multiplicity(A2, (200, 200), mu) == freudenthal_multiplicity(A2, (200, 200), mu) == 11
 
 
 # The memo keeps whole characters of (word, lam); the result must not
