@@ -17,8 +17,8 @@ parsing with it.
 
 The character cache (``--cache DIR``, default from the environment
 variable DEMAZURE_CACHE_DIR) stores canonical character JSON keyed by
-(type, word, weight) with a content checksum; corrupt or mismatched
-entries are recomputed and overwritten with a warning.
+(format version, type, word, weight) with a content checksum; corrupt or
+mismatched entries are recomputed and overwritten with a warning.
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ from demazure.sl3t import (
 from demazure.weyl import demazure_fold, from_word, identity, reduced_word
 
 CACHE_ENV_VAR = "DEMAZURE_CACHE_DIR"
+# Part of every cache key, and so of every entry's file name: raising it
+# when the entry format changes leaves older entries unread.
+_CACHE_FORMAT = 1
 
 __all__ = ["run", "main", "CACHE_ENV_VAR"]
 
@@ -84,7 +87,7 @@ def _cached_character(rs, word, lam, cache_dir: Path | None):
     except OSError as exc:
         raise OSError(f"cannot create cache directory {cache_dir}: {exc.strerror}") from None
     key = (
-        f"{rs.name};word={','.join(map(str, word))};"
+        f"format={_CACHE_FORMAT};{rs.name};word={','.join(map(str, word))};"
         f"weight={','.join(map(str, lam))}"
     )
     path = cache_dir / (hashlib.sha256(key.encode()).hexdigest() + ".json")
@@ -207,7 +210,10 @@ def _cmd_unirad(ns: argparse.Namespace) -> int:
 
 def _cmd_growth(ns: argparse.Namespace) -> int:
     rs = root_system(ns.type)
-    w = from_word(rs, _csv_ints(ns.word))
+    word = _csv_ints(ns.word)
+    w = from_word(rs, word)
+    if w.length != len(word):  # as demazure_character refuses it for char and dim
+        raise ValueError(f"word {word} is not reduced")
     seq = dimension_sequence(w, _csv_ints(ns.weight), ns.n)
     degree = growth_degree(seq)
     if ns.format == "tsv":

@@ -5,18 +5,31 @@ fundamental-weight coordinates.  rho is regular, so u determines w, and
 equality of group elements is equality of vectors regardless of which
 word produced them.  The coordinate u_i is <rho, w(alpha_i^vee)>, so i
 is a right descent of w exactly when u_i < 0, and right multiplication
-by s_i stores s_i(u).  Peeling right descents off u until it reaches
-rho spells a reduced word of w^{-1}; length is the number of descents
-peeled, cached per element.  Left descents are the negative coordinates
-of w(rho).
+by s_i stores s_i(u).  Left descents are the negative coordinates of
+w(rho).
 
-Each element keeps one word, cached on first use: the
-lexicographically smallest reduced word, obtained by greedily taking
-the smallest left descent.  ``reduced_word`` returns it, and ``apply``
-and ``*`` read it.  Length stays a plain peel, one walk where the word
-takes two.  ``min_coset_rep`` is memoised per subset, so the minimal
-coset representative of a Levi subset, and with it its word, is built
-once.
+Each element walks once, on first use: the peel.  Reflecting u at its
+first negative coordinate until it reaches rho takes letters
+a1, ..., ak with s_ak ... s_a1 w^{-1} = 1, so w = s_ak ... s_a1 and the
+peel reversed is a reduced word of w.  Everything else reads that walk
+without scanning again: the length is its count; ``apply`` reflects a
+weight along it, a1 first, and w(rho) is rho reflected so; ``*``
+reflects along it reversed; and ``demazure_product`` folds it reversed.
+
+Folding any reduced word of v gives the same 0-Hecke product w * v.
+The product is associative, and along a reduced word i1, ..., ik every
+step raises the length, so s_i1 * ... * s_ik = v and folding the
+letters into w gives w * v (Knutson-Miller, "Subword complexes in
+Coxeter groups", 2004).
+
+``reduced_word`` returns the lexicographically smallest reduced word,
+the one word anything prints.  It is the greedy walk from w(rho) at the
+smallest left descent, one walk more than the peel.  The peel, the
+length and the word are stored in the instance dictionary by
+``_cached``, which, unlike ``functools.cached_property`` before Python
+3.12, takes no lock on the first read.  ``min_coset_rep`` is memoised
+per subset, so the minimal coset representative of a Levi subset, and
+with it its word, is built once.
 
 Every letter is one simple reflection, and s_i changes only coordinate
 i and the coordinates of i's Dynkin neighbours: the entries of column i
@@ -42,7 +55,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from demazure.roots import (
@@ -80,16 +93,29 @@ def _negative(v: Weight) -> tuple[int, ...]:
     return tuple(i for i, x in enumerate(v, 1) if x < 0)
 
 
-def _rho_image(rs: RootSystem, u: Weight) -> Weight:
-    """w(rho) for u = w^{-1}(rho), in one pass over u.
+def _rho_image(w: "WeylElement") -> Weight:
+    """w(rho): rho reflected along the peel, a1 first, as w = s_ak ... s_a1."""
+    return _reflect(w.rs, rho(w.rs), w._peel)
 
-    Peeling u takes letters a1, ..., ak with s_ak ... s_a1 w^{-1} = 1, so
-    w = s_ak ... s_a1 and w(rho) is rho reflected in a1 first: the second
-    vector takes each letter as the peel finds it.
+
+class _cached:
+    """An attribute computed on first read and stored in the instance dictionary.
+
+    The stored value shadows this non-data descriptor, so later reads are
+    plain attribute lookups.  Unlike ``functools.cached_property`` before
+    Python 3.12, the first read takes no lock.
     """
-    y = list(rho(rs))
-    _to_dominant(_columns(rs), list(u), y)
-    return tuple(y)
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -97,17 +123,22 @@ class WeylElement:
     rs: RootSystem
     u: Weight  # w^{-1}(rho)
 
-    @cached_property
-    def length(self) -> int:
-        """Number of right descents peeled off before reaching the identity."""
-        return len(_to_dominant(_columns(self.rs), list(self.u)))
+    @_cached
+    def _peel(self) -> tuple[int, ...]:
+        """Letters a1, ..., ak that walk u to rho, so w = s_ak ... s_a1."""
+        return tuple(_to_dominant(_columns(self.rs), list(self.u)))
 
-    @cached_property
+    @_cached
+    def length(self) -> int:
+        """Number of letters in the peel."""
+        return len(self._peel)
+
+    @_cached
     def _word(self) -> tuple[int, ...]:
         # The valid first letters of reduced words are exactly the left
         # descents, the negative coordinates of w(rho), so the walk that
         # always reflects at the smallest one spells the least word.
-        return tuple(_to_dominant(_columns(self.rs), list(_rho_image(self.rs, self.u))))
+        return tuple(_to_dominant(_columns(self.rs), list(_rho_image(self))))
 
     @property
     def is_identity(self) -> bool:
@@ -115,13 +146,13 @@ class WeylElement:
 
     def apply(self, mu: Sequence[int]) -> Weight:
         """Image of a weight (fundamental coordinates) under this element."""
-        return _reflect(self.rs, _check_weight(self.rs, mu), reversed(self._word))
+        return _reflect(self.rs, _check_weight(self.rs, mu), self._peel)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs != other.rs:
             raise ValueError("cannot multiply elements of different root systems")
-        # (vw)^{-1}(rho) = w^{-1}(v^{-1}(rho)); w^{-1} acts by w's word, first letter first.
-        return WeylElement(self.rs, _reflect(self.rs, self.u, other._word))
+        # (vw)^{-1}(rho) = w^{-1}(v^{-1}(rho)); w^{-1} = s_a1 ... s_ak acts ak first.
+        return WeylElement(self.rs, _reflect(self.rs, self.u, reversed(other._peel)))
 
     def __repr__(self) -> str:
         word = ",".join(map(str, reduced_word(self))) or "e"
@@ -139,8 +170,10 @@ def simple_element(rs: RootSystem, i: int) -> WeylElement:
 def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     """Product s_{i1} s_{i2} ... s_{ik} for word (i1, ..., ik)."""
     word = tuple(word)
+    n = rs.rank
     for i in word:
-        _check_index(rs, i)
+        if not 1 <= i <= n:
+            _check_index(rs, i)
     return WeylElement(rs, _reflect(rs, rho(rs), word))
 
 
@@ -151,7 +184,7 @@ def right_descents(w: WeylElement) -> tuple[int, ...]:
 
 def left_descents(w: WeylElement) -> tuple[int, ...]:
     """Indices i with length(s_i w) < length(w), i.e. w(rho)_i < 0."""
-    return _negative(_rho_image(w.rs, w.u))
+    return _negative(_rho_image(w))
 
 
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
@@ -166,7 +199,7 @@ def all_reduced_words(w: WeylElement) -> Iterator[tuple[int, ...]]:
     # s_i x has v reflected in i.  The stack holds v and the untried
     # descents per letter taken, so no word costs Python recursion.
     word: list[int] = []
-    v = _rho_image(w.rs, w.u)
+    v = _rho_image(w)
     stack = [(v, iter(_negative(v)))]
     while stack:
         v, todo = stack[-1]
@@ -182,7 +215,7 @@ def all_reduced_words(w: WeylElement) -> Iterator[tuple[int, ...]]:
 
 
 def inverse(w: WeylElement) -> WeylElement:
-    return WeylElement(w.rs, _rho_image(w.rs, w.u))
+    return WeylElement(w.rs, _rho_image(w))
 
 
 @lru_cache(maxsize=None)
@@ -229,10 +262,12 @@ def _min_coset_rep(rs: RootSystem, subset: frozenset[int]) -> WeylElement:
 def demazure_fold(w: WeylElement, letters: Iterable[int]) -> WeylElement:
     """Fold letters into w by x*s = xs if that is longer, else x."""
     rs = w.rs
+    n = rs.rank
     cols = _columns(rs)
     u = list(w.u)
     for i in letters:
-        _check_index(rs, i)
+        if not 1 <= i <= n:
+            _check_index(rs, i)
         m = u[i - 1]
         # i is an ascent of x exactly when u_i > 0
         if m > 0:
@@ -242,10 +277,14 @@ def demazure_fold(w: WeylElement, letters: Iterable[int]) -> WeylElement:
 
 
 def demazure_product(w: WeylElement, v: WeylElement) -> WeylElement:
-    """0-Hecke (Demazure) product of two group elements."""
+    """0-Hecke (Demazure) product of two group elements.
+
+    Folds v's peel reversed, a reduced word of v; any reduced word of v
+    gives the same product.
+    """
     if w.rs != v.rs:
         raise ValueError("cannot multiply elements of different root systems")
-    return demazure_fold(w, reduced_word(v))
+    return demazure_fold(w, reversed(v._peel))
 
 
 # Largest group weyl_group lists.  E6 (51,840 elements), the largest

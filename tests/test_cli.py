@@ -282,6 +282,27 @@ def test_cache_unparseable_file_recovers(tmp_path):
     assert "corrupt; recomputing" in err
 
 
+def test_cache_never_reads_an_unversioned_entry(tmp_path):
+    # A well-formed entry under the file name of the old key, which had no
+    # format version, holding a wrong character: it must not be read.
+    rs = root_system("A2")
+    old_key = "A2;word=1,2,1;weight=1,1"
+    wrong = demazure.characters.character_to_json(rs, {(1, 1): 5})
+    payload = {"key": old_key, "sha256": hashlib.sha256(wrong.encode()).hexdigest(),
+               "character": wrong}
+    name = hashlib.sha256(old_key.encode()).hexdigest() + ".json"
+    for sub, expected in (("char", ADJOINT_JSON + "\n"), ("dim", "8\n")):
+        cache = tmp_path / sub
+        cache.mkdir()
+        (cache / name).write_text(json.dumps(payload))
+        code, out, err = cap([sub, "--type", "A2", "--word", "1,2,1", "--weight", "1,1",
+                              "--cache", str(cache)])
+        assert (code, out, err) == (0, expected, ""), sub
+        # the fresh entry sits beside the old one, which is left as it was
+        assert len(list(cache.glob("*.json"))) == 2, sub
+        assert json.loads((cache / name).read_text()) == payload, sub
+
+
 def test_cache_write_is_atomic_rename(tmp_path, monkeypatch):
     real_replace = cli.os.replace
     renames = []

@@ -42,6 +42,19 @@ CLI_CASES = [
     ("bad_branch_rank", ["branch", "--type", "A2", "--weight", "1,1,1", "--subset", "1"], 2, True),
     ("bad_branch_family", ["branch", "--type", "H3", "--weight", "1,1,1", "--subset", "1"], 2, True),
     ("bad_unirad_not_s_dominant", ["unirad", "--type", "A2", "--weight=-1,1", "--subset", "1"], 2, True),
+] + [
+    (f"hecke_{name}", ["hecke", "--type", name[:2], "--left", left, "--right", right], 0, False)
+    for name, left, right in (
+        # two words of 45 and 40 letters whose product has length 21, neither e nor w0
+        ("F4_long",
+         "4,4,2,2,2,2,2,4,1,2,4,3,4,2,2,1,3,2,2,2,4,4,4,3,3,4,2,3,2,2,3,3,2,3,4,3,2,3,3,3,4,2,3,3,3",
+         "1,1,1,3,2,3,3,3,1,1,2,2,3,2,3,2,2,3,2,1,1,3,3,2,3,1,2,3,1,1,2,1,1,1,3,2,3,1,4,1"),
+        ("E6_nonreduced_left", "1,1,3,4,3,2,4,5,6,6,5", "6,5,4,3,1,2"),
+        ("D4_empty_left", "", "1,2,3,4,2,1,3"),
+        ("G2", "2,1", "1,2,1"),
+    )
+] + [
+    ("bad_growth_not_reduced", ["growth", "--type", "A2", "--word", "1,1", "--weight", "1,1"], 2, True),
 ]
 SCRIPT_CASES = [
     (f"growth_table_{t}", ["scripts/growth_table.py", "--type", t], 0, False) for t in ("A2", "B2", "G2", "B3")

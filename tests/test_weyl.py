@@ -270,6 +270,43 @@ def right_ascents(rs, w):
     return [i for i in range(1, rs.rank + 1) if i not in right_descents(w)]
 
 
+def test_every_reduced_word_folds_to_the_demazure_product():
+    # The product folds one reduced word of v; the 0-Hecke product does
+    # not depend on which, so every other one must fold to it too.
+    for name, step in (("A3", 1), ("G2", 1), ("B3", 7), ("C3", 5)):
+        group = weyl_group(root_system(name))
+        for v in group:
+            words = list(all_reduced_words(v))
+            for w in group[::step]:
+                product = demazure_product(w, v)
+                assert all(demazure_fold(w, word) == product for word in words), (name, w, v)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_cached_reads_do_not_depend_on_their_order(data):
+    # Pairs of fresh, equal elements read in opposite orders: what each
+    # read caches must not change what the other returns.
+    rs = root_system(data.draw(st.sampled_from(ORACLE_TYPES)))
+    words = [data.draw(_words(rs)) for _ in range(2)]
+    e = identity(rs)
+    a, b = (demazure_fold(e, words[0]) for _ in range(2))
+    length_a = a.length
+    word_a = reduced_word(a)
+    word_b = reduced_word(b)
+    length_b = b.length
+    assert (length_a, word_a) == (length_b, word_b)
+    assert length_a == len(word_a) and from_word(rs, word_a) == a
+    x = demazure_fold(e, words[1])
+    v, y = (demazure_fold(e, words[0]) for _ in range(2))
+    product_v = demazure_product(x, v)
+    word_v = reduced_word(v)
+    word_y = reduced_word(y)
+    product_y = demazure_product(x, y)
+    assert (product_v, word_v) == (product_y, word_y)
+    assert product_v == demazure_fold(x, word_v)
+
+
 @given(data=st.data())
 @settings(max_examples=40)
 def test_image_of_root_set_is_root_set(data):
