@@ -252,7 +252,7 @@ def _cmd_sl3t(ns: argparse.Namespace) -> int:
         ok = True
         for row in audit_rows(kmax, lmax):
             ok = ok and row[-1]
-            print("\t".join(str(x) for x in row))
+            print("\t".join(map(str, row)))
         return 0 if ok else 1
     if ns.k1 is None or ns.k2 is None or ns.l is None:
         raise ValueError("need either --grid or all of --k1, --k2, --l")

@@ -25,15 +25,25 @@ eigensection space for the torus character:
 
 * ``theorem2_mult``: counts how many times (1, 1) can be subtracted from
   (k1, k2) with the biweight staying a member, plus one.
+
+``audit_rows`` runs the three routes over a grid on plain integers.  Per
+(k1, k2) it expands the character of V(k2, k1) once, the same memoised
+longest-element character that ``weight_multiplicity`` reads, so route 2
+still reads a weight multiplicity, looked up at each torus character.
+Per row it computes 6n once; membership, the closed multiplicity and the
+printed n all come from that integer.  Route 3 steps down from each
+member by its own membership tests, as ``theorem2_mult`` does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import gcd
 from typing import Iterator, Sequence
 
-from demazure.characters import weight_multiplicity
+from demazure.characters import weight_multiplicity, weyl_character
 from demazure.roots import Weight, root_system
 
 __all__ = [
@@ -48,9 +58,6 @@ __all__ = [
     "audit_rows",
     "AUDIT_COLUMNS",
 ]
-
-_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
 
 @dataclass(frozen=True)
 class Biweight:
@@ -72,7 +79,14 @@ class Biweight:
 
 def _six_n(k1: int, k2: int, l: Sequence[int]) -> int:
     """6n = 3(k1 + k2) - sum over cyclic (i, j, k) of |k1 - k2 + 2 l_i - l_j - l_k|."""
-    return 3 * (k1 + k2) - sum(abs(k1 - k2 + 2 * l[i] - l[j] - l[k]) for i, j, k in _CYCLIC)
+    l1, l2, l3 = l
+    d = k1 - k2
+    return (
+        3 * (k1 + k2)
+        - abs(d + 2 * l1 - l2 - l3)
+        - abs(d + 2 * l2 - l3 - l1)
+        - abs(d + 2 * l3 - l1 - l2)
+    )
 
 
 def closed_n(bw: Biweight) -> Fraction:
@@ -80,13 +94,33 @@ def closed_n(bw: Biweight) -> Fraction:
     return Fraction(_six_n(bw.k1, bw.k2, bw.l), 6)
 
 
+def _closed(k1: int, k2: int, l: Sequence[int], six_n: int) -> int:
+    """``closed_mult`` on integers, given six_n = 6n and k1, k2 >= 0.
+
+    Membership is k1 - k2 == l1 + l2 + l3 (mod 3) and n a nonnegative
+    integer, so the result, n + 1 or 0, is positive exactly for members.
+    """
+    if (k1 - k2 - sum(l)) % 3 or six_n < 0 or six_n % 6:
+        return 0
+    return six_n // 6 + 1
+
+
 def _member(k1: int, k2: int, l: Sequence[int]) -> bool:
-    if k1 < 0 or k2 < 0:
-        return False
-    if (k1 - k2 - sum(l)) % 3:
-        return False
-    six_n = _six_n(k1, k2, l)
-    return six_n >= 0 and six_n % 6 == 0
+    return k1 >= 0 and k2 >= 0 and _closed(k1, k2, l, _six_n(k1, k2, l)) > 0
+
+
+def _steps(k1: int, k2: int, l: Sequence[int]) -> int:
+    """How many of (k1, k2), (k1 - 1, k2 - 1), ... are members, counted until one is not."""
+    t = 0
+    while _member(k1 - t, k2 - t, l):
+        t += 1
+    return t
+
+
+def _n_text(six_n: int) -> str:
+    """``str(Fraction(six_n, 6))`` without the Fraction."""
+    g = gcd(six_n, 6)
+    return str(six_n // g) if g == 6 else f"{six_n // g}/{6 // g}"
 
 
 def sigma_member(bw: Biweight) -> bool:
@@ -95,9 +129,7 @@ def sigma_member(bw: Biweight) -> bool:
 
 
 def closed_mult(bw: Biweight) -> int:
-    if not sigma_member(bw):
-        return 0
-    return _six_n(bw.k1, bw.k2, bw.l) // 6 + 1
+    return _closed(bw.k1, bw.k2, bw.l, _six_n(bw.k1, bw.k2, bw.l))
 
 
 def torus_weight_coords(l: Sequence[int]) -> Weight:
@@ -120,12 +152,7 @@ def theorem2_mult(bw: Biweight) -> int:
     Terminates because each step lowers k1 (and membership requires
     nonnegative weights).
     """
-    if not sigma_member(bw):
-        return 0
-    t = 0
-    while _member(bw.k1 - t - 1, bw.k2 - t - 1, bw.l):
-        t += 1
-    return t + 1
+    return _steps(bw.k1, bw.k2, bw.l)
 
 
 def generator_biweights() -> tuple[Biweight, ...]:
@@ -154,21 +181,23 @@ AUDIT_COLUMNS = (
 def audit_rows(kmax: int, lmax: int) -> Iterator[tuple]:
     """Grid audit of the three routes; one row per biweight.
 
-    k1, k2 range over 0..kmax and each l_i over -lmax..lmax.
+    k1, k2 range over 0..kmax and each l_i over -lmax..lmax.  Each row
+    holds what ``sigma_member``, ``str(closed_n)``, ``closed_mult``,
+    ``mult_via_weights`` and ``theorem2_mult`` give for the biweight.
+    Route 2 expands the character of the dual module V(k2, k1) once per
+    (k1, k2): it is the character ``weight_multiplicity`` reads, so each
+    row still reads a weight multiplicity.  Route 1 computes 6n once per
+    row, and route 3 steps down from each member by its own membership
+    tests.
     """
+    a2 = root_system("A2")
+    span = range(-lmax, lmax + 1)
     for k1 in range(kmax + 1):
         for k2 in range(kmax + 1):
-            for l1 in range(-lmax, lmax + 1):
-                for l2 in range(-lmax, lmax + 1):
-                    for l3 in range(-lmax, lmax + 1):
-                        bw = Biweight(k1, k2, (l1, l2, l3))
-                        member = sigma_member(bw)
-                        n = closed_n(bw)
-                        a = closed_mult(bw)
-                        b = mult_via_weights(bw)
-                        c = theorem2_mult(bw)
-                        yield (
-                            k1, k2, l1, l2, l3,
-                            member, str(n), a, b, c,
-                            a == b == c,
-                        )
+            dual = weyl_character(a2, (k2, k1))
+            for l in product(span, repeat=3):
+                six_n = _six_n(k1, k2, l)
+                a = _closed(k1, k2, l, six_n)
+                b = dual.get(torus_weight_coords(l), 0)
+                c = _steps(k1, k2, l) if a else 0
+                yield (k1, k2, *l, a > 0, _n_text(six_n), a, b, c, a == b == c)

@@ -350,7 +350,12 @@ def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
                         col[r] -= c * y
                 orbit.append((x, length + 1, cols[:i] + (tuple(col),) + cols[i + 1 :]))
     orbit.sort(key=lambda entry: (entry[1], tuple(zip(*entry[2]))))
-    return tuple(WeylElement(rs, u) for u, _length, _cols in orbit)
+    group = []
+    for u, length, _cols in orbit:
+        w = WeylElement(rs, u)
+        w.__dict__["length"] = length  # the depth, stored as ``_cached`` would
+        group.append(w)
+    return tuple(group)
 
 
 if __name__ == "__main__":

@@ -55,12 +55,17 @@ CLI_CASES = [
     )
 ] + [
     ("bad_growth_not_reduced", ["growth", "--type", "A2", "--word", "1,1", "--weight", "1,1"], 2, True),
+    # the two-token --grid form and grid size the benchmark sends
+    ("sl3t_grid_2_1", ["sl3t", "--grid", "2", "1"], 0, False),
+    ("bad_sl3t_grid_one_number", ["sl3t", "--grid", "1"], 2, True),
 ]
 SCRIPT_CASES = [
     (f"growth_table_{t}", ["scripts/growth_table.py", "--type", t], 0, False) for t in ("A2", "B2", "G2", "B3")
 ] + [
     ("growth_table_A3_101_w0", ["scripts/growth_table.py", "--type", "A3", "--weight", "1,0,1", "--window", "0"], 0, False),
     ("sl3t_audit_k3_l2", ["scripts/sl3t_audit.py", "--kmax", "3", "--lmax", "2", "--table"], 0, False),
+    # the summary line of the 16,807-biweight run the README quotes
+    ("sl3t_audit_k6_l3", ["scripts/sl3t_audit.py", "--kmax", "6", "--lmax", "3"], 0, False),
     ("bad_growth_table_E7", ["scripts/growth_table.py", "--type", "E7"], 2, True),
 ]
 

@@ -149,3 +149,22 @@ def test_audit_rows():
     assert len(hit) == 1
     member, n, closed, weights, steps, agree = hit[0][5:]
     assert (member, closed, weights, steps, agree) == (True, 2, 2, 2, True)
+
+
+@pytest.mark.parametrize("kmax, lmax", [(3, 2), (1, 3)])
+def test_audit_rows_match_public_routes(kmax, lmax):
+    # Every audit column against the public per-biweight function it stands for.
+    ns = set()
+    for row in audit_rows(kmax, lmax):
+        k1, k2, l1, l2, l3, member, n, closed, weights, steps, agree = row
+        bw = Biweight(k1, k2, (l1, l2, l3))
+        assert member is sigma_member(bw), row
+        assert n == str(closed_n(bw)), row
+        assert (closed, weights, steps) == (
+            closed_mult(bw), mult_via_weights(bw), theorem2_mult(bw)
+        ), row
+        assert agree is (closed == weights == steps), row
+        ns.add(closed_n(bw))
+    assert any(n < 0 and n.denominator == 1 for n in ns)
+    assert any(n.denominator > 1 for n in ns)
+    assert any(n >= 0 and n.denominator == 1 for n in ns)

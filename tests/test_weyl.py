@@ -22,7 +22,7 @@ from demazure import (
     weyl_group,
 )
 from demazure.roots import _columns
-from demazure.weyl import _group_order
+from demazure.weyl import WeylElement, _group_order
 from oracles import straighten
 
 WEYL_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12, "D4": 192}
@@ -174,6 +174,15 @@ def test_group_order_formula_matches_enumeration():
     for name in ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2", "E6"):
         rs = root_system(name)
         assert _group_order(rs) == len(weyl_group(rs)), name
+
+
+def test_weyl_group_stores_each_length():
+    # The breadth-first depth is stored at build time; a fresh element
+    # with the same u computes its length by walking its peel.
+    for name in ("A3", "B3", "C3", "G2", "F4"):
+        rs = root_system(name)
+        for w in weyl_group(rs):
+            assert vars(w)["length"] == WeylElement(rs, w.u).length, (name, w.u)
 
 
 def test_weyl_group_refuses_large_groups():
