@@ -4,8 +4,6 @@ from demazure.branching import (
     BranchingResult,
     LeviDatum,
     dimension_conserved,
-    levi_branching_bound,
-    levi_character,
     levi_length_bound,
     levi_weyl_dim,
     restrict_to_levi,
@@ -13,7 +11,6 @@ from demazure.branching import (
 )
 from demazure.characters import (
     Character,
-    apply_demazure_word,
     character_from_json,
     character_to_json,
     demazure_character,

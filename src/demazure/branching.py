@@ -41,11 +41,13 @@ S-dominant nu are the multiplicities, since the characters L(nu) are
 linearly independent.  A negative one, or a total that misses
 dim V(lam), raises RuntimeError.
 
-The bound functions compare Levi multiplicities and constituent counts
-against the dimension of the Demazure module attached to the minimal
-coset representative for S at the dual weight.  ``unirad_mult_identity``
-checks that the Demazure module of the parabolic longest element has
-exactly the dimension of the Levi module with the same highest weight.
+The bound is ``_coset_bound``, the dimension of the Demazure module of
+the minimal coset representative for S at the dual weight.
+``levi_length_bound`` compares the number of constituents with it, and
+the CLI ``branch`` compares that number and each multiplicity.
+``unirad_mult_identity`` checks that the Demazure module of the
+parabolic longest element has exactly the dimension of the Levi module
+with the same highest weight.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from demazure.characters import (
-    Character,
     _apply_word,
     _straightened,
     _weyl_dims,
@@ -75,11 +76,9 @@ from demazure.weyl import longest_parabolic, min_coset_rep, reduced_word
 __all__ = [
     "LeviDatum",
     "BranchingResult",
-    "levi_character",
     "levi_weyl_dim",
     "restrict_to_levi",
     "dimension_conserved",
-    "levi_branching_bound",
     "levi_length_bound",
     "unirad_mult_identity",
     "s_dominant",
@@ -110,10 +109,6 @@ class BranchingResult:
         """Number of Levi constituents counted with multiplicity."""
         return sum(m for _, m in self.constituents)
 
-    def multiplicity(self, mu: Sequence[int]) -> int:
-        target = tuple(mu)
-        return dict(self.constituents).get(target, 0)
-
 
 def s_dominant(subset: Iterable[int], mu: Sequence[int]) -> bool:
     return all(mu[i - 1] >= 0 for i in subset)
@@ -142,12 +137,6 @@ def _levi_char_items(
 ) -> tuple[tuple[Weight, int], ...]:
     word = reduced_word(longest_parabolic(rs, subset))
     return tuple(_apply_word(rs, word, {mu: 1}))
-
-
-def levi_character(rs: RootSystem, subset: Iterable[int], mu: Sequence[int]) -> Character:
-    """Character of the Levi module with highest weight mu, on the ambient lattice."""
-    s = frozenset(subset)
-    return dict(_levi_char_items(rs, s, _check_s_dominant(rs, s, mu)))
 
 
 def levi_weyl_dim(rs: RootSystem, subset: Iterable[int], mu: Sequence[int]) -> int:
@@ -195,16 +184,6 @@ def _filled(result: BranchingResult, dims: Sequence[int]) -> int:
 def _coset_bound(lam: Weight, levi: LeviDatum) -> int:
     rep = min_coset_rep(levi.rs, levi.subset)
     return demazure_dim(rep, dual_weight(levi.rs, lam))
-
-
-def levi_branching_bound(
-    lam: Sequence[int], mu: Sequence[int], levi: LeviDatum
-) -> tuple[int, int, bool]:
-    """(multiplicity of mu, Demazure bound, bound holds)."""
-    result = restrict_to_levi(lam, levi)
-    mult = result.multiplicity(mu)
-    bound = _coset_bound(result.lam, levi)
-    return mult, bound, mult <= bound
 
 
 def levi_length_bound(lam: Sequence[int], levi: LeviDatum) -> tuple[int, int, bool]:

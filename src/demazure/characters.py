@@ -91,14 +91,13 @@ from demazure.roots import (
     sub_weights,
     symmetrizer,
 )
-from demazure.weyl import WeylElement, from_word, longest_element, reduced_word
+from demazure.weyl import WeylElement, _check_reduced, longest_element, reduced_word
 
 Character = dict[Weight, int]
 
 __all__ = [
     "Character",
     "demazure_operator",
-    "apply_demazure_word",
     "demazure_character",
     "demazure_dim",
     "weyl_character",
@@ -248,11 +247,6 @@ def demazure_operator(rs: RootSystem, i: int, char: Character) -> Character:
     return dict(_apply_word(rs, (i,), char))
 
 
-def apply_demazure_word(rs: RootSystem, word: Sequence[int], char: Character) -> Character:
-    """Compose operators along a word, last letter applied first."""
-    return dict(_apply_word(rs, word, char))
-
-
 @lru_cache(maxsize=256)
 def _demazure_items(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> dict[int, int]:
     # The packed character of (word, lam).  Readers must not change the
@@ -310,8 +304,7 @@ def demazure_character(rs: RootSystem, word: Sequence[int], lam: Sequence[int]) 
     """
     lam = _check_dominant(rs, lam)
     word = tuple(word)
-    if from_word(rs, word).length != len(word):
-        raise ValueError(f"word {word} is not reduced")
+    _check_reduced(rs, word)
     return _character(rs, word, lam)
 
 

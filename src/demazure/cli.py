@@ -54,7 +54,8 @@ from demazure.sl3t import (
     sigma_member,
     theorem2_mult,
 )
-from demazure.weyl import demazure_fold, from_word, identity, reduced_word
+from demazure.weyl import demazure_fold, identity, reduced_word
+from demazure.weyl import _check_reduced
 
 CACHE_ENV_VAR = "DEMAZURE_CACHE_DIR"
 # Part of every cache key, and so of every entry's file name: raising it
@@ -210,10 +211,7 @@ def _cmd_unirad(ns: argparse.Namespace) -> int:
 
 def _cmd_growth(ns: argparse.Namespace) -> int:
     rs = root_system(ns.type)
-    word = _csv_ints(ns.word)
-    w = from_word(rs, word)
-    if w.length != len(word):  # as demazure_character refuses it for char and dim
-        raise ValueError(f"word {word} is not reduced")
+    w = _check_reduced(rs, _csv_ints(ns.word))
     seq = dimension_sequence(w, _csv_ints(ns.weight), ns.n)
     degree = growth_degree(seq)
     if ns.format == "tsv":

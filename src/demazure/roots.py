@@ -121,11 +121,6 @@ class RootSystem:
     def name(self) -> str:
         return f"{self.family}{self.rank}"
 
-    def simple_root(self, i: int) -> Weight:
-        """Fundamental coordinates of alpha_i (column i of the Cartan matrix)."""
-        _check_index(self, i)
-        return tuple(row[i - 1] for row in self.cartan)
-
     def __repr__(self) -> str:
         return f"RootSystem({self.name})"
 

@@ -72,10 +72,6 @@ class Biweight:
         if self.k1 < 0 or self.k2 < 0:
             raise ValueError(f"({self.k1}, {self.k2}) is not a dominant weight")
 
-    def shifted(self, m: int) -> "Biweight":
-        """The same biweight with the torus character rewritten by l -> l + (m, m, m)."""
-        return Biweight(self.k1, self.k2, tuple(x + m for x in self.l))
-
 
 def _six_n(k1: int, k2: int, l: Sequence[int]) -> int:
     """6n = 3(k1 + k2) - sum over cyclic (i, j, k) of |k1 - k2 + 2 l_i - l_j - l_k|."""

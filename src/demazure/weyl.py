@@ -140,10 +140,6 @@ class WeylElement:
         # always reflects at the smallest one spells the least word.
         return tuple(_to_dominant(_columns(self.rs), list(_rho_image(self))))
 
-    @property
-    def is_identity(self) -> bool:
-        return self.u == rho(self.rs)
-
     def apply(self, mu: Sequence[int]) -> Weight:
         """Image of a weight (fundamental coordinates) under this element."""
         return _reflect(self.rs, _check_weight(self.rs, mu), self._peel)
@@ -175,6 +171,14 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
         if not 1 <= i <= n:
             _check_index(rs, i)
     return WeylElement(rs, _reflect(rs, rho(rs), word))
+
+
+def _check_reduced(rs: RootSystem, word: tuple[int, ...]) -> WeylElement:
+    """The element the word spells; ValueError unless the word is reduced."""
+    w = from_word(rs, word)
+    if w.length != len(word):
+        raise ValueError(f"word {word} is not reduced")
+    return w
 
 
 def right_descents(w: WeylElement) -> tuple[int, ...]:

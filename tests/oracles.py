@@ -11,6 +11,11 @@ from itertools import accumulate
 from math import gcd, lcm
 
 
+def simple_root(rs, i):
+    """Fundamental coordinates of alpha_i: column i of the Cartan matrix."""
+    return tuple(row[i - 1] for row in rs.cartan)
+
+
 @lru_cache(maxsize=None)
 def scaled_inverse_cartan(rs):
     """(D, rows): rows == D * A^{-1} for the Cartan matrix A, integral, D the least such.

@@ -13,6 +13,19 @@ irreducible character or a weight multiplicity.  No module imports a
 name it never uses, and no private function or class is left that only
 the tests call.  The tests' own oracles in ``tests/oracles.py`` import
 nothing from the package.
+
+No public name is left that only the tests call either.  Each name in a
+module's ``__all__``, and each public method or property of a class in
+one, needs a user outside the tests: library code other than its own
+definition and the ``__init__`` re-export, ``scripts/`` or
+``perfbench/``, a backticked span or a doctest line of README.md, a
+doctest in the package, or the acceptance suite
+``tests/test_acceptance.py``.  A name counts as used where it is read as
+a name, as an attribute or as an imported name; in text, where it is a
+word.  The exceptions are listed in ``UNUSED_PUBLIC``, each with its
+reason: five one-line Weyl group and weight primitives.  Code that only
+the tests need lives in the tests, as ``tests/oracles.py`` and the
+test-side helpers do.
 """
 
 import ast
@@ -127,3 +140,110 @@ def test_every_private_definition_is_used_in_the_package():
 
 def test_oracles_import_nothing_from_the_package():
     assert "demazure" not in _imported_modules(TESTS / "oracles.py")
+
+
+ROOT = TESTS.parent
+
+# Public names that nothing outside the tests uses, each with the reason it stays.
+UNUSED_PUBLIC = {
+    "pairing": "names the coroot pairing <mu, alpha_i^vee>, which the library reads as mu[i - 1]",
+    "add_weights": "completes sub_weights and scale_weight, which the library uses; one line",
+    "inverse": "the group inverse; one line on w(rho), which every element already computes",
+    "left_descents": "the descents the README describes; one line on w(rho)",
+    "right_descents": "the descents the README describes; one line on the stored u = w^{-1}(rho)",
+}
+
+
+def _names_read(tree, skip=()):
+    """Names read in a parsed file, as a name, an attribute or an imported name.
+
+    Nodes in ``skip``, and everything below them, are left out.
+    """
+    names = []
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.extend(alias.name for alias in node.names)
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _doctest_words(text):
+    return {
+        word
+        for line in text.splitlines()
+        if line.lstrip().startswith((">>>", "..."))
+        for word in re.findall(r"\w+", line)
+    }
+
+
+def _public_surface(trees):
+    """Each ``__all__`` name, and each public method or property of a class in one.
+
+    Maps a name to the (file name, definition node) pairs that define it,
+    the node None for a name that is not a function or a class.
+    """
+    surface = {}
+    for filename, tree in trees.items():
+        exported = set()
+        defs = {}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported = set(ast.literal_eval(node.value))
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+        for name in exported:
+            node = defs.get(name)
+            surface.setdefault(name, set()).add((filename, node))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        surface.setdefault(item.name, set()).add((filename, item))
+    return surface
+
+
+def _unused_public_names():
+    # the __init__ re-exports are not uses
+    trees = {
+        p.name: ast.parse(p.read_text(), str(p)) for p in SRC.glob("*.py") if p.name != "__init__.py"
+    }
+    outside = [*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py"), TESTS / "test_acceptance.py"]
+    used = set()
+    for p in outside:
+        used.update(_names_read(ast.parse(p.read_text(), str(p))))
+    readme = (ROOT / "README.md").read_text()
+    used |= _doctest_words(readme)
+    spans = re.sub(r"```.*?```", "", readme, flags=re.DOTALL)
+    used.update(word for span in re.findall(r"`([^`]+)`", spans) for word in re.findall(r"\w+", span))
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                used |= _doctest_words(ast.get_docstring(node) or "")
+    unused = set()
+    for name, defs in _public_surface(trees).items():
+        if name in used:
+            continue
+        # a use inside the name's own definition does not count
+        if not any(
+            name in _names_read(tree, {node for where, node in defs if where == filename})
+            for filename, tree in trees.items()
+        ):
+            unused.add(name)
+    return unused
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    unused = _unused_public_names()
+    extra = sorted(unused - UNUSED_PUBLIC.keys())
+    assert not extra, f"only the tests use {extra}"
+    stale = sorted(UNUSED_PUBLIC.keys() - unused)
+    assert not stale, f"allow-listed, but used outside the tests: {stale}"

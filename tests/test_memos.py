@@ -5,13 +5,17 @@ has a finite ``maxsize``.  Only memos keyed on the root system alone (or
 on nothing) may be unbounded: there are finitely many root systems.
 ``perfbench/worker.py`` reads ``cache_info()`` of two of them under
 ``--trace``, and the CI ``bench-smoke`` job runs that path.
+``branching._levi_char_items`` is read in the library only by
+``unirad_mult_identity``; it stays, under its name and its
+``lru_cache``, until the benchmark stops reading its counters (ROADMAP
+items 1 and 5).
 """
 
 import importlib
 import pkgutil
 
 import demazure
-from demazure import root_system, weyl_character
+from demazure import LeviDatum, root_system, unirad_mult_identity, weyl_character
 from demazure.branching import _levi_char_items
 from demazure.characters import _demazure_items
 
@@ -60,3 +64,15 @@ def test_full_character_keeps_one_memo_entry():
     char = weyl_character(root_system("E8"), (1, 0, 0, 0, 0, 0, 0, 0))
     assert sum(char.values()) == 3875
     assert _demazure_items.cache_info().currsize == 1
+
+
+def test_unirad_fills_the_levi_memo():
+    # the benchmark's branching.levi_memo_* counters read this memo
+    levi = LeviDatum(root_system("A3"), {1, 2})
+    _levi_char_items.cache_clear()
+    assert unirad_mult_identity((1, 1, 0), levi) == (8, 8, True)
+    info = _levi_char_items.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+    assert unirad_mult_identity((1, 1, 0), levi) == (8, 8, True)
+    info = _levi_char_items.cache_info()
+    assert (info.hits, info.misses) == (1, 1)

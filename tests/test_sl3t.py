@@ -96,7 +96,7 @@ def test_triple_agreement_small_grid():
 @settings(max_examples=150)
 def test_shift_invariance(k1, k2, l, shift):
     bw = Biweight(k1, k2, l)
-    moved = bw.shifted(shift)
+    moved = Biweight(k1, k2, tuple(x + shift for x in l))
     assert moved.l == tuple(x + shift for x in l)
     assert closed_n(moved) == closed_n(bw)
     assert sigma_member(moved) == sigma_member(bw)
