@@ -42,7 +42,6 @@ from demazure.roots import (
 from demazure.sl3t import (
     Biweight,
     closed_mult,
-    closed_n,
     generator_biweights,
     mult_via_weights,
     sigma_member,

@@ -44,16 +44,8 @@ from demazure.characters import (
 )
 from demazure.growth import dimension_sequence, finite_differences, growth_degree
 from demazure.roots import root_system
-from demazure.sl3t import (
-    AUDIT_COLUMNS,
-    Biweight,
-    audit_rows,
-    closed_mult,
-    closed_n,
-    mult_via_weights,
-    sigma_member,
-    theorem2_mult,
-)
+from demazure.sl3t import AUDIT_COLUMNS, Biweight, audit_rows, mult_via_weights
+from demazure.sl3t import _audit_row
 from demazure.weyl import demazure_fold, identity, reduced_word
 from demazure.weyl import _check_reduced
 
@@ -96,15 +88,12 @@ def _cached_character(rs, word, lam, cache_dir: Path | None):
         try:
             obj = json.loads(path.read_text())
             text = obj["character"]
-            if (
-                obj["key"] == key
-                and hashlib.sha256(text.encode()).hexdigest() == obj["sha256"]
-            ):
-                _, char = character_from_json(text)
-                print(f"cache hit: {path.name}", file=sys.stderr)
-                return char
-            print(f"cache entry {path.name} is corrupt; recomputing", file=sys.stderr)
-        except (json.JSONDecodeError, KeyError, OSError, ValueError):
+            if obj["key"] != key or hashlib.sha256(text.encode()).hexdigest() != obj["sha256"]:
+                raise ValueError("key or checksum mismatch")
+            _, char = character_from_json(text)
+            print(f"cache hit: {path.name}", file=sys.stderr)
+            return char
+        except (AttributeError, KeyError, OSError, RecursionError, TypeError, ValueError):
             print(f"cache entry {path.name} is corrupt; recomputing", file=sys.stderr)
     char = demazure_character(rs, word, lam)
     text = character_to_json(rs, char)
@@ -169,14 +158,10 @@ def _cmd_branch(ns: argparse.Namespace) -> int:
     levi = LeviDatum(rs, frozenset(subset))
     result, dims, full_dim = _branch(lam, levi)
     bound = _coset_bound(result.lam, levi)
-    constituents = []
-    ok = True
-    for (mu, mult), dim in zip(result.constituents, dims):
-        holds = mult <= bound
-        ok = ok and holds
-        constituents.append(
-            {"weight": list(mu), "mult": str(mult), "levi_dim": str(dim), "holds": holds}
-        )
+    constituents = [
+        {"weight": list(mu), "mult": str(mult), "levi_dim": str(dim), "holds": mult <= bound}
+        for (mu, mult), dim in zip(result.constituents, dims)
+    ]
     length_holds = result.length <= bound
     out = {
         "root_system": rs.name,
@@ -190,7 +175,7 @@ def _cmd_branch(ns: argparse.Namespace) -> int:
         "dimension_conserved": True,  # _branch raises unless it holds
     }
     print(_dumps(out))
-    return 0 if (ok and length_holds) else 1
+    return 0 if length_holds else 1
 
 
 def _cmd_unirad(ns: argparse.Namespace) -> int:
@@ -255,15 +240,13 @@ def _cmd_sl3t(ns: argparse.Namespace) -> int:
     if ns.k1 is None or ns.k2 is None or ns.l is None:
         raise ValueError("need either --grid or all of --k1, --k2, --l")
     bw = Biweight(ns.k1, ns.k2, _csv_ints(ns.l))
-    n = closed_n(bw)
-    a, b, c = closed_mult(bw), mult_via_weights(bw), theorem2_mult(bw)
-    agree = a == b == c
+    *_, member, n, a, b, c, agree = _audit_row(bw.k1, bw.k2, bw.l, mult_via_weights(bw))
     out = {
         "k1": bw.k1,
         "k2": bw.k2,
         "l": list(bw.l),
-        "member": sigma_member(bw),
-        "n": str(n),
+        "member": member,
+        "n": n,
         "closed_mult": str(a),
         "weight_mult": str(b),
         "theorem2_mult": str(c),

@@ -26,19 +26,20 @@ eigensection space for the torus character:
 * ``theorem2_mult``: counts how many times (1, 1) can be subtracted from
   (k1, k2) with the biweight staying a member, plus one.
 
-``audit_rows`` runs the three routes over a grid on plain integers.  Per
-(k1, k2) it expands the character of V(k2, k1) once, the same memoised
-longest-element character that ``weight_multiplicity`` reads, so route 2
-still reads a weight multiplicity, looked up at each torus character.
-Per row it computes 6n once; membership, the closed multiplicity and the
-printed n all come from that integer.  Route 3 steps down from each
-member by its own membership tests, as ``theorem2_mult`` does.
+Everything here is computed on plain integers, n as the integer 6n.
+The CLI's single query and ``audit_rows`` build a biweight's row the same
+way, given route 2's multiplicity: 6n is computed once, and membership,
+the closed multiplicity and the printed n all come from it; route 3
+steps down from each member by its own membership tests, as
+``theorem2_mult`` does.  The single query reads route 2 through
+``mult_via_weights``.  ``audit_rows`` expands the character of V(k2, k1)
+once per (k1, k2), the same memoised longest-element character that
+``weight_multiplicity`` reads, and looks each torus character up in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import gcd
 from typing import Iterator, Sequence
@@ -48,7 +49,6 @@ from demazure.roots import Weight, root_system
 
 __all__ = [
     "Biweight",
-    "closed_n",
     "sigma_member",
     "closed_mult",
     "mult_via_weights",
@@ -85,11 +85,6 @@ def _six_n(k1: int, k2: int, l: Sequence[int]) -> int:
     )
 
 
-def closed_n(bw: Biweight) -> Fraction:
-    """The closed-formula parameter n; the multiplicity is n + 1 for members."""
-    return Fraction(_six_n(bw.k1, bw.k2, bw.l), 6)
-
-
 def _closed(k1: int, k2: int, l: Sequence[int], six_n: int) -> int:
     """``closed_mult`` on integers, given six_n = 6n and k1, k2 >= 0.
 
@@ -114,7 +109,7 @@ def _steps(k1: int, k2: int, l: Sequence[int]) -> int:
 
 
 def _n_text(six_n: int) -> str:
-    """``str(Fraction(six_n, 6))`` without the Fraction."""
+    """n = six_n / 6 in lowest terms, as ``p`` or ``p/q`` with q > 0."""
     g = gcd(six_n, 6)
     return str(six_n // g) if g == 6 else f"{six_n // g}/{6 // g}"
 
@@ -174,17 +169,24 @@ AUDIT_COLUMNS = (
 )
 
 
+def _audit_row(k1: int, k2: int, l: Sequence[int], weights: int) -> tuple:
+    """The ``AUDIT_COLUMNS`` row of a biweight, given route 2's multiplicity."""
+    six_n = _six_n(k1, k2, l)
+    a = _closed(k1, k2, l, six_n)
+    c = _steps(k1, k2, l) if a else 0
+    return (k1, k2, *l, a > 0, _n_text(six_n), a, weights, c, a == weights == c)
+
+
 def audit_rows(kmax: int, lmax: int) -> Iterator[tuple]:
     """Grid audit of the three routes; one row per biweight.
 
     k1, k2 range over 0..kmax and each l_i over -lmax..lmax.  Each row
-    holds what ``sigma_member``, ``str(closed_n)``, ``closed_mult``,
-    ``mult_via_weights`` and ``theorem2_mult`` give for the biweight.
-    Route 2 expands the character of the dual module V(k2, k1) once per
-    (k1, k2): it is the character ``weight_multiplicity`` reads, so each
-    row still reads a weight multiplicity.  Route 1 computes 6n once per
-    row, and route 3 steps down from each member by its own membership
-    tests.
+    holds the biweight's membership, n, and its multiplicity by the
+    closed formula, by weights and by steps, the same row the CLI prints
+    for a single biweight.  Route 2 expands the character of the dual
+    module V(k2, k1) once per (k1, k2): it is the character
+    ``weight_multiplicity`` reads, so each row still reads a weight
+    multiplicity.
     """
     a2 = root_system("A2")
     span = range(-lmax, lmax + 1)
@@ -192,8 +194,4 @@ def audit_rows(kmax: int, lmax: int) -> Iterator[tuple]:
         for k2 in range(kmax + 1):
             dual = weyl_character(a2, (k2, k1))
             for l in product(span, repeat=3):
-                six_n = _six_n(k1, k2, l)
-                a = _closed(k1, k2, l, six_n)
-                b = dual.get(torus_weight_coords(l), 0)
-                c = _steps(k1, k2, l) if a else 0
-                yield (k1, k2, *l, a > 0, _n_text(six_n), a, b, c, a == b == c)
+                yield _audit_row(k1, k2, l, dual.get(torus_weight_coords(l), 0))

@@ -19,6 +19,7 @@ from demazure import (
     weyl_character,
     weyl_dim,
 )
+from demazure import branching
 from demazure.branching import BranchingResult, _branch, _coset_bound, s_dominant
 from demazure.characters import _apply_word
 from demazure.roots import _columns, sub_weights
@@ -374,6 +375,17 @@ def test_levi_datum_validation():
 def test_restriction_rejects_non_dominant():
     with pytest.raises(ValueError):
         restrict_to_levi((-1, 1), LeviDatum(A2, {1}))
+
+
+@pytest.mark.parametrize("straightened, message", [
+    ([((1, 1), -1)], "alternating sum gave multiplicity -1 at (1, 1)"),
+    ([], "branching lost dimensions; the alternating sum is broken"),
+])
+def test_branch_refuses_a_broken_alternating_sum(monkeypatch, straightened, message):
+    monkeypatch.setattr(branching, "_straightened", lambda *args: iter(straightened))
+    with pytest.raises(RuntimeError) as exc:
+        restrict_to_levi((1, 1), LeviDatum(A2, {1}))
+    assert str(exc.value) == message
 
 
 def test_multiplicity_bound_against_weight_multiplicity():

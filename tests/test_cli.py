@@ -12,9 +12,12 @@ import pytest
 
 import demazure.branching
 import demazure.characters
+import demazure.growth
 import demazure.cli as cli
+import demazure.sl3t
 from demazure import root_system, weyl_dim
 from demazure.cli import CACHE_ENV_VAR, run
+from demazure.sl3t import audit_rows
 
 
 def cap(argv):
@@ -71,6 +74,11 @@ def test_hecke_fold():
     assert json.loads(out) == {"word": [1, 2, 1], "length": 3}
     code, out, _ = cap(["hecke", "--type", "A2", "--left", "1", "--right", "1"])
     assert json.loads(out) == {"word": [1], "length": 1}
+
+
+def test_hecke_refuses_a_letter_out_of_range():
+    code, out, err = cap(["hecke", "--type", "A3", "--left", "1", "--right", "2,4"])
+    assert (code, out, err) == (2, "", "error: simple index 4 out of range 1..3\n")
 
 
 def test_branch_output():
@@ -147,6 +155,25 @@ def test_growth_exit_one_when_degree_exceeds_length(monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("module, name, fake, argv, message", [
+    (demazure.branching, "_straightened", lambda *args: iter([((1, 1), -1)]),
+     ["branch", "--type", "A2", "--weight", "1,1", "--subset", "1"],
+     "alternating sum gave multiplicity -1 at (1, 1)"),
+    (demazure.branching, "_straightened", lambda *args: iter([]),
+     ["branch", "--type", "A2", "--weight", "1,1", "--subset", "1"],
+     "branching lost dimensions; the alternating sum is broken"),
+    (demazure.growth, "_specialisation", lambda *args: (1 << 20, [2, 9, 9, 9, 9, 9, 9]),
+     ["growth", "--type", "A2", "--word", "1,2", "--weight", "1,1"],
+     "dilation sequence must start at 1"),
+    (demazure.growth, "_specialisation", lambda *args: (1 << 20, [1, 3, 2, 4, 5, 6, 7]),
+     ["growth", "--type", "A2", "--word", "1,2", "--weight", "1,1"],
+     "dilation sequence must be nondecreasing"),
+], ids=["negative", "lost", "start", "decreasing"])
+def test_broken_internal_checks_exit_two(monkeypatch, module, name, fake, argv, message):
+    monkeypatch.setattr(module, name, fake)
+    assert cap(argv) == (2, "", f"error: {message}\n")
+
+
 def test_sl3t_single():
     code, out, _ = cap(["sl3t", "--k1", "1", "--k2", "1", "--l", "0,0,0"])
     assert code == 0
@@ -155,6 +182,31 @@ def test_sl3t_single():
     assert doc["closed_mult"] == doc["weight_mult"] == doc["theorem2_mult"] == "2"
     assert doc["agree"] is True
     assert doc["n"] == "1"
+
+
+def test_sl3t_single_query_prints_the_grid_row():
+    for k1, k2, l1, l2, l3, member, n, closed, weights, steps, agree in audit_rows(2, 1):
+        code, out, _ = cap(["sl3t", "--k1", str(k1), "--k2", str(k2), f"--l={l1},{l2},{l3}"])
+        assert code == (0 if agree else 1)
+        assert json.loads(out) == {
+            "k1": k1, "k2": k2, "l": [l1, l2, l3], "member": member, "n": n,
+            "closed_mult": str(closed), "weight_mult": str(weights), "theorem2_mult": str(steps),
+            "agree": agree,
+        }
+
+
+def test_sl3t_single_query_computes_6n_once_for_a_non_member(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return six_n(*args)
+
+    six_n = demazure.sl3t._six_n
+    monkeypatch.setattr(demazure.sl3t, "_six_n", counted)
+    code, out, _ = cap(["sl3t", "--k1", "1", "--k2", "0", "--l", "0,0,0"])
+    assert (code, json.loads(out)["member"]) == (0, False)
+    assert calls == [(1, 0, (0, 0, 0))]
 
 
 def test_sl3t_grid_forms():
@@ -280,6 +332,24 @@ def test_cache_unparseable_file_recovers(tmp_path):
     code, out2, err = cap(argv)
     assert (code, out2) == (0, out1)
     assert "corrupt; recomputing" in err
+
+
+@pytest.mark.parametrize("sub", ["char", "dim"])
+@pytest.mark.parametrize("entry", ["[]", "null", "1", '"x"', "character 3", "nested too deep"])
+def test_cache_entry_of_the_wrong_shape_recovers(tmp_path, sub, entry):
+    argv = [sub, "--type", "A2", "--word", "2,1", "--weight", "1,2", "--cache", str(tmp_path)]
+    _, out1, _ = cap(argv)
+    path = next(tmp_path.glob("*.json"))
+    if entry == "character 3":
+        entry = json.dumps({**json.loads(path.read_text()), "character": 3})
+    elif entry == "nested too deep":
+        entry = "[" * 100_000 + "]" * 100_000
+    path.write_text(entry)
+    code, out2, err = cap(argv)
+    assert (code, out2) == (0, out1)
+    assert err == f"cache entry {path.name} is corrupt; recomputing\n"
+    code, out3, err = cap(argv)
+    assert (code, out3, err) == (0, out1, f"cache hit: {path.name}\n")
 
 
 def test_cache_never_reads_an_unversioned_entry(tmp_path):

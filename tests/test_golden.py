@@ -54,6 +54,7 @@ CLI_CASES = [
         ("G2", "2,1", "1,2,1"),
     )
 ] + [
+    ("bad_hecke_letter", ["hecke", "--type", "A3", "--left", "0,1", "--right", "1"], 2, True),
     ("bad_growth_not_reduced", ["growth", "--type", "A2", "--word", "1,1", "--weight", "1,1"], 2, True),
     # the two-token --grid form and grid size the benchmark sends
     ("sl3t_grid_2_1", ["sl3t", "--grid", "2", "1"], 0, False),

@@ -229,6 +229,17 @@ def test_swapped_pair_raises(monkeypatch):
         dimension_sequence(longest_element(A2), (1, 1), 5)
 
 
+@pytest.mark.parametrize("at_q, message", [
+    ([2, 9, 9, 9, 9], "dilation sequence must start at 1"),
+    ([1, 3, 2, 4, 5], "dilation sequence must be nondecreasing"),
+])
+def test_dimension_sequence_refuses_a_broken_specialisation(monkeypatch, at_q, message):
+    monkeypatch.setattr(growth, "_specialisation", lambda *args: (1 << 20, at_q))
+    with pytest.raises(RuntimeError) as exc:
+        dimension_sequence(from_word(A2, (1, 2)), (1, 1))
+    assert str(exc.value) == message
+
+
 def test_every_shifted_c_raises_on_b3():
     # c + 1 and c - 1 on each pair with c >= 2 in the chain of w0 at rho
     rs = root_system("B3")

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from demazure import (
     Biweight,
     closed_mult,
-    closed_n,
     dual_weight,
     generator_biweights,
     mult_via_weights,
@@ -17,6 +16,17 @@ from demazure import (
     weight_multiplicity,
 )
 from demazure.sl3t import AUDIT_COLUMNS, audit_rows, torus_weight_coords
+
+
+def closed_n(bw):
+    """The paper's n, as a Fraction.
+
+    n = (k1 + k2)/2 - (1/6) * sum over cyclic (i, j, k) of |k1 - k2 + 2 l_i - l_j - l_k|
+    """
+    l1, l2, l3 = bw.l
+    d = bw.k1 - bw.k2
+    cyclic = ((l1, l2, l3), (l2, l3, l1), (l3, l1, l2))
+    return Fraction(bw.k1 + bw.k2, 2) - sum(Fraction(abs(d + 2 * i - j - k), 6) for i, j, k in cyclic)
 
 
 def test_spot_values():
