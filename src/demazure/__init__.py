@@ -31,13 +31,11 @@ from demazure.roots import (
     dominant_conjugate,
     is_dominant,
     pairing,
-    positive_roots_fund,
     rho,
     root_system,
     scale_weight,
     simple_reflection,
     sub_weights,
-    symmetrizer,
 )
 from demazure.sl3t import (
     Biweight,

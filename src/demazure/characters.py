@@ -82,14 +82,11 @@ from demazure.roots import (
     _check_dominant,
     _check_index,
     _check_weight,
-    _columns,
     _to_dominant,
     dominant_conjugate,
-    positive_roots_fund,
     root_pairing_data,
     root_system,
     sub_weights,
-    symmetrizer,
 )
 from demazure.weyl import WeylElement, _check_reduced, longest_element, reduced_word
 
@@ -138,7 +135,7 @@ def _packing(rs: RootSystem, size: int) -> _Packing:
     base = 2 * radius + 1
     n = rs.rank
     places = tuple(base ** (n - 1 - j) for j in range(n))
-    simple = tuple(sum(c * places[j] for j, c in col) for col in _columns(rs))
+    simple = tuple(sum(c * places[j] for j, c in col) for col in rs.columns)
     return _Packing(radius, base, places, radius * sum(places), simple)
 
 
@@ -382,15 +379,14 @@ def _freudenthal_data(
     scale, rem = divmod(2 * sum(halfnorm for _dots, halfnorm in data), rs.rank)  # K
     if rem:
         raise RuntimeError(f"{rs.name}: the root norms do not sum to a multiple of the rank")
-    pos_fund = positive_roots_fund(rs)
-    roots = tuple(zip(pos_fund, rs.positive_roots, (dots for dots, _halfnorm in data)))
+    roots = tuple(zip(rs.positive_roots_fund, rs.positive_roots, (dots for dots, _halfnorm in data)))
     cols = tuple(zip(*rs.positive_roots))
     gram: dict[tuple[int, int], int] = {}  # sum_{alpha > 0} c_j(alpha) c_k(alpha)
     for j, col in enumerate(cols):
         for k in range(j, rs.rank):
             gram[j, k] = gram[k, j] = sum(map(mul, col, cols[k]))
-    rows = tuple(tuple(gram[j, k] * d for k, d in enumerate(symmetrizer(rs))) for j in range(rs.rank))
-    index = {alpha: k for k, alpha in enumerate(pos_fund)}
+    rows = tuple(tuple(gram[j, k] * d for k, d in enumerate(rs.symmetrizer)) for j in range(rs.rank))
+    index = {alpha: k for k, alpha in enumerate(rs.positive_roots_fund)}
     return roots, index, scale, rows
 
 
@@ -465,8 +461,8 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
         if rem or c < 0:
             return 0
         gap.append(c)
-    cols = _columns(rs)
-    sym = symmetrizer(rs)
+    cols = rs.columns
+    sym = rs.symmetrizer
     shift = tuple(x + 2 for x in lam)  # lam + 2 rho
     # dominant weight -> (multiplicity, tails in positive-root order)
     memo: dict[Weight, tuple[int, list[int]]] = {lam: (1, [0] * len(roots))}

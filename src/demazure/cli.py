@@ -227,6 +227,8 @@ def _cmd_growth(ns: argparse.Namespace) -> int:
 
 def _cmd_sl3t(ns: argparse.Namespace) -> int:
     if ns.grid:
+        if (ns.k1, ns.k2, ns.l) != (None, None, None):
+            raise ValueError("give either --grid or all of --k1, --k2, --l, not both")
         grid = ",".join(ns.grid).split(",")
         if len(grid) != 2 or not all(x.strip().isdecimal() for x in grid):
             raise ValueError(f"--grid takes two non-negative integers, got {' '.join(ns.grid)!r}")

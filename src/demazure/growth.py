@@ -84,7 +84,7 @@ from operator import mul
 from typing import Sequence
 
 from demazure.characters import weyl_dim
-from demazure.roots import RootSystem, Weight, _check_dominant, _columns
+from demazure.roots import RootSystem, Weight, _check_dominant
 from demazure.weyl import WeylElement, reduced_word
 
 __all__ = ["DilationSequence", "dimension_sequence", "finite_differences", "growth_degree"]
@@ -114,7 +114,7 @@ def _interval(
     pairs partition S_j, and both points of a pair take the quotient;
     the points outside S_{j-1} are dropped after the letter.
     """
-    cols = _columns(rs)
+    cols = rs.columns
     points = [(0,) * rs.rank]
     index = {points[0]: 0}
     sizes = [1]

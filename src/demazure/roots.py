@@ -13,12 +13,12 @@ public API are 1-based throughout.
 A simple reflection s_i(mu) = mu - mu_i alpha_i touches only the
 coordinates where alpha_i is nonzero: i itself and its Dynkin
 neighbours, at most four coordinates (the branch node of type D or E
-has three neighbours).  ``_columns`` lists those entries of each column
-once per root system, and every reflection of a weight held as a list
-runs through it, in place::
+has three neighbours).  ``rs.columns`` lists those entries of each
+column, built once with the root system, and every reflection of a
+weight held as a list runs through it, in place::
 
     m = x[i - 1]
-    for j, c in _columns(rs)[i - 1]:
+    for j, c in rs.columns[i - 1]:
         x[j] -= m * c
 
 The packed characters of ``demazure.characters`` reflect otherwise: a
@@ -29,8 +29,9 @@ Levi walk there subtracts a multiple of it from a packed weight.
 at the first negative coordinate until none is left: reduced words,
 w(rho), ``dominant_conjugate`` and Freudenthal's tails all take it.
 
-No module but this one reads the Cartan matrix itself, or a root
-system's family: what is known per family stays here.
+No module reads the stored Cartan matrix: the build reads the matrix
+it makes, and every other reader takes ``columns``.  No module but this
+one reads a root system's family: what is known per family stays here.
 
 A root system is given by its Dynkin graph and the half-norms
 d_i = (alpha_i, alpha_i)/2 of its simple roots, short roots 1 and long
@@ -53,7 +54,8 @@ p = <beta, alpha_i^vee> < 0 gives the positive root s_i(beta) =
 beta - p alpha_i, higher by -p.  Every positive root that is not simple
 is reached this way, as it pairs positively with some alpha_i and s_i
 takes it down to a lower positive root; the negative half is never
-built.  The count is checked against the
+built.  Each root carries its fundamental coordinates up the closure,
+and the root system keeps them.  The count is checked against the
 classical formula for each family at construction time.
 
 >>> a2 = root_system("A2")
@@ -86,8 +88,6 @@ __all__ = [
     "add_weights",
     "sub_weights",
     "scale_weight",
-    "positive_roots_fund",
-    "symmetrizer",
     "dominant_conjugate",
 ]
 
@@ -109,13 +109,24 @@ class RootSystem:
 
     ``cartan`` is stored as described in the module docstring and
     ``positive_roots`` holds simple-root coordinate tuples, sorted by
-    height and then lexicographically.
+    height and then lexicographically.  The other three fields are
+    tables the build computes on the way:
+
+    - ``columns``: entry i-1 lists the pairs (j, cartan[j][i-1]) with a
+      nonzero entry, j ascending, the coordinates s_i can change;
+    - ``positive_roots_fund``: the positive roots in fundamental
+      coordinates, in ``positive_roots`` order;
+    - ``symmetrizer``: d_i = (alpha_i, alpha_i)/2, short roots 1, the
+      least positive integers with d_i * a_ij == d_j * a_ji.
     """
 
     family: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
+    positive_roots_fund: tuple[Weight, ...]
+    symmetrizer: tuple[int, ...]
 
     @property
     def name(self) -> str:
@@ -125,8 +136,8 @@ class RootSystem:
         return f"RootSystem({self.name})"
 
     def __hash__(self) -> int:
-        # Family and rank determine the rest; hashing them alone keeps
-        # every lru_cache keyed on a root system cheap.
+        # Family and rank determine every other field; hashing them alone
+        # keeps each lru_cache keyed on a root system cheap.
         return hash((self.family, self.rank))
 
 
@@ -166,8 +177,8 @@ def _dynkin(family: str, rank: int) -> tuple[list[tuple[int, int]], list[int]]:
     return edges, d
 
 
-def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    edges, d = _dynkin(family, rank)
+def _cartan_matrix(edges: list[tuple[int, int]], d: list[int]) -> tuple[tuple[int, ...], ...]:
+    rank = len(d)
     a = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
     for i, j in edges:
         m = max(d[i], d[j])  # -(alpha_i, alpha_j)
@@ -176,12 +187,16 @@ def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _close_under_reflections(
-    cartan: tuple[tuple[int, ...], ...], rank: int
-) -> tuple[tuple[int, ...], ...]:
+    cartan: tuple[tuple[int, ...], ...], cols: tuple[tuple[tuple[int, int], ...], ...]
+) -> list[tuple[tuple[int, ...], Weight]]:
+    """Each positive root as (simple-root coordinates, fundamental coordinates).
+
+    Sorted by height and then lexicographically.
+    """
     # each root carries its pairings <alpha, alpha_i^vee>, its fundamental
     # coordinates, and s_i moves them by column i of the Cartan matrix;
     # a root is reflected only where its pairing is negative, which raises it
-    cols = [tuple((j, row[i]) for j, row in enumerate(cartan) if row[i]) for i in range(rank)]
+    rank = len(cols)
     seen = {
         tuple(int(j == i) for j in range(rank)): tuple(row[i] for row in cartan)
         for i in range(rank)
@@ -201,9 +216,7 @@ def _close_under_reflections(
                     seen[t] = g = tuple(g)
                     nxt.append((t, g))
         frontier = nxt
-    pos = list(seen)
-    pos.sort(key=lambda c: (sum(c), c))
-    return tuple(pos)
+    return sorted(seen.items(), key=lambda root: (sum(root[0]), root[0]))
 
 
 @lru_cache(maxsize=None)
@@ -220,15 +233,18 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     lo, hi = _RANK_RANGES[fam]
     if not lo <= rank <= hi:
         raise ValueError(f"rank {rank} invalid for type {fam}; allowed {lo}..{hi}")
-    cartan = _cartan_matrix(fam, rank)
-    pos = _close_under_reflections(cartan, rank)
+    edges, d = _dynkin(fam, rank)
+    cartan = _cartan_matrix(edges, d)
+    cols = tuple(tuple((j, row[i]) for j, row in enumerate(cartan) if row[i]) for i in range(rank))
+    roots = _close_under_reflections(cartan, cols)
     expected = _classical_positive_count(fam, rank)
-    if len(pos) != expected:
+    if len(roots) != expected:
         raise RuntimeError(
-            f"{fam}{rank}: positive-root closure produced {len(pos)} roots, "
+            f"{fam}{rank}: positive-root closure produced {len(roots)} roots, "
             f"classical count is {expected}"
         )
-    return RootSystem(fam, rank, cartan, pos)
+    pos, fund = zip(*roots)
+    return RootSystem(fam, rank, cartan, pos, cols, fund, tuple(d))
 
 
 def root_system(name: str) -> RootSystem:
@@ -238,7 +254,7 @@ def root_system(name: str) -> RootSystem:
     ((0, 1), (1, 0), (1, 1), (2, 1), (3, 1), (3, 2))
     """
     text = name.strip()
-    if len(text) < 2 or not text[1:].isdigit():
+    if len(text) < 2 or not text[1:].isdecimal():
         raise ValueError(f"cannot parse root system name {name!r}; expected e.g. 'B3'")
     return build_root_system(text[0], int(text[1:]))
 
@@ -261,22 +277,9 @@ def pairing(rs: RootSystem, mu: Sequence[int], i: int) -> int:
     return _check_weight(rs, mu)[i - 1]
 
 
-@lru_cache(maxsize=None)
-def _columns(rs: RootSystem) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Entry i-1: the pairs (j, cartan[j][i-1]) with a nonzero entry, j ascending.
-
-    These are the 0-based coordinates of alpha_i that are not zero, so the
-    only coordinates s_i can change: i itself and its Dynkin neighbours.
-    """
-    n = rs.rank
-    return tuple(
-        tuple((j, rs.cartan[j][i]) for j in range(n) if rs.cartan[j][i]) for i in range(n)
-    )
-
-
 def _reflect(rs: RootSystem, v: Sequence[int], letters: Iterable[int]) -> Weight:
     """s_{ik}(... s_{i1}(v)) for letters (i1, ..., ik): the first letter acts first."""
-    cols = _columns(rs)
+    cols = rs.columns
     x = list(v)
     for i in letters:
         m = x[i - 1]
@@ -295,7 +298,7 @@ def simple_reflection(rs: RootSystem, i: int, mu: Sequence[int]) -> Weight:
 def _to_dominant(cols: Sequence, x: list[int], y: list[int] | None = None) -> list[int]:
     """Reflect the list x in place at its first negative coordinate until none is left.
 
-    cols is ``_columns(rs)``.  Returns the 1-based letters taken, in order,
+    cols is ``rs.columns``.  Returns the 1-based letters taken, in order,
     and applies each reflection to the list y as well, when given.
     """
     # Invariant: every coordinate before k is >= 0, so k stops at the
@@ -356,31 +359,6 @@ def scale_weight(n: int, a: Sequence[int]) -> Weight:
 
 
 @lru_cache(maxsize=None)
-def positive_roots_fund(rs: RootSystem) -> tuple[Weight, ...]:
-    """Positive roots in fundamental coordinates: sum_i c_i alpha_i over the columns."""
-    cols = _columns(rs)
-    out = []
-    for c in rs.positive_roots:
-        x = [0] * rs.rank
-        for ci, col in zip(c, cols):
-            if ci:
-                for j, a in col:
-                    x[j] += ci * a
-        out.append(tuple(x))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def symmetrizer(rs: RootSystem) -> tuple[int, ...]:
-    """d_i = (alpha_i, alpha_i)/2 with short roots 1, as ``_dynkin`` lists it.
-
-    These are the least positive integers with d_i * a_ij == d_j * a_ji,
-    since a_ij = (alpha_i, alpha_j)/d_i.
-    """
-    return tuple(_dynkin(rs.family, rs.rank)[1])
-
-
-@lru_cache(maxsize=None)
 def root_pairing_data(rs: RootSystem) -> tuple[tuple[Weight, int], ...]:
     """Per positive root alpha: (dot vector, half-norm).
 
@@ -389,9 +367,9 @@ def root_pairing_data(rs: RootSystem) -> tuple[tuple[Weight, int], ...]:
     half of v dotted with alpha's own fundamental coordinates; the coroot
     pairing <mu, alpha^vee> is their quotient.
     """
-    d = symmetrizer(rs)
+    d = rs.symmetrizer
     out = []
-    for c, fund in zip(rs.positive_roots, positive_roots_fund(rs)):
+    for c, fund in zip(rs.positive_roots, rs.positive_roots_fund):
         dots = tuple(map(mul, c, d))
         s = sum(map(mul, dots, fund))
         if s <= 0 or s % 2:
@@ -403,7 +381,7 @@ def root_pairing_data(rs: RootSystem) -> tuple[tuple[Weight, int], ...]:
 def dominant_conjugate(rs: RootSystem, mu: Sequence[int]) -> Weight:
     """The unique dominant weight in the Weyl orbit of mu."""
     cur = list(_check_weight(rs, mu))
-    _to_dominant(_columns(rs), cur)
+    _to_dominant(rs.columns, cur)
     return tuple(cur)
 
 

@@ -33,8 +33,8 @@ with it its word, is built once.
 
 Every letter is one simple reflection, and s_i changes only coordinate
 i and the coordinates of i's Dynkin neighbours: the entries of column i
-of the Cartan matrix that are not zero.  ``roots._columns`` holds those
-entries per root system, and every loop here reflects a list in place
+of the Cartan matrix that are not zero.  The root system's ``columns``
+field holds those entries, and every loop here reflects a list in place
 through it and builds one tuple at the end.  Peeling is
 ``roots._to_dominant``, the package's one walk into the dominant
 chamber; its docstring says why each scan may resume where it does.
@@ -63,7 +63,6 @@ from demazure.roots import (
     Weight,
     _check_index,
     _check_weight,
-    _columns,
     _reflect,
     _to_dominant,
     rho,
@@ -126,7 +125,7 @@ class WeylElement:
     @_cached
     def _peel(self) -> tuple[int, ...]:
         """Letters a1, ..., ak that walk u to rho, so w = s_ak ... s_a1."""
-        return tuple(_to_dominant(_columns(self.rs), list(self.u)))
+        return tuple(_to_dominant(self.rs.columns, list(self.u)))
 
     @_cached
     def length(self) -> int:
@@ -138,7 +137,7 @@ class WeylElement:
         # The valid first letters of reduced words are exactly the left
         # descents, the negative coordinates of w(rho), so the walk that
         # always reflects at the smallest one spells the least word.
-        return tuple(_to_dominant(_columns(self.rs), list(_rho_image(self))))
+        return tuple(_to_dominant(self.rs.columns, list(_rho_image(self))))
 
     def apply(self, mu: Sequence[int]) -> Weight:
         """Image of a weight (fundamental coordinates) under this element."""
@@ -267,7 +266,7 @@ def demazure_fold(w: WeylElement, letters: Iterable[int]) -> WeylElement:
     """Fold letters into w by x*s = xs if that is longer, else x."""
     rs = w.rs
     n = rs.rank
-    cols = _columns(rs)
+    cols = rs.columns
     u = list(w.u)
     for i in letters:
         if not 1 <= i <= n:
@@ -335,7 +334,7 @@ def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
     # which becomes w(omega_i - alpha_i) = col_i - sum_k cartan[k][i-1] col_k,
     # a sum over i and its neighbours k only.
     n = rs.rank
-    table = _columns(rs)
+    table = rs.columns
     unit = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
     orbit = [(rho(rs), 0, unit)]
     seen = {orbit[0][0]}

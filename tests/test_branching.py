@@ -22,7 +22,7 @@ from demazure import (
 from demazure import branching
 from demazure.branching import BranchingResult, _branch, _coset_bound, s_dominant
 from demazure.characters import _apply_word
-from demazure.roots import _columns, sub_weights
+from demazure.roots import sub_weights
 from oracles import scaled_inverse_cartan, simple_root, straighten
 
 A2 = root_system("A2")
@@ -140,14 +140,14 @@ def _klimyk(lam, levi):
 def test_straighten_spots():
     s = frozenset({1, 2})
     # already S-dominant, and s_1.(-3, 3) = (1, 1) with sign -1
-    assert straighten(_columns(A2), s, (2, 0)) == ((2, 0), 1)
-    assert straighten(_columns(A2), s, (-3, 3)) == ((1, 1), -1)
+    assert straighten(A2.columns, s, (2, 0)) == ((2, 0), 1)
+    assert straighten(A2.columns, s, (-3, 3)) == ((1, 1), -1)
     # S-singular: mu_1 = -1 at once, or after the step s_2.(1, -3) = (-1, 1)
-    assert straighten(_columns(A2), s, (-1, 5)) is None
-    assert straighten(_columns(A2), s, (1, -3)) is None
+    assert straighten(A2.columns, s, (-1, 5)) is None
+    assert straighten(A2.columns, s, (1, -3)) is None
     # off the subset a coordinate may stay negative
-    assert straighten(_columns(A2), frozenset({1}), (-3, 3)) == ((1, 1), -1)
-    assert straighten(_columns(A2), frozenset(), (-3, 3)) == ((-3, 3), 1)
+    assert straighten(A2.columns, frozenset({1}), (-3, 3)) == ((1, 1), -1)
+    assert straighten(A2.columns, frozenset(), (-3, 3)) == ((-3, 3), 1)
 
 
 def test_fundamental_restriction_a2():
@@ -295,7 +295,7 @@ def test_alternating_sum_matches_peel_off_oracle():
 def _straightened_by_oracle(rs, lam, subset):
     """The Levi constituents from the tuple walk of ``oracles.straighten``."""
     word = reduced_word(min_coset_rep(rs, subset))
-    cols = _columns(rs)
+    cols = rs.columns
     totals = {}
     for mu, c in demazure_character(rs, word, lam).items():
         if straight := straighten(cols, subset, mu):

@@ -18,7 +18,6 @@ from demazure import (
     freudenthal_multiplicity,
     from_word,
     longest_element,
-    positive_roots_fund,
     reduced_word,
     rho,
     root_system,
@@ -441,7 +440,7 @@ def _ls_paths(rs, lam):
             if nu not in orbit:
                 orbit.add(nu)
                 todo.append(nu)
-    roots = [(beta, dots, half) for beta, (dots, half) in zip(positive_roots_fund(rs), root_pairing_data(rs))]
+    roots = [(beta, dots, half) for beta, (dots, half) in zip(rs.positive_roots_fund, root_pairing_data(rs))]
 
     def coroot(kappa, dots, half):
         return sum(map(mul, dots, kappa)) // half

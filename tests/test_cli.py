@@ -231,6 +231,17 @@ def test_sl3t_grid_takes_two_non_negative_integers(grid):
     assert err.startswith("error: --grid takes two non-negative integers")
 
 
+@pytest.mark.parametrize(
+    "single",
+    [["--k1", "1"], ["--k2", "1"], ["--l=0,0,0"], ["--k1", "1", "--k2", "1", "--l=0,0,0"]],
+    ids=" ".join,
+)
+def test_sl3t_refuses_grid_with_single_query_flags(single):
+    code, out, err = cap(["sl3t", *single, "--grid", "1", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: give either --grid or all of --k1, --k2, --l, not both\n"
+
+
 def test_sl3t_needs_arguments():
     code, _, err = cap(["sl3t"])
     assert code == 2

@@ -16,7 +16,6 @@ from demazure import (
     growth_degree,
     identity,
     longest_element,
-    positive_roots_fund,
     reduced_word,
     rho,
     root_system,
@@ -269,7 +268,7 @@ def _covers_below(w, lam):
     vector's product over the half-norm.
     """
     rs = w.rs
-    for beta, (dots, half) in zip(positive_roots_fund(rs), root_pairing_data(rs)):
+    for beta, (dots, half) in zip(rs.positive_roots_fund, root_pairing_data(rs)):
         k = sum(map(mul, dots, w.u)) // half
         v = WeylElement(rs, tuple(x - k * b for x, b in zip(w.u, beta)))
         if v.length == w.length - 1:

@@ -2,9 +2,10 @@
 
 The library computes on plain integers, and no module imports
 ``fractions``: even the SL3 parameter n, the one rational the package
-prints, is computed as the integer 6n.  Only ``roots`` reads the Cartan
-matrix: every other module reflects through ``roots._columns``, or
-through the packed simple roots that ``characters`` builds from it.
+prints, is computed as the integer 6n.  No module reads the Cartan
+matrix a root system stores: the build reads the matrix it makes, and
+every reflection runs through the root system's ``columns``, or through
+the packed simple roots that ``characters`` builds from them.
 Only ``roots`` reads a root system's family, so what is known per family
 (the Dynkin graphs, the rank ranges, the root counts) stays in one
 module.  Only ``characters`` reads the fields of a packing, so the
@@ -61,8 +62,8 @@ def _attribute_readers(attr):
     )
 
 
-def test_only_roots_reads_the_cartan_matrix():
-    assert _attribute_readers("cartan") == ["roots.py"]
+def test_no_module_reads_the_stored_cartan_matrix():
+    assert _attribute_readers("cartan") == []
 
 
 def test_only_roots_reads_a_root_systems_family():

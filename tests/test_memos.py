@@ -23,9 +23,6 @@ from demazure.characters import _demazure_items
 UNBOUNDED = {
     "cli.build_parser",
     "roots.build_root_system",
-    "roots._columns",
-    "roots.positive_roots_fund",
-    "roots.symmetrizer",
     "roots.root_pairing_data",
     "weyl.longest_element",
     "weyl.weyl_group",

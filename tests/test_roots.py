@@ -10,21 +10,13 @@ from demazure import (
     dominant_conjugate,
     is_dominant,
     pairing,
-    positive_roots_fund,
     rho,
     root_system,
     scale_weight,
     simple_reflection,
     sub_weights,
-    symmetrizer,
 )
-from demazure.roots import (
-    RootSystem,
-    _cartan_matrix,
-    _columns,
-    _to_dominant,
-    root_pairing_data,
-)
+from demazure.roots import RootSystem, _to_dominant, root_pairing_data
 from oracles import bond_cartan_matrix, propagated_symmetrizer, scaled_inverse_cartan, simple_root
 
 ALL_NAMES = [
@@ -104,23 +96,23 @@ def test_positive_roots_sum_to_two_rho():
     for name in ALL_NAMES:
         rs = root_system(name)
         total = (0,) * rs.rank
-        for alpha in positive_roots_fund(rs):
+        for alpha in rs.positive_roots_fund:
             total = add_weights(total, alpha)
         assert total == scale_weight(2, rho(rs)), name
 
 
 def test_symmetrizer_values():
-    assert symmetrizer(root_system("A3")) == (1, 1, 1)
-    assert symmetrizer(root_system("B3")) == (2, 2, 1)
-    assert symmetrizer(root_system("C3")) == (1, 1, 2)
-    assert symmetrizer(root_system("F4")) == (2, 2, 1, 1)
-    assert symmetrizer(root_system("G2")) == (1, 3)
+    assert root_system("A3").symmetrizer == (1, 1, 1)
+    assert root_system("B3").symmetrizer == (2, 2, 1)
+    assert root_system("C3").symmetrizer == (1, 1, 2)
+    assert root_system("F4").symmetrizer == (2, 2, 1, 1)
+    assert root_system("G2").symmetrizer == (1, 3)
 
 
 def test_symmetrizer_symmetrizes():
     for name in ALL_NAMES:
         rs = root_system(name)
-        d = symmetrizer(rs)
+        d = rs.symmetrizer
         a = rs.cartan
         n = rs.rank
         for i in range(n):
@@ -140,7 +132,7 @@ def test_dynkin_tables_match_bond_tables_and_propagated_symmetrizer():
     for family, rank in TABLE_SYSTEMS:
         rs = build_root_system(family, rank)
         assert rs.cartan == bond_cartan_matrix(family, rank), rs.name
-        assert symmetrizer(rs) == propagated_symmetrizer(rs), rs.name
+        assert rs.symmetrizer == propagated_symmetrizer(rs), rs.name
 
 
 def test_scaled_inverse_cartan_is_least_integral_inverse():
@@ -168,7 +160,7 @@ def test_root_pairing_data_coroot_pairing_is_two():
     # <alpha, alpha^vee> = 2 for every positive root
     for name in ("A3", "B3", "C3", "G2", "F4"):
         rs = root_system(name)
-        fund = positive_roots_fund(rs)
+        fund = rs.positive_roots_fund
         for alpha, (dots, half_norm) in zip(fund, root_pairing_data(rs)):
             assert sum(d * a for d, a in zip(dots, alpha)) == 2 * half_norm, name
 
@@ -235,6 +227,10 @@ def test_build_validation():
         root_system("G3")
     with pytest.raises(ValueError):
         root_system("bogus")
+    # superscript digits pass str.isdigit but not int()
+    for name in ("A²", "E⁸"):
+        with pytest.raises(ValueError, match="cannot parse root system name"):
+            root_system(name)
     with pytest.raises(ValueError):
         build_root_system("H", 3)
 
@@ -270,12 +266,15 @@ def test_name_round_trip():
 def test_directly_built_system_equals_and_hashes_like_named_one():
     for name in ALL_NAMES:
         named = root_system(name)
-        direct = RootSystem(named.family, named.rank, named.cartan, named.positive_roots)
+        fields = (named.family, named.rank, named.cartan, named.positive_roots)
+        tables = (named.columns, named.positive_roots_fund, named.symmetrizer)
+        direct = RootSystem(*fields, *tables)
         assert direct is not named
         assert direct == named and hash(direct) == hash(named), name
         assert {named: name}[direct] == name
         # equality still compares every field
-        assert RootSystem(named.family, named.rank, named.cartan, ()) != named
+        assert RootSystem(named.family, named.rank, named.cartan, (), *tables) != named
+        assert RootSystem(*fields, (), named.positive_roots_fund, named.symmetrizer) != named
 
 
 # Dense references that share no code with the library: every reflection
@@ -320,10 +319,10 @@ def test_to_dominant_matches_restart_from_zero_walk(name, data):
     assume(y != list(rho(rs)))
     letters, x_ref, y_ref = _reference_to_dominant(rs, x, y)
     x_walk, y_walk = list(x), list(y)
-    assert _to_dominant(_columns(rs), x_walk, y_walk) == letters
+    assert _to_dominant(rs.columns, x_walk, y_walk) == letters
     assert (x_walk, y_walk) == (x_ref, y_ref)
     x_alone = list(x)
-    assert _to_dominant(_columns(rs), x_alone) == letters
+    assert _to_dominant(rs.columns, x_alone) == letters
     assert x_alone == x_ref
     assert is_dominant(x_alone)
 
@@ -333,14 +332,18 @@ def test_to_dominant_matches_restart_from_zero_walk(name, data):
     [("A", 12), ("B", 8), ("C", 8), ("D", 8), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
 )
 def test_positive_roots_match_dense_closure(family, rank):
-    cartan = _cartan_matrix(family, rank)
     rs = build_root_system(family, rank)
-    assert list(rs.positive_roots) == _reference_positive_roots(cartan, rank)
+    assert list(rs.positive_roots) == _reference_positive_roots(rs.cartan, rank)
 
 
 def _reference_root_tables(rs):
-    """(fundamental coordinates, pairing data) of the positive roots by dense rank**2 sums."""
-    a, n, d = rs.cartan, rs.rank, symmetrizer(rs)
+    """(columns, fundamental coordinates, pairing data) of the positive roots by dense sums.
+
+    The columns are a dense read of the nonzero entries of each column of
+    the Cartan matrix, and d is the symmetrizer propagated along the graph.
+    """
+    a, n, d = rs.cartan, rs.rank, propagated_symmetrizer(rs)
+    cols = tuple(tuple((j, a[j][i]) for j in range(n) if a[j][i] != 0) for i in range(n))
     fund = tuple(tuple(sum(row[j] * c[j] for j in range(n)) for row in a) for c in rs.positive_roots)
     data = tuple(
         (
@@ -349,7 +352,7 @@ def _reference_root_tables(rs):
         )
         for c in rs.positive_roots
     )
-    return fund, data
+    return cols, fund, d, data
 
 
 @pytest.mark.parametrize(
@@ -357,4 +360,5 @@ def _reference_root_tables(rs):
 )
 def test_root_tables_match_dense_oracle(name):
     rs = root_system(name)
-    assert (positive_roots_fund(rs), root_pairing_data(rs)) == _reference_root_tables(rs)
+    tables = (rs.columns, rs.positive_roots_fund, rs.symmetrizer, root_pairing_data(rs))
+    assert tables == _reference_root_tables(rs)

@@ -13,7 +13,6 @@ from demazure import (
     longest_element,
     longest_parabolic,
     min_coset_rep,
-    positive_roots_fund,
     reduced_word,
     rho,
     right_descents,
@@ -22,7 +21,6 @@ from demazure import (
     simple_reflection,
     weyl_group,
 )
-from demazure.roots import _columns
 from demazure.weyl import WeylElement, _group_order
 from oracles import simple_root, straighten
 
@@ -322,22 +320,22 @@ def test_cached_reads_do_not_depend_on_their_order(data):
 def test_image_of_root_set_is_root_set(data):
     rs = root_system(data.draw(st.sampled_from(["A3", "B3", "G2"])))
     w = data.draw(st.sampled_from(weyl_group(rs)))
-    roots = set(positive_roots_fund(rs))
-    for alpha in positive_roots_fund(rs):
+    roots = set(rs.positive_roots_fund)
+    for alpha in rs.positive_roots_fund:
         image = w.apply(alpha)
         neg = tuple(-x for x in image)
         assert image in roots or neg in roots
 
 
 # Independent oracles for the rho-orbit representation: they use only
-# positive_roots_fund, w.apply and plain matrix products.
+# rs.positive_roots_fund, w.apply and plain matrix products.
 
 def test_length_counts_inverted_positive_roots():
     samples = [weyl_group(root_system(name)) for name in ("A3", "B3", "G2")]
     samples.append(weyl_group(root_system("F4"))[::23])
     for group in samples:
         for w in group:
-            positive = set(positive_roots_fund(w.rs))
+            positive = set(w.rs.positive_roots_fund)
             inverted = sum(1 for alpha in positive if w.apply(alpha) not in positive)
             assert w.length == inverted, w
 
@@ -500,4 +498,4 @@ def test_weight_reflections_match_reference_reflection(data):
         nu, sign = _reference_reflect(rs, nu, negative[-1]), -sign
     singular = any(nu[j - 1] == 0 for j in subset)
     expected = None if singular else (tuple(c - 1 for c in nu), sign)
-    assert straighten(_columns(rs), subset, mu) == expected
+    assert straighten(rs.columns, subset, mu) == expected
