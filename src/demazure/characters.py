@@ -82,6 +82,7 @@ from demazure.roots import (
     _check_dominant,
     _check_index,
     _check_weight,
+    _reflect,
     _to_dominant,
     dominant_conjugate,
     root_pairing_data,
@@ -406,8 +407,9 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
     partial order of dominant weights", 1998); they are processed in
     order of the height of lam - nu.  Each stores its tails
     T(nu, alpha), and a later tail takes O(1) from an earlier one:
-    reflect nu + alpha to the dominant weight d by some w and put
-    beta = w(alpha), both in one ``roots._to_dominant`` walk.  As m and
+    the ``roots._to_dominant`` walk reflects nu + alpha to the dominant
+    weight d by some w, and beta = w(alpha) follows from its letters, by
+    ``roots._reflect``, only when d has a stored entry.  As m and
     ( , ) are W-invariant,
 
         T(nu, alpha) = m(d) (d, beta) + T(d, beta),
@@ -485,14 +487,14 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
             for alpha, _coords, dots in roots:
                 x = list(map(add, nu, alpha))
                 pair = sum(map(mul, dots, x))  # (nu + alpha, alpha)
-                beta = list(alpha)
-                _to_dominant(cols, x, beta)
+                letters = _to_dominant(cols, x)
                 entry = memo.get(tuple(x))
                 if entry is None:
                     tails.append(0)
                 else:
                     m_d, tails_d = entry
-                    tails.append(m_d * pair + tails_d[index[tuple(beta)]])
+                    beta = _reflect(rs, alpha, letters) if letters else alpha
+                    tails.append(m_d * pair + tails_d[index[beta]])
             norm = sum(p * d * (a + b) for p, d, a, b in zip(depth, sym, shift, nu))
             value, rem = divmod(2 * sum(tails), norm)
             if rem or value < 0:

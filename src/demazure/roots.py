@@ -232,7 +232,8 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         raise ValueError(f"unknown family {family!r}; expected one of A..G")
     lo, hi = _RANK_RANGES[fam]
     if not lo <= rank <= hi:
-        raise ValueError(f"rank {rank} invalid for type {fam}; allowed {lo}..{hi}")
+        shown = rank if rank < 10**20 else f"{str(rank)[:20]}..."
+        raise ValueError(f"rank {shown} invalid for type {fam}; allowed {lo}..{hi}")
     edges, d = _dynkin(fam, rank)
     cartan = _cartan_matrix(edges, d)
     cols = tuple(tuple((j, row[i]) for j, row in enumerate(cartan) if row[i]) for i in range(rank))
@@ -250,13 +251,19 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 def root_system(name: str) -> RootSystem:
     """Parse a compact name like "A2" or "E8" and build the system.
 
+    The rank is written in ASCII digits, leading zeros aside.  Only its
+    first 21 digits are converted: any more lie past every rank range,
+    and int() refuses strings of more than 4,300 digits.  The error names
+    such a rank by its first 20 digits.
+
     >>> root_system("G2").positive_roots
     ((0, 1), (1, 0), (1, 1), (2, 1), (3, 1), (3, 2))
     """
     text = name.strip()
-    if len(text) < 2 or not text[1:].isdecimal():
+    digits = text[1:].lstrip("0") or "0"
+    if len(text) < 2 or not (digits.isascii() and digits.isdecimal()):
         raise ValueError(f"cannot parse root system name {name!r}; expected e.g. 'B3'")
-    return build_root_system(text[0], int(text[1:]))
+    return build_root_system(text[0], int(digits[:21]))
 
 
 def _check_index(rs: RootSystem, i: int) -> None:
@@ -295,11 +302,11 @@ def simple_reflection(rs: RootSystem, i: int, mu: Sequence[int]) -> Weight:
     return _reflect(rs, mu, (i,))
 
 
-def _to_dominant(cols: Sequence, x: list[int], y: list[int] | None = None) -> list[int]:
+def _to_dominant(cols: Sequence, x: list[int]) -> list[int]:
     """Reflect the list x in place at its first negative coordinate until none is left.
 
-    cols is ``rs.columns``.  Returns the 1-based letters taken, in order,
-    and applies each reflection to the list y as well, when given.
+    cols is ``rs.columns``.  Returns the 1-based letters taken, in order;
+    ``_reflect`` applies them to another weight.
     """
     # Invariant: every coordinate before k is >= 0, so k stops at the
     # first negative coordinate, as a scan from 0 would.  Reflecting at k
@@ -314,15 +321,8 @@ def _to_dominant(cols: Sequence, x: list[int], y: list[int] | None = None) -> li
         if m < 0:
             word.append(k + 1)
             col = cols[k]
-            # x and y share one loop over col: a second loop cost hecke ~8% queries/s
-            if y is None:
-                for j, c in col:
-                    x[j] -= m * c
-            else:
-                p = y[k]
-                for j, c in col:
-                    x[j] -= m * c
-                    y[j] -= p * c
+            for j, c in col:
+                x[j] -= m * c
             k = col[0][0]
         else:
             k += 1

@@ -41,6 +41,7 @@ CLI_CASES = [
     ("bad_branch_index", ["branch", "--type", "A2", "--weight", "1,1", "--subset", "3"], 2, True),
     ("bad_branch_rank", ["branch", "--type", "A2", "--weight", "1,1,1", "--subset", "1"], 2, True),
     ("bad_branch_family", ["branch", "--type", "H3", "--weight", "1,1,1", "--subset", "1"], 2, True),
+    ("bad_rank_too_many_digits", ["dual", "--type", "A" + "9" * 5000, "--weight", "1"], 2, True),
     ("bad_unirad_not_s_dominant", ["unirad", "--type", "A2", "--weight=-1,1", "--subset", "1"], 2, True),
 ] + [
     (f"hecke_{name}", ["hecke", "--type", name[:2], "--left", left, "--right", right], 0, False)

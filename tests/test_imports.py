@@ -18,18 +18,23 @@ oracles in ``tests/oracles.py`` import nothing from the package.
 No public name is left that only the tests call either.  Each name in a
 module's ``__all__``, and each public method or property of a class in
 one, needs a user outside the tests: library code other than its own
-definition and the ``__init__`` re-export, ``scripts/`` or
-``perfbench/``, a backticked span or a doctest line of README.md, a
-doctest in the package, or the acceptance suite
-``tests/test_acceptance.py``.  A name counts as used where it is read as
+definition, ``scripts/`` or ``perfbench/``, a backticked span or a
+doctest line of README.md, a doctest in the package, or the acceptance
+suite ``tests/test_acceptance.py``.  A name counts as used where it is read as
 a name, as an attribute or as an imported name; in text, where it is a
 word.  The exceptions are listed in ``UNUSED_PUBLIC``, each with its
 reason: five one-line Weyl group and weight primitives.  Code that only
 the tests need lives in the tests, as ``tests/oracles.py`` and the
 test-side helpers do.
+
+Each layer's ``__all__`` is also the one list of what the package
+exports: ``__init__`` star-imports every layer but ``cli`` and names
+nothing itself, so ``demazure`` binds each ``__all__`` name to the
+layer's own object.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -97,7 +102,7 @@ def _unused_imports(path):
 
     A name counts as read when it occurs as a name in the code or as a
     word in a docstring, where doctests use it.  ``__future__`` imports
-    are directives, and ``__init__`` imports exist to be re-exported.
+    are directives, and ``__init__`` star-imports each layer to re-export it.
     """
     tree = ast.parse(path.read_text(), str(path))
     imported = set()
@@ -212,10 +217,7 @@ def _public_surface(trees):
 
 
 def _unused_public_names():
-    # the __init__ re-exports are not uses
-    trees = {
-        p.name: ast.parse(p.read_text(), str(p)) for p in SRC.glob("*.py") if p.name != "__init__.py"
-    }
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SRC.glob("*.py")}
     outside = [*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py"), TESTS / "test_acceptance.py"]
     used = set()
     for p in outside:
@@ -247,3 +249,27 @@ def test_every_public_name_has_a_user_outside_the_tests():
     assert not extra, f"only the tests use {extra}"
     stale = sorted(UNUSED_PUBLIC.keys() - unused)
     assert not stale, f"allow-listed, but used outside the tests: {stale}"
+
+
+def test_package_reexports_every_layer_all():
+    package = importlib.import_module("demazure")
+    layers = sorted(p.stem for p in SRC.glob("*.py") if p.stem not in ("__init__", "cli"))
+    missing = []
+    for layer in layers:
+        module = importlib.import_module(f"demazure.{layer}")
+        missing += [
+            f"{layer}.{name}"
+            for name in module.__all__
+            if getattr(package, name, None) is not getattr(module, name)
+        ]
+    assert missing == [], f"demazure does not re-export {missing}"
+    # the layers' __all__ are the only export lists: __init__ names no import
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    named = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name != "*"
+    ]
+    assert named == [], f"__init__.py imports names {named}"

@@ -16,7 +16,7 @@ from demazure import (
     simple_reflection,
     sub_weights,
 )
-from demazure.roots import RootSystem, _to_dominant, root_pairing_data
+from demazure.roots import RootSystem, _reflect, _to_dominant, root_pairing_data
 from oracles import bond_cartan_matrix, propagated_symmetrizer, scaled_inverse_cartan, simple_root
 
 ALL_NAMES = [
@@ -227,10 +227,17 @@ def test_build_validation():
         root_system("G3")
     with pytest.raises(ValueError):
         root_system("bogus")
-    # superscript digits pass str.isdigit but not int()
-    for name in ("A²", "E⁸"):
+    # superscript digits pass str.isdigit but not int(), and other
+    # Unicode decimal digits pass str.isdecimal: only ASCII digits count
+    for name in ("A²", "E⁸", "A٣"):
         with pytest.raises(ValueError, match="cannot parse root system name"):
             root_system(name)
+    # int() refuses more than 4,300 digits; the rank error comes first
+    with pytest.raises(ValueError, match=r"^rank 9{20}\.\.\. invalid for type A; allowed 1\.\.100$"):
+        root_system("A" + "9" * 5000)
+    with pytest.raises(ValueError, match="unknown family 'Z'"):
+        root_system("Z" + "9" * 5000)
+    assert root_system("A" + "0" * 5000 + "3") == root_system("A3")
     with pytest.raises(ValueError):
         build_root_system("H", 3)
 
@@ -318,13 +325,13 @@ def test_to_dominant_matches_restart_from_zero_walk(name, data):
     x, y = data.draw(coords), data.draw(coords)
     assume(y != list(rho(rs)))
     letters, x_ref, y_ref = _reference_to_dominant(rs, x, y)
-    x_walk, y_walk = list(x), list(y)
-    assert _to_dominant(rs.columns, x_walk, y_walk) == letters
-    assert (x_walk, y_walk) == (x_ref, y_ref)
-    x_alone = list(x)
-    assert _to_dominant(rs.columns, x_alone) == letters
-    assert x_alone == x_ref
-    assert is_dominant(x_alone)
+    x_walk = list(x)
+    walked = _to_dominant(rs.columns, x_walk)
+    assert walked == letters
+    assert x_walk == x_ref
+    assert is_dominant(x_walk)
+    # reflecting y along the returned letters gives the reference's y
+    assert list(_reflect(rs, y, walked)) == y_ref
 
 
 @pytest.mark.parametrize(
