@@ -141,7 +141,7 @@ def _levi_char_items(
 
 def levi_weyl_dim(rs: RootSystem, subset: Iterable[int], mu: Sequence[int]) -> int:
     """Dimension of the Levi module by the product formula over its roots."""
-    s = frozenset(subset)
+    s = LeviDatum(rs, subset).subset
     return _weyl_dims(rs, _levi_root_indices(rs, s), [_check_s_dominant(rs, s, mu)])[0]
 
 

@@ -55,17 +55,20 @@ one subtraction of a packed simple root per reflection, sums the signed
 terms by packed key and unpacks only those totals.  No other module
 reads a packing.
 
-``weyl_dim`` (dimension product formula) and ``freudenthal_multiplicity``
-are independent of the operator path and serve as cross-checks.
-Freudenthal's recursion runs as one loop over the dominant weights
-between mu and lam, in order of height below lam, on integers only.  It
-stores for each of them the tail of every positive-root string above it
-and gets each new tail from a stored one at a dominant weight higher up,
-by one reflection into the dominant chamber (multiplicities and the
-inner product are W-invariant).  Each tail is an exact finite sum and
-each multiplicity one integer division whose remainder must be zero, so
-nothing is rounded and a broken table raises instead of returning a
-wrong number.
+``weyl_dim`` (dimension product formula) and
+``freudenthal_multiplicity`` are independent of the operator path and
+serve as cross-checks.  Freudenthal's pass first writes lam - mu+ in
+simple roots by a descent that subtracts ceil(x_k/2) alpha_k at the
+first coordinate x_k >= 1 of what is left, and returns 0 before any sum
+when mu+ is not below lam; it keeps no table per root system.  Its
+recursion runs as one loop over the dominant weights between mu and lam,
+in order of height below lam, on integers only.  It stores for each of
+them the tail of every positive-root string above it and gets each new
+tail from a stored one at a dominant weight higher up, by one reflection
+into the dominant chamber (multiplicities and the inner product are
+W-invariant).  Each tail is an exact finite sum and each multiplicity
+one integer division whose remainder must be zero, so nothing is rounded
+and a broken table raises instead of returning a wrong number.
 """
 
 from __future__ import annotations
@@ -362,35 +365,6 @@ def dual_weight(rs: RootSystem, lam: Sequence[int]) -> Weight:
     return dominant_conjugate(rs, [-x for x in _check_dominant(rs, lam)])
 
 
-@lru_cache(maxsize=16)
-def _freudenthal_data(
-    rs: RootSystem,
-) -> tuple[tuple[tuple[Weight, Weight, Weight], ...], dict[Weight, int], int, tuple[Weight, ...]]:
-    """What ``freudenthal_multiplicity`` reads of a root system.
-
-    Returns the positive roots as (fundamental coordinates, simple-root
-    coordinates, dot vector), the position of each root by its
-    fundamental coordinates, K, and the rows of the map
-    x -> sum_{alpha > 0} (x, alpha) alpha = K x from fundamental to
-    simple-root coordinates.  The dot vector of alpha is c(alpha) d
-    entrywise, so entry (j, k) is d_k sum_{alpha > 0} c_j(alpha) c_k(alpha),
-    d the symmetrizer.  Readers must not change the dict.
-    """
-    data = root_pairing_data(rs)
-    scale, rem = divmod(2 * sum(halfnorm for _dots, halfnorm in data), rs.rank)  # K
-    if rem:
-        raise RuntimeError(f"{rs.name}: the root norms do not sum to a multiple of the rank")
-    roots = tuple(zip(rs.positive_roots_fund, rs.positive_roots, (dots for dots, _halfnorm in data)))
-    cols = tuple(zip(*rs.positive_roots))
-    gram: dict[tuple[int, int], int] = {}  # sum_{alpha > 0} c_j(alpha) c_k(alpha)
-    for j, col in enumerate(cols):
-        for k in range(j, rs.rank):
-            gram[j, k] = gram[k, j] = sum(map(mul, col, cols[k]))
-    rows = tuple(tuple(gram[j, k] * d for k, d in enumerate(rs.symmetrizer)) for j in range(rs.rank))
-    index = {alpha: k for k, alpha in enumerate(rs.positive_roots_fund)}
-    return roots, index, scale, rows
-
-
 def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -> int:
     """Weight multiplicity by Freudenthal's formula, in one iterative pass.
 
@@ -423,24 +397,21 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
     unbroken root strings and nu is one, no nu + k alpha is: the tail
     is 0.
 
-    The simple-root coordinates of lam - mu+ come from the identity
-
-        sum_{alpha > 0} (x, alpha) alpha = K x   for every weight x,
-
-    which holds because sum over all roots of (x, alpha)(y, alpha) is a
-    W-invariant symmetric form on the irreducible reflection
-    representation, so a multiple K (x, y) of the invariant one.  K is
-    read off the trace: x -> (x, alpha) alpha has trace (alpha, alpha),
-    so K times the rank is sum_{alpha > 0} (alpha, alpha), twice the sum
-    of the half-norms of ``root_pairing_data``; a remainder in that
-    division raises RuntimeError.  The map is linear, so
-    ``_freudenthal_data`` keeps it per root system as an integer n x n
-    matrix, built once from the positive-root table along with K.  Each
-    simple-root coordinate of lam - mu+ is then one row of it times
-    lam - mu+ and one exact division by K, before any sum over the
-    roots; a remainder means lam - mu+ is not in the root lattice and a
-    negative quotient that mu+ is not below lam, and either way the
-    multiplicity is 0.
+    The simple-root coordinates c of x = lam - mu+ come first, by a
+    descent along ``rs.columns``: at the first coordinate with x_k >= 1,
+    subtract ceil(x_k/2) alpha_k from x and add that amount to c_k, then
+    resume the scan at the column's first index, as the
+    ``roots._to_dominant`` walk does.  If x = sum_j c_j alpha_j with
+    every c_j >= 0, then x_k = 2 c_k + sum_{j != k} a_kj c_j <= 2 c_k, so
+    c_k >= ceil(x_k/2) and the step keeps x in Q+.  A nonzero x in Q+ has
+    some x_k >= 1, because (x, x) = sum_k c_k d_k x_k > 0, d the
+    symmetrizer.  So when mu+ <= lam the walk ends at x = 0 and c is
+    exact, and any other end means that mu+ is not below lam (or not in
+    its coset), so the multiplicity is 0.  The walk stops on every input:
+    a step of m = ceil(x_k/2) <= x_k lowers the height by m >= 1 and
+    changes (x, x) by 2 m d_k (m - x_k) <= 0, and the height is bounded
+    on the ball (y, y) <= (x, x).  When it ends at 0 it has taken at most
+    ht(lam - mu+) steps, the number of levels the search then runs.
 
     Everything is an integer: lam - nu has integral simple-root
     coordinates p, and |lam+rho|^2 - |nu+rho|^2 = (lam - nu, lam + nu +
@@ -455,15 +426,24 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
     mu = _check_weight(rs, mu)
     _check_dominant(rs, lam)  # after both length checks, whose errors come first
     bottom = dominant_conjugate(rs, mu)
-    roots, index, scale, rows = _freudenthal_data(rs)
-    diff = sub_weights(lam, bottom)
-    gap = []  # simple-root coordinates of lam - bottom
-    for row in rows:
-        c, rem = divmod(sum(map(mul, row, diff)), scale)
-        if rem or c < 0:
-            return 0
-        gap.append(c)
     cols = rs.columns
+    x = list(sub_weights(lam, bottom))
+    gap = [0] * rs.rank  # simple-root coordinates of lam - bottom
+    k = 0
+    while k < rs.rank:
+        m = (x[k] + 1) // 2  # ceil(x_k / 2)
+        if m > 0:
+            gap[k] += m
+            for j, c in cols[k]:
+                x[j] -= m * c
+            k = cols[k][0][0]
+        else:
+            k += 1
+    if any(x):
+        return 0
+    dots = (v for v, _halfnorm in root_pairing_data(rs))
+    roots = tuple(zip(rs.positive_roots_fund, rs.positive_roots, dots))
+    index = {alpha: k for k, alpha in enumerate(rs.positive_roots_fund)}
     sym = rs.symmetrizer
     shift = tuple(x + 2 for x in lam)  # lam + 2 rho
     # dominant weight -> (multiplicity, tails in positive-root order)

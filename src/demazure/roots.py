@@ -71,6 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import log10
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -232,7 +233,10 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         raise ValueError(f"unknown family {family!r}; expected one of A..G")
     lo, hi = _RANK_RANGES[fam]
     if not lo <= rank <= hi:
-        shown = rank if rank < 10**20 else f"{str(rank)[:20]}..."
+        shown = rank
+        if abs(rank) >= 10**20:  # its sign and first 20 digits; str() refuses 4,300
+            head = abs(rank) // 10 ** (int(log10(abs(rank))) - 20)
+            shown = f"{'-' if rank < 0 else ''}{str(head)[:20]}..."
         raise ValueError(f"rank {shown} invalid for type {fam}; allowed {lo}..{hi}")
     edges, d = _dynkin(fam, rank)
     cartan = _cartan_matrix(edges, d)

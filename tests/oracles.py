@@ -9,6 +9,7 @@ checks.
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
 
 
 def simple_root(rs, i):
@@ -43,6 +44,35 @@ def scaled_inverse_cartan(rs):
                 aug[r] = [x // g for x in row]
     scale = lcm(*(abs(aug[i][i]) for i in range(n)))
     return scale, tuple(tuple(x * (scale // aug[i][i]) for x in aug[i][n:]) for i in range(n))
+
+
+def gram_rows(positive_roots, positive_roots_fund, symmetrizer):
+    """(K, rows): the map x -> sum_{alpha > 0} (x, alpha) alpha = K x as integer rows.
+
+    The positive roots come in simple-root and in fundamental
+    coordinates, in one order, and d is the symmetrizer.  Row j applied
+    to a weight x in fundamental coordinates gives K times its j-th
+    simple-root coordinate: sum over all roots of (x, alpha)(y, alpha) is
+    a W-invariant symmetric form on the irreducible reflection
+    representation, so a multiple K (x, y) of the invariant one.  K is
+    read off the trace: x -> (x, alpha) alpha has trace (alpha, alpha),
+    so K times the rank is sum_{alpha > 0} (alpha, alpha); a remainder in
+    that division raises RuntimeError.  The dot vector of alpha is
+    c(alpha) d entrywise, so entry (j, k) is
+    d_k sum_{alpha > 0} c_j(alpha) c_k(alpha).
+    """
+    rank = len(symmetrizer)
+    dots = [tuple(map(mul, c, symmetrizer)) for c in positive_roots]
+    scale, rem = divmod(sum(sum(map(mul, v, f)) for v, f in zip(dots, positive_roots_fund)), rank)
+    if rem:
+        raise RuntimeError("the root norms do not sum to a multiple of the rank")
+    cols = tuple(zip(*positive_roots))
+    gram = {}  # sum_{alpha > 0} c_j(alpha) c_k(alpha)
+    for j, col in enumerate(cols):
+        for k in range(j, rank):
+            gram[j, k] = gram[k, j] = sum(map(mul, col, cols[k]))
+    rows = tuple(tuple(gram[j, k] * d for k, d in enumerate(symmetrizer)) for j in range(rank))
+    return scale, rows
 
 
 def bond_cartan_matrix(family, rank):

@@ -361,6 +361,11 @@ def test_levi_weyl_dim_spots():
     assert levi_weyl_dim(B3, frozenset({2, 3}), (-1, 0, 2)) == 10
     with pytest.raises(ValueError):
         levi_weyl_dim(A2, frozenset({1}), (-1, 0))
+    # the subset is checked as LeviDatum checks it: index 0 or -1 would
+    # read a coordinate of mu through mu[i - 1], and 5 would raise IndexError
+    for subset in ({0}, {-1}, {5}, {1, 3}):
+        with pytest.raises(ValueError, match=r"^simple index -?\d out of range 1\.\.2$"):
+            levi_weyl_dim(A2, subset, (-1, 1))
 
 
 def test_levi_datum_validation():

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 from operator import mul
 
 import pytest
@@ -14,6 +15,7 @@ from demazure import (
     demazure_character,
     demazure_dim,
     demazure_operator,
+    dominant_conjugate,
     dual_weight,
     freudenthal_multiplicity,
     from_word,
@@ -32,13 +34,12 @@ from demazure import (
 from demazure.characters import (
     _apply_word,
     _demazure_items,
-    _freudenthal_data,
     _letter,
     _pack,
     _packing,
 )
 from demazure.roots import root_pairing_data
-from oracles import scaled_inverse_cartan, simple_root
+from oracles import gram_rows, scaled_inverse_cartan, simple_root
 
 A1 = root_system("A1")
 A2 = root_system("A2")
@@ -287,14 +288,68 @@ def test_freudenthal_scale_is_the_trace():
         assert rem == 0 and scale == _scale_at_alpha_1(rs), name
 
 
+def _gram_rows(rs):
+    return gram_rows(rs.positive_roots, rs.positive_roots_fund, rs.symmetrizer)
+
+
 def test_freudenthal_rows_are_k_times_inverse_cartan():
-    # the stored map x -> sum_{alpha > 0} (x, alpha) alpha is K A^{-1},
-    # against the Gauss-Jordan oracle's D A^{-1}
+    # the Gram oracle's map x -> sum_{alpha > 0} (x, alpha) alpha is
+    # K A^{-1}, against the Gauss-Jordan oracle's D A^{-1}
     for name in ["A1", "A7", "B5", "C6", "D8", "E6", "E7", "E8", "F4", "G2"]:
         rs = root_system(name)
-        _roots, _index, scale, rows = _freudenthal_data(rs)
+        scale, rows = _gram_rows(rs)
         d, inverse = scaled_inverse_cartan(rs)
         assert [[d * x for x in row] for row in rows] == [[scale * x for x in row] for row in inverse], name
+
+
+def _box(lo, hi, n):
+    return list(product(range(lo, hi + 1), repeat=n))
+
+
+# (highest weights, weights mu) per root system: whole boxes up to rank 4
+DESCENT_CASES = {
+    "A1": (_box(0, 6, 1), _box(-9, 9, 1)),
+    "A2": (_box(0, 2, 2), _box(-3, 3, 2)),
+    "B2": (_box(0, 2, 2), _box(-3, 3, 2)),
+    "G2": (_box(0, 2, 2), _box(-3, 3, 2)),
+    "A3": (_box(0, 1, 3), _box(-2, 2, 3)),
+    "B3": (_box(0, 1, 3), _box(-2, 2, 3)),
+    "C3": (_box(0, 1, 3), _box(-2, 2, 3)),
+    "A4": (_box(0, 1, 4), _box(-1, 1, 4)),
+    "D4": (_box(0, 1, 4), _box(-1, 1, 4)),
+    "F4": ([(1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 1)], _box(-1, 1, 4)),
+    "E6": ([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)], _box(-1, 1, 6)[::3]),
+}
+
+
+@pytest.mark.parametrize("name", DESCENT_CASES)
+def test_freudenthal_descent_matches_gram_oracle(name):
+    # the descent that writes lam - mu+ in simple roots answers 0 exactly
+    # where the Gram oracle finds lam - mu+ off the root lattice (a
+    # remainder) or not in Q+ (a negative coordinate), and the value
+    # everywhere equals the operator character's coefficient; the boxes
+    # hold non-dominant mu, mu off lam's coset and mu+ not below lam
+    rs = root_system(name)
+    lams, mus = DESCENT_CASES[name]
+    scale, rows = _gram_rows(rs)
+    for lam in lams:
+        char = weyl_character(rs, lam)
+        for mu in mus:
+            x = sub_weights(lam, dominant_conjugate(rs, mu))
+            coords = [divmod(sum(map(mul, row, x)), scale) for row in rows]
+            below = all(c >= 0 and not rem for c, rem in coords)
+            value = freudenthal_multiplicity(rs, lam, mu)
+            assert (value > 0) == below and value == char.get(mu, 0), (name, lam, mu)
+
+
+def test_freudenthal_at_rank_100():
+    # the adjoint module of A100: 100 at the zero weight, 1 at the highest
+    # weight, and 0 at omega_1, which is off its coset
+    rs = root_system("A100")
+    lam = (1,) + (0,) * 98 + (1,)
+    assert freudenthal_multiplicity(rs, lam, (0,) * 100) == 100
+    assert freudenthal_multiplicity(rs, lam, lam) == 1
+    assert freudenthal_multiplicity(rs, lam, (1,) + (0,) * 99) == 0
 
 
 @pytest.mark.parametrize("k", [4000, 4001])

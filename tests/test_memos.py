@@ -3,6 +3,8 @@
 A memo keyed on a weight, a word or a subset grows with the input, so it
 has a finite ``maxsize``.  Only memos keyed on the root system alone (or
 on nothing) may be unbounded: there are finitely many root systems.
+``MEMOS`` lists every memo with its ``maxsize``, so none is added,
+dropped or resized without a line here.
 ``perfbench/worker.py`` reads ``cache_info()`` of two of them under
 ``--trace``, and the CI ``bench-smoke`` job runs that path.
 ``branching._levi_char_items`` is read in the library only by
@@ -19,13 +21,20 @@ from demazure import LeviDatum, root_system, unirad_mult_identity, weyl_characte
 from demazure.branching import _levi_char_items
 from demazure.characters import _demazure_items
 
-# memos whose key is a root system, a (family, rank) pair or nothing
-UNBOUNDED = {
-    "cli.build_parser",
-    "roots.build_root_system",
-    "roots.root_pairing_data",
-    "weyl.longest_element",
-    "weyl.weyl_group",
+# every memo of the package and its maxsize; None only where the key is
+# a root system, a (family, rank) pair or nothing
+MEMOS = {
+    "branching._levi_char_items": 256,
+    "branching._levi_root_indices": 1024,
+    "characters._demazure_items": 256,
+    "characters._packing": 256,
+    "cli.build_parser": None,
+    "growth._interval": 1024,
+    "roots.build_root_system": None,
+    "roots.root_pairing_data": None,
+    "weyl._min_coset_rep": 1024,
+    "weyl.longest_element": None,
+    "weyl.weyl_group": None,
 }
 
 
@@ -40,10 +49,8 @@ def _memos():
 
 
 def test_memos_keyed_on_input_are_bounded():
-    memos = _memos()
-    assert UNBOUNDED <= set(memos)
-    unbounded = {name for name, memo in memos.items() if memo.cache_info().maxsize is None}
-    assert unbounded == UNBOUNDED
+    # a memo added, dropped or resized needs a line in MEMOS
+    assert {name: memo.cache_info().maxsize for name, memo in _memos().items()} == MEMOS
 
 
 def test_benchmark_reads_bounded_memos():

@@ -237,6 +237,12 @@ def test_build_validation():
         root_system("A" + "9" * 5000)
     with pytest.raises(ValueError, match="unknown family 'Z'"):
         root_system("Z" + "9" * 5000)
+    # a rank of 21 digits or more, of either sign, shows its sign and
+    # first 20 digits, without a conversion of the whole integer to text
+    for rank in (10**5000, -(10**5000), -(10**25)):
+        sign = "-" if rank < 0 else ""
+        with pytest.raises(ValueError, match=rf"^rank {sign}10{{19}}\.\.\. invalid for type A; allowed 1\.\.100$"):
+            build_root_system("A", rank)
     assert root_system("A" + "0" * 5000 + "3") == root_system("A3")
     with pytest.raises(ValueError):
         build_root_system("H", 3)
