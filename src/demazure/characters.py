@@ -88,7 +88,6 @@ from demazure.roots import (
     _reflect,
     _to_dominant,
     dominant_conjugate,
-    root_pairing_data,
     root_system,
     sub_weights,
 )
@@ -132,9 +131,12 @@ def _packing(rs: RootSystem, size: int) -> _Packing:
     maxima agree in every type A-G).  So every coordinate stays within
     h * size < R, for non-dominant starts (such as the S-dominant
     weights of the Levi characters) as for dominant ones, and each
-    coordinate fits a base-(2R+1) digit offset by R.
+    coordinate fits a base-(2R+1) digit offset by R.  h is read off the
+    highest root theta, the last in ``rs.positive_roots``, sorted by
+    height: theta - alpha lies in Q+ for every positive root alpha, so
+    every simple-root coefficient of alpha is at most theta's.
     """
-    h = max(max(c) for c in rs.positive_roots)
+    h = max(rs.positive_roots[-1])
     radius = h * size + 1
     base = 2 * radius + 1
     n = rs.rank
@@ -347,8 +349,7 @@ def weyl_dim(rs: RootSystem, lam: Sequence[int]) -> int:
 
 def _weyl_dims(rs: RootSystem, root_indices: Sequence[int], mus: Iterable[Weight]) -> list[int]:
     """``weyl_dim`` of each checked weight mu, over the positive roots at root_indices."""
-    data = root_pairing_data(rs)
-    roots = [data[k][0] for k in root_indices]
+    roots = [rs.dots[k] for k in root_indices]
     rho_dots = list(map(sum, roots))  # dot with rho = all ones
     den = prod(rho_dots)
     dims = []
@@ -441,8 +442,7 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
             k += 1
     if any(x):
         return 0
-    dots = (v for v, _halfnorm in root_pairing_data(rs))
-    roots = tuple(zip(rs.positive_roots_fund, rs.positive_roots, dots))
+    roots = tuple(zip(rs.positive_roots_fund, rs.positive_roots, rs.dots))
     index = {alpha: k for k, alpha in enumerate(rs.positive_roots_fund)}
     sym = rs.symmetrizer
     shift = tuple(x + 2 for x in lam)  # lam + 2 rho

@@ -232,6 +232,11 @@ def _cmd_sl3t(ns: argparse.Namespace) -> int:
         grid = ",".join(ns.grid).split(",")
         if len(grid) != 2 or not all(x.strip().isdecimal() for x in grid):
             raise ValueError(f"--grid takes two non-negative integers, got {' '.join(ns.grid)!r}")
+        # A side of 21 digits or more gives over 10**40 rows, which no run
+        # finishes.  It is refused before int(), which raises its own error
+        # past 4,300 digits from Python 3.11 on and converts any length on 3.10.
+        if (digits := max(len(x.strip().lstrip("0")) for x in grid)) > 20:
+            raise ValueError(f"--grid takes numbers of at most 20 digits, got one of {digits:,}")
         kmax, lmax = map(int, grid)
         print("\t".join(AUDIT_COLUMNS))
         ok = True

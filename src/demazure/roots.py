@@ -58,6 +58,12 @@ built.  Each root carries its fundamental coordinates up the closure,
 and the root system keeps them.  The count is checked against the
 classical formula for each family at construction time.
 
+A root system's fields are what the build makes; equality compares
+them.  What readers derive from them, the dot vectors of the positive
+roots and the order of the Weyl group, are ``_cached`` attributes: each
+is computed on its first read and stored on the instance, so a build
+that nothing reads them from never pays for them.
+
 >>> a2 = root_system("A2")
 >>> a2.cartan
 ((2, -1), (-1, 2))
@@ -69,9 +75,10 @@ classical formula for each family at construction time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import log10
+from math import log10, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -104,14 +111,38 @@ _RANK_RANGES = {
 }
 
 
+class _cached:
+    """An attribute computed on first read and stored in the instance dictionary.
+
+    The stored value shadows this non-data descriptor, so later reads are
+    plain attribute lookups, and it bypasses a frozen dataclass's
+    ``__setattr__``.  A dataclass does not count it as a field, so it
+    takes no part in equality, hashing or ``dataclasses.replace``.
+    Unlike ``functools.cached_property`` before Python 3.12, the first
+    read takes no lock.  It is the package's one per-instance cache.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """An irreducible finite root system, fixed at construction.
 
-    ``cartan`` is stored as described in the module docstring and
-    ``positive_roots`` holds simple-root coordinate tuples, sorted by
-    height and then lexicographically.  The other three fields are
-    tables the build computes on the way:
+    The fields are what the build makes.  ``cartan`` is stored as
+    described in the module docstring and ``positive_roots`` holds
+    simple-root coordinate tuples, sorted by height and then
+    lexicographically.  The other three fields are tables the build
+    computes on the way:
 
     - ``columns``: entry i-1 lists the pairs (j, cartan[j][i-1]) with a
       nonzero entry, j ascending, the coordinates s_i can change;
@@ -119,6 +150,9 @@ class RootSystem:
       coordinates, in ``positive_roots`` order;
     - ``symmetrizer``: d_i = (alpha_i, alpha_i)/2, short roots 1, the
       least positive integers with d_i * a_ij == d_j * a_ji.
+
+    ``dots`` and ``order`` are ``_cached``: derived from the fields on
+    their first read, and stored on the instance.
     """
 
     family: str
@@ -140,6 +174,41 @@ class RootSystem:
         # Family and rank determine every other field; hashing them alone
         # keeps each lru_cache keyed on a root system cheap.
         return hash((self.family, self.rank))
+
+    @_cached
+    def dots(self) -> tuple[Weight, ...]:
+        """The dot vector of each positive root, in ``positive_roots`` order.
+
+        The dot vector v of alpha has v_j = c_j * d_j, c its simple-root
+        coordinates and d the symmetrizer, so that (mu, alpha) = v . mu
+        for mu in fundamental coordinates.  Applied to alpha's own
+        fundamental coordinates it gives (alpha, alpha), which must be
+        even and positive: RuntimeError otherwise, on the first read.
+        """
+        d = self.symmetrizer
+        out = []
+        for c, fund in zip(self.positive_roots, self.positive_roots_fund):
+            v = tuple(map(mul, c, d))
+            s = sum(map(mul, v, fund))
+            if s <= 0 or s % 2:
+                raise RuntimeError(f"{self.name}: bad norm for root {c}")
+            out.append(v)
+        return tuple(out)
+
+    @_cached
+    def order(self) -> int:
+        """|W| = prod_k (k + 1)^(n_k - n_{k+1}), n_k the number of positive roots of height k.
+
+        The heights of the positive roots form the partition dual to
+        the exponents m_1, ..., m_rank: exactly n_k - n_{k+1} exponents
+        equal k (Humphreys, *Reflection Groups and Coxeter Groups*,
+        3.20), and |W| = prod_i (m_i + 1).  This is the Poincare
+        polynomial prod_{alpha > 0} (1 - q^{ht + 1}) / (1 - q^{ht}) of W
+        (Macdonald, "The Poincare series of a Coxeter group", 1972) at
+        q = 1, with the telescoping done on the counts.
+        """
+        counts = Counter(map(sum, self.positive_roots))
+        return prod((k + 1) ** (n - counts[k + 1]) for k, n in counts.items())
 
 
 def _classical_positive_count(family: str, rank: int) -> int:
@@ -360,26 +429,6 @@ def sub_weights(a: Sequence[int], b: Sequence[int]) -> Weight:
 
 def scale_weight(n: int, a: Sequence[int]) -> Weight:
     return tuple(n * x for x in a)
-
-
-@lru_cache(maxsize=None)
-def root_pairing_data(rs: RootSystem) -> tuple[tuple[Weight, int], ...]:
-    """Per positive root alpha: (dot vector, half-norm).
-
-    The dot vector v has v_j = c_j * d_j so that (mu, alpha) = v . mu for
-    mu in fundamental coordinates, and half-norm is (alpha, alpha)/2,
-    half of v dotted with alpha's own fundamental coordinates; the coroot
-    pairing <mu, alpha^vee> is their quotient.
-    """
-    d = rs.symmetrizer
-    out = []
-    for c, fund in zip(rs.positive_roots, rs.positive_roots_fund):
-        dots = tuple(map(mul, c, d))
-        s = sum(map(mul, dots, fund))
-        if s <= 0 or s % 2:
-            raise RuntimeError(f"{rs.name}: bad norm for root {c}")
-        out.append((dots, s // 2))
-    return tuple(out)
 
 
 def dominant_conjugate(rs: RootSystem, mu: Sequence[int]) -> Weight:

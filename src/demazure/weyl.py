@@ -26,10 +26,10 @@ Coxeter groups", 2004).
 the one word anything prints.  It is the greedy walk from w(rho) at the
 smallest left descent, one walk more than the peel.  The peel, the
 length and the word are stored in the instance dictionary by
-``_cached``, which, unlike ``functools.cached_property`` before Python
-3.12, takes no lock on the first read.  ``min_coset_rep`` is memoised
-per subset, so the minimal coset representative of a Levi subset, and
-with it its word, is built once.
+``roots._cached``, which, unlike ``functools.cached_property`` before
+Python 3.12, takes no lock on the first read.  ``min_coset_rep`` is
+memoised per subset, so the minimal coset representative of a Levi
+subset, and with it its word, is built once.
 
 Every letter is one simple reflection, and s_i changes only coordinate
 i and the coordinates of i's Dynkin neighbours: the entries of column i
@@ -61,6 +61,7 @@ from typing import Iterable, Iterator, Sequence
 from demazure.roots import (
     RootSystem,
     Weight,
+    _cached,
     _check_index,
     _check_weight,
     _reflect,
@@ -95,26 +96,6 @@ def _negative(v: Weight) -> tuple[int, ...]:
 def _rho_image(w: "WeylElement") -> Weight:
     """w(rho): rho reflected along the peel, a1 first, as w = s_ak ... s_a1."""
     return _reflect(w.rs, rho(w.rs), w._peel)
-
-
-class _cached:
-    """An attribute computed on first read and stored in the instance dictionary.
-
-    The stored value shadows this non-data descriptor, so later reads are
-    plain attribute lookups.  Unlike ``functools.cached_property`` before
-    Python 3.12, the first read takes no lock.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-        self.__doc__ = fn.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -297,22 +278,6 @@ def demazure_product(w: WeylElement, v: WeylElement) -> WeylElement:
 _MAX_GROUP_ORDER = 100_000
 
 
-def _group_order(rs: RootSystem) -> int:
-    """|W| = prod over positive roots alpha of (ht(alpha) + 1) / ht(alpha).
-
-    This is the Poincare polynomial prod (1 - q^{ht + 1}) / (1 - q^{ht})
-    of W (Macdonald, "The Poincare series of a Coxeter group", 1972) at
-    q = 1; the product of the numerators is exactly |W| times the
-    product of the denominators.
-    """
-    num = den = 1
-    for coords in rs.positive_roots:
-        height = sum(coords)
-        num *= height + 1
-        den *= height
-    return num // den
-
-
 @lru_cache(maxsize=None)
 def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
     """The full Weyl group, sorted by (length, matrix). Small ranks only.
@@ -321,7 +286,7 @@ def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
     equal to w(omega_j), compared row by row.  Raises ValueError, before
     any search, for a group of more than 100,000 elements (E7, E8, A9).
     """
-    order = _group_order(rs)
+    order = rs.order
     if order > _MAX_GROUP_ORDER:
         raise ValueError(
             f"the Weyl group of {rs.name} has {order:,} elements; "

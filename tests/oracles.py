@@ -75,6 +75,40 @@ def gram_rows(positive_roots, positive_roots_fund, symmetrizer):
     return scale, rows
 
 
+def half_norms(positive_roots, positive_roots_fund, symmetrizer):
+    """(alpha, alpha)/2 for each positive root alpha.
+
+    The positive roots come in simple-root and in fundamental
+    coordinates, in one order, and d is the symmetrizer: with c the
+    simple-root coordinates, (alpha, alpha) = sum_j c_j d_j <alpha, alpha_j^vee>,
+    and <alpha, alpha_j^vee> is alpha's j-th fundamental coordinate.
+    """
+    return tuple(
+        sum(cj * dj * fj for cj, dj, fj in zip(c, symmetrizer, f)) // 2
+        for c, f in zip(positive_roots, positive_roots_fund)
+    )
+
+
+def height_product_order(positive_roots):
+    """|W| = prod over positive roots alpha of (ht(alpha) + 1) / ht(alpha).
+
+    This is the Poincare polynomial prod (1 - q^{ht + 1}) / (1 - q^{ht})
+    of W (Macdonald, "The Poincare series of a Coxeter group", 1972) at
+    q = 1; the product of the numerators is exactly |W| times the
+    product of the denominators.  The roots are given in simple-root
+    coordinates.
+    """
+    num = den = 1
+    for coords in positive_roots:
+        height = sum(coords)
+        num *= height + 1
+        den *= height
+    order, rem = divmod(num, den)
+    if rem:
+        raise RuntimeError("the height product is not an integer")
+    return order
+
+
 def bond_cartan_matrix(family, rank):
     """The Cartan matrix written as asymmetric bond pairs (a_ij, a_ji) per Dynkin edge."""
     a = [[0] * rank for _ in range(rank)]

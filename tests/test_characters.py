@@ -38,8 +38,7 @@ from demazure.characters import (
     _pack,
     _packing,
 )
-from demazure.roots import root_pairing_data
-from oracles import gram_rows, scaled_inverse_cartan, simple_root
+from oracles import gram_rows, half_norms, scaled_inverse_cartan, simple_root
 
 A1 = root_system("A1")
 A2 = root_system("A2")
@@ -268,7 +267,7 @@ def test_freudenthal_matches_operator_character_across_families(name):
 
 def _scale_at_alpha_1(rs):
     """Freudenthal's K as the first coordinate of sum_{alpha > 0} (alpha_1, alpha) alpha."""
-    pairs = [sum(map(mul, dots, simple_root(rs, 1))) for dots, _halfnorm in root_pairing_data(rs)]
+    pairs = [sum(map(mul, dots, simple_root(rs, 1))) for dots in rs.dots]
     return sum(p * coords[0] for p, coords in zip(pairs, rs.positive_roots))
 
 
@@ -284,7 +283,8 @@ def test_freudenthal_scale_is_the_trace():
     )
     for name in names:
         rs = root_system(name)
-        scale, rem = divmod(2 * sum(h for _dots, h in root_pairing_data(rs)), rs.rank)
+        halves = half_norms(rs.positive_roots, rs.positive_roots_fund, rs.symmetrizer)
+        scale, rem = divmod(2 * sum(halves), rs.rank)
         assert rem == 0 and scale == _scale_at_alpha_1(rs), name
 
 
@@ -495,7 +495,8 @@ def _ls_paths(rs, lam):
             if nu not in orbit:
                 orbit.add(nu)
                 todo.append(nu)
-    roots = [(beta, dots, half) for beta, (dots, half) in zip(rs.positive_roots_fund, root_pairing_data(rs))]
+    halves = half_norms(rs.positive_roots, rs.positive_roots_fund, rs.symmetrizer)
+    roots = list(zip(rs.positive_roots_fund, rs.dots, halves))
 
     def coroot(kappa, dots, half):
         return sum(map(mul, dots, kappa)) // half

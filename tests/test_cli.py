@@ -231,6 +231,16 @@ def test_sl3t_grid_takes_two_non_negative_integers(grid):
     assert err.startswith("error: --grid takes two non-negative integers")
 
 
+def test_sl3t_grid_counts_digits_before_int():
+    # refused before int(), which on Python 3.10 converts any length
+    for grid, digits in ((["1," + "9" * 5000], "5,000"), (["9" * 21, "1"], "21")):
+        code, out, err = cap(["sl3t", "--grid", *grid])
+        assert (code, out) == (2, "")
+        assert err == f"error: --grid takes numbers of at most 20 digits, got one of {digits}\n"
+    # leading zeros do not count
+    assert cap(["sl3t", "--grid", "0" * 30 + "1", "0"]) == cap(["sl3t", "--grid", "1,0"])
+
+
 @pytest.mark.parametrize(
     "single",
     [["--k1", "1"], ["--k2", "1"], ["--l=0,0,0"], ["--k1", "1", "--k2", "1", "--l=0,0,0"]],

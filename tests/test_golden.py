@@ -61,6 +61,7 @@ CLI_CASES = [
     ("sl3t_grid_2_1", ["sl3t", "--grid", "2", "1"], 0, False),
     ("bad_sl3t_grid_one_number", ["sl3t", "--grid", "1"], 2, True),
     ("bad_sl3t_grid_and_single", ["sl3t", "--k1", "1", "--k2", "1", "--l=0,0,0", "--grid", "1", "1"], 2, True),
+    ("bad_sl3t_grid_too_many_digits", ["sl3t", "--grid", "9" * 5000, "1"], 2, True),
 ]
 SCRIPT_CASES = [
     (f"growth_table_{t}", ["scripts/growth_table.py", "--type", t], 0, False) for t in ("A2", "B2", "G2", "B3")

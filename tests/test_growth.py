@@ -22,8 +22,7 @@ from demazure import (
     weyl_group,
 )
 from demazure import growth
-from demazure.roots import root_pairing_data
-from oracles import principal_specialisation, scaled_inverse_cartan
+from oracles import half_norms, principal_specialisation, scaled_inverse_cartan
 
 A2 = root_system("A2")
 
@@ -268,7 +267,8 @@ def _covers_below(w, lam):
     vector's product over the half-norm.
     """
     rs = w.rs
-    for beta, (dots, half) in zip(rs.positive_roots_fund, root_pairing_data(rs)):
+    halves = half_norms(rs.positive_roots, rs.positive_roots_fund, rs.symmetrizer)
+    for beta, dots, half in zip(rs.positive_roots_fund, rs.dots, halves):
         k = sum(map(mul, dots, w.u)) // half
         v = WeylElement(rs, tuple(x - k * b for x, b in zip(w.u, beta)))
         if v.length == w.length - 1:

@@ -9,7 +9,9 @@ the packed simple roots that ``characters`` builds from them.
 Only ``roots`` reads a root system's family, so what is known per family
 (the Dynkin graphs, the rank ranges, the root counts) stays in one
 module.  Only ``characters`` reads the fields of a packing, so the
-packed weight format stays in one module too.  ``branching`` reads
+packed weight format stays in one module too.  The package has one
+per-instance cache: ``_cached`` is defined only in ``roots``, and no
+module uses ``functools.cached_property``.  ``branching`` reads
 Demazure characters only, never an irreducible character or a weight
 multiplicity.  No module imports a name it never uses, and no private
 function or class is left that only the tests call.  The tests' own
@@ -79,6 +81,23 @@ def test_only_characters_reads_the_packing():
     # the packed weight format is known to one module
     for field in ("places", "radius", "base", "offset", "simple"):
         assert _attribute_readers(field) == ["characters.py"], field
+
+
+def test_one_per_instance_cache():
+    defined = []
+    cached_property = []
+    for p in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == "_cached":
+                defined.append(p.name)
+            elif (
+                isinstance(node, ast.Name) and node.id == "cached_property"
+                or isinstance(node, ast.Attribute) and node.attr == "cached_property"
+                or isinstance(node, ast.alias) and node.name == "cached_property"
+            ):
+                cached_property.append(p.name)
+    assert defined == ["roots.py"]
+    assert cached_property == []
 
 
 def _imported_names(path):

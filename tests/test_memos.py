@@ -3,6 +3,9 @@
 A memo keyed on a weight, a word or a subset grows with the input, so it
 has a finite ``maxsize``.  Only memos keyed on the root system alone (or
 on nothing) may be unbounded: there are finitely many root systems.
+A value that depends on one root system alone is no memo at all: it is
+a ``_cached`` attribute of the ``RootSystem`` (``dots``, ``order``),
+stored on the instance on its first read.
 ``MEMOS`` lists every memo with its ``maxsize``, so none is added,
 dropped or resized without a line here.
 ``perfbench/worker.py`` reads ``cache_info()`` of two of them under
@@ -31,7 +34,6 @@ MEMOS = {
     "cli.build_parser": None,
     "growth._interval": 1024,
     "roots.build_root_system": None,
-    "roots.root_pairing_data": None,
     "weyl._min_coset_rep": 1024,
     "weyl.longest_element": None,
     "weyl.weyl_group": None,

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from math import gcd
 
@@ -16,8 +17,15 @@ from demazure import (
     simple_reflection,
     sub_weights,
 )
-from demazure.roots import RootSystem, _reflect, _to_dominant, root_pairing_data
-from oracles import bond_cartan_matrix, propagated_symmetrizer, scaled_inverse_cartan, simple_root
+from demazure.roots import RootSystem, _reflect, _to_dominant
+from oracles import (
+    bond_cartan_matrix,
+    half_norms,
+    height_product_order,
+    propagated_symmetrizer,
+    scaled_inverse_cartan,
+    simple_root,
+)
 
 ALL_NAMES = [
     "A1", "A2", "A3", "A4",
@@ -156,13 +164,62 @@ def test_scaled_inverse_cartan_of_simple_roots():
         assert coords == tuple(scale * int(j == i - 1) for j in range(3))
 
 
-def test_root_pairing_data_coroot_pairing_is_two():
+def test_dots_coroot_pairing_is_two():
     # <alpha, alpha^vee> = 2 for every positive root
     for name in ("A3", "B3", "C3", "G2", "F4"):
         rs = root_system(name)
         fund = rs.positive_roots_fund
-        for alpha, (dots, half_norm) in zip(fund, root_pairing_data(rs)):
+        halves = half_norms(rs.positive_roots, fund, rs.symmetrizer)
+        for alpha, dots, half_norm in zip(fund, rs.dots, halves):
             assert sum(d * a for d, a in zip(dots, alpha)) == 2 * half_norm, name
+
+
+@pytest.mark.parametrize("name, symmetrizer", [("G2", (1, 2)), ("B3", (1, 1, 2)), ("A2", (1, -1))])
+def test_dots_raise_on_a_bad_norm(name, symmetrizer):
+    # an odd (G2, B3) or a nonpositive (A2) root norm raises on every read
+    broken = dataclasses.replace(root_system(name), symmetrizer=symmetrizer)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match=f"{name}: bad norm for root"):
+            broken.dots
+
+
+def _counting(fn, calls):
+    def counted(rs):
+        calls.append(fn.__name__)
+        return fn(rs)
+
+    return counted
+
+
+def test_dots_and_order_are_computed_once_per_instance(monkeypatch):
+    calls = []
+    for attr in ("dots", "order"):
+        descriptor = vars(RootSystem)[attr]
+        monkeypatch.setattr(descriptor, "fn", _counting(descriptor.fn, calls))
+    named = root_system("B3")
+    fresh = dataclasses.replace(named)
+    assert fresh is not named and not {"dots", "order"} & set(vars(fresh))
+    dots, order = fresh.dots, fresh.order
+    assert fresh.dots is dots and fresh.order == order
+    assert calls == ["dots", "order"]
+    assert vars(fresh)["dots"] is dots and vars(fresh)["order"] == order == 48
+    # they are stored on the instance, not as fields: equality and hashing ignore them
+    assert fresh == named and hash(fresh) == hash(named)
+    assert not {"dots", "order"} & set(vars(dataclasses.replace(fresh)))
+
+
+ORDER_NAMES = [
+    f"{family}{rank}"
+    for family, low in (("A", 1), ("B", 2), ("C", 3), ("D", 4))
+    for rank in [*range(low, 13), 50, 100]
+] + ["E6", "E7", "E8", "F4", "G2"]
+
+
+def test_order_matches_height_product():
+    # |W| from the height counts, against Macdonald's product over every root
+    for name in ORDER_NAMES:
+        rs = root_system(name)
+        assert rs.order == height_product_order(rs.positive_roots), name
 
 
 @given(
@@ -284,6 +341,9 @@ def test_directly_built_system_equals_and_hashes_like_named_one():
         direct = RootSystem(*fields, *tables)
         assert direct is not named
         assert direct == named and hash(direct) == hash(named), name
+        # reading the derived values changes neither equality nor hash
+        assert (direct.dots, direct.order) == (named.dots, named.order), name
+        assert direct == named and hash(direct) == hash(named), name
         assert {named: name}[direct] == name
         # equality still compares every field
         assert RootSystem(named.family, named.rank, named.cartan, (), *tables) != named
@@ -350,7 +410,7 @@ def test_positive_roots_match_dense_closure(family, rank):
 
 
 def _reference_root_tables(rs):
-    """(columns, fundamental coordinates, pairing data) of the positive roots by dense sums.
+    """(columns, fundamental coordinates, symmetrizer, (dot vector, half-norm) pairs) by dense sums.
 
     The columns are a dense read of the nonzero entries of each column of
     the Cartan matrix, and d is the symmetrizer propagated along the graph.
@@ -373,5 +433,6 @@ def _reference_root_tables(rs):
 )
 def test_root_tables_match_dense_oracle(name):
     rs = root_system(name)
-    tables = (rs.columns, rs.positive_roots_fund, rs.symmetrizer, root_pairing_data(rs))
+    halves = half_norms(rs.positive_roots, rs.positive_roots_fund, rs.symmetrizer)
+    tables = (rs.columns, rs.positive_roots_fund, rs.symmetrizer, tuple(zip(rs.dots, halves)))
     assert tables == _reference_root_tables(rs)

@@ -21,7 +21,7 @@ from demazure import (
     simple_reflection,
     weyl_group,
 )
-from demazure.weyl import WeylElement, _group_order
+from demazure.weyl import WeylElement
 from oracles import simple_root, straighten
 
 WEYL_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12, "D4": 192}
@@ -172,7 +172,7 @@ def test_group_order_formula_matches_enumeration():
     # every type whose group the tests enumerate, and E6, the largest allowed
     for name in ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2", "E6"):
         rs = root_system(name)
-        assert _group_order(rs) == len(weyl_group(rs)), name
+        assert rs.order == len(weyl_group(rs)), name
 
 
 def test_weyl_group_stores_each_length():
@@ -186,7 +186,8 @@ def test_weyl_group_stores_each_length():
 
 def test_weyl_group_refuses_large_groups():
     for name, order in (("E7", "2,903,040"), ("E8", "696,729,600"), ("A9", "3,628,800")):
-        with pytest.raises(ValueError, match=order):
+        message = f"the Weyl group of {name} has {order} elements; weyl_group lists at most 100,000"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             weyl_group(root_system(name))
 
 
