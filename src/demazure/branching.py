@@ -69,7 +69,7 @@ from demazure.roots import (
     Weight,
     _check_dominant,
     _check_index,
-    _check_weight,
+    _check_integral,
 )
 from demazure.weyl import longest_parabolic, min_coset_rep, reduced_word
 
@@ -115,8 +115,8 @@ def s_dominant(subset: Iterable[int], mu: Sequence[int]) -> bool:
 
 
 def _check_s_dominant(rs: RootSystem, s: frozenset[int], mu: Sequence[int]) -> Weight:
-    """mu as a checked weight tuple; ValueError unless it is dominant on s."""
-    t = _check_weight(rs, mu)
+    """mu as a checked tuple of ints; ValueError unless it is dominant on s."""
+    t = _check_integral(rs, mu)
     if not s_dominant(s, t):
         raise ValueError(f"weight {t} is not dominant on subset {sorted(s)}")
     return t

@@ -84,6 +84,7 @@ from demazure.roots import (
     Weight,
     _check_dominant,
     _check_index,
+    _check_integral,
     _check_weight,
     _reflect,
     _to_dominant,
@@ -247,7 +248,7 @@ def _chain(pk: _Packing, word: Sequence[int], cur: dict[int, int]) -> dict[int, 
 
 def demazure_operator(rs: RootSystem, i: int, char: Character) -> Character:
     """Apply the single-index operator for alpha_i to a character."""
-    return dict(_apply_word(rs, (i,), char))
+    return dict(_apply_word(rs, (i,), {_check_integral(rs, mu): c for mu, c in char.items()}))
 
 
 @lru_cache(maxsize=256)

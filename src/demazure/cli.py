@@ -15,6 +15,15 @@ One argument parser serves every ``run`` in a process: it is built on
 the first call and reused, since building it costs far more than
 parsing with it.
 
+``_FLAGS`` is the one place that declares a flag: its name, what
+``run`` makes of the parsed string (the root system, a tuple of
+integers, or the value as argparse leaves it), the subcommands that take
+it, and its argparse settings.  ``run`` converts every value once, in
+table order, before the handler runs, so a malformed integer list is
+reported before any check but the one on ``--type``, which comes first.
+Each ``_cmd_*`` handler takes the converted values as keyword arguments
+named after its flags (``rs`` for ``--type``).
+
 The character cache (``--cache DIR``, default from the environment
 variable DEMAZURE_CACHE_DIR) stores canonical character JSON keyed by
 (format version, type, word, weight) with a content checksum; corrupt or
@@ -67,14 +76,11 @@ def _csv_ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _cache_dir(ns: argparse.Namespace) -> Path | None:
-    raw = ns.cache or os.environ.get(CACHE_ENV_VAR)
-    return Path(raw) if raw else None
-
-
-def _cached_character(rs, word, lam, cache_dir: Path | None):
-    if cache_dir is None:
+def _cached_character(rs, word, lam, cache: str | None):
+    cache = cache or os.environ.get(CACHE_ENV_VAR)  # the --cache flag, else the variable
+    if not cache:
         return demazure_character(rs, word, lam)
+    cache_dir = Path(cache)
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -117,46 +123,35 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _cmd_char(ns: argparse.Namespace) -> int:
-    rs = root_system(ns.type)
-    char = _cached_character(rs, _csv_ints(ns.word), _csv_ints(ns.weight), _cache_dir(ns))
-    print(character_to_json(rs, char))
+def _cmd_char(rs, word, weight, cache) -> int:
+    print(character_to_json(rs, _cached_character(rs, word, weight, cache)))
     return 0
 
 
-def _cmd_dim(ns: argparse.Namespace) -> int:
-    rs = root_system(ns.type)
-    char = _cached_character(rs, _csv_ints(ns.word), _csv_ints(ns.weight), _cache_dir(ns))
-    print(sum(char.values()))
+def _cmd_dim(rs, word, weight, cache) -> int:
+    print(sum(_cached_character(rs, word, weight, cache).values()))
     return 0
 
 
-def _cmd_weight_mult(ns: argparse.Namespace) -> int:
-    rs = root_system(ns.type)
-    print(weight_multiplicity(rs, _csv_ints(ns.weight), _csv_ints(ns.mu)))
+def _cmd_weight_mult(rs, weight, mu) -> int:
+    print(weight_multiplicity(rs, weight, mu))
     return 0
 
 
-def _cmd_dual(ns: argparse.Namespace) -> int:
-    rs = root_system(ns.type)
-    print(_dumps(list(dual_weight(rs, _csv_ints(ns.weight)))))
+def _cmd_dual(rs, weight) -> int:
+    print(_dumps(list(dual_weight(rs, weight))))
     return 0
 
 
-def _cmd_hecke(ns: argparse.Namespace) -> int:
-    rs = root_system(ns.type)
-    x = demazure_fold(identity(rs), _csv_ints(ns.left))
-    x = demazure_fold(x, _csv_ints(ns.right))
+def _cmd_hecke(rs, left, right) -> int:
+    x = demazure_fold(demazure_fold(identity(rs), left), right)
     print(_dumps({"word": list(reduced_word(x)), "length": x.length}))
     return 0
 
 
-def _cmd_branch(ns: argparse.Namespace) -> int:
-    rs = root_system(ns.type)
-    lam = _csv_ints(ns.weight)
-    subset = _csv_ints(ns.subset)
+def _cmd_branch(rs, weight, subset) -> int:
     levi = LeviDatum(rs, frozenset(subset))
-    result, dims, full_dim = _branch(lam, levi)
+    result, dims, full_dim = _branch(weight, levi)
     bound = _coset_bound(result.lam, levi)
     constituents = [
         {"weight": list(mu), "mult": str(mult), "levi_dim": str(dim), "holds": mult <= bound}
@@ -178,13 +173,12 @@ def _cmd_branch(ns: argparse.Namespace) -> int:
     return 0 if length_holds else 1
 
 
-def _cmd_unirad(ns: argparse.Namespace) -> int:
-    rs = root_system(ns.type)
-    levi = LeviDatum(rs, frozenset(_csv_ints(ns.subset)))
-    demazure_side, levi_side, equal = unirad_mult_identity(_csv_ints(ns.weight), levi)
+def _cmd_unirad(rs, weight, subset) -> int:
+    levi = LeviDatum(rs, frozenset(subset))
+    demazure_side, levi_side, equal = unirad_mult_identity(weight, levi)
     out = {
         "root_system": rs.name,
-        "weight": list(_csv_ints(ns.weight)),
+        "weight": list(weight),
         "subset": sorted(levi.subset),
         "demazure_side": str(demazure_side),
         "levi_side": str(levi_side),
@@ -194,27 +188,26 @@ def _cmd_unirad(ns: argparse.Namespace) -> int:
     return 0 if equal else 1
 
 
-def _cmd_growth(ns: argparse.Namespace) -> int:
-    rs = root_system(ns.type)
-    w = _check_reduced(rs, _csv_ints(ns.word))
-    seq = dimension_sequence(w, _csv_ints(ns.weight), ns.n)
+def _cmd_growth(rs, word, weight, n, format) -> int:
+    w = _check_reduced(rs, word)
+    seq = dimension_sequence(w, weight, n)
     degree = growth_degree(seq)
-    if ns.format == "tsv":
+    if format == "tsv":
         tables = [list(seq.values)]
         for _ in range(w.length + 1):
             tables.append(finite_differences(tables[-1]))
         header = ["n", "dim"] + [f"diff{k}" for k in range(1, w.length + 2)]
         print("\t".join(header))
-        for n in range(len(seq.values)):
-            row = [str(n), str(seq.values[n])]
+        for i, value in enumerate(seq.values):
+            row = [str(i), str(value)]
             for k in range(1, w.length + 2):
-                row.append(str(tables[k][n]) if n < len(tables[k]) else "")
+                row.append(str(tables[k][i]) if i < len(tables[k]) else "")
             print("\t".join(row))
     else:
         out = {
             "root_system": rs.name,
             "word": list(reduced_word(w)),
-            "weight": list(_csv_ints(ns.weight)),
+            "weight": list(weight),
             "values": [str(v) for v in seq.values],
             "degree": degree,
             "length_w": w.length,
@@ -225,28 +218,28 @@ def _cmd_growth(ns: argparse.Namespace) -> int:
     return 0 if degree <= w.length else 1
 
 
-def _cmd_sl3t(ns: argparse.Namespace) -> int:
-    if ns.grid:
-        if (ns.k1, ns.k2, ns.l) != (None, None, None):
+def _cmd_sl3t(k1, k2, l, grid) -> int:
+    if grid:
+        if (k1, k2, l) != (None, None, None):
             raise ValueError("give either --grid or all of --k1, --k2, --l, not both")
-        grid = ",".join(ns.grid).split(",")
-        if len(grid) != 2 or not all(x.strip().isdecimal() for x in grid):
-            raise ValueError(f"--grid takes two non-negative integers, got {' '.join(ns.grid)!r}")
+        parts = ",".join(grid).split(",")
+        if len(parts) != 2 or not all(x.strip().isdecimal() for x in parts):
+            raise ValueError(f"--grid takes two non-negative integers, got {' '.join(grid)!r}")
         # A side of 21 digits or more gives over 10**40 rows, which no run
         # finishes.  It is refused before int(), which raises its own error
         # past 4,300 digits from Python 3.11 on and converts any length on 3.10.
-        if (digits := max(len(x.strip().lstrip("0")) for x in grid)) > 20:
+        if (digits := max(len(x.strip().lstrip("0")) for x in parts)) > 20:
             raise ValueError(f"--grid takes numbers of at most 20 digits, got one of {digits:,}")
-        kmax, lmax = map(int, grid)
+        kmax, lmax = map(int, parts)
         print("\t".join(AUDIT_COLUMNS))
         ok = True
         for row in audit_rows(kmax, lmax):
             ok = ok and row[-1]
             print("\t".join(map(str, row)))
         return 0 if ok else 1
-    if ns.k1 is None or ns.k2 is None or ns.l is None:
+    if k1 is None or k2 is None or l is None:
         raise ValueError("need either --grid or all of --k1, --k2, --l")
-    bw = Biweight(ns.k1, ns.k2, _csv_ints(ns.l))
+    bw = Biweight(k1, k2, l)
     *_, member, n, a, b, c, agree = _audit_row(bw.k1, bw.k2, bw.l, mult_via_weights(bw))
     out = {
         "k1": bw.k1,
@@ -263,22 +256,43 @@ def _cmd_sl3t(ns: argparse.Namespace) -> int:
     return 0 if agree else 1
 
 
-# Subcommand, handler, help, and its string flags: every one is required
-# except --cache.  growth and sl3t add their own typed flags below.
-_SUBCOMMANDS = (
-    ("char", _cmd_char, "Demazure character as canonical JSON", ("type", "word", "weight", "cache")),
-    ("dim", _cmd_dim, "Demazure module dimension", ("type", "word", "weight", "cache")),
-    ("weight-mult", _cmd_weight_mult, "weight multiplicity in an irreducible module",
-     ("type", "weight", "mu")),
-    ("dual", _cmd_dual, "highest weight of the dual module", ("type", "weight")),
-    ("hecke", _cmd_hecke, "0-Hecke product of two words", ("type", "left", "right")),
-    ("branch", _cmd_branch, "branch to a Levi subgroup, with bounds", ("type", "weight", "subset")),
-    ("unirad", _cmd_unirad, "parabolic Demazure dimension vs Levi dimension",
-     ("type", "weight", "subset")),
-    ("growth", _cmd_growth, "dilation dimensions and growth degree", ("type", "word", "weight")),
-    ("sl3t", _cmd_sl3t, "triple multiplicity audit for the SL3 torus quotient", ()),
+_SUBCOMMANDS = {
+    "char": (_cmd_char, "Demazure character as canonical JSON"),
+    "dim": (_cmd_dim, "Demazure module dimension"),
+    "weight-mult": (_cmd_weight_mult, "weight multiplicity in an irreducible module"),
+    "dual": (_cmd_dual, "highest weight of the dual module"),
+    "hecke": (_cmd_hecke, "0-Hecke product of two words"),
+    "branch": (_cmd_branch, "branch to a Levi subgroup, with bounds"),
+    "unirad": (_cmd_unirad, "parabolic Demazure dimension vs Levi dimension"),
+    "growth": (_cmd_growth, "dilation dimensions and growth degree"),
+    "sl3t": (_cmd_sl3t, "triple multiplicity audit for the SL3 torus quotient"),
+}
+_REQUIRED = {"required": True}
+# Every flag: its name, what run() makes of the parsed string before the
+# handler sees it (None: the value as argparse leaves it), the subcommands
+# that take it, and its argparse settings.  A subcommand lists its flags
+# in --help, and run() converts them, in this order.  --word has two
+# entries because only char's carries a help text.
+_FLAGS = (
+    ("type", root_system, "char dim weight-mult dual hecke branch unirad growth",
+     {**_REQUIRED, "dest": "rs", "metavar": "TYPE"}),
+    ("word", _csv_ints, "char",
+     {**_REQUIRED, "help": "comma-separated 1-based letters; empty for the identity"}),
+    ("word", _csv_ints, "dim growth", _REQUIRED),
+    ("weight", _csv_ints, "char dim weight-mult dual branch unirad growth", _REQUIRED),
+    ("mu", _csv_ints, "weight-mult", _REQUIRED),
+    ("left", _csv_ints, "hecke", _REQUIRED),
+    ("right", _csv_ints, "hecke", _REQUIRED),
+    ("subset", _csv_ints, "branch unirad", _REQUIRED),
+    ("cache", None, "char dim", {}),
+    ("n", None, "growth", {"type": int}),
+    ("format", None, "growth", {"choices": ("json", "tsv"), "default": "json"}),
+    ("k1", None, "sl3t", {"type": int}),
+    ("k2", None, "sl3t", {"type": int}),
+    ("l", _csv_ints, "sl3t", {}),
+    ("grid", None, "sl3t",
+     {"nargs": "+", "help": "kmax lmax (or kmax,lmax): stream the TSV audit grid"}),
 )
-_FLAG_HELP = {("char", "word"): "comma-separated 1-based letters; empty for the identity"}
 
 
 @functools.cache
@@ -289,42 +303,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Demazure characters and multiplicity bounds.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    parsers = {}
-    for name, func, help_text, flags in _SUBCOMMANDS:
-        p = parsers[name] = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        for flag in flags:
-            if flag == "cache":
-                p.add_argument("--cache", default=None)
-            else:
-                p.add_argument(f"--{flag}", required=True, help=_FLAG_HELP.get((name, flag)))
-
-    p = parsers["growth"]
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--format", choices=("json", "tsv"), default="json")
-
-    p = parsers["sl3t"]
-    p.add_argument("--k1", type=int, default=None)
-    p.add_argument("--k2", type=int, default=None)
-    p.add_argument("--l", default=None)
-    p.add_argument(
-        "--grid",
-        nargs="+",
-        default=None,
-        help="kmax lmax (or kmax,lmax): stream the TSV audit grid",
-    )
-
+    parsers = {name: sub.add_parser(name, help=text) for name, (_, text) in _SUBCOMMANDS.items()}
+    for flag, _, names, settings in _FLAGS:
+        for name in names.split():
+            parsers[name].add_argument(f"--{flag}", **settings)
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    kwargs = {}
     try:
-        return ns.func(ns)
+        for flag, convert, names, settings in _FLAGS:
+            if ns.subcommand in names.split():
+                dest = settings.get("dest", flag)
+                value = getattr(ns, dest)
+                kwargs[dest] = value if convert is None or value is None else convert(value)
+        return _SUBCOMMANDS[ns.subcommand][0](**kwargs)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

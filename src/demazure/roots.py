@@ -79,7 +79,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import log10, prod
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 Weight = tuple[int, ...]
@@ -406,9 +406,24 @@ def is_dominant(mu: Sequence[int]) -> bool:
     return all(x >= 0 for x in mu)
 
 
+def _check_integral(rs: RootSystem, mu: Sequence[int]) -> Weight:
+    """mu as a checked tuple of ints; ValueError unless each coordinate is an integer.
+
+    Each coordinate is read through ``operator.index``, so ints, bools and
+    numpy integers pass.  A float such as 0.5 is refused here: the operator
+    kernel's sweep steps through integer keys, never meets a float one,
+    and would run until memory gives out.
+    """
+    t = _check_weight(rs, mu)
+    try:
+        return tuple(map(index, t))
+    except TypeError:
+        raise ValueError(f"weight {t} has a coordinate that is not an integer") from None
+
+
 def _check_dominant(rs: RootSystem, lam: Sequence[int]) -> Weight:
-    """lam as a checked weight tuple; ValueError unless it is dominant."""
-    t = _check_weight(rs, lam)
+    """lam as a checked tuple of ints; ValueError unless it is dominant."""
+    t = _check_integral(rs, lam)
     if not is_dominant(t):
         raise ValueError(f"weight {t} is not dominant")
     return t
@@ -437,8 +452,3 @@ def dominant_conjugate(rs: RootSystem, mu: Sequence[int]) -> Weight:
     _to_dominant(rs.columns, cur)
     return tuple(cur)
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

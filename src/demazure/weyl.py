@@ -325,8 +325,3 @@ def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
         group.append(w)
     return tuple(group)
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from demazure import (
+    LeviDatum,
     add_weights,
     all_reduced_words,
     character_from_json,
@@ -15,10 +17,12 @@ from demazure import (
     demazure_character,
     demazure_dim,
     demazure_operator,
+    dimension_sequence,
     dominant_conjugate,
     dual_weight,
     freudenthal_multiplicity,
     from_word,
+    levi_weyl_dim,
     longest_element,
     reduced_word,
     rho,
@@ -26,6 +30,7 @@ from demazure import (
     scale_weight,
     simple_reflection,
     sub_weights,
+    unirad_mult_identity,
     weight_multiplicity,
     weyl_character,
     weyl_dim,
@@ -224,6 +229,50 @@ def test_both_multiplicity_routes_read_zero(mu):
     # above lam: both routes answer 0 rather than raise
     assert weight_multiplicity(A2, (1, 1), mu) == 0
     assert freudenthal_multiplicity(A2, (1, 1), mu) == 0
+
+
+# A highest weight with a coordinate that is not an integer once reached
+# the operator kernel, whose sweep never meets a float key: the first four
+# calls ran until memory gave out, the rest answered wrongly or raised
+# TypeError or AttributeError.  Each is now refused by name.
+@pytest.mark.parametrize("call, weight", [
+    (lambda: demazure_character(A2, (1, 2), (0.5, 1)), (0.5, 1)),
+    (lambda: demazure_dim(longest_element(A2), (0.5, 0)), (0.5, 0)),
+    (lambda: unirad_mult_identity((0.5, 1), LeviDatum(A2, {2})), (0.5, 1)),
+    (lambda: demazure_operator(A2, 1, {(0.5, 0): 1}), (0.5, 0)),
+    (lambda: weyl_character(A2, (1.0, 0)), (1.0, 0)),
+    (lambda: levi_weyl_dim(A2, {2}, (0.5, 1)), (0.5, 1)),
+    (lambda: freudenthal_multiplicity(A2, (0.5, 0), (0.5, 0)), (0.5, 0)),
+    (lambda: weight_multiplicity(A2, (1.0, 1), (0, 0)), (1.0, 1)),
+    (lambda: dimension_sequence(longest_element(A2), (0.5, 1)), (0.5, 1)),
+], ids=["demazure_character", "demazure_dim", "unirad_mult_identity", "demazure_operator",
+        "weyl_character", "levi_weyl_dim", "freudenthal_multiplicity", "weight_multiplicity",
+        "dimension_sequence"])
+def test_a_weight_that_is_not_integral_is_refused(call, weight):
+    message = f"weight {weight} has a coordinate that is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_integer_like_coordinates_are_read_as_ints():
+    class Index:  # anything with __index__, as a numpy integer has
+        def __init__(self, n):
+            self.n = n
+
+        def __index__(self):
+            return self.n
+
+    assert weyl_dim(A2, (Index(1), True)) == 8
+    assert weyl_character(A2, (Index(1), True)) == weyl_character(A2, (1, 1))
+    assert demazure_operator(A2, 1, {(Index(1), False): 1}) == {(1, 0): 1, (-1, 1): 1}
+
+
+@pytest.mark.parametrize("term", [(1,), (1, 0, 5)])
+def test_demazure_operator_refuses_a_term_of_the_wrong_length(term):
+    # each term was zipped with the digit places, so both read as (1, 0)
+    message = f"weight {term} has {len(term)} coordinates; A2 has rank 2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        demazure_operator(A2, 1, {(0, 1): 1, term: 1})
 
 
 def test_freudenthal_agrees_with_character_expansion():

@@ -1,6 +1,9 @@
+import argparse
+import ast
 import io
 import contextlib
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -256,6 +259,48 @@ def test_sl3t_needs_arguments():
     code, _, err = cap(["sl3t"])
     assert code == 2
     assert "need either --grid" in err
+
+
+# run() converts every flag before the handler runs, so a malformed
+# integer list is reported before a check on any other flag, and of two
+# malformed lists the first in flag order is reported.
+@pytest.mark.parametrize("argv", [
+    ["hecke", "--type", "A2", "--left", "5", "--right", "x"],  # was: simple index 5 out of range
+    ["unirad", "--type", "A2", "--weight", "x", "--subset", "5"],  # was: the index error
+    ["growth", "--type", "A2", "--word", "1,1", "--weight", "x"],  # was: not reduced
+    ["sl3t", "--grid", "1", "1", "--l", "x"],  # was: give either --grid ...
+    ["sl3t", "--k1", "1", "--l", "x"],  # was: need either --grid ...
+    ["unirad", "--type", "A2", "--weight", "x", "--subset", "y"],  # was: got 'y'
+], ids=" ".join)
+def test_a_malformed_integer_list_is_reported_first(argv):
+    assert cap(argv) == (2, "", "error: expected comma-separated integers, got 'x'\n")
+
+
+def test_flags_are_declared_once_in_the_table():
+    # every option of every subparser is an entry of cli._FLAGS, with that
+    # entry's settings, in table order ...
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert list(subparsers.choices) == list(cli._SUBCOMMANDS)
+    for name, parser in subparsers.choices.items():
+        entries = [entry for entry in cli._FLAGS if name in entry[2].split()]
+        actions = [a for a in parser._actions if a.dest != "help"]
+        assert [a.option_strings for a in actions] == [[f"--{e[0]}"] for e in entries], name
+        for action, (flag, _, _, settings) in zip(actions, entries):
+            assert action.dest == settings.get("dest", flag)
+            assert all(getattr(action, key) == value for key, value in settings.items())
+        # ... and its handler takes exactly those flags' values
+        handler = cli._SUBCOMMANDS[name][0]
+        dests = [a.dest for a in actions]
+        assert list(inspect.signature(handler).parameters) == dests, name
+    assert "rs" in inspect.signature(cli._cmd_char).parameters
+    # no handler converts a flag, reads the environment or sees a Namespace
+    tree = ast.parse(inspect.getsource(cli))
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_"):
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            assert not names & {"root_system", "_csv_ints", "os", "argparse"}, node.name
 
 
 def test_usage_errors_exit_two(tmp_path, monkeypatch):
