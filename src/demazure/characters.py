@@ -497,6 +497,8 @@ def character_from_json(text: str) -> tuple[RootSystem, Character]:
     rs = root_system(obj["root_system"])
     char: Character = {}
     for term in obj["terms"]:
-        w = _check_weight(rs, term["weight"])
+        w = _check_integral(rs, term["weight"])
+        if w in char or not isinstance(term["coeff"], str):
+            raise ValueError(f"term {term} repeats a weight or has a coefficient that is not a string")
         char[w] = int(term["coeff"])
     return rs, char

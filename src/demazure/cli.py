@@ -11,9 +11,11 @@ multiplicities) are decimal strings.  stdout is deterministic for a
 given invocation; cache messages go to stderr.
 
 ``run(argv)`` runs one invocation in process and returns its exit code.
-One argument parser serves every ``run`` in a process: it is built on
-the first call and reused, since building it costs far more than
-parsing with it.
+A plain argv (a subcommand, then each of its flags once, with a value
+argparse would accept) is read straight from ``_FLAGS``, since argparse
+costs more than a small query.  Every other argv, help, usage errors and
+``sl3t --grid`` go to one argparse parser, built on the first such call
+and reused; both routes give the handler the same values.
 
 ``_FLAGS`` is the one place that declares a flag: its name, what
 ``run`` makes of the parsed string (the root system, a tuple of
@@ -310,9 +312,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_plain(argv: Sequence[str] | None) -> argparse.Namespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, read from ``_FLAGS``.
+
+    The argv read is a subcommand, then each of its flags at most once,
+    as an exact ``--name=value`` or as ``--name`` and a value that does
+    not start with ``-``.  Anything else gives None and is left to
+    argparse, with its messages and exit codes: help, an abbreviated,
+    repeated, missing or unknown flag, a value argparse would refuse or
+    alter (``--weight=--`` reads as an empty list on Python 3.11), and
+    any ``--grid``.
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    entries = {f"--{f}": s for f, _, names, s in _FLAGS if argv[0] in names.split()}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        value = value if eq else next(tokens, "-")
+        settings = entries.get(name)
+        if (settings is None or name in given or "nargs" in settings or value == "--"
+                or value.startswith("-") and not eq
+                or value not in settings.get("choices", (value,))):
+            return None
+        try:
+            given[name] = settings.get("type", str)(value)
+        except ValueError:
+            return None
+    if any(s.get("required") and name not in given for name, s in entries.items()):
+        return None
+    return argparse.Namespace(subcommand=argv[0], **{
+        s.get("dest", name[2:]): given.get(name, s.get("default")) for name, s in entries.items()
+    })
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        ns = _parse_plain(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     kwargs = {}

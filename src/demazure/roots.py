@@ -340,8 +340,13 @@ def root_system(name: str) -> RootSystem:
 
 
 def _check_index(rs: RootSystem, i: int) -> None:
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"simple index {i} out of range 1..{rs.rank}")
+    """ValueError unless i is an integer in 1..rank, read as ``_check_integral`` reads one."""
+    try:
+        if 1 <= index(i) <= rs.rank:
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"simple index {i} out of range 1..{rs.rank}")
 
 
 def _check_weight(rs: RootSystem, mu: Sequence[int]) -> Weight:

@@ -148,7 +148,7 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     word = tuple(word)
     n = rs.rank
     for i in word:
-        if not 1 <= i <= n:
+        if type(i) is not int or not 1 <= i <= n:
             _check_index(rs, i)
     return WeylElement(rs, _reflect(rs, rho(rs), word))
 

@@ -254,6 +254,20 @@ def test_a_weight_that_is_not_integral_is_refused(call, weight):
         call()
 
 
+# A simple index that is not an integer but lies between 1 and the rank:
+# the first three calls raised TypeError from a list index, and LeviDatum
+# kept the subset {1.0}.
+@pytest.mark.parametrize("call", [
+    lambda: demazure_operator(A2, 1.0, {(1, 0): 1}),
+    lambda: demazure_character(A2, (1.5,), (1, 0)),
+    lambda: from_word(A2, (1.0, 2)),
+    lambda: LeviDatum(A2, {1.0}),
+], ids=["demazure_operator", "demazure_character", "from_word", "LeviDatum"])
+def test_an_index_that_is_not_an_integer_is_refused(call):
+    with pytest.raises(ValueError, match=r"^simple index 1\.[05] out of range 1\.\.2$"):
+        call()
+
+
 def test_integer_like_coordinates_are_read_as_ints():
     class Index:  # anything with __index__, as a numpy integer has
         def __init__(self, n):
@@ -651,6 +665,17 @@ def test_json_round_trip_negative_coefficients():
     assert char == {(-2,): -2, (0,): -2, (2,): -2}
     _, back = character_from_json(character_to_json(A1, char))
     assert back == char
+
+
+@pytest.mark.parametrize("terms", [
+    [{"weight": [0.5, 1], "coeff": "1"}],  # read as {(0.5, 1): 1}
+    [{"weight": [1, 0], "coeff": 1.9}],  # read as {(1, 0): 1}
+    [{"weight": [1, 0], "coeff": 2}],
+    [{"weight": [1, 0], "coeff": "1"}, {"weight": [True, 0], "coeff": "0"}],  # read as {(1, 0): 0}
+], ids=["half weight", "float coeff", "int coeff", "repeated weight"])
+def test_json_that_no_character_writes_is_refused(terms):
+    with pytest.raises(ValueError):
+        character_from_json(json.dumps({"root_system": "A2", "terms": terms}))
 
 
 def test_big_dimensions_stay_exact():

@@ -3,6 +3,7 @@ import ast
 import io
 import contextlib
 import hashlib
+import importlib.util
 import inspect
 import json
 import os
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import demazure.branching
 import demazure.characters
@@ -400,8 +402,19 @@ def test_cache_unparseable_file_recovers(tmp_path):
     assert "corrupt; recomputing" in err
 
 
+# Characters under a valid key and checksum that no run writes: each was
+# read as a character, {(0.5, 1): 1}, {(1, 0): 1} and {(1, 0): 0}.
+_BAD_TERMS = {
+    "half weight": [{"weight": [0.5, 1], "coeff": "1"}],
+    "float coeff": [{"weight": [1, 0], "coeff": 1.9}],
+    "repeated weight": [{"weight": [1, 0], "coeff": "1"}, {"weight": [True, 0], "coeff": "0"}],
+}
+
+
 @pytest.mark.parametrize("sub", ["char", "dim"])
-@pytest.mark.parametrize("entry", ["[]", "null", "1", '"x"', "character 3", "nested too deep"])
+@pytest.mark.parametrize(
+    "entry", ["[]", "null", "1", '"x"', "character 3", "nested too deep", *_BAD_TERMS]
+)
 def test_cache_entry_of_the_wrong_shape_recovers(tmp_path, sub, entry):
     argv = [sub, "--type", "A2", "--word", "2,1", "--weight", "1,2", "--cache", str(tmp_path)]
     _, out1, _ = cap(argv)
@@ -410,6 +423,10 @@ def test_cache_entry_of_the_wrong_shape_recovers(tmp_path, sub, entry):
         entry = json.dumps({**json.loads(path.read_text()), "character": 3})
     elif entry == "nested too deep":
         entry = "[" * 100_000 + "]" * 100_000
+    elif entry in _BAD_TERMS:
+        text = json.dumps({"root_system": "A2", "terms": _BAD_TERMS[entry]})
+        sha = hashlib.sha256(text.encode()).hexdigest()
+        entry = json.dumps({**json.loads(path.read_text()), "character": text, "sha256": sha})
     path.write_text(entry)
     code, out2, err = cap(argv)
     assert (code, out2) == (0, out1)
@@ -624,3 +641,124 @@ def test_no_state_leaks_between_runs(monkeypatch):
     assert code == 0
     assert json.loads(out)["closed_mult"] == "2"
     assert (code, out, err) == _fresh(argv)
+
+
+# --- the plain-argv parse against argparse ---------------------------------
+#
+# run() reads a plain argv straight from cli._FLAGS and hands every other
+# argv to argparse.  For each argv below the plain parse either declines
+# (None) or returns what argparse returns.  Argparse details differ
+# between Python versions, so this runs on every version CI tests.
+
+def _argparse_values(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _check_plain_parse(argv):
+    plain = cli._parse_plain(argv)
+    if plain is not None:
+        assert vars(plain) == _argparse_values(argv), argv
+    return plain
+
+
+def _cli_mix_argvs():
+    # the argv of the benchmark's cli_mix workload, round 0 of seeds 1-20
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [list(q[1]) for seed in range(1, 21) for q in workloads.make_batch("cli_mix", seed, 0)]
+
+
+# plain argv with an empty value, "=" inside a value, a value starting
+# with "-" after "=", and integers that int() reads with a space or "_"
+_PLAIN = [
+    ["growth", "--type", "A2", "--word", "", "--weight", "1,1", "--n", " 5"],
+    ["growth", "--type=A2", "--word=", "--weight=1,1", "--n=1_0", "--format", "tsv"],
+    ["dim", "--type", "A2", "--word", "1", "--weight", "1,0", "--cache", "a=b"],
+    ["dim", "--cache==", "--weight=1,0", "--word=1", "--type=A2"],
+    ["sl3t", "--k1", "1", "--k2", "0", "--l=-1,0,1"],
+]
+# argv left to argparse, whatever it makes of them; the first two are
+# goldens that exit 0
+_NOT_PLAIN = [
+    ["dual", "--type", "A2", "--wei", "1,0"],
+    ["dual", "--type", "A2", "--weight", "0,1", "--weight", "1,0"],
+    ["dual", "--type", "A2", "--weight", "-1,1"],
+    ["dual", "--type", "A2", "--weight", "-1"],
+    ["dual", "--type", "A2", "--weight"],
+    ["dual", "--type", "A2", "--weight", "1,0", "--"],
+    ["dual", "--type", "A2", "--weight=--"],  # Python 3.11's argparse reads []
+    ["dual", "--type", "A2", "--weight", "1,0", "-h"],
+    ["dual", "--type", "A2", "--weight", "1,0", "extra"],
+    ["dual", "--type", "A2", "--mu", "1,0"],
+    [*_GROWTH, "--n", "x"],
+    [*_GROWTH, "--n="],
+    [*_GROWTH, "--format", "xml"],
+    ["sl3t", "--grid", "1", "1"],
+]
+
+
+def test_plain_parse_matches_argparse_on_every_listed_argv():
+    from test_golden import CLI_CASES
+
+    for argv in _PLAIN:
+        assert _check_plain_parse(argv) is not None, argv
+    for argv in _NOT_PLAIN:
+        assert _check_plain_parse(argv) is None, argv
+    for argv in [case[1] for case in CLI_CASES] + _PARSER_CASES + _EARLIER_CALLS:
+        _check_plain_parse(argv)
+    # Every other golden that succeeds without --grid takes the plain
+    # route, so a later edit cannot send all argv back to argparse
+    # unnoticed ...
+    for _name, argv, code, _ in CLI_CASES:
+        if code == 0 and "--grid" not in argv and argv not in _NOT_PLAIN:
+            assert _check_plain_parse(argv) is not None, argv
+    # ... and so does every benchmark argv but sl3t --grid.
+    argvs = _cli_mix_argvs()
+    assert len(argvs) == 8000
+    for argv in argvs:
+        assert (_check_plain_parse(argv) is None) == ("--grid" in argv), argv
+
+
+_ALL_FLAGS = sorted({f"--{flag}" for flag, *_ in cli._FLAGS})
+_GOOD = st.sampled_from(
+    ["", "1", "5", "1,0", "0,0,0", "A2", " 5", "1_0", "json", "tsv", "a=b", "="]
+)
+_VALUES = st.one_of(
+    _GOOD, _GOOD, _GOOD, _GOOD,
+    st.sampled_from(["x", "-1", "-1,1", "-", "--", "-h", "--weight", "xml"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _argvs(draw):
+    # each of a subcommand's flags zero, one or two times, in any order,
+    # and now and then a flag of another subcommand, an abbreviation or help
+    sub = draw(st.sampled_from([*cli._SUBCOMMANDS, "frobnicate", "--help"]))
+    own = [f"--{flag}" for flag, _, names, _ in cli._FLAGS if sub in names.split()]
+    names = [f for f in own for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 1, 1, 2])))]
+    names += draw(st.lists(st.one_of(
+        st.sampled_from(_ALL_FLAGS),
+        st.sampled_from(_ALL_FLAGS).flatmap(lambda f: st.integers(2, len(f)).map(lambda k: f[:k])),
+        st.sampled_from(["-h", "--help", "--", "-"]),
+    ), max_size=draw(st.sampled_from([0, 0, 0, 2]))))
+    argv = [sub]
+    for name in draw(st.permutations(names)):
+        value = draw(_VALUES)
+        form = draw(st.sampled_from(["apart"] * 4 + ["joined"] * 4 + ["bare"]))
+        argv += {"apart": [name, value], "joined": [f"{name}={value}"], "bare": [name]}[form]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_plain_parse_matches_argparse_on_drawn_argv(argv):
+    # abbreviations, repeated and missing flags, empty values, "=" inside
+    # a value, "-1,1" as a value token, and --n given "x", " 5" or "1_0"
+    _check_plain_parse(argv)

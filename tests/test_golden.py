@@ -62,6 +62,12 @@ CLI_CASES = [
     ("bad_sl3t_grid_one_number", ["sl3t", "--grid", "1"], 2, True),
     ("bad_sl3t_grid_and_single", ["sl3t", "--k1", "1", "--k2", "1", "--l=0,0,0", "--grid", "1", "1"], 2, True),
     ("bad_sl3t_grid_too_many_digits", ["sl3t", "--grid", "9" * 5000, "1"], 2, True),
+    # argv that only argparse reads: an abbreviated flag, a repeated flag
+    # (the last one counts) and a missing one, whose usage text varies
+    # between Python versions
+    ("dual_A2_abbreviated_flag", ["dual", "--type", "A2", "--wei", "1,0"], 0, False),
+    ("dual_A2_repeated_flag", ["dual", "--type", "A2", "--weight", "0,1", "--weight", "1,0"], 0, False),
+    ("bad_dim_missing_weight", ["dim", "--type", "A2", "--word", "1"], 2, False),
 ]
 SCRIPT_CASES = [
     (f"growth_table_{t}", ["scripts/growth_table.py", "--type", t], 0, False) for t in ("A2", "B2", "G2", "B3")
