@@ -34,26 +34,29 @@ running sum that steps by -a, divides by 1 - e^{-alpha_i}.  So a letter
 costs a sort of the table plus one dict write per weight it outputs,
 not one per step of every term's string; terms with m = 0 are fixed and
 added afterwards, and a letter that fixes every term returns its input
-as it is.  The radius is R = h * max_mu sum_j |mu_j| + 1 over the input
-support, with h the largest simple-root coefficient of a positive root:
-every weight a chain writes lies in the convex hull of the Weyl orbit of
-the input support, where no coordinate exceeds h * sum_j |mu_j| in
-absolute value.  ``_apply_word`` packs, applies the letters and unpacks
-once, at the end, already sorted.
+as it is.  ``_packing`` takes the radius R = h * max_mu sum_j |mu_j| + 1
+over the start weights, with h the largest simple-root coefficient of a
+positive root: every weight a chain writes lies in the convex hull of
+the Weyl orbit of the start, where no coordinate exceeds
+h * sum_j |mu_j| in absolute value.
 
-Characters of dominant weights are memoised whole: ``_demazure_items``
-keeps the packed character of each (word, lam) asked for, the 256 most
-recently used, and builds a new one from e^lam by ``_chain``, the letter
-loop of ``_apply_word``.  The packing depends on lam alone
-(R = h * sum_j |lam_j| + 1).  A repeat is one lookup; a new word costs
-all of its letters, even when it shares a suffix with an earlier one.
+Characters are memoised whole: ``_demazure_items`` keeps the packing
+and the packed character of each (word, lam) asked for, the 256 most
+recently used, and builds a new one from e^lam by the package's one
+letter loop.  lam is dominant for the characters of ``V(lam)`` and
+S-dominant for the Levi dimensions of ``unirad``.  A repeat is one
+lookup; a new word costs all of its letters, even when it shares a
+suffix with an earlier one.  Every reader of a memoised character
+decodes it with the packing stored beside it, and ``_unpack`` returns
+its terms sorted.  ``demazure_operator``, the one other caller of
+``_letter``, packs its own input for its one letter.
 
-The packed format has one other reader, ``_straightened``, the walk of
-Levi branching (``demazure.branching``).  It takes each key of a
-memoised packed character into the S-dominant chamber by the dot action,
-one subtraction of a packed simple root per reflection, sums the signed
-terms by packed key and unpacks only those totals.  No other module
-reads a packing.
+Besides ``_unpack``, the packed format has one reader, ``_straightened``,
+the walk of Levi branching (``demazure.branching``).  It takes each key
+of a memoised packed character into the S-dominant chamber by the dot
+action, one subtraction of a packed simple root per reflection, sums the
+signed terms by packed key and unpacks only those totals.  No other
+module reads a packing.
 
 ``weyl_dim`` (dimension product formula) and
 ``freudenthal_multiplicity`` are independent of the operator path and
@@ -119,26 +122,26 @@ class _Packing(NamedTuple):
     simple: tuple[int, ...]  # packed alpha_i
 
 
-@lru_cache(maxsize=256)
-def _packing(rs: RootSystem, size: int) -> _Packing:
-    """Digits for the chains that start from weights with sum_j |mu_j| <= size.
+def _packing(rs: RootSystem, start: Iterable[Weight]) -> _Packing:
+    """Digits for the chains that start from the weights start.
 
-    Every weight written lies in the convex hull of W.supp(char): a
-    letter writes only weights on the segment from mu to s_i(mu), and
-    the hull is W-stable.  On that hull <nu, alpha_k^vee> is a convex
-    combination of <mu, w^{-1} alpha_k^vee> for mu in supp(char), and a
-    coroot has simple-coroot coefficients of absolute value at most h,
-    the largest simple-root coefficient of a positive root (the two
-    maxima agree in every type A-G).  So every coordinate stays within
-    h * size < R, for non-dominant starts (such as the S-dominant
-    weights of the Levi characters) as for dominant ones, and each
-    coordinate fits a base-(2R+1) digit offset by R.  h is read off the
-    highest root theta, the last in ``rs.positive_roots``, sorted by
-    height: theta - alpha lies in Q+ for every positive root alpha, so
-    every simple-root coefficient of alpha is at most theta's.
+    Every weight written lies in the convex hull of W.start: a letter
+    writes only weights on the segment from mu to s_i(mu), and the hull
+    is W-stable.  On that hull <nu, alpha_k^vee> is a convex combination
+    of <mu, w^{-1} alpha_k^vee> for mu in start, and a coroot has
+    simple-coroot coefficients of absolute value at most h, the largest
+    simple-root coefficient of a positive root (the two maxima agree in
+    every type A-G).  So every coordinate stays within h * size < R,
+    with size the largest sum_j |mu_j| over start and R = h * size + 1,
+    for non-dominant starts (such as the S-dominant weights of
+    ``unirad``) as for dominant ones, and each coordinate fits a
+    base-(2R+1) digit offset by R.  h is read off the highest root
+    theta, the last in ``rs.positive_roots``, sorted by height:
+    theta - alpha lies in Q+ for every positive root alpha, so every
+    simple-root coefficient of alpha is at most theta's.
     """
     h = max(rs.positive_roots[-1])
-    radius = h * size + 1
+    radius = h * max((sum(map(abs, mu)) for mu in start), default=0) + 1
     base = 2 * radius + 1
     n = rs.rank
     places = tuple(base ** (n - 1 - j) for j in range(n))
@@ -225,44 +228,30 @@ def _unpack(pk: _Packing, cur: dict[int, int]) -> list[tuple[Weight, int]]:
     return [(tuple([key // p % base - radius for p in places]), cur[key]) for key in sorted(cur)]
 
 
-def _apply_word(
-    rs: RootSystem, word: Sequence[int], char: Character
-) -> list[tuple[Weight, int]]:
-    """Operators along a word, last letter first, on packed weights.
-
-    Returns the nonzero terms sorted lexicographically by weight.
-    """
-    word = tuple(word)
-    for i in word:
-        _check_index(rs, i)
-    pk = _packing(rs, max((sum(map(abs, mu)) for mu in char), default=0))
-    return _unpack(pk, _chain(pk, word, {_pack(pk, mu): c for mu, c in char.items() if c}))
-
-
-def _chain(pk: _Packing, word: Sequence[int], cur: dict[int, int]) -> dict[int, int]:
-    """The operators along a word, last letter first, on a packed character."""
-    for i in reversed(word):
-        cur = _letter(pk, i, cur)
-    return cur
-
-
 def demazure_operator(rs: RootSystem, i: int, char: Character) -> Character:
     """Apply the single-index operator for alpha_i to a character."""
-    return dict(_apply_word(rs, (i,), {_check_integral(rs, mu): c for mu, c in char.items()}))
+    char = {_check_integral(rs, mu): c for mu, c in char.items()}
+    _check_index(rs, i)
+    pk = _packing(rs, char)
+    return dict(_unpack(pk, _letter(pk, i, {_pack(pk, mu): c for mu, c in char.items() if c})))
 
 
 @lru_cache(maxsize=256)
-def _demazure_items(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> dict[int, int]:
-    # The packed character of (word, lam).  Readers must not change the
-    # dict they get back.
-    pk = _packing(rs, sum(map(abs, lam)))
-    return _chain(pk, word, {_pack(pk, lam): 1})
+def _demazure_items(
+    rs: RootSystem, word: tuple[int, ...], lam: Weight
+) -> tuple[_Packing, dict[int, int]]:
+    # The packing and the packed character of (word, lam), the letters
+    # applied last first.  Readers must not change the dict they get back.
+    pk = _packing(rs, [lam])
+    cur = {_pack(pk, lam): 1}
+    for i in reversed(word):
+        cur = _letter(pk, i, cur)
+    return pk, cur
 
 
 def _character(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> Character:
     """A fresh, sorted dict of the memoised character of (word, lam)."""
-    pk = _packing(rs, sum(map(abs, lam)))
-    return dict(_unpack(pk, _demazure_items(rs, word, lam)))
+    return dict(_unpack(*_demazure_items(rs, word, lam)))
 
 
 def _straightened(
@@ -278,12 +267,12 @@ def _straightened(
     s_i(mu), so in the hull of W.lam that ``_packing`` covers.  Returns
     the signed totals per S-dominant weight, zeros included, sorted.
     """
-    pk = _packing(rs, sum(map(abs, lam)))
+    pk, items = _demazure_items(rs, word, lam)
     walls = [(pk.places[i - 1], pk.simple[i - 1]) for i in sorted(subset)]
     base = pk.base
     radius = pk.radius
     totals: dict[int, int] = {}
-    for key, c in _demazure_items(rs, word, lam).items():
+    for key, c in items.items():
         k = 0
         while k < len(walls):
             place, a = walls[k]
@@ -315,7 +304,7 @@ def demazure_character(rs: RootSystem, word: Sequence[int], lam: Sequence[int]) 
 def demazure_dim(w: WeylElement, lam: Sequence[int]) -> int:
     """Dimension of the Demazure module: coefficient sum of its character."""
     lam = _check_dominant(w.rs, lam)
-    return sum(_demazure_items(w.rs, reduced_word(w), lam).values())
+    return sum(_demazure_items(w.rs, reduced_word(w), lam)[1].values())
 
 
 def weyl_character(rs: RootSystem, lam: Sequence[int]) -> Character:
@@ -328,12 +317,14 @@ def weight_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -
     lam = _check_weight(rs, lam)
     mu = _check_weight(rs, mu)
     _check_dominant(rs, lam)  # after both length checks, whose errors come first
-    pk = _packing(rs, sum(map(abs, lam)))
     # |mu_j| >= R is beyond every weight of the module, and a range test
-    # also reads a non-integral coordinate as 0, as a dict lookup would
-    if not all(x in range(1 - pk.radius, pk.radius) for x in mu):
+    # also reads a non-integral coordinate as 0, as a dict lookup would;
+    # it runs before the memo, so no such mu builds a character
+    radius = _packing(rs, [lam]).radius
+    if not all(x in range(1 - radius, radius) for x in mu):
         return 0
-    return _demazure_items(rs, reduced_word(longest_element(rs)), lam).get(_pack(pk, mu), 0)
+    pk, items = _demazure_items(rs, reduced_word(longest_element(rs)), lam)
+    return items.get(_pack(pk, mu), 0)
 
 
 def weyl_dim(rs: RootSystem, lam: Sequence[int]) -> int:

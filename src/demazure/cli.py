@@ -15,7 +15,8 @@ A plain argv (a subcommand, then each of its flags once, with a value
 argparse would accept) is read straight from ``_FLAGS``, since argparse
 costs more than a small query.  Every other argv, help, usage errors and
 ``sl3t --grid`` go to one argparse parser, built on the first such call
-and reused; both routes give the handler the same values.
+and reused; both routes give the handler the same values.  A flag given
+``--`` as its value (``--word=--``) is a usage error on either route.
 
 ``_FLAGS`` is the one place that declares a flag: its name, what
 ``run`` makes of the parsed string (the root system, a tuple of
@@ -349,7 +350,12 @@ def _parse_plain(argv: Sequence[str] | None) -> argparse.Namespace | None:
 
 def run(argv: Sequence[str] | None = None) -> int:
     try:
-        ns = _parse_plain(argv) or build_parser().parse_args(argv)
+        if (ns := _parse_plain(argv)) is None:
+            ns = build_parser().parse_args(argv)
+            # argparse reads --name=-- as [] before Python 3.13, applying no
+            # type or choices to it, and as "--" from 3.13 on
+            if [] in vars(ns).values() or "--" in vars(ns).values():
+                build_parser().exit(2, "demazure: error: a flag was given '--' for its value\n")
     except SystemExit as exc:
         return int(exc.code or 0)
     kwargs = {}

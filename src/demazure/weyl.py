@@ -244,19 +244,32 @@ def _min_coset_rep(rs: RootSystem, subset: frozenset[int]) -> WeylElement:
 
 
 def demazure_fold(w: WeylElement, letters: Iterable[int]) -> WeylElement:
-    """Fold letters into w by x*s = xs if that is longer, else x."""
+    """Fold letters into w by x*s = xs if that is longer, else x.
+
+    A letter that is not an integer in 1..rank raises ``_check_index``'s
+    ValueError.  The loop tests only the range; a letter that passes it
+    but indexes no list, such as 1.0, raises TypeError, which is turned
+    into that ValueError outside the loop, at no cost per letter.
+    """
     rs = w.rs
     n = rs.rank
     cols = rs.columns
     u = list(w.u)
-    for i in letters:
-        if not 1 <= i <= n:
-            _check_index(rs, i)
-        m = u[i - 1]
-        # i is an ascent of x exactly when u_i > 0
-        if m > 0:
-            for j, c in cols[i - 1]:
-                u[j] -= m * c
+    i = 1  # an index, so a TypeError raised before any letter passes through
+    try:
+        for i in letters:
+            if not 1 <= i <= n:
+                _check_index(rs, i)
+            m = u[i - 1]
+            # i is an ascent of x exactly when u_i > 0
+            if m > 0:
+                for j, c in cols[i - 1]:
+                    u[j] -= m * c
+    except TypeError:
+        # _check_index raises its ValueError for a letter that is no index,
+        # such as 1.0 or "1"; any other TypeError is not the letter's
+        _check_index(rs, i)
+        raise
     return WeylElement(rs, tuple(u))
 
 

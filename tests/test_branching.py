@@ -21,9 +21,9 @@ from demazure import (
 )
 from demazure import branching
 from demazure.branching import BranchingResult, _branch, _coset_bound, s_dominant
-from demazure.characters import _apply_word
 from demazure.roots import sub_weights
 from oracles import scaled_inverse_cartan, simple_root, straighten
+from test_characters import _apply
 
 A2 = root_system("A2")
 A3 = root_system("A3")
@@ -32,7 +32,7 @@ B3 = root_system("B3")
 
 def _levi_character(rs, subset, mu):
     """Character of the Levi module with highest weight mu, on the ambient lattice."""
-    return dict(_apply_word(rs, reduced_word(longest_parabolic(rs, subset)), {mu: 1}))
+    return _apply(rs, reduced_word(longest_parabolic(rs, subset)), {mu: 1})
 
 
 def _branching_bound(lam, mu, levi):
@@ -349,6 +349,23 @@ def test_unirad_identity_spots():
     assert unirad_mult_identity((-1, 1), LeviDatum(A2, {2})) == (2, 2, True)
     # empty subset: trivial Levi module
     assert unirad_mult_identity((2, 1), LeviDatum(A2, frozenset())) == (1, 1, True)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2"])
+def test_unirad_demazure_side_matches_the_oracle_chain(name):
+    # S-dominant starts with negative coordinates off S reach the memo of
+    # dominant-weight characters; their dimensions must match the
+    # one-packing chain of the tests
+    rs = root_system(name)
+    for k in range(rs.rank + 1):
+        for subset in combinations(range(1, rs.rank + 1), k):
+            word = reduced_word(longest_parabolic(rs, subset))
+            for lam in product((-1, 0, 1), repeat=rs.rank):
+                if not s_dominant(subset, lam):
+                    continue
+                dim = sum(_apply(rs, word, {lam: 1}).values())
+                assert unirad_mult_identity(lam, LeviDatum(rs, subset)) == (dim, dim, True), (
+                    name, subset, lam)
 
 
 def test_unirad_rejects_non_s_dominant():

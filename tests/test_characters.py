@@ -25,6 +25,7 @@ from demazure import (
     levi_weyl_dim,
     longest_element,
     reduced_word,
+    restrict_to_levi,
     rho,
     root_system,
     scale_weight,
@@ -36,13 +37,15 @@ from demazure import (
     weyl_dim,
     weyl_group,
 )
+from demazure import characters
 from demazure.characters import (
-    _apply_word,
     _demazure_items,
     _letter,
     _pack,
     _packing,
+    _unpack,
 )
+from demazure.roots import _check_index
 from oracles import gram_rows, half_norms, scaled_inverse_cartan, simple_root
 
 A1 = root_system("A1")
@@ -50,8 +53,21 @@ A2 = root_system("A2")
 
 
 def _apply(rs, word, char):
-    """The operators along word, last letter first, as a character."""
-    return dict(_apply_word(rs, word, char))
+    """The operators along word, last letter first, as a character.
+
+    One packing for the whole word, sized by the support of char, one
+    letter loop and one unpack at the end.  It shares the kernel and the
+    packed format with the library, but not ``_demazure_items``, which
+    packs each memoised (word, lam) on its own.
+    """
+    word = tuple(word)
+    for i in word:
+        _check_index(rs, i)
+    pk = _packing(rs, char)
+    cur = {_pack(pk, mu): c for mu, c in char.items() if c}
+    for i in reversed(word):
+        cur = _letter(pk, i, cur)
+    return dict(_unpack(pk, cur))
 
 
 def test_operator_three_cases_a1():
@@ -798,7 +814,7 @@ def test_kernel_on_long_strings_and_both_signs(name, word, char):
 
 def test_letter_that_fixes_every_term_returns_its_input():
     # every term pairs to 0 with alpha_1^vee: the letter is the identity
-    pk = _packing(A2, 6)
+    pk = _packing(A2, [(6, 0)])
     fixed = {_pack(pk, mu): c for mu, c in {(0, 3): 1, (0, -2): -4}.items()}
     assert _letter(pk, 1, fixed) is fixed
     moved = {**fixed, _pack(pk, (1, 0)): 2}
@@ -860,6 +876,40 @@ def test_long_word_stays_within_recursion_limit():
     char = weyl_character(rs, lam)
     assert len(char) == 41 and set(char.values()) == {1}
     assert demazure_dim(longest_element(rs), lam) == 41
+
+
+def test_repeat_calls_build_no_packing(monkeypatch):
+    # a memoised character is decoded with the packing stored beside it
+    built = []
+
+    def counted(rs, start):
+        built.append(rs.name)
+        return _packing(rs, start)
+
+    monkeypatch.setattr(characters, "_packing", counted)
+    A3 = root_system("A3")
+    _demazure_items.cache_clear()
+    calls = [
+        lambda: demazure_character(A3, (1, 2, 3), (1, 0, 1)),
+        lambda: weyl_character(A3, (2, 0, 1)),
+        lambda: demazure_dim(from_word(A3, (3, 2)), (0, 1, 1)),
+        lambda: restrict_to_levi((1, 1, 1), LeviDatum(A3, {1, 3})),
+    ]
+    for call in calls:
+        first = call()
+        del built[:]
+        assert call() == first
+        assert built == []
+    assert weight_multiplicity(A3, (2, 1, 0), (0, 0, 0)) == 3
+    del built[:]
+    assert weight_multiplicity(A3, (2, 1, 0), (0, 0, 0)) == 3
+    assert built == ["A3"]  # the range test's
+
+
+def test_out_of_range_weight_builds_no_character():
+    _demazure_items.cache_clear()
+    assert weight_multiplicity(A2, (300, 300), (10**6, 0)) == 0
+    assert _demazure_items.cache_info().misses == 0
 
 
 def test_returned_characters_are_fresh_dicts():

@@ -339,6 +339,38 @@ def test_usage_errors_exit_two(tmp_path, monkeypatch):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+# a valid argv of each subcommand, without --grid, one value per flag
+_VALID_FLAGS = {
+    "char": {"type": "A2", "word": "1", "weight": "1,0", "cache": "c"},
+    "dim": {"type": "A2", "word": "1", "weight": "1,0", "cache": "c"},
+    "weight-mult": {"type": "A2", "weight": "1,0", "mu": "1,0"},
+    "dual": {"type": "A2", "weight": "1,0"},
+    "hecke": {"type": "A2", "left": "1", "right": "2"},
+    "branch": {"type": "A2", "weight": "1,0", "subset": "1"},
+    "unirad": {"type": "A2", "weight": "1,0", "subset": "1"},
+    "growth": {"type": "A2", "word": "1", "weight": "1,0", "n": "3", "format": "tsv"},
+    "sl3t": {"k1": "1", "k2": "1", "l": "0,0,0"},
+}
+
+
+def test_a_single_value_flag_given_double_dash_exits_two(tmp_path, monkeypatch):
+    # argparse reads --name=-- as [] before Python 3.13 and as "--" from
+    # then on; either is a usage error, caught before any conversion, so
+    # nothing is printed, nothing raises and no cache directory is made
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    singles = [(f, sub) for f, _, names, s in cli._FLAGS if "nargs" not in s for sub in names.split()]
+    assert {sub for _, sub in singles} == set(_VALID_FLAGS)
+    for sub, flags in _VALID_FLAGS.items():
+        assert cap([sub, *(f"--{f}={v}" for f, v in flags.items() if f != "cache")])[0] == 0, sub
+    for flag, sub in singles:
+        argv = [sub, *(f"--{f}={v}" for f, v in _VALID_FLAGS[sub].items() if f != flag), f"--{flag}=--"]
+        code, out, err = cap(argv)
+        assert (code, out) == (2, ""), argv
+        assert "Traceback" not in err, argv
+        assert list(tmp_path.iterdir()) == [], argv
+
+
 def test_unusable_cache_directory_fails_before_any_work(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("character computed before the cache directory was made")

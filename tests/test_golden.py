@@ -68,6 +68,11 @@ CLI_CASES = [
     ("dual_A2_abbreviated_flag", ["dual", "--type", "A2", "--wei", "1,0"], 0, False),
     ("dual_A2_repeated_flag", ["dual", "--type", "A2", "--weight", "0,1", "--weight", "1,0"], 0, False),
     ("bad_dim_missing_weight", ["dim", "--type", "A2", "--word", "1"], 2, False),
+    # a single-value flag given "--", which argparse reads as [] before
+    # Python 3.13 and as "--" from then on
+    ("bad_char_word_double_dash", ["char", "--type", "A2", "--word=--", "--weight", "1,0"], 2, False),
+    ("bad_growth_format_double_dash",
+     ["growth", "--type", "A2", "--word", "1", "--weight", "1,0", "--format=--"], 2, False),
 ]
 SCRIPT_CASES = [
     (f"growth_table_{t}", ["scripts/growth_table.py", "--type", t], 0, False) for t in ("A2", "B2", "G2", "B3")

@@ -9,13 +9,17 @@ the packed simple roots that ``characters`` builds from them.
 Only ``roots`` reads a root system's family, so what is known per family
 (the Dynkin graphs, the rank ranges, the root counts) stays in one
 module.  Only ``characters`` reads the fields of a packing, so the
-packed weight format stays in one module too.  The package has one
-per-instance cache: ``_cached`` is defined only in ``roots``, and no
-module uses ``functools.cached_property``.  ``branching`` reads
-Demazure characters only, never an irreducible character or a weight
-multiplicity.  No module imports a name it never uses, and no private
-function or class is left that only the tests call.  The tests' own
-oracles in ``tests/oracles.py`` import nothing from the package.
+packed weight format stays in one module too.  Within it, only
+``_demazure_items`` sizes the packing of a memoised character and runs
+a word's letters; ``demazure_operator`` packs its input for one letter
+and ``weight_multiplicity`` sizes a packing for its range test.  The
+package has one per-instance cache: ``_cached`` is defined only in
+``roots``, and no module uses ``functools.cached_property``.
+``branching`` reads Demazure characters only, never an irreducible
+character or a weight multiplicity.  No module imports a name it never
+uses, and no private function or class is left that only the tests
+call.  The tests' own oracles in ``tests/oracles.py`` import nothing
+from the package.
 
 No public name is left that only the tests call either.  Each name in a
 module's ``__all__``, and each public method or property of a class in
@@ -81,6 +85,37 @@ def test_only_characters_reads_the_packing():
     # the packed weight format is known to one module
     for field in ("places", "radius", "base", "offset", "simple"):
         assert _attribute_readers(field) == ["characters.py"], field
+
+
+def _callers(name):
+    """(module, top-level function or class) pairs of the package that call name.
+
+    A call in a module's own top-level statements counts as "<module>".
+    """
+    found = set()
+    for p in SRC.glob("*.py"):
+        for top in ast.parse(p.read_text(), str(p)).body:
+            if any(
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+                for node in ast.walk(top)
+            ):
+                found.add((p.name, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_one_function_packs_a_memoised_character():
+    # _demazure_items alone sizes the packing of a memoised character;
+    # demazure_operator packs its own input, weight_multiplicity reads a
+    # radius for its range test
+    assert _callers("_packing") == {
+        ("characters.py", "_demazure_items"),
+        ("characters.py", "demazure_operator"),
+        ("characters.py", "weight_multiplicity"),
+    }
+    assert _callers("_letter") == {
+        ("characters.py", "_demazure_items"),
+        ("characters.py", "demazure_operator"),
+    }
 
 
 def test_one_per_instance_cache():

@@ -11,9 +11,10 @@ dropped or resized without a line here.
 ``perfbench/worker.py`` reads ``cache_info()`` of two of them under
 ``--trace``, and the CI ``bench-smoke`` job runs that path.
 ``branching._levi_char_items`` is read in the library only by
-``unirad_mult_identity``; it stays, under its name and its
-``lru_cache``, until the benchmark stops reading its counters (ROADMAP
-items 1 and 5).
+``unirad_mult_identity``.  It holds an int, the dimension of a Levi
+Demazure module summed from ``characters._demazure_items``, and stays,
+under its name and its ``lru_cache``, until the benchmark stops reading
+its counters (ROADMAP items 1 and 5).
 """
 
 import importlib
@@ -30,7 +31,6 @@ MEMOS = {
     "branching._levi_char_items": 256,
     "branching._levi_root_indices": 1024,
     "characters._demazure_items": 256,
-    "characters._packing": 256,
     "cli.build_parser": None,
     "growth._interval": 1024,
     "roots.build_root_system": None,

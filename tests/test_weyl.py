@@ -236,6 +236,24 @@ def test_demazure_fold_examples():
     assert demazure_fold(identity(rs), (1, 1)) == s1
 
 
+def test_demazure_fold_refuses_a_letter_that_is_no_index():
+    rs = root_system("A2")
+    e = identity(rs)
+    for letter in (1.0, 1.5, "1", 0, 3, None):
+        with pytest.raises(ValueError, match=r"simple index .* out of range 1\.\.2"):
+            demazure_fold(e, (2, letter))
+    assert demazure_fold(e, (True,)) == simple_element(rs, 1)
+    # letters that are not iterable, or an iterator that raises before
+    # its first letter, are the caller's TypeError
+    def broken():
+        raise TypeError("from the iterator")
+        yield 1
+
+    for letters in (1, None, broken()):
+        with pytest.raises(TypeError):
+            demazure_fold(e, letters)
+
+
 def test_demazure_product_absorbing():
     rs = root_system("A2")
     w0 = longest_element(rs)
