@@ -34,11 +34,11 @@ running sum that steps by -a, divides by 1 - e^{-alpha_i}.  So a letter
 costs a sort of the table plus one dict write per weight it outputs,
 not one per step of every term's string; terms with m = 0 are fixed and
 added afterwards, and a letter that fixes every term returns its input
-as it is.  ``_packing`` takes the radius R = h * max_mu sum_j |mu_j| + 1
-over the start weights, with h the largest simple-root coefficient of a
-positive root: every weight a chain writes lies in the convex hull of
-the Weyl orbit of the start, where no coordinate exceeds
-h * sum_j |mu_j| in absolute value.
+as it is.  ``_packing`` takes the radius that ``_radius`` gives,
+R = h * max_mu sum_j |mu_j| + 1 over the start weights, with h the
+largest simple-root coefficient of a positive root: every weight a
+chain writes lies in the convex hull of the Weyl orbit of the start,
+where no coordinate exceeds h * sum_j |mu_j| in absolute value.
 
 Characters are memoised whole: ``_demazure_items`` keeps the packing
 and the packed character of each (word, lam) asked for, the 256 most
@@ -61,16 +61,20 @@ module reads a packing.
 ``weyl_dim`` (dimension product formula) and
 ``freudenthal_multiplicity`` are independent of the operator path and
 serve as cross-checks.  Freudenthal's pass first writes lam - mu+ in
-simple roots by a descent that subtracts ceil(x_k/2) alpha_k at the
-first coordinate x_k >= 1 of what is left, and returns 0 before any sum
-when mu+ is not below lam; it keeps no table per root system.  Its
-recursion runs as one loop over the dominant weights between mu and lam,
-in order of height below lam, on integers only.  It stores for each of
-them the tail of every positive-root string above it and gets each new
-tail from a stored one at a dominant weight higher up, by one reflection
-into the dominant chamber (multiplicities and the inner product are
-W-invariant).  Each tail is an exact finite sum and each multiplicity
-one integer division whose remainder must be zero, so nothing is rounded
+simple roots by one integer solve on the Dynkin tree,
+``_simple_coordinates``, and returns 0 before any sum when mu+ is not
+below lam; it keeps no table per root system.  Its recursion runs as
+one loop over the dominant weights between mu and lam, in order of
+height below lam, on integers only.  It stores for each of them the
+tail of every positive-root string above it and gets each new tail from
+a stored one at a dominant weight higher up: memo-first, by one lookup
+of nu + alpha when that is dominant, and otherwise by a walk into the
+dominant chamber (multiplicities and the inner product are
+W-invariant).  Its weights are packed integers of their own, with a
+sign bit in each digit, so nu +- alpha is one addition and dominance
+one mask test, and the norm |lam+rho|^2 - |nu+rho|^2 is carried down
+the search.  Each tail is an exact finite sum and each multiplicity one
+integer division whose remainder must be zero, so nothing is rounded
 and a broken table raises instead of returning a wrong number.
 """
 
@@ -78,8 +82,9 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import compress
 from math import prod
-from operator import add, le, mul, sub
+from operator import add, lshift, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from demazure.roots import (
@@ -122,26 +127,36 @@ class _Packing(NamedTuple):
     simple: tuple[int, ...]  # packed alpha_i
 
 
+def _radius(rs: RootSystem, start: Iterable[Weight]) -> int:
+    """R = h * size + 1, above every coordinate of a chain from the weights start.
+
+    Every weight a letter writes lies in the convex hull of W.start: a
+    letter writes only weights on the segment from mu to s_i(mu), and
+    the hull is W-stable.  On that hull <nu, alpha_k^vee> is a convex
+    combination of <mu, w^{-1} alpha_k^vee> for mu in start, and a
+    coroot has simple-coroot coefficients of absolute value at most h,
+    the largest simple-root coefficient of a positive root (the two
+    maxima agree in every type A-G).  So every coordinate stays within
+    h * size < R, with size the largest sum_j |mu_j| over start, for
+    non-dominant starts (such as the S-dominant weights of ``unirad``)
+    as for dominant ones.  The weights of V(lam) lie in the same hull
+    of W.lam.  h is read off the highest root theta, the last in
+    ``rs.positive_roots``, sorted by height: theta - alpha lies in Q+
+    for every positive root alpha, so every simple-root coefficient of
+    alpha is at most theta's.
+    """
+    h = max(rs.positive_roots[-1])
+    return h * max((sum(map(abs, mu)) for mu in start), default=0) + 1
+
+
 def _packing(rs: RootSystem, start: Iterable[Weight]) -> _Packing:
     """Digits for the chains that start from the weights start.
 
-    Every weight written lies in the convex hull of W.start: a letter
-    writes only weights on the segment from mu to s_i(mu), and the hull
-    is W-stable.  On that hull <nu, alpha_k^vee> is a convex combination
-    of <mu, w^{-1} alpha_k^vee> for mu in start, and a coroot has
-    simple-coroot coefficients of absolute value at most h, the largest
-    simple-root coefficient of a positive root (the two maxima agree in
-    every type A-G).  So every coordinate stays within h * size < R,
-    with size the largest sum_j |mu_j| over start and R = h * size + 1,
-    for non-dominant starts (such as the S-dominant weights of
-    ``unirad``) as for dominant ones, and each coordinate fits a
-    base-(2R+1) digit offset by R.  h is read off the highest root
-    theta, the last in ``rs.positive_roots``, sorted by height:
-    theta - alpha lies in Q+ for every positive root alpha, so every
-    simple-root coefficient of alpha is at most theta's.
+    Each coordinate of a weight the chains write is below R of
+    ``_radius`` in absolute value, so it fits a base-(2R+1) digit offset
+    by R.
     """
-    h = max(rs.positive_roots[-1])
-    radius = h * max((sum(map(abs, mu)) for mu in start), default=0) + 1
+    radius = _radius(rs, start)
     base = 2 * radius + 1
     n = rs.rank
     places = tuple(base ** (n - 1 - j) for j in range(n))
@@ -320,7 +335,7 @@ def weight_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -
     # |mu_j| >= R is beyond every weight of the module, and a range test
     # also reads a non-integral coordinate as 0, as a dict lookup would;
     # it runs before the memo, so no such mu builds a character
-    radius = _packing(rs, [lam]).radius
+    radius = _radius(rs, [lam])
     if not all(x in range(1 - radius, radius) for x in mu):
         return 0
     pk, items = _demazure_items(rs, reduced_word(longest_element(rs)), lam)
@@ -358,6 +373,52 @@ def dual_weight(rs: RootSystem, lam: Sequence[int]) -> Weight:
     return dominant_conjugate(rs, [-x for x in _check_dominant(rs, lam)])
 
 
+def _simple_coordinates(cols: Sequence, x: Weight) -> list[int] | None:
+    """The simple-root coordinates c of x, or None unless they are integers >= 0.
+
+    x is in fundamental coordinates and cols is ``rs.columns``, so x = A c
+    for the Cartan matrix A, with a_jk the j-th coordinate of alpha_k.
+    The Dynkin graph of a finite type is a tree, so A c = x solves by
+    eliminating leaves, in integers and with no fill-in.  Rooted at node
+    1, each node k is visited after its children: with S_k the product of
+    the pivots P_j of k's children,
+
+        P_k = 2 S_k - sum_j a_kj a_jk S_j (S_k / P_j),
+        R_k = S_k x_k - sum_j a_kj (S_k / P_j) R_j,
+
+    accumulated here child by child with no division: folding child j
+    into row k multiplies that row by P_j.  Row k then reads
+    P_k c_k + a_{k,parent} S_k c_parent = R_k.  P_k is the
+    determinant of the Cartan matrix of k's subtree (expand it along row
+    k), a connected diagram of finite type, so it is positive and no
+    division below is by zero.  Parents first, c_k = (R_k - a_{k,parent}
+    S_k c_parent) / P_k.  When x lies in the root lattice every c_k is an
+    integer and each division is exact; otherwise the first c_k that is
+    not an integer leaves a remainder, as its parent's is exact.  A
+    remainder, or any c_k < 0, returns None.
+    """
+    n = len(cols)
+    col = [dict(c) for c in cols]  # col[k][j] = a_jk
+    parent, link, order = [0] * n, [0] * n, [0]  # link[k] = a_{k,parent}, 0 at the root
+    for k in order:
+        for j in col[k]:
+            if j != k and j != parent[k]:
+                parent[j], link[j] = k, col[k][j]
+                order.append(j)
+    piv, prods, rhs = [2] * n, [1] * n, list(x)  # P, S and R, before any child is folded in
+    for k in reversed(order[1:]):  # children first: fold row k into its parent's
+        p = parent[k]
+        rhs[p] = rhs[p] * piv[k] - col[k][p] * prods[p] * rhs[k]
+        piv[p] = piv[p] * piv[k] - col[k][p] * link[k] * prods[p] * prods[k]
+        prods[p] *= piv[k]
+    c = [0] * n
+    for k in order:
+        c[k], rem = divmod(rhs[k] - link[k] * prods[k] * c[parent[k]], piv[k])
+        if rem or c[k] < 0:
+            return None
+    return c
+
+
 def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -> int:
     """Weight multiplicity by Freudenthal's formula, in one iterative pass.
 
@@ -368,111 +429,122 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
         T(nu, alpha) = sum_{k >= 1} m(nu + k alpha) (nu + k alpha, alpha).
 
     Multiplicities are W-invariant, so only the dominant nu with
-    mu+ <= nu <= lam are visited, mu+ the dominant conjugate of mu.  A
-    search down from lam that subtracts positive roots and keeps the
-    dominant weights above mu+ reaches all of them (Stembridge, "The
-    partial order of dominant weights", 1998); they are processed in
-    order of the height of lam - nu.  Each stores its tails
-    T(nu, alpha), and a later tail takes O(1) from an earlier one:
-    the ``roots._to_dominant`` walk reflects nu + alpha to the dominant
-    weight d by some w, and beta = w(alpha) follows from its letters, by
-    ``roots._reflect``, only when d has a stored entry.  As m and
-    ( , ) are W-invariant,
+    mu+ <= nu <= lam are visited, mu+ the dominant conjugate of mu.  The
+    simple-root coordinates of lam - mu+ come first, by the tree solve
+    ``_simple_coordinates``; when they are not all integers >= 0, mu+ is
+    not below lam and the multiplicity is 0.  A search down from lam that
+    subtracts positive roots and keeps the dominant weights above mu+
+    reaches all of them (Stembridge, "The partial order of dominant
+    weights", 1998); they are processed in order of the height of
+    lam - nu, and lam - nu stays within those coordinates.
+
+    Each stores its tails T(nu, alpha), and a later tail takes O(1) from
+    an earlier one.  Let d be the dominant weight W-conjugate to
+    nu + alpha, by some w, and beta = w(alpha).  As m and ( , ) are
+    W-invariant,
 
         T(nu, alpha) = m(d) (d, beta) + T(d, beta),
 
-    and d lies above nu, so it was processed first.  beta is a positive
-    root: (d, beta) = (nu + alpha, alpha) = (nu, alpha) + (alpha, alpha)
-    is positive, and a dominant d pairs to at most 0 with every negative
-    root.  So T(d, beta) is a stored tail, and the string symmetry
-    T(d, -gamma) = T(d, gamma) + m(d) (d, gamma) is never needed.  When d
-    is not below lam, nu + alpha is not a weight, and since weights fill
-    unbroken root strings and nu is one, no nu + k alpha is: the tail
-    is 0.
+    and d >= nu + alpha > nu, so d was processed first if it is a weight
+    at all.  beta is a positive root: (d, beta) = (nu + alpha, alpha) =
+    (nu, alpha) + (alpha, alpha) is positive, and a dominant d pairs to
+    at most 0 with every negative root.  So T(d, beta) is a stored tail,
+    and the string symmetry T(d, -gamma) = T(d, gamma) + m(d) (d, gamma)
+    is never needed.  When d is not below lam, nu + alpha is not a
+    weight, and since weights fill unbroken root strings and nu is one,
+    no nu + k alpha is: the tail is 0.
 
-    The simple-root coordinates c of x = lam - mu+ come first, by a
-    descent along ``rs.columns``: at the first coordinate with x_k >= 1,
-    subtract ceil(x_k/2) alpha_k from x and add that amount to c_k, then
-    resume the scan at the column's first index, as the
-    ``roots._to_dominant`` walk does.  If x = sum_j c_j alpha_j with
-    every c_j >= 0, then x_k = 2 c_k + sum_{j != k} a_kj c_j <= 2 c_k, so
-    c_k >= ceil(x_k/2) and the step keeps x in Q+.  A nonzero x in Q+ has
-    some x_k >= 1, because (x, x) = sum_k c_k d_k x_k > 0, d the
-    symmetrizer.  So when mu+ <= lam the walk ends at x = 0 and c is
-    exact, and any other end means that mu+ is not below lam (or not in
-    its coset), so the multiplicity is 0.  The walk stops on every input:
-    a step of m = ceil(x_k/2) <= x_k lowers the height by m >= 1 and
-    changes (x, x) by 2 m d_k (m - x_k) <= 0, and the height is bounded
-    on the ball (y, y) <= (x, x).  When it ends at 0 it has taken at most
-    ht(lam - mu+) steps, the number of levels the search then runs.
+    The lookup is memo-first.  For most pairs nu + alpha is dominant
+    already: then d = nu + alpha and beta = alpha, with no walk.  Every
+    stored weight is dominant and, once the level above nu is done,
+    every dominant weight above nu in the search is stored; so a stored
+    entry at nu + alpha is d's, and a dominant nu + alpha with no entry
+    is not below lam, and its tail is 0.  Only a non-dominant nu + alpha
+    takes the ``roots._to_dominant`` walk to d, and beta follows from its
+    letters, by ``roots._reflect``, only when d has a stored entry other
+    than lam's, whose tails are all 0.  The packed keys make the first
+    case a few integer operations: each coordinate is one digit of t + 1
+    bits holding 2^t plus the coordinate, 2^t above every coordinate that
+    ``_radius`` allows a weight of V(lam), plus 3 for a root, so
+    nu +- alpha is one integer addition, bit t of every digit is set
+    exactly when the weight is dominant, and no two weights share a key.
+    The remaining room gap - (lam - nu), in simple roots, is packed the
+    same way, and one mask test keeps the search inside the gap.
 
-    Everything is an integer: lam - nu has integral simple-root
-    coordinates p, and |lam+rho|^2 - |nu+rho|^2 = (lam - nu, lam + nu +
-    2 rho) = sum_j p_j d_j (lam + nu + 2 rho)_j with d the symmetrizer.
-    Each multiplicity is one exact division; a remainder or a negative
-    quotient raises RuntimeError.
+    Everything is an integer.  The norm N(nu) = |lam+rho|^2 - |nu+rho|^2
+    is carried down the search from N(lam) = 0:
+
+        N(nu - alpha) = N(nu) + 2 (nu, alpha) + 2 (rho, alpha) - (alpha, alpha),
+
+    all integers, since (mu, alpha) is the dot vector of alpha applied to
+    mu.  Each multiplicity is one exact division; a remainder or a
+    negative quotient raises RuntimeError.
 
     >>> freudenthal_multiplicity(root_system("A1"), (4000,), (0,))
     1
     """
     lam = _check_weight(rs, lam)
     mu = _check_weight(rs, mu)
-    _check_dominant(rs, lam)  # after both length checks, whose errors come first
+    lam = _check_dominant(rs, lam)  # after both length checks, whose errors come first
     bottom = dominant_conjugate(rs, mu)
-    cols = rs.columns
-    x = list(sub_weights(lam, bottom))
-    gap = [0] * rs.rank  # simple-root coordinates of lam - bottom
-    k = 0
-    while k < rs.rank:
-        m = (x[k] + 1) // 2  # ceil(x_k / 2)
-        if m > 0:
-            gap[k] += m
-            for j, c in cols[k]:
-                x[j] -= m * c
-            k = cols[k][0][0]
-        else:
-            k += 1
-    if any(x):
+    # mu is read by value, as a dict lookup would: a coordinate that is
+    # not an integer leaves a remainder, and 1.0 or a numpy integer is 1
+    gap = _simple_coordinates(rs.columns, sub_weights(lam, bottom))
+    if gap is None:
         return 0
-    roots = tuple(zip(rs.positive_roots_fund, rs.positive_roots, rs.dots))
+    gap = list(map(int, gap))
+    # coordinates of nu +- alpha lie in -3..R + 2, and gap - (lam - nu) - alpha in -6..max(gap)
+    t = max((_radius(rs, [lam]) + 2).bit_length(), max(gap).bit_length(), 3)
+    places = range(0, rs.rank * (t + 1), t + 1)
+    mask = sum(1 << (t + p) for p in places)  # bit t of every digit
+
+    def packed(v):  # reads the nonzero coordinates only, which a root of high rank has few of
+        return sum(map(lshift, filter(None, v), compress(places, v)))
+
+    # k, alpha packed, alpha, its simple-root coordinates packed, its height,
+    # its dot vector, (alpha, alpha) and 2 (rho, alpha) - (alpha, alpha)
+    roots = [
+        (k, packed(alpha), alpha, packed(c), sum(c), dots, sq, 2 * sum(dots) - sq)
+        for k, (alpha, c, dots) in enumerate(zip(rs.positive_roots_fund, rs.positive_roots, rs.dots))
+        for sq in [sum(map(mul, dots, alpha))]
+    ]
     index = {alpha: k for k, alpha in enumerate(rs.positive_roots_fund)}
-    sym = rs.symmetrizer
-    shift = tuple(x + 2 for x in lam)  # lam + 2 rho
-    # dominant weight -> (multiplicity, tails in positive-root order)
-    memo: dict[Weight, tuple[int, list[int]]] = {lam: (1, [0] * len(roots))}
-    # height of lam - nu -> [(nu, simple-root coordinates of lam - nu)]
-    levels: dict[int, list[tuple[Weight, Weight]]] = {0: [(lam, (0,) * rs.rank)]}
-    seen = {lam}
-    for height in range(sum(gap) + 1):
-        for nu, depth in levels.pop(height, ()):
-            for alpha, coords, _dots in roots:
-                below = tuple(map(sub, nu, alpha))
-                if below in seen or min(below) < 0:
-                    continue
-                down = tuple(map(add, depth, coords))
-                if all(map(le, down, gap)):
-                    seen.add(below)
-                    levels.setdefault(height + sum(coords), []).append((below, down))
-            if nu == lam:  # its entry is preset: m = 1, every tail 0
-                continue
+    top = (1, [0] * len(roots))  # lam's entry: m = 1, every tail 0
+    # packed dominant weight -> None while queued, (multiplicity, tails) once done
+    entries: dict[int, tuple[int, list[int]] | None] = {mask + packed(lam): top}
+    done = {lam: top}  # the done entries by weight, where a walk looks them up
+    # height of lam - nu -> [(packed nu, nu, packed gap - (lam - nu), N(nu))]
+    levels: list[list[tuple[int, Weight, int, int]]] = [[] for _ in range(sum(gap) + 1)]
+    levels[0].append((mask + packed(lam), lam, mask + packed(gap), 0))
+    for height, level in enumerate(levels):
+        for key, nu, room, norm in level:
             tails = []
-            for alpha, _coords, dots in roots:
-                x = list(map(add, nu, alpha))
-                pair = sum(map(mul, dots, x))  # (nu + alpha, alpha)
-                letters = _to_dominant(cols, x)
-                entry = memo.get(tuple(x))
-                if entry is None:
-                    tails.append(0)
+            for k, a, alpha, c, ht, dots, sq, rise in roots:
+                below = key - a
+                if below & mask == mask and below not in entries:  # nu - alpha is dominant and new
+                    left = room - c
+                    if left & mask == mask:  # and within the gap
+                        entries[below] = None
+                        below_norm = norm + 2 * sum(map(mul, dots, nu)) + rise
+                        levels[height + ht].append((below, tuple(map(sub, nu, alpha)), left, below_norm))
+                if not height:  # lam's entry is preset
+                    continue
+                up = key + a
+                if up & mask == mask:  # d = nu + alpha, beta = alpha
+                    entry, beta = entries.get(up), k
                 else:
-                    m_d, tails_d = entry
-                    beta = _reflect(rs, alpha, letters) if letters else alpha
-                    tails.append(m_d * pair + tails_d[index[beta]])
-            norm = sum(p * d * (a + b) for p, d, a, b in zip(depth, sym, shift, nu))
-            value, rem = divmod(2 * sum(tails), norm)
-            if rem or value < 0:
-                raise RuntimeError(f"{rs.name}: Freudenthal recursion broke at {nu}")
-            memo[nu] = (value, tails)
-    return memo[bottom][0]
+                    x = list(map(add, nu, alpha))
+                    letters = _to_dominant(rs.columns, x)
+                    entry, beta = done.get(tuple(x)), k
+                    if entry and entry is not top:
+                        beta = index[_reflect(rs, alpha, letters)]
+                tails.append(entry[0] * (sum(map(mul, dots, nu)) + sq) + entry[1][beta] if entry else 0)
+            if height:
+                value, rem = divmod(2 * sum(tails), norm)
+                if rem or value < 0:
+                    raise RuntimeError(f"{rs.name}: Freudenthal recursion broke at {nu}")
+                entries[key] = done[nu] = (value, tails)
+    return done[bottom][0]
 
 
 def character_to_json(rs: RootSystem, char: Character) -> str:

@@ -340,13 +340,17 @@ def root_system(name: str) -> RootSystem:
 
 
 def _check_index(rs: RootSystem, i: int) -> None:
-    """ValueError unless i is an integer in 1..rank, read as ``_check_integral`` reads one."""
+    """ValueError unless i is an integer in 1..rank, read as ``_check_integral`` reads one.
+
+    The message shows i by its repr, so the string "1" reads '1'; an int's
+    repr is its digits.
+    """
     try:
         if 1 <= index(i) <= rs.rank:
             return
     except TypeError:
         pass
-    raise ValueError(f"simple index {i} out of range 1..{rs.rank}")
+    raise ValueError(f"simple index {i!r} out of range 1..{rs.rank}")
 
 
 def _check_weight(rs: RootSystem, mu: Sequence[int]) -> Weight:

@@ -75,6 +75,39 @@ def gram_rows(positive_roots, positive_roots_fund, symmetrizer):
     return scale, rows
 
 
+def descent(cols, x):
+    """The simple-root coordinates c of x, by a halving descent; None unless c >= 0 is integral.
+
+    x is in fundamental coordinates and cols the column table of the root
+    system: entry k lists the pairs (j, a_jk) of the nonzero coordinates
+    of alpha_{k+1}, j ascending.  At the first coordinate with x_k >= 1,
+    subtract ceil(x_k/2) alpha_k from x and add that amount to c_k, then
+    resume the scan at the column's first index.  If x = sum_j c_j alpha_j
+    with every c_j >= 0, then x_k = 2 c_k + sum_{j != k} a_kj c_j <= 2 c_k,
+    so c_k >= ceil(x_k/2) and the step keeps x in Q+.  A nonzero x in Q+
+    has some x_k >= 1, because (x, x) = sum_k c_k d_k x_k > 0, d the
+    symmetrizer.  So when x is in Q+ the walk ends at x = 0 and c is
+    exact, and any other end means that it is not.  The walk stops on
+    every input: a step of m = ceil(x_k/2) <= x_k lowers the height by
+    m >= 1 and changes (x, x) by 2 m d_k (m - x_k) <= 0, and the height is
+    bounded on the ball (y, y) <= (x, x).  Off Q+ its steps grow with the
+    size of x, so it suits small inputs only.
+    """
+    x = list(x)
+    c = [0] * len(cols)
+    k = 0
+    while k < len(cols):
+        m = (x[k] + 1) // 2  # ceil(x_k / 2)
+        if m > 0:
+            c[k] += m
+            for j, a in cols[k]:
+                x[j] -= m * a
+            k = cols[k][0][0]
+        else:
+            k += 1
+    return None if any(x) else c
+
+
 def half_norms(positive_roots, positive_roots_fund, symmetrizer):
     """(alpha, alpha)/2 for each positive root alpha.
 

@@ -11,8 +11,9 @@ Only ``roots`` reads a root system's family, so what is known per family
 module.  Only ``characters`` reads the fields of a packing, so the
 packed weight format stays in one module too.  Within it, only
 ``_demazure_items`` sizes the packing of a memoised character and runs
-a word's letters; ``demazure_operator`` packs its input for one letter
-and ``weight_multiplicity`` sizes a packing for its range test.  The
+a word's letters; ``demazure_operator`` packs its input for one letter,
+and ``weight_multiplicity`` reads only the radius rule, ``_radius``,
+for its range test.  The
 package has one per-instance cache: ``_cached`` is defined only in
 ``roots``, and no module uses ``functools.cached_property``.
 ``branching`` reads Demazure characters only, never an irreducible
@@ -105,12 +106,17 @@ def _callers(name):
 
 def test_one_function_packs_a_memoised_character():
     # _demazure_items alone sizes the packing of a memoised character;
-    # demazure_operator packs its own input, weight_multiplicity reads a
-    # radius for its range test
+    # demazure_operator packs its own input; one rule gives the radius,
+    # which weight_multiplicity's range test and Freudenthal's keys read
+    # without building a packing
     assert _callers("_packing") == {
         ("characters.py", "_demazure_items"),
         ("characters.py", "demazure_operator"),
+    }
+    assert _callers("_radius") == {
+        ("characters.py", "_packing"),
         ("characters.py", "weight_multiplicity"),
+        ("characters.py", "freudenthal_multiplicity"),
     }
     assert _callers("_letter") == {
         ("characters.py", "_demazure_items"),

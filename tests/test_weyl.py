@@ -254,6 +254,16 @@ def test_demazure_fold_refuses_a_letter_that_is_no_index():
             demazure_fold(e, letters)
 
 
+def test_a_string_index_is_named_by_its_repr():
+    # the string "1" once read "simple index 1 out of range", like a valid index
+    rs = root_system("A2")
+    for call in (lambda: demazure_fold(identity(rs), ("1",)), lambda: from_word(rs, ("1",))):
+        with pytest.raises(ValueError, match=r"^simple index '1' out of range 1\.\.2$"):
+            call()
+    with pytest.raises(ValueError, match=r"^simple index 3 out of range 1\.\.2$"):
+        from_word(rs, (1, 3))
+
+
 def test_demazure_product_absorbing():
     rs = root_system("A2")
     w0 = longest_element(rs)
