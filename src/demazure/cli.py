@@ -17,6 +17,9 @@ costs more than a small query.  Every other argv, help, usage errors and
 ``sl3t --grid`` go to one argparse parser, built on the first such call
 and reused; both routes give the handler the same values.  A flag given
 ``--`` as its value (``--word=--``) is a usage error on either route.
+``argparse`` is imported only to build that parser, and ``hashlib`` and
+``uuid`` only by a call that uses the cache, so a plain call without a
+cache loads none of the three.
 
 ``_FLAGS`` is the one place that declares a flag: its name, what
 ``run`` makes of the parsed string (the root system, a tuple of
@@ -35,14 +38,12 @@ mismatched entries are recomputed and overwritten with a warning.
 
 from __future__ import annotations
 
-import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
-import uuid
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 from demazure.branching import LeviDatum, unirad_mult_identity
@@ -83,6 +84,10 @@ def _cached_character(rs, word, lam, cache: str | None):
     cache = cache or os.environ.get(CACHE_ENV_VAR)  # the --cache flag, else the variable
     if not cache:
         return demazure_character(rs, word, lam)
+    # only a cached call loads these, so most calls never pay for them
+    import hashlib
+    import uuid
+
     cache_dir = Path(cache)
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
@@ -299,8 +304,10 @@ _FLAGS = (
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser shared by every ``run``; callers must not modify it."""
+def build_parser():
+    """The argparse parser shared by every ``run``; callers must not modify it."""
+    import argparse  # here, so that a plain argv never loads it
+
     parser = argparse.ArgumentParser(
         prog="demazure",
         description="Exact Demazure characters and multiplicity bounds.",
@@ -313,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_plain(argv: Sequence[str] | None) -> argparse.Namespace | None:
+def _parse_plain(argv: Sequence[str] | None) -> SimpleNamespace | None:
     """What ``build_parser().parse_args(argv)`` returns, read from ``_FLAGS``.
 
     The argv read is a subcommand, then each of its flags at most once,
@@ -343,7 +350,7 @@ def _parse_plain(argv: Sequence[str] | None) -> argparse.Namespace | None:
             return None
     if any(s.get("required") and name not in given for name, s in entries.items()):
         return None
-    return argparse.Namespace(subcommand=argv[0], **{
+    return SimpleNamespace(subcommand=argv[0], **{
         s.get("dest", name[2:]): given.get(name, s.get("default")) for name, s in entries.items()
     })
 

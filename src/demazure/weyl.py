@@ -8,13 +8,20 @@ is a right descent of w exactly when u_i < 0, and right multiplication
 by s_i stores s_i(u).  Left descents are the negative coordinates of
 w(rho).
 
-Each element walks once, on first use: the peel.  Reflecting u at its
-first negative coordinate until it reaches rho takes letters
-a1, ..., ak with s_ak ... s_a1 w^{-1} = 1, so w = s_ak ... s_a1 and the
-peel reversed is a reduced word of w.  Everything else reads that walk
-without scanning again: the length is its count; ``apply`` reflects a
-weight along it, a1 first, and w(rho) is rho reflected so; ``*``
-reflects along it reversed; and ``demazure_product`` folds it reversed.
+Each element carries its peel: letters a1, ..., ak with
+w = s_ak ... s_a1, a reduced word of w reversed, stored when known and
+walked otherwise.  A builder that knows a reduced word of its result
+stores it, reversed: ``identity`` the empty word, ``from_word`` a word
+whose every letter ascends, ``demazure_fold`` the letters it applies
+before the peel of w (when that is stored), ``inverse`` the peel of w
+reversed, and ``longest_parabolic`` its greedy ascent letters.  Any
+other element walks once, on first use: reflecting u at its first
+negative coordinate until it reaches rho takes letters a1, ..., ak
+with s_ak ... s_a1 w^{-1} = 1.  Everything else reads the peel without
+scanning again, and any reduced word serves: the length is its count;
+``apply`` reflects a weight along it, a1 first, and w(rho) is rho
+reflected so; ``*`` reflects along it reversed; and
+``demazure_product`` folds it reversed.
 
 Folding any reduced word of v gives the same 0-Hecke product w * v.
 The product is associative, and along a reduced word i1, ..., ik every
@@ -24,10 +31,11 @@ Coxeter groups", 2004).
 
 ``reduced_word`` returns the lexicographically smallest reduced word,
 the one word anything prints.  It is the greedy walk from w(rho) at the
-smallest left descent, one walk more than the peel.  The peel, the
-length and the word are stored in the instance dictionary by
+smallest left descent, a walk of its own whatever the peel.  A walked
+peel, the length and the word are stored in the instance dictionary by
 ``roots._cached``, which, unlike ``functools.cached_property`` before
-Python 3.12, takes no lock on the first read.  ``min_coset_rep`` is
+Python 3.12, takes no lock on the first read; ``_with_peel`` stores a
+known peel in the same slot.  ``min_coset_rep`` is
 memoised per subset, so the minimal coset representative of a Levi
 subset, and with it its word, is built once.
 
@@ -105,12 +113,16 @@ class WeylElement:
 
     @_cached
     def _peel(self) -> tuple[int, ...]:
-        """Letters a1, ..., ak that walk u to rho, so w = s_ak ... s_a1."""
+        """Letters a1, ..., ak with w = s_ak ... s_a1: a reduced word of w, reversed.
+
+        A builder that knows one stores it with ``_with_peel``; otherwise
+        the first read walks u to rho, and takes these letters.
+        """
         return tuple(_to_dominant(self.rs.columns, list(self.u)))
 
     @_cached
     def length(self) -> int:
-        """Number of letters in the peel."""
+        """Number of letters in the peel, which is reduced."""
         return len(self._peel)
 
     @_cached
@@ -135,8 +147,14 @@ class WeylElement:
         return f"WeylElement({self.rs.name}, {word})"
 
 
+def _with_peel(w: WeylElement, peel: tuple[int, ...]) -> WeylElement:
+    """w, with peel stored as its ``_peel``: a reduced word of w, reversed."""
+    w.__dict__["_peel"] = peel
+    return w
+
+
 def identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs, rho(rs))
+    return _with_peel(WeylElement(rs, rho(rs)), ())
 
 
 def simple_element(rs: RootSystem, i: int) -> WeylElement:
@@ -144,13 +162,25 @@ def simple_element(rs: RootSystem, i: int) -> WeylElement:
 
 
 def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
-    """Product s_{i1} s_{i2} ... s_{ik} for word (i1, ..., ik)."""
+    """Product s_{i1} s_{i2} ... s_{ik} for word (i1, ..., ik).
+
+    When every letter is an ascent (u_i > 0 where it is applied), the
+    word is reduced, and its reverse is stored as the peel.
+    """
     word = tuple(word)
     n = rs.rank
+    cols = rs.columns
+    u = list(rho(rs))
+    ascents = 0
     for i in word:
         if type(i) is not int or not 1 <= i <= n:
             _check_index(rs, i)
-    return WeylElement(rs, _reflect(rs, rho(rs), word))
+        m = u[i - 1]
+        ascents += m > 0
+        for j, c in cols[i - 1]:
+            u[j] -= m * c
+    w = WeylElement(rs, tuple(u))
+    return _with_peel(w, word[::-1]) if ascents == len(word) else w
 
 
 def _check_reduced(rs: RootSystem, word: tuple[int, ...]) -> WeylElement:
@@ -199,7 +229,8 @@ def all_reduced_words(w: WeylElement) -> Iterator[tuple[int, ...]]:
 
 
 def inverse(w: WeylElement) -> WeylElement:
-    return WeylElement(w.rs, _rho_image(w))
+    # w^{-1} = s_a1 ... s_ak for the peel a1, ..., ak of w
+    return _with_peel(WeylElement(w.rs, _rho_image(w)), w._peel[::-1])
 
 
 @lru_cache(maxsize=None)
@@ -218,9 +249,11 @@ def longest_parabolic(rs: RootSystem, subset: Iterable[int]) -> WeylElement:
     # ascent in the subset is the parabolic longest element.
     order = sorted(s)
     u = rho(rs)
+    letters = []
     while i := next((i for i in order if u[i - 1] > 0), 0):
+        letters.append(i)
         u = _reflect(rs, u, (i,))
-    return WeylElement(rs, u)
+    return _with_peel(WeylElement(rs, u), tuple(reversed(letters)))
 
 
 def min_coset_rep(rs: RootSystem, subset: Iterable[int]) -> WeylElement:
@@ -246,6 +279,10 @@ def _min_coset_rep(rs: RootSystem, subset: frozenset[int]) -> WeylElement:
 def demazure_fold(w: WeylElement, letters: Iterable[int]) -> WeylElement:
     """Fold letters into w by x*s = xs if that is longer, else x.
 
+    The letters applied, j1, ..., jm, give x = w s_j1 ... s_jm with the
+    lengths adding, so when w's peel is stored, x's is
+    (jm, ..., j1) followed by it.  An unstored peel is not walked for it.
+
     A letter that is not an integer in 1..rank raises ``_check_index``'s
     ValueError.  The loop tests only the range; a letter that passes it
     but indexes no list, such as 1.0, raises TypeError, which is turned
@@ -255,6 +292,7 @@ def demazure_fold(w: WeylElement, letters: Iterable[int]) -> WeylElement:
     n = rs.rank
     cols = rs.columns
     u = list(w.u)
+    applied = []
     i = 1  # an index, so a TypeError raised before any letter passes through
     try:
         for i in letters:
@@ -263,6 +301,7 @@ def demazure_fold(w: WeylElement, letters: Iterable[int]) -> WeylElement:
             m = u[i - 1]
             # i is an ascent of x exactly when u_i > 0
             if m > 0:
+                applied.append(i)
                 for j, c in cols[i - 1]:
                     u[j] -= m * c
     except TypeError:
@@ -270,7 +309,9 @@ def demazure_fold(w: WeylElement, letters: Iterable[int]) -> WeylElement:
         # such as 1.0 or "1"; any other TypeError is not the letter's
         _check_index(rs, i)
         raise
-    return WeylElement(rs, tuple(u))
+    x = WeylElement(rs, tuple(u))
+    peel = w.__dict__.get("_peel")  # read only if stored, never walked here
+    return x if peel is None else _with_peel(x, (*reversed(applied), *peel))
 
 
 def demazure_product(w: WeylElement, v: WeylElement) -> WeylElement:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -211,6 +212,24 @@ def test_weyl_dim_at_rho_is_power_of_two():
 def test_weyl_dim_rejects_non_dominant():
     with pytest.raises(ValueError):
         weyl_dim(A2, (-1, 0))
+
+
+def _corrupted_dots(name, k, dots):
+    """A fresh copy of the named root system with dots as its k-th dot vector.
+
+    The copy equals the named system and hashes like it, so it is passed
+    only to functions that memoise nothing by root system.
+    """
+    rs = dataclasses.replace(root_system(name))
+    vars(rs)["dots"] = rs.dots[:k] + (dots,) + rs.dots[k + 1:]
+    return rs
+
+
+def test_a_corrupted_root_table_breaks_the_dimension_product():
+    # the highest root of A2 read as alpha_1 + 2 alpha_2: the product at omega_1 is 8/3
+    rs = _corrupted_dots("A2", 2, (1, 2))
+    with pytest.raises(RuntimeError, match=r"^A2: non-integral dimension product for \(1, 0\)$"):
+        weyl_dim(rs, (1, 0))
 
 
 def test_weyl_character_matches_dim_and_symmetry():
@@ -513,6 +532,14 @@ def test_freudenthal_rank_one_deep(k):
     for mu in range(-k - 5, k + 6):
         if (k - mu) % 2 or abs(mu) > k:
             assert freudenthal_multiplicity(A1, (k,), (mu,)) == 0, (k, mu)
+
+
+def test_a_corrupted_root_table_breaks_freudenthal():
+    # the same wrong highest root: the division at the zero weight of the
+    # adjoint module leaves a remainder or a negative multiplicity
+    rs = _corrupted_dots("A2", 2, (1, 2))
+    with pytest.raises(RuntimeError, match=r"^A2: Freudenthal recursion broke at \(0, 0\)$"):
+        freudenthal_multiplicity(rs, (1, 1), (0, 0))
 
 
 def test_freudenthal_a2_closed_form():

@@ -17,6 +17,7 @@ from demazure import (
     simple_reflection,
     sub_weights,
 )
+from demazure import roots
 from demazure.roots import RootSystem, _reflect, _to_dominant
 from oracles import (
     bond_cartan_matrix,
@@ -51,6 +52,16 @@ def test_positive_root_counts():
     for name, count in ROOT_COUNTS.items():
         rs = root_system(name)
         assert len(rs.positive_roots) == count, name
+
+
+def test_a_closure_that_loses_a_root_is_refused(monkeypatch):
+    # the build checks the closure against the classical count; the
+    # unmemoised build runs, so no broken system is kept
+    close = roots._close_under_reflections
+    monkeypatch.setattr(roots, "_close_under_reflections", lambda *table: close(*table)[:-1])
+    message = "^B3: positive-root closure produced 8 roots, classical count is 9$"
+    with pytest.raises(RuntimeError, match=message):
+        build_root_system.__wrapped__("B", 3)
 
 
 def test_cartan_tables_rank2():

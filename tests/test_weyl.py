@@ -1,6 +1,9 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from demazure import cli, weyl
 from demazure import (
     all_reduced_words,
     demazure_fold,
@@ -21,6 +24,7 @@ from demazure import (
     simple_reflection,
     weyl_group,
 )
+from demazure.roots import _to_dominant
 from demazure.weyl import WeylElement
 from oracles import simple_root, straighten
 
@@ -528,3 +532,97 @@ def test_weight_reflections_match_reference_reflection(data):
     singular = any(nu[j - 1] == 0 for j in subset)
     expected = None if singular else (tuple(c - 1 for c in nu), sign)
     assert straighten(rs.columns, subset, mu) == expected
+
+
+# Stored peels.  A builder that knows a reduced word of its result stores
+# it, reversed, as the peel; any other element walks u to rho on first
+# use.  The oracle is that walk: a stored peel must be as long as it, and
+# reflect rho, first letter first, to the same w(rho) by the tuple
+# reflection, so it spells w with no letter to spare.
+
+PEEL_TYPES = ("B3", "D4", "F4", "E6", "G2")
+
+
+def _stored_peel(w):
+    """w's stored peel, checked against a fresh walk of u; None if none is stored."""
+    peel = vars(w).get("_peel")
+    if peel is not None:
+        rs = w.rs
+        walk = _to_dominant(rs.columns, list(w.u))
+        assert len(peel) == len(walk), (rs, peel, walk)
+        assert _reference_walk(rs, rho(rs), peel) == _reference_walk(rs, rho(rs), walk), (rs, peel)
+    return peel
+
+
+def _ascents(rs, word):
+    """The letters of word that ascend as they are applied: a reduced word."""
+    u, kept = rho(rs), []
+    for i in word:
+        if u[i - 1] > 0:
+            kept.append(i)
+            u = _reference_reflect(rs, u, i)
+    return tuple(kept)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_stored_peels_are_reduced_words_reversed(data):
+    rs = root_system(data.draw(st.sampled_from(PEEL_TYPES)))
+    words = [data.draw(_words(rs)) for _ in range(3)]
+    subset = data.draw(st.sets(st.integers(1, rs.rank)))
+    e = identity(rs)
+    x = demazure_fold(e, words[0])
+    y = from_word(rs, words[1])  # mostly not reduced
+    # from_word stores a peel exactly when its word is reduced
+    reduced = len(words[1]) == len(_to_dominant(rs.columns, list(y.u)))
+    assert (_stored_peel(y) is not None) == reduced
+    z = from_word(rs, _ascents(rs, words[2]))
+    built = [
+        e, x, z, from_word(rs, reduced_word(x)),
+        *(simple_element(rs, i) for i in range(1, rs.rank + 1)),
+        demazure_fold(x, words[1]), demazure_fold(z, words[2]), demazure_product(x, z),
+        demazure_product(z, y), inverse(x), inverse(y), longest_parabolic(rs, subset),
+    ]
+    assert all(_stored_peel(w) is not None for w in built)
+    assert _stored_peel(e) == ()
+    # folding into an element whose peel is not stored neither walks it nor stores one
+    fresh = WeylElement(rs, x.u)
+    folded = demazure_fold(fresh, words[2])
+    assert "_peel" not in vars(fresh) and "_peel" not in vars(folded)
+    assert folded == demazure_fold(x, words[2])
+
+
+def test_a_known_reduced_word_takes_no_peel_walk(monkeypatch, capsys):
+    walks = []  # the letters of each walk weyl takes
+
+    def counted(cols, x):
+        letters = _to_dominant(cols, x)
+        walks.append(tuple(letters))
+        return letters
+
+    monkeypatch.setattr(weyl, "_to_dominant", counted)
+    w = weyl._check_reduced(root_system("E6"), (1, 3, 4, 2, 5, 4, 6))
+    assert w.length == 7 and walks == []
+    # the CLI's hecke route walks once, for the lexicographic word it prints
+    assert cli.run(["hecke", "--type=F4", "--left=1,2,3,2,1,4,3", "--right=2,3,4,3,2,1"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert walks == [tuple(printed["word"])]
+    # an unreduced word stores no peel, so the check walks it and refuses it
+    with pytest.raises(ValueError, match="not reduced"):
+        weyl._check_reduced(root_system("E6"), (1, 3, 3))
+    assert len(walks) == 2
+
+
+def test_a_corrupted_parabolic_peel_breaks_the_coset_lengths(monkeypatch):
+    # l(w_P w0) = l(w0) - l(w_P) for every w_P, so only a wrong length,
+    # here from a peel with two letters to spare, reaches the check
+    real = weyl.longest_parabolic
+
+    def corrupted(rs, subset):
+        w_p = real(rs, subset)
+        return weyl._with_peel(w_p, w_p._peel + (1, 1))
+
+    monkeypatch.setattr(weyl, "longest_parabolic", corrupted)
+    rs = root_system("B3")
+    with pytest.raises(RuntimeError, match="^coset representative lengths do not add up$"):
+        weyl._min_coset_rep.__wrapped__(rs, frozenset({1, 2}))
