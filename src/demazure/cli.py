@@ -17,9 +17,8 @@ costs more than a small query.  Every other argv, help, usage errors and
 ``sl3t --grid`` go to one argparse parser, built on the first such call
 and reused; both routes give the handler the same values.  A flag given
 ``--`` as its value (``--word=--``) is a usage error on either route.
-``argparse`` is imported only to build that parser, and ``hashlib`` and
-``uuid`` only by a call that uses the cache, so a plain call without a
-cache loads none of the three.
+``argparse`` is imported only to build that parser, so a plain call
+never loads it.
 
 ``_FLAGS`` is the one place that declares a flag: its name, what
 ``run`` makes of the parsed string (the root system, a tuple of
@@ -39,6 +38,7 @@ mismatched entries are recomputed and overwritten with a warning.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import sys
@@ -84,10 +84,6 @@ def _cached_character(rs, word, lam, cache: str | None):
     cache = cache or os.environ.get(CACHE_ENV_VAR)  # the --cache flag, else the variable
     if not cache:
         return demazure_character(rs, word, lam)
-    # only a cached call loads these, so most calls never pay for them
-    import hashlib
-    import uuid
-
     cache_dir = Path(cache)
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
@@ -118,7 +114,7 @@ def _cached_character(rs, word, lam, cache: str | None):
     }
     # Write a uniquely named sibling and rename it over the entry, so a
     # concurrent reader sees either no entry or a whole one.
-    tmp = path.with_name(f".{path.stem}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f".{path.stem}.{os.urandom(16).hex()}.tmp")
     try:
         tmp.write_text(json.dumps(payload, separators=(",", ":")))
         os.replace(tmp, path)

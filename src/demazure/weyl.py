@@ -11,13 +11,12 @@ w(rho).
 Each element carries its peel: letters a1, ..., ak with
 w = s_ak ... s_a1, a reduced word of w reversed, stored when known and
 walked otherwise.  A builder that knows a reduced word of its result
-stores it, reversed: ``identity`` the empty word, ``from_word`` a word
-whose every letter ascends, ``demazure_fold`` the letters it applies
-before the peel of w (when that is stored), ``inverse`` the peel of w
-reversed, and ``longest_parabolic`` its greedy ascent letters.  Any
-other element walks once, on first use: reflecting u at its first
-negative coordinate until it reaches rho takes letters a1, ..., ak
-with s_ak ... s_a1 w^{-1} = 1.  Everything else reads the peel without
+stores it, reversed: ``identity`` the empty word, ``demazure_fold`` the
+letters it applies before the peel of w (when that is stored), and so
+``from_word`` a word whose every letter ascends.  Any other element
+walks once, on first use: reflecting u at its first negative
+coordinate until it reaches rho takes letters a1, ..., ak with
+s_ak ... s_a1 w^{-1} = 1.  Everything else reads the peel without
 scanning again, and any reduced word serves: the length is its count;
 ``apply`` reflects a weight along it, a1 first, and w(rho) is rho
 reflected so; ``*`` reflects along it reversed; and
@@ -35,9 +34,9 @@ smallest left descent, a walk of its own whatever the peel.  A walked
 peel, the length and the word are stored in the instance dictionary by
 ``roots._cached``, which, unlike ``functools.cached_property`` before
 Python 3.12, takes no lock on the first read; ``_with_peel`` stores a
-known peel in the same slot.  ``min_coset_rep`` is
-memoised per subset, so the minimal coset representative of a Levi
-subset, and with it its word, is built once.
+known peel in the same slot.  ``min_coset_rep`` is memoised per subset,
+so the minimal coset representative of a Levi subset, and with it its
+word, is built once.
 
 Every letter is one simple reflection, and s_i changes only coordinate
 i and the coordinates of i's Dynkin neighbours: the entries of column i
@@ -164,23 +163,12 @@ def simple_element(rs: RootSystem, i: int) -> WeylElement:
 def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     """Product s_{i1} s_{i2} ... s_{ik} for word (i1, ..., ik).
 
-    When every letter is an ascent (u_i > 0 where it is applied), the
-    word is reduced, and its reverse is stored as the peel.
+    The word is folded first: when every letter ascends, it is reduced,
+    the fold is the product, and it keeps the word, reversed, as its peel.
     """
     word = tuple(word)
-    n = rs.rank
-    cols = rs.columns
-    u = list(rho(rs))
-    ascents = 0
-    for i in word:
-        if type(i) is not int or not 1 <= i <= n:
-            _check_index(rs, i)
-        m = u[i - 1]
-        ascents += m > 0
-        for j, c in cols[i - 1]:
-            u[j] -= m * c
-    w = WeylElement(rs, tuple(u))
-    return _with_peel(w, word[::-1]) if ascents == len(word) else w
+    x = demazure_fold(identity(rs), word)
+    return x if x.length == len(word) else WeylElement(rs, _reflect(rs, rho(rs), word))
 
 
 def _check_reduced(rs: RootSystem, word: tuple[int, ...]) -> WeylElement:
@@ -229,8 +217,7 @@ def all_reduced_words(w: WeylElement) -> Iterator[tuple[int, ...]]:
 
 
 def inverse(w: WeylElement) -> WeylElement:
-    # w^{-1} = s_a1 ... s_ak for the peel a1, ..., ak of w
-    return _with_peel(WeylElement(w.rs, _rho_image(w)), w._peel[::-1])
+    return WeylElement(w.rs, _rho_image(w))
 
 
 @lru_cache(maxsize=None)
@@ -249,11 +236,9 @@ def longest_parabolic(rs: RootSystem, subset: Iterable[int]) -> WeylElement:
     # ascent in the subset is the parabolic longest element.
     order = sorted(s)
     u = rho(rs)
-    letters = []
     while i := next((i for i in order if u[i - 1] > 0), 0):
-        letters.append(i)
         u = _reflect(rs, u, (i,))
-    return _with_peel(WeylElement(rs, u), tuple(reversed(letters)))
+    return WeylElement(rs, u)
 
 
 def min_coset_rep(rs: RootSystem, subset: Iterable[int]) -> WeylElement:

@@ -600,37 +600,30 @@ def test_module_entry_point():
 
 # A fresh interpreter, without site packages that might load anything
 # first, imports the CLI and runs a plain call, a cached call and a call
-# that argparse reads, noting after each which of the three modules the
-# plain route leaves out are loaded.
-_LAZY_IMPORTS = """
+# that argparse reads, noting after each whether argparse is loaded.
+_LAZY_ARGPARSE = """
 import json, sys
 from demazure.cli import run
-loaded = lambda: [name for name in ("argparse", "hashlib", "uuid") if name in sys.modules]
-states = [loaded()]
+states = ["argparse" in sys.modules]
 for argv in (
     ["dual", "--type=A2", "--weight=1,1"],
     ["dim", "--type=A2", "--word=1", "--weight=1,0", "--cache=" + sys.argv[1]],
     ["dual", "--type", "A2", "--weight", "1,1", "--weight", "1,0"],
 ):
-    states.append([run(argv), loaded()])
+    states.append([run(argv), "argparse" in sys.modules])
 print(json.dumps(states))
 """
 
 
-def test_only_a_cache_or_the_fallback_parser_imports_what_it_needs(tmp_path):
+def test_only_the_fallback_parser_imports_argparse(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != CACHE_ENV_VAR}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", _LAZY_IMPORTS, str(tmp_path / "cache")],
+        [sys.executable, "-S", "-c", _LAZY_ARGPARSE, str(tmp_path / "cache")],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [
-        [],
-        [0, []],
-        [0, ["hashlib", "uuid"]],
-        [0, ["argparse", "hashlib", "uuid"]],
-    ]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, [0, False], [0, False], [0, True]]
 
 
 # --- the parser across many in-process calls ------------------------------
