@@ -40,22 +40,30 @@ largest simple-root coefficient of a positive root: every weight a
 chain writes lies in the convex hull of the Weyl orbit of the start,
 where no coordinate exceeds h * sum_j |mu_j| in absolute value.
 
-Characters are memoised whole: ``_demazure_items`` keeps the packing
-and the packed character of each (word, lam) asked for, the 256 most
-recently used, and builds a new one from e^lam by the package's one
-letter loop.  lam is dominant for the characters of ``V(lam)`` and
-S-dominant for the Levi dimensions of ``unirad``.  A repeat is one
-lookup; a new word costs all of its letters, even when it shares a
-suffix with an earlier one.  Every reader of a memoised character
-decodes it with the packing stored beside it, and ``_unpack`` returns
-its terms sorted.  ``demazure_operator``, the one other caller of
-``_letter``, packs its own input for its one letter.
+Characters are memoised with the letter applied last pending:
+``_demazure_items`` keeps, for each (word, lam) asked for, the 256 most
+recently used, the packing, the packed chain of word[1:] from e^lam by
+the package's one letter loop, and the letter word[0] still to apply.
+lam is dominant for the characters of ``V(lam)`` and S-dominant for the
+Levi dimensions of ``unirad``.  The operator acts on each alpha_i-string
+on its own, so one number never needs that letter over the whole
+support.  A dimension reads the chain as it is, since D_i e^nu has
+coefficient sum <nu, alpha_i^vee> + 1 (``_demazure_sum``), and
+``weight_multiplicity`` applies the letter to mu's alpha_i-string only.
+``_whole`` serves every reader of the whole character: it applies the
+pending letter on the first such read and stores the result in the
+entry, so a repeat is one lookup.  A new word costs all of its letters,
+even when it shares a suffix with an earlier one.  Every reader of a
+memoised character decodes it with the packing stored beside it, and
+``_unpack`` returns its terms sorted.  ``demazure_operator``, the one
+caller of ``_letter`` outside the memo's readers, packs its own input
+for its one letter.
 
 Besides ``_unpack``, the packed format has one reader, ``_straightened``,
 the walk of Levi branching (``demazure.branching``).  It takes each key
-of a memoised packed character into the S-dominant chamber by the dot
-action, one subtraction of a packed simple root per reflection, sums the
-signed terms by packed key and unpacks only those totals.  No other
+of a whole memoised packed character into the S-dominant chamber by the
+dot action, one subtraction of a packed simple root per reflection, sums
+the signed terms by packed key and unpacks only those totals.  No other
 module reads a packing.
 
 ``weyl_dim`` (dimension product formula) and
@@ -252,21 +260,51 @@ def demazure_operator(rs: RootSystem, i: int, char: Character) -> Character:
 
 
 @lru_cache(maxsize=256)
-def _demazure_items(
-    rs: RootSystem, word: tuple[int, ...], lam: Weight
-) -> tuple[_Packing, dict[int, int]]:
-    # The packing and the packed character of (word, lam), the letters
-    # applied last first.  Readers must not change the dict they get back.
+def _demazure_items(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> list:
+    # [packing, packed chain of word[1:], pending letter word[0]], the
+    # letters applied last first; the pending letter is 0 for the empty
+    # word or once ``_whole`` has applied it.  Readers must not change
+    # the dict they get back.
     pk = _packing(rs, [lam])
     cur = {_pack(pk, lam): 1}
-    for i in reversed(word):
+    for i in reversed(word[1:]):
         cur = _letter(pk, i, cur)
+    return [pk, cur, word[0] if word else 0]
+
+
+def _whole(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> tuple[_Packing, dict[int, int]]:
+    """The packing and the whole packed character of (word, lam).
+
+    Applies the pending letter on the first such read and stores the
+    result back in the memo entry, so a repeat is one lookup.
+    """
+    entry = _demazure_items(rs, word, lam)
+    pk, cur, i = entry
+    if i:
+        cur = entry[1] = _letter(pk, i, cur)
+        entry[2] = 0
     return pk, cur
+
+
+def _demazure_sum(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> int:
+    """The coefficient sum of the character of (word, lam), read before word[0] is applied.
+
+    D_i e^nu has coefficient sum m + 1 for m = <nu, alpha_i^vee>, in each
+    of the three cases of the operator, so a pending letter i costs one
+    digit read per term.
+    """
+    pk, cur, i = _demazure_items(rs, word, lam)
+    if not i:
+        return sum(cur.values())
+    place = pk.places[i - 1]
+    base = pk.base
+    shift = 1 - pk.radius
+    return sum(c * (key // place % base + shift) for key, c in cur.items())
 
 
 def _character(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> Character:
     """A fresh, sorted dict of the memoised character of (word, lam)."""
-    return dict(_unpack(*_demazure_items(rs, word, lam)))
+    return dict(_unpack(*_whole(rs, word, lam)))
 
 
 def _straightened(
@@ -282,7 +320,7 @@ def _straightened(
     s_i(mu), so in the hull of W.lam that ``_packing`` covers.  Returns
     the signed totals per S-dominant weight, zeros included, sorted.
     """
-    pk, items = _demazure_items(rs, word, lam)
+    pk, items = _whole(rs, word, lam)
     walls = [(pk.places[i - 1], pk.simple[i - 1]) for i in sorted(subset)]
     base = pk.base
     radius = pk.radius
@@ -310,16 +348,20 @@ def demazure_character(rs: RootSystem, word: Sequence[int], lam: Sequence[int]) 
     Rejects non-reduced words (the word must have length equal to the
     length of the group element it spells) and non-dominant weights.
     """
+    return _character(rs, *_checked(rs, word, lam))
+
+
+def _checked(rs: RootSystem, word: Sequence[int], lam: Sequence[int]) -> tuple[tuple[int, ...], Weight]:
+    """(word, lam) as tuples; ValueError unless lam is dominant and the word reduced."""
     lam = _check_dominant(rs, lam)
     word = tuple(word)
     _check_reduced(rs, word)
-    return _character(rs, word, lam)
+    return word, lam
 
 
 def demazure_dim(w: WeylElement, lam: Sequence[int]) -> int:
     """Dimension of the Demazure module: coefficient sum of its character."""
-    lam = _check_dominant(w.rs, lam)
-    return sum(_demazure_items(w.rs, reduced_word(w), lam)[1].values())
+    return _demazure_sum(w.rs, reduced_word(w), _check_dominant(w.rs, lam))
 
 
 def weyl_character(rs: RootSystem, lam: Sequence[int]) -> Character:
@@ -338,8 +380,23 @@ def weight_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -
     radius = _radius(rs, [lam])
     if not all(x in range(1 - radius, radius) for x in mu):
         return 0
-    pk, items = _demazure_items(rs, reduced_word(longest_element(rs)), lam)
-    return items.get(_pack(pk, mu), 0)
+    mu = tuple(map(int, mu))  # read by value: 1.0 is 1
+    pk, cur, i = _demazure_items(rs, reduced_word(longest_element(rs)), lam)
+    key = _pack(pk, mu)
+    if not i:
+        return cur.get(key, 0)
+    # The pending letter acts on each alpha_i-string on its own, so the
+    # coefficient at mu reads only the terms on mu's string: mu + t alpha_i
+    # for the t that keep every coordinate inside the packing's (-R, R),
+    # beyond which key + t a is the key of a weight off the string.
+    lo, hi = -radius, radius
+    for j, c in rs.columns[i - 1]:
+        x = mu[j] if c > 0 else -mu[j]  # -R < x + t |c| < R
+        lo = max(lo, (-radius - x) // abs(c) + 1)
+        hi = min(hi, (radius - 1 - x) // abs(c))
+    a = pk.simple[i - 1]
+    string = {k: cur[k] for k in range(key + lo * a, key + (hi + 1) * a, a) if k in cur}
+    return _letter(pk, i, string).get(key, 0)
 
 
 def weyl_dim(rs: RootSystem, lam: Sequence[int]) -> int:
@@ -520,12 +577,13 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
         for key, nu, room, norm in level:
             tails = []
             for k, a, alpha, c, ht, dots, sq, rise in roots:
+                pair = sum(map(mul, dots, nu))  # (nu, alpha)
                 below = key - a
                 if below & mask == mask and below not in entries:  # nu - alpha is dominant and new
                     left = room - c
                     if left & mask == mask:  # and within the gap
                         entries[below] = None
-                        below_norm = norm + 2 * sum(map(mul, dots, nu)) + rise
+                        below_norm = norm + 2 * pair + rise
                         levels[height + ht].append((below, tuple(map(sub, nu, alpha)), left, below_norm))
                 if not height:  # lam's entry is preset
                     continue
@@ -538,7 +596,7 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
                     entry, beta = done.get(tuple(x)), k
                     if entry and entry is not top:
                         beta = index[_reflect(rs, alpha, letters)]
-                tails.append(entry[0] * (sum(map(mul, dots, nu)) + sq) + entry[1][beta] if entry else 0)
+                tails.append(entry[0] * (pair + sq) + entry[1][beta] if entry else 0)
             if height:
                 value, rem = divmod(2 * sum(tails), norm)
                 if rem or value < 0:

@@ -32,9 +32,11 @@ way, given route 2's multiplicity: 6n is computed once, and membership,
 the closed multiplicity and the printed n all come from it; route 3
 steps down from each member by its own membership tests, as
 ``theorem2_mult`` does.  The single query reads route 2 through
-``mult_via_weights``.  ``audit_rows`` expands the character of V(k2, k1)
-once per (k1, k2), the same memoised longest-element character that
-``weight_multiplicity`` reads, and looks each torus character up in it.
+``mult_via_weights``, whose ``weight_multiplicity`` reads the memoised
+longest-element chain with its last operator applied to one
+alpha_i-string only.  ``audit_rows`` expands the whole character of
+V(k2, k1) once per (k1, k2), from that same chain, and looks each torus
+character up in it.
 """
 
 from __future__ import annotations
@@ -183,10 +185,11 @@ def audit_rows(kmax: int, lmax: int) -> Iterator[tuple]:
     k1, k2 range over 0..kmax and each l_i over -lmax..lmax.  Each row
     holds the biweight's membership, n, and its multiplicity by the
     closed formula, by weights and by steps, the same row the CLI prints
-    for a single biweight.  Route 2 expands the character of the dual
-    module V(k2, k1) once per (k1, k2): it is the character
-    ``weight_multiplicity`` reads, so each row still reads a weight
-    multiplicity.
+    for a single biweight.  Route 2 expands the whole character of the
+    dual module V(k2, k1) once per (k1, k2), which
+    ``weight_multiplicity`` no longer does: it reads one coefficient off
+    one alpha_i-string of the same memoised chain, so each row still
+    reads a weight multiplicity.
     """
     a2 = root_system("A2")
     span = range(-lmax, lmax + 1)

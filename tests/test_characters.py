@@ -1033,7 +1033,9 @@ def test_weight_multiplicity_at_packing_boundary(name, lam):
     rs = root_system(name)
     h = max(max(c) for c in rs.positive_roots)
     radius = h * sum(lam) + 1
-    char = weyl_character(rs, lam)
+    # by the tests' own chain, so the memo entry keeps its letter pending
+    char = _apply(rs, reduced_word(longest_element(rs)), {lam: 1})
+    _demazure_items.cache_clear()
     base = 2 * radius + 1
     mus = [(10**6, -(10**6)), (-(10**6), 10**6)]
     for x in (radius, -radius, radius - 1, 1 - radius):
@@ -1045,3 +1047,130 @@ def test_weight_multiplicity_at_packing_boundary(name, lam):
     mus += list(char)
     for mu in mus:
         assert weight_multiplicity(rs, lam, mu) == char.get(mu, 0), (name, lam, mu)
+
+
+# A memo entry keeps the first letter of its word pending: a weight
+# multiplicity applies it to one alpha_i-string, a dimension reads it off
+# the digits, and only a read of the whole character applies it whole.
+# The oracle is the tests' ``_apply``: the whole word in one packing.
+
+def _packing_box(rs, lam, limit, rng):
+    """Every mu with all coordinates inside (-R, R), or limit of them drawn."""
+    radius = max(max(c) for c in rs.positive_roots) * sum(lam) + 1
+    box = list(product(range(1 - radius, radius), repeat=rs.rank))
+    return box if len(box) <= limit else rng.sample(box, limit)
+
+
+@pytest.mark.parametrize("name, lams", [
+    ("A1", [(0,), (1,), (5,)]),
+    ("A2", [(0, 0), (1, 0), (0, 2), (2, 1)]),
+    ("B2", [(1, 0), (0, 1), (1, 1)]),
+    ("G2", [(1, 0), (0, 1), (1, 1)]),
+    ("A3", [(1, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1)]),
+    ("B3", [(0, 0, 1), (1, 0, 0), (1, 0, 1)]),
+    ("C3", [(1, 0, 0), (0, 0, 1), (1, 1, 0)]),
+])
+def test_weight_multiplicity_matches_the_whole_chain_on_the_packing_box(name, lams):
+    rs = root_system(name)
+    word = reduced_word(longest_element(rs))
+    rng = random.Random(1974)
+    for lam in lams:
+        expected = _apply(rs, word, {lam: 1})
+        _demazure_items.cache_clear()
+        for mu in _packing_box(rs, lam, 1500, rng):
+            assert weight_multiplicity(rs, lam, mu) == expected.get(mu, 0), (name, lam, mu)
+        assert _demazure_items(rs, word, lam)[2]  # no read expanded the whole character
+
+
+@pytest.mark.parametrize("lam", [(1, 1), (2, 1), (2, 2)])
+def test_weight_multiplicity_reads_only_the_string_of_mu(monkeypatch, lam):
+    # Past the packing box, mu + t alpha_i packs to the key of a weight
+    # off the string; in V(lam) of B2 some such keys hold terms of the
+    # chain.  D_i would leave mu's coefficient as it is, but a read that
+    # takes them in is no longer one string's.
+    rs = root_system("B2")
+    word = reduced_word(longest_element(rs))
+    expected = _apply(rs, word, {lam: 1})
+    _demazure_items.cache_clear()
+    assert weight_multiplicity(rs, lam, lam) == 1  # builds the chain
+    pk, _, i = _demazure_items(rs, word, lam)
+    alpha = simple_root(rs, i)
+    read = []
+
+    def recorded(pk, i, cur):
+        read.append(_unpack(pk, cur))
+        return _letter(pk, i, cur)
+
+    monkeypatch.setattr(characters, "_letter", recorded)
+    for mu in _packing_box(rs, lam, 10**4, random.Random(0)):
+        del read[:]
+        assert weight_multiplicity(rs, lam, mu) == expected.get(mu, 0), mu
+        assert len(read) == 1
+        for nu, _ in read[0]:  # nu = mu + t alpha_i, and alpha_i has coordinate i equal to 2
+            t, rem = divmod(nu[i - 1] - mu[i - 1], 2)
+            assert not rem and nu == tuple(x + t * a for x, a in zip(mu, alpha)), (mu, nu)
+
+
+@st.composite
+def _multiplicity_cases(draw):
+    rs = root_system(draw(st.sampled_from(["A1", "A2", "B2", "G2", "A3", "B3", "C3"])))
+    top = 3 if rs.rank <= 2 else 1
+    lam = tuple(draw(st.lists(st.integers(0, top), min_size=rs.rank, max_size=rs.rank)))
+    radius = max(max(c) for c in rs.positive_roots) * sum(lam) + 1
+    coordinate = st.integers(1 - radius, radius - 1)
+    mu = tuple(draw(st.lists(coordinate, min_size=rs.rank, max_size=rs.rank)))
+    return rs, lam, mu
+
+
+@given(case=_multiplicity_cases())
+@settings(max_examples=150, deadline=None)
+def test_weight_multiplicity_matches_the_whole_chain(case):
+    rs, lam, mu = case
+    _demazure_items.cache_clear()
+    expected = _apply(rs, reduced_word(longest_element(rs)), {lam: 1}).get(mu, 0)
+    assert weight_multiplicity(rs, lam, mu) == expected
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2"])
+def test_demazure_dim_matches_the_whole_chain_for_every_element(name):
+    rs = root_system(name)
+    n = rs.rank
+    lams = [rho(rs), (1,) + (0,) * (n - 1), (0,) * (n - 1) + (2,), (2,) + (0,) * (n - 2) + (1,)]
+    for lam in lams:
+        _demazure_items.cache_clear()
+        for w in weyl_group(rs):
+            word = reduced_word(w)
+            expected = sum(_apply(rs, word, {lam: 1}).values())
+            assert demazure_dim(w, lam) == expected, (name, lam, word)
+            assert not word or _demazure_items(rs, word, lam)[2] == word[0]
+
+
+def test_a_whole_read_is_stored_back(monkeypatch):
+    letters = []
+
+    def counted(pk, i, cur):
+        letters.append(i)
+        return _letter(pk, i, cur)
+
+    monkeypatch.setattr(characters, "_letter", counted)
+    A3 = root_system("A3")
+    _demazure_items.cache_clear()
+    lam = (1, 0, 1)
+    assert demazure_dim(longest_element(A3), lam) == weyl_dim(A3, lam)
+    assert weight_multiplicity(A3, lam, (0, 0, 0)) == 3
+    assert len(letters) == len(reduced_word(longest_element(A3)))  # the chain, then one string
+    calls = [
+        lambda: weyl_character(A3, lam),
+        lambda: restrict_to_levi((1, 1, 1), LeviDatum(A3, {1, 3})),
+        lambda: weyl_character(A3, (0, 1, 0)),
+    ]
+    for call in calls:
+        first = call()
+        del letters[:]
+        assert call() == first
+        assert letters == [], call
+    del letters[:]
+    # read whole, the entry holds no pending letter for a multiplicity or a dimension
+    assert weight_multiplicity(A3, lam, (0, 0, 0)) == 3
+    assert demazure_dim(longest_element(A3), lam) == weyl_dim(A3, lam)
+    assert letters == []

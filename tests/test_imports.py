@@ -11,9 +11,11 @@ Only ``roots`` reads a root system's family, so what is known per family
 module.  Only ``characters`` reads the fields of a packing, so the
 packed weight format stays in one module too.  Within it, only
 ``_demazure_items`` sizes the packing of a memoised character and runs
-a word's letters; ``demazure_operator`` packs its input for one letter,
-and ``weight_multiplicity`` reads only the radius rule, ``_radius``,
-for its range test.  The
+a word's letters but the first, which stays pending; ``_whole`` applies
+that letter to the whole chain and ``weight_multiplicity`` to one
+alpha_i-string of it; ``demazure_operator`` packs its input for one
+letter, and ``weight_multiplicity`` reads only the radius rule,
+``_radius``, for its range test.  The
 package has one per-instance cache: ``_cached`` is defined only in
 ``roots``, and no module uses ``functools.cached_property``.
 ``branching`` reads Demazure characters only, never an irreducible
@@ -118,9 +120,19 @@ def test_one_function_packs_a_memoised_character():
         ("characters.py", "weight_multiplicity"),
         ("characters.py", "freudenthal_multiplicity"),
     }
+    # _whole applies a memo entry's pending letter to the whole chain,
+    # weight_multiplicity to one alpha_i-string of it
     assert _callers("_letter") == {
         ("characters.py", "_demazure_items"),
+        ("characters.py", "_whole"),
+        ("characters.py", "weight_multiplicity"),
         ("characters.py", "demazure_operator"),
+    }
+    # and every reader of a memo entry minds its pending letter
+    assert _callers("_demazure_items") == {
+        ("characters.py", "_whole"),
+        ("characters.py", "_demazure_sum"),
+        ("characters.py", "weight_multiplicity"),
     }
 
 
