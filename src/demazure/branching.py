@@ -57,9 +57,9 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from demazure.characters import (
-    _demazure_sum,
     _straightened,
     _weyl_dims,
+    _whole,
     demazure_dim,
     dual_weight,
     weyl_dim,
@@ -135,7 +135,7 @@ def _levi_root_indices(rs: RootSystem, subset: frozenset[int]) -> tuple[int, ...
 def _levi_char_items(rs: RootSystem, subset: frozenset[int], mu: Weight) -> int:
     # The dimension of the Demazure module of w_S at mu.  The benchmark's
     # branching.levi_memo_* counters read this memo, under this name.
-    return _demazure_sum(rs, reduced_word(longest_parabolic(rs, subset)), mu)
+    return sum(_whole(rs, reduced_word(longest_parabolic(rs, subset)), mu)[1].values())
 
 
 def levi_weyl_dim(rs: RootSystem, subset: Iterable[int], mu: Sequence[int]) -> int:

@@ -47,15 +47,13 @@ the package's one letter loop, and the letter word[0] still to apply.
 lam is dominant for the characters of ``V(lam)`` and S-dominant for the
 Levi dimensions of ``unirad``.  The operator acts on each alpha_i-string
 on its own, so one number never needs that letter over the whole
-support.  A dimension reads the chain as it is, since D_i e^nu has
-coefficient sum <nu, alpha_i^vee> + 1 (``_demazure_sum``), and
-``weight_multiplicity`` applies the letter to mu's alpha_i-string only.
-``_whole`` serves every reader of the whole character: it applies the
-pending letter on the first such read and stores the result in the
-entry, so a repeat is one lookup.  A new word costs all of its letters,
-even when it shares a suffix with an earlier one.  Every reader of a
-memoised character decodes it with the packing stored beside it, and
-``_unpack`` returns its terms sorted.  ``demazure_operator``, the one
+support: ``weight_multiplicity`` applies the letter to mu's
+alpha_i-string only.  ``_whole`` serves every other reader, dimensions
+included: it applies the pending letter on the first such read and
+stores the result in the entry, so a repeat is one lookup.  A new word
+costs all of its letters, even when it shares a suffix with an earlier
+one.  Every reader of a memoised character decodes it with the packing
+stored beside it, and ``_unpack`` returns its terms sorted.  ``demazure_operator``, the one
 caller of ``_letter`` outside the memo's readers, packs its own input
 for its one letter.
 
@@ -286,22 +284,6 @@ def _whole(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> tuple[_Packing
     return pk, cur
 
 
-def _demazure_sum(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> int:
-    """The coefficient sum of the character of (word, lam), read before word[0] is applied.
-
-    D_i e^nu has coefficient sum m + 1 for m = <nu, alpha_i^vee>, in each
-    of the three cases of the operator, so a pending letter i costs one
-    digit read per term.
-    """
-    pk, cur, i = _demazure_items(rs, word, lam)
-    if not i:
-        return sum(cur.values())
-    place = pk.places[i - 1]
-    base = pk.base
-    shift = 1 - pk.radius
-    return sum(c * (key // place % base + shift) for key, c in cur.items())
-
-
 def _character(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> Character:
     """A fresh, sorted dict of the memoised character of (word, lam)."""
     return dict(_unpack(*_whole(rs, word, lam)))
@@ -348,20 +330,16 @@ def demazure_character(rs: RootSystem, word: Sequence[int], lam: Sequence[int]) 
     Rejects non-reduced words (the word must have length equal to the
     length of the group element it spells) and non-dominant weights.
     """
-    return _character(rs, *_checked(rs, word, lam))
-
-
-def _checked(rs: RootSystem, word: Sequence[int], lam: Sequence[int]) -> tuple[tuple[int, ...], Weight]:
-    """(word, lam) as tuples; ValueError unless lam is dominant and the word reduced."""
     lam = _check_dominant(rs, lam)
     word = tuple(word)
     _check_reduced(rs, word)
-    return word, lam
+    return _character(rs, word, lam)
 
 
 def demazure_dim(w: WeylElement, lam: Sequence[int]) -> int:
     """Dimension of the Demazure module: coefficient sum of its character."""
-    return _demazure_sum(w.rs, reduced_word(w), _check_dominant(w.rs, lam))
+    lam = _check_dominant(w.rs, lam)
+    return sum(_whole(w.rs, reduced_word(w), lam)[1].values())
 
 
 def weyl_character(rs: RootSystem, lam: Sequence[int]) -> Character:

@@ -48,7 +48,6 @@ from typing import Sequence
 
 from demazure.branching import LeviDatum, unirad_mult_identity
 from demazure.branching import _branch, _coset_bound
-from demazure.characters import _checked, _demazure_sum
 from demazure.characters import (
     character_from_json,
     character_to_json,
@@ -124,13 +123,6 @@ def _cached_character(rs, word, lam, cache: str | None):
     return char
 
 
-def _cached_dim(rs, word, lam, cache: str | None) -> int:
-    if cache or os.environ.get(CACHE_ENV_VAR):
-        return sum(_cached_character(rs, word, lam, cache).values())
-    # no entry to store: the sum is read through the chain's pending letter
-    return _demazure_sum(rs, *_checked(rs, word, lam))
-
-
 def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
@@ -141,7 +133,7 @@ def _cmd_char(rs, word, weight, cache) -> int:
 
 
 def _cmd_dim(rs, word, weight, cache) -> int:
-    print(_cached_dim(rs, word, weight, cache))
+    print(sum(_cached_character(rs, word, weight, cache).values()))
     return 0
 
 

@@ -1142,7 +1142,7 @@ def test_demazure_dim_matches_the_whole_chain_for_every_element(name):
             word = reduced_word(w)
             expected = sum(_apply(rs, word, {lam: 1}).values())
             assert demazure_dim(w, lam) == expected, (name, lam, word)
-            assert not word or _demazure_items(rs, word, lam)[2] == word[0]
+            assert _demazure_items(rs, word, lam)[2] == 0  # read whole and stored
 
 
 def test_a_whole_read_is_stored_back(monkeypatch):
@@ -1156,10 +1156,13 @@ def test_a_whole_read_is_stored_back(monkeypatch):
     A3 = root_system("A3")
     _demazure_items.cache_clear()
     lam = (1, 0, 1)
-    assert demazure_dim(longest_element(A3), lam) == weyl_dim(A3, lam)
     assert weight_multiplicity(A3, lam, (0, 0, 0)) == 3
-    assert len(letters) == len(reduced_word(longest_element(A3)))  # the chain, then one string
+    n = len(reduced_word(longest_element(A3)))
+    assert len(letters) == n  # the chain, then one string
+    assert demazure_dim(longest_element(A3), lam) == weyl_dim(A3, lam)
+    assert len(letters) == n + 1  # the pending letter, once, on the whole chain
     calls = [
+        lambda: demazure_dim(longest_element(A3), lam),
         lambda: weyl_character(A3, lam),
         lambda: restrict_to_levi((1, 1, 1), LeviDatum(A3, {1, 3})),
         lambda: weyl_character(A3, (0, 1, 0)),

@@ -131,7 +131,6 @@ def test_one_function_packs_a_memoised_character():
     # and every reader of a memo entry minds its pending letter
     assert _callers("_demazure_items") == {
         ("characters.py", "_whole"),
-        ("characters.py", "_demazure_sum"),
         ("characters.py", "weight_multiplicity"),
     }
 
