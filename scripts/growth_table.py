@@ -14,6 +14,7 @@ import argparse
 from demazure import (
     dimension_sequence,
     growth_degree,
+    is_dominant,
     reduced_word,
     rho,
     root_system,
@@ -29,12 +30,22 @@ def main() -> int:
                     help="extra entries beyond the minimal length(w)+2")
     args = ap.parse_args()
 
+    # every input is checked before the first line of output
+    if args.window < 0:
+        ap.error(f"--window takes a non-negative integer, got {args.window}")
     try:
         rs = root_system(args.type)
         group = weyl_group(rs)
     except ValueError as exc:
         ap.error(str(exc))  # exits 2
-    lam = rho(rs) if args.weight is None else tuple(int(x) for x in args.weight.split(","))
+    try:
+        lam = rho(rs) if args.weight is None else tuple(int(x) for x in args.weight.split(","))
+    except ValueError:
+        ap.error(f"--weight takes comma-separated integers, got {args.weight!r}")
+    if len(lam) != rs.rank:
+        ap.error(f"--weight has {len(lam)} coordinates; {rs.name} has rank {rs.rank}")
+    if not is_dominant(lam):
+        ap.error(f"--weight {args.weight} is not dominant")
     print(f"# {rs.name}, weight {lam}, |W| = {len(group)}")
     print("word\tlength\tdegree\tmatch\tvalues")
     mismatches = 0

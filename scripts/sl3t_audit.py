@@ -21,6 +21,9 @@ def main() -> int:
     ap.add_argument("--lmax", type=int, default=3)
     ap.add_argument("--table", action="store_true", help="stream the full TSV table")
     args = ap.parse_args()
+    for flag, value in (("--kmax", args.kmax), ("--lmax", args.lmax)):
+        if value < 0:
+            ap.error(f"{flag} takes a non-negative integer, got {value}")  # exits 2
 
     if args.table:
         print("\t".join(AUDIT_COLUMNS))

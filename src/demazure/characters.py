@@ -40,28 +40,26 @@ largest simple-root coefficient of a positive root: every weight a
 chain writes lies in the convex hull of the Weyl orbit of the start,
 where no coordinate exceeds h * sum_j |mu_j| in absolute value.
 
-Characters are memoised with the letter applied last pending:
-``_demazure_items`` keeps, for each (word, lam) asked for, the 256 most
-recently used, the packing, the packed chain of word[1:] from e^lam by
-the package's one letter loop, and the letter word[0] still to apply.
-lam is dominant for the characters of ``V(lam)`` and S-dominant for the
-Levi dimensions of ``unirad``.  The operator acts on each alpha_i-string
-on its own, so one number never needs that letter over the whole
-support: ``weight_multiplicity`` applies the letter to mu's
-alpha_i-string only.  ``_whole`` serves every other reader, dimensions
-included: it applies the pending letter on the first such read and
-stores the result in the entry, so a repeat is one lookup.  A new word
-costs all of its letters, even when it shares a suffix with an earlier
-one.  Every reader of a memoised character decodes it with the packing
-stored beside it, and ``_unpack`` returns its terms sorted.  ``demazure_operator``, the one
-caller of ``_letter`` outside the memo's readers, packs its own input
-for its one letter.
+Characters are memoised whole: ``_demazure_items`` keeps the packing
+and the packed character of each (word, lam) asked for, the 256 most
+recently used, and builds a new one from e^lam by the package's one
+letter loop.  lam is dominant for the characters of ``V(lam)`` and
+S-dominant for the Levi dimensions of ``unirad``.  A repeat is one
+lookup; a new word costs all of its letters, even when it shares a
+suffix with an earlier one.  Every reader of a memoised character
+decodes it with the packing stored beside it, and ``_unpack`` returns
+its terms sorted.  The operator acts on each alpha_i-string on its own,
+so one coefficient never needs the letter applied last over the whole
+support: ``weight_multiplicity`` reads the memoised character of w0's
+word without its first letter and applies that letter to mu's
+alpha_i-string only.  ``demazure_operator``, the one other caller of
+``_letter``, packs its own input for its one letter.
 
 Besides ``_unpack``, the packed format has one reader, ``_straightened``,
 the walk of Levi branching (``demazure.branching``).  It takes each key
-of a whole memoised packed character into the S-dominant chamber by the
-dot action, one subtraction of a packed simple root per reflection, sums
-the signed terms by packed key and unpacks only those totals.  No other
+of a memoised packed character into the S-dominant chamber by the dot
+action, one subtraction of a packed simple root per reflection, sums the
+signed terms by packed key and unpacks only those totals.  No other
 module reads a packing.
 
 ``weyl_dim`` (dimension product formula) and
@@ -258,35 +256,24 @@ def demazure_operator(rs: RootSystem, i: int, char: Character) -> Character:
 
 
 @lru_cache(maxsize=256)
-def _demazure_items(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> list:
-    # [packing, packed chain of word[1:], pending letter word[0]], the
-    # letters applied last first; the pending letter is 0 for the empty
-    # word or once ``_whole`` has applied it.  Readers must not change
-    # the dict they get back.
+def _demazure_items(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> tuple[_Packing, dict[int, int]]:
+    # The packing and the packed character of (word, lam), the letters
+    # applied last first.  Readers must not change the dict they get back.
     pk = _packing(rs, [lam])
     cur = {_pack(pk, lam): 1}
-    for i in reversed(word[1:]):
+    for i in reversed(word):
         cur = _letter(pk, i, cur)
-    return [pk, cur, word[0] if word else 0]
-
-
-def _whole(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> tuple[_Packing, dict[int, int]]:
-    """The packing and the whole packed character of (word, lam).
-
-    Applies the pending letter on the first such read and stores the
-    result back in the memo entry, so a repeat is one lookup.
-    """
-    entry = _demazure_items(rs, word, lam)
-    pk, cur, i = entry
-    if i:
-        cur = entry[1] = _letter(pk, i, cur)
-        entry[2] = 0
     return pk, cur
 
 
 def _character(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> Character:
     """A fresh, sorted dict of the memoised character of (word, lam)."""
-    return dict(_unpack(*_whole(rs, word, lam)))
+    return dict(_unpack(*_demazure_items(rs, word, lam)))
+
+
+def _dim(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> int:
+    """The coefficient sum of the memoised character of (word, lam)."""
+    return sum(_demazure_items(rs, word, lam)[1].values())
 
 
 def _straightened(
@@ -302,7 +289,7 @@ def _straightened(
     s_i(mu), so in the hull of W.lam that ``_packing`` covers.  Returns
     the signed totals per S-dominant weight, zeros included, sorted.
     """
-    pk, items = _whole(rs, word, lam)
+    pk, items = _demazure_items(rs, word, lam)
     walls = [(pk.places[i - 1], pk.simple[i - 1]) for i in sorted(subset)]
     base = pk.base
     radius = pk.radius
@@ -339,7 +326,7 @@ def demazure_character(rs: RootSystem, word: Sequence[int], lam: Sequence[int]) 
 def demazure_dim(w: WeylElement, lam: Sequence[int]) -> int:
     """Dimension of the Demazure module: coefficient sum of its character."""
     lam = _check_dominant(w.rs, lam)
-    return sum(_whole(w.rs, reduced_word(w), lam)[1].values())
+    return _dim(w.rs, reduced_word(w), lam)
 
 
 def weyl_character(rs: RootSystem, lam: Sequence[int]) -> Character:
@@ -359,14 +346,15 @@ def weight_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -
     if not all(x in range(1 - radius, radius) for x in mu):
         return 0
     mu = tuple(map(int, mu))  # read by value: 1.0 is 1
-    pk, cur, i = _demazure_items(rs, reduced_word(longest_element(rs)), lam)
+    # D_i acts on each alpha_i-string on its own, so with w0 = s_i w the
+    # coefficient at mu reads only the terms of D_w e^lam on mu's string:
+    # mu + t alpha_i for the t that keep every coordinate inside the
+    # packing's (-R, R), beyond which key + t a is the key of a weight
+    # off the string.
+    word = reduced_word(longest_element(rs))
+    i = word[0]
+    pk, cur = _demazure_items(rs, word[1:], lam)
     key = _pack(pk, mu)
-    if not i:
-        return cur.get(key, 0)
-    # The pending letter acts on each alpha_i-string on its own, so the
-    # coefficient at mu reads only the terms on mu's string: mu + t alpha_i
-    # for the t that keep every coordinate inside the packing's (-R, R),
-    # beyond which key + t a is the key of a weight off the string.
     lo, hi = -radius, radius
     for j, c in rs.columns[i - 1]:
         x = mu[j] if c > 0 else -mu[j]  # -R < x + t |c| < R
@@ -597,7 +585,10 @@ def character_from_json(text: str) -> tuple[RootSystem, Character]:
     char: Character = {}
     for term in obj["terms"]:
         w = _check_integral(rs, term["weight"])
-        if w in char or not isinstance(term["coeff"], str):
-            raise ValueError(f"term {term} repeats a weight or has a coefficient that is not a string")
-        char[w] = int(term["coeff"])
+        coeff = term["coeff"]
+        c = int(coeff) if isinstance(coeff, str) else 0
+        # character_to_json writes str(c) for a nonzero int c, and nothing else
+        if w in char or not c or coeff != str(c):
+            raise ValueError(f"term {term} repeats a weight or has a coefficient character_to_json never writes")
+        char[w] = c
     return rs, char

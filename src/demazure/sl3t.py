@@ -33,10 +33,10 @@ the closed multiplicity and the printed n all come from it; route 3
 steps down from each member by its own membership tests, as
 ``theorem2_mult`` does.  The single query reads route 2 through
 ``mult_via_weights``, whose ``weight_multiplicity`` reads the memoised
-longest-element chain with its last operator applied to one
-alpha_i-string only.  ``audit_rows`` expands the whole character of
-V(k2, k1) once per (k1, k2), from that same chain, and looks each torus
-character up in it.
+character of the longest element's word without its first letter and
+applies that letter to one alpha_i-string only.  ``audit_rows`` expands
+the whole character of V(k2, k1) once per (k1, k2), a memo entry of its
+own, and looks each torus character up in it.
 """
 
 from __future__ import annotations
@@ -186,10 +186,10 @@ def audit_rows(kmax: int, lmax: int) -> Iterator[tuple]:
     holds the biweight's membership, n, and its multiplicity by the
     closed formula, by weights and by steps, the same row the CLI prints
     for a single biweight.  Route 2 expands the whole character of the
-    dual module V(k2, k1) once per (k1, k2), which
-    ``weight_multiplicity`` no longer does: it reads one coefficient off
-    one alpha_i-string of the same memoised chain, so each row still
-    reads a weight multiplicity.
+    dual module V(k2, k1) once per (k1, k2) and reads each row's weight
+    multiplicity off it; ``weight_multiplicity`` reads the same
+    coefficient from the chain one letter shorter, with that letter
+    applied to one alpha_i-string.
     """
     a2 = root_system("A2")
     span = range(-lmax, lmax + 1)

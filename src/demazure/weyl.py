@@ -231,7 +231,7 @@ def longest_parabolic(rs: RootSystem, subset: Iterable[int]) -> WeylElement:
     s = frozenset(subset)
     for i in s:
         _check_index(rs, i)
-    # Greedy ascent inside the parabolic: keep appending the smallest
+    # Greedy ascent inside the parabolic: keep adding the smallest
     # generator that still increases length; the unique element with no
     # ascent in the subset is the parabolic longest element.
     order = sorted(s)

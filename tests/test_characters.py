@@ -785,7 +785,9 @@ def test_json_round_trip_negative_coefficients():
     [{"weight": [1, 0], "coeff": 1.9}],  # read as {(1, 0): 1}
     [{"weight": [1, 0], "coeff": 2}],
     [{"weight": [1, 0], "coeff": "1"}, {"weight": [True, 0], "coeff": "0"}],  # read as {(1, 0): 0}
-], ids=["half weight", "float coeff", "int coeff", "repeated weight"])
+    [{"weight": [1, 0], "coeff": "0"}],  # read as a zero term
+    [{"weight": [1, 0], "coeff": " 1_0 "}],  # read as 10
+], ids=["half weight", "float coeff", "int coeff", "repeated weight", "zero coeff", "padded coeff"])
 def test_json_that_no_character_writes_is_refused(terms):
     with pytest.raises(ValueError):
         character_from_json(json.dumps({"root_system": "A2", "terms": terms}))
@@ -1033,7 +1035,7 @@ def test_weight_multiplicity_at_packing_boundary(name, lam):
     rs = root_system(name)
     h = max(max(c) for c in rs.positive_roots)
     radius = h * sum(lam) + 1
-    # by the tests' own chain, so the memo entry keeps its letter pending
+    # by the tests' own chain, so the memo holds only the multiplicity's entry
     char = _apply(rs, reduced_word(longest_element(rs)), {lam: 1})
     _demazure_items.cache_clear()
     base = 2 * radius + 1
@@ -1049,10 +1051,11 @@ def test_weight_multiplicity_at_packing_boundary(name, lam):
         assert weight_multiplicity(rs, lam, mu) == char.get(mu, 0), (name, lam, mu)
 
 
-# A memo entry keeps the first letter of its word pending: a weight
-# multiplicity applies it to one alpha_i-string, a dimension reads it off
-# the digits, and only a read of the whole character applies it whole.
-# The oracle is the tests' ``_apply``: the whole word in one packing.
+# A memo entry holds the whole character of its word.  A weight
+# multiplicity reads the entry of w0's word without its first letter and
+# applies that letter to one alpha_i-string; every other reader reads
+# the whole entry of its own word.  The oracle is the tests' ``_apply``:
+# the whole word in one packing.
 
 def _packing_box(rs, lam, limit, rng):
     """Every mu with all coordinates inside (-R, R), or limit of them drawn."""
@@ -1079,7 +1082,10 @@ def test_weight_multiplicity_matches_the_whole_chain_on_the_packing_box(name, la
         _demazure_items.cache_clear()
         for mu in _packing_box(rs, lam, 1500, rng):
             assert weight_multiplicity(rs, lam, mu) == expected.get(mu, 0), (name, lam, mu)
-        assert _demazure_items(rs, word, lam)[2]  # no read expanded the whole character
+        built = _demazure_items.cache_info()
+        _demazure_items(rs, word[1:], lam)
+        # the reads built one entry, word[1:]'s, and never the whole word's
+        assert built.currsize == 1 and _demazure_items.cache_info().hits == built.hits + 1
 
 
 @pytest.mark.parametrize("lam", [(1, 1), (2, 1), (2, 2)])
@@ -1092,21 +1098,21 @@ def test_weight_multiplicity_reads_only_the_string_of_mu(monkeypatch, lam):
     word = reduced_word(longest_element(rs))
     expected = _apply(rs, word, {lam: 1})
     _demazure_items.cache_clear()
-    assert weight_multiplicity(rs, lam, lam) == 1  # builds the chain
-    pk, _, i = _demazure_items(rs, word, lam)
+    assert weight_multiplicity(rs, lam, lam) == 1  # builds the chain of word[1:]
+    i = word[0]
     alpha = simple_root(rs, i)
     read = []
 
     def recorded(pk, i, cur):
-        read.append(_unpack(pk, cur))
+        read.append((i, _unpack(pk, cur)))
         return _letter(pk, i, cur)
 
     monkeypatch.setattr(characters, "_letter", recorded)
     for mu in _packing_box(rs, lam, 10**4, random.Random(0)):
         del read[:]
         assert weight_multiplicity(rs, lam, mu) == expected.get(mu, 0), mu
-        assert len(read) == 1
-        for nu, _ in read[0]:  # nu = mu + t alpha_i, and alpha_i has coordinate i equal to 2
+        assert [letter for letter, _ in read] == [i]  # one letter, w0's first
+        for nu, _ in read[0][1]:  # nu = mu + t alpha_i, and alpha_i has coordinate i equal to 2
             t, rem = divmod(nu[i - 1] - mu[i - 1], 2)
             assert not rem and nu == tuple(x + t * a for x, a in zip(mu, alpha)), (mu, nu)
 
@@ -1140,9 +1146,10 @@ def test_demazure_dim_matches_the_whole_chain_for_every_element(name):
         _demazure_items.cache_clear()
         for w in weyl_group(rs):
             word = reduced_word(w)
-            expected = sum(_apply(rs, word, {lam: 1}).values())
-            assert demazure_dim(w, lam) == expected, (name, lam, word)
-            assert _demazure_items(rs, word, lam)[2] == 0  # read whole and stored
+            expected = _apply(rs, word, {lam: 1})
+            assert demazure_dim(w, lam) == sum(expected.values()), (name, lam, word)
+            pk, cur = _demazure_items(rs, word, lam)  # the whole character of word
+            assert dict(_unpack(pk, cur)) == expected, (name, lam, word)
 
 
 def test_a_whole_read_is_stored_back(monkeypatch):
@@ -1157,10 +1164,12 @@ def test_a_whole_read_is_stored_back(monkeypatch):
     _demazure_items.cache_clear()
     lam = (1, 0, 1)
     assert weight_multiplicity(A3, lam, (0, 0, 0)) == 3
-    n = len(reduced_word(longest_element(A3)))
-    assert len(letters) == n  # the chain, then one string
+    word = reduced_word(longest_element(A3))
+    # the chain of word[1:], l(w0) - 1 letters, then word[0] on one string
+    assert letters == list(reversed(word))
+    del letters[:]
     assert demazure_dim(longest_element(A3), lam) == weyl_dim(A3, lam)
-    assert len(letters) == n + 1  # the pending letter, once, on the whole chain
+    assert letters == list(reversed(word))  # the whole word, in its own entry
     calls = [
         lambda: demazure_dim(longest_element(A3), lam),
         lambda: weyl_character(A3, lam),
@@ -1173,7 +1182,8 @@ def test_a_whole_read_is_stored_back(monkeypatch):
         assert call() == first
         assert letters == [], call
     del letters[:]
-    # read whole, the entry holds no pending letter for a multiplicity or a dimension
-    assert weight_multiplicity(A3, lam, (0, 0, 0)) == 3
+    # a repeated whole read applies no letter, a repeated multiplicity its one string letter
     assert demazure_dim(longest_element(A3), lam) == weyl_dim(A3, lam)
     assert letters == []
+    assert weight_multiplicity(A3, lam, (0, 0, 0)) == 3
+    assert letters == [word[0]]

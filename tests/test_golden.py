@@ -82,6 +82,13 @@ SCRIPT_CASES = [
     # the summary line of the 16,807-biweight run the README quotes
     ("sl3t_audit_k6_l3", ["scripts/sl3t_audit.py", "--kmax", "6", "--lmax", "3"], 0, False),
     ("bad_growth_table_E7", ["scripts/growth_table.py", "--type", "E7"], 2, True),
+    # each bad input is refused before the header line
+    ("bad_growth_table_weight_malformed", ["scripts/growth_table.py", "--weight", "1,x"], 2, True),
+    ("bad_growth_table_weight_length", ["scripts/growth_table.py", "--type", "A3", "--weight", "1,1"], 2, True),
+    ("bad_growth_table_not_dominant", ["scripts/growth_table.py", "--type", "B2", "--weight", "2,-1"], 2, True),
+    ("bad_growth_table_window", ["scripts/growth_table.py", "--window", "-1"], 2, True),
+    ("bad_sl3t_audit_kmax", ["scripts/sl3t_audit.py", "--kmax", "-1"], 2, True),
+    ("bad_sl3t_audit_lmax", ["scripts/sl3t_audit.py", "--lmax", "-1", "--table"], 2, True),
 ]
 
 

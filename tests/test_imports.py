@@ -11,12 +11,12 @@ Only ``roots`` reads a root system's family, so what is known per family
 module.  Only ``characters`` reads the fields of a packing, so the
 packed weight format stays in one module too.  Within it, only
 ``_demazure_items`` sizes the packing of a memoised character and runs
-a word's letters but the first, which stays pending; ``_whole`` applies
-that letter to the whole chain and ``weight_multiplicity`` to one
-alpha_i-string of it; ``demazure_operator`` packs its input for one
-letter, and ``weight_multiplicity`` reads only the radius rule,
-``_radius``, for its range test.  The
-package has one per-instance cache: ``_cached`` is defined only in
+a word's letters, and only ``characters`` reads its entries;
+``weight_multiplicity`` applies the first letter of w0's word to one
+alpha_i-string of the entry for the rest of the word;
+``demazure_operator`` packs its input for one letter, and
+``weight_multiplicity`` reads only the radius rule, ``_radius``, for
+its range test.  The package has one per-instance cache: ``_cached`` is defined only in
 ``roots``, and no module uses ``functools.cached_property``.
 ``branching`` reads Demazure characters only, never an irreducible
 character or a weight multiplicity.  No module imports a name it never
@@ -120,17 +120,19 @@ def test_one_function_packs_a_memoised_character():
         ("characters.py", "weight_multiplicity"),
         ("characters.py", "freudenthal_multiplicity"),
     }
-    # _whole applies a memo entry's pending letter to the whole chain,
-    # weight_multiplicity to one alpha_i-string of it
+    # weight_multiplicity applies w0's first letter to one alpha_i-string
+    # of the memo entry for the rest of the word
     assert _callers("_letter") == {
         ("characters.py", "_demazure_items"),
-        ("characters.py", "_whole"),
         ("characters.py", "weight_multiplicity"),
         ("characters.py", "demazure_operator"),
     }
-    # and every reader of a memo entry minds its pending letter
+    # only characters reads a memo entry; branching's Levi dimensions go
+    # through _dim, as demazure_dim does
     assert _callers("_demazure_items") == {
-        ("characters.py", "_whole"),
+        ("characters.py", "_character"),
+        ("characters.py", "_dim"),
+        ("characters.py", "_straightened"),
         ("characters.py", "weight_multiplicity"),
     }
 

@@ -12,10 +12,10 @@ dropped or resized without a line here.
 ``--trace``, and the CI ``bench-smoke`` job runs that path.
 ``branching._levi_char_items`` is read in the library only by
 ``unirad_mult_identity``.  It holds an int, the dimension of a Levi
-Demazure module, the coefficient sum of the whole character that
-``characters._whole`` reads from ``characters._demazure_items``.  It
-stays, under its name and its ``lru_cache``, until the benchmark stops
-reading its counters (ROADMAP items 1 and 5).
+Demazure module, the coefficient sum that ``characters._dim`` reads
+from a ``characters._demazure_items`` entry.  It stays, under its name
+and its ``lru_cache``, until the benchmark stops reading its counters
+(ROADMAP items 1 and 5).
 """
 
 import importlib

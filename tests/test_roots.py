@@ -344,6 +344,19 @@ def test_name_round_trip():
         assert root_system(name).name == name
 
 
+def test_repr_names_the_system():
+    assert repr(root_system("B3")) == "RootSystem(B3)"
+    assert repr(build_root_system("G", 2)) == "RootSystem(G2)"
+
+
+def test_a_cached_attribute_read_on_the_class_is_its_descriptor():
+    # only an instance computes and stores the value
+    for attr in ("dots", "order"):
+        descriptor = getattr(RootSystem, attr)
+        assert isinstance(descriptor, roots._cached) and descriptor.name == attr
+        assert descriptor.__doc__ == descriptor.fn.__doc__
+
+
 def test_directly_built_system_equals_and_hashes_like_named_one():
     for name in ALL_NAMES:
         named = root_system(name)

@@ -31,6 +31,13 @@ from oracles import simple_root, straighten
 WEYL_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12, "D4": 192}
 
 
+def test_repr_spells_the_reduced_word():
+    A2 = root_system("A2")
+    assert repr(identity(A2)) == "WeylElement(A2, e)"
+    assert repr(from_word(A2, (2, 1))) == "WeylElement(A2, 2,1)"
+    assert repr(longest_element(A2)) == "WeylElement(A2, 1,2,1)"
+
+
 def test_group_orders():
     for name, order in WEYL_ORDERS.items():
         assert len(weyl_group(root_system(name))) == order, name
