@@ -23,7 +23,7 @@ nonnegative and contains e^lambda with coefficient 1.
 
 Every operator letter runs through one kernel, ``_letter``, on packed
 weights.  Each weight is packed once into a single integer with one
-base-(2R+1) digit per coordinate, offset by R, coordinate 1 most
+base-2R digit per coordinate, offset by R, coordinate 1 most
 significant, so integer order is lexicographic weight order and
 subtracting alpha_i is subtracting one fixed integer a, and the pairing
 m is one digit read off the key.  A letter is Demazure's formula
@@ -34,9 +34,10 @@ running sum that steps by -a, divides by 1 - e^{-alpha_i}.  So a letter
 costs a sort of the table plus one dict write per weight it outputs,
 not one per step of every term's string; terms with m = 0 are fixed and
 added afterwards, and a letter that fixes every term returns its input
-as it is.  ``_packing`` takes the radius that ``_radius`` gives,
+as it is.  ``_packing`` lays the digits out for a radius R, and a
+chain takes R from the package's one radius rule, ``_radius``:
 R = h * max_mu sum_j |mu_j| + 1 over the start weights, with h the
-largest simple-root coefficient of a positive root: every weight a
+largest simple-root coefficient of a positive root.  Every weight a
 chain writes lies in the convex hull of the Weyl orbit of the start,
 where no coordinate exceeds h * sum_j |mu_j| in absolute value.
 
@@ -55,8 +56,8 @@ word without its first letter and applies that letter to mu's
 alpha_i-string only.  ``demazure_operator``, the one other caller of
 ``_letter``, packs its own input for its one letter.
 
-Besides ``_unpack``, the packed format has one reader, ``_straightened``,
-the walk of Levi branching (``demazure.branching``).  It takes each key
+Besides ``_unpack``, a memoised packed character has one reader,
+``_straightened``, the walk of Levi branching (``demazure.branching``).  It takes each key
 of a memoised packed character into the S-dominant chamber by the dot
 action, one subtraction of a packed simple root per reflection, sums the
 signed terms by packed key and unpacks only those totals.  No other
@@ -74,10 +75,12 @@ tail of every positive-root string above it and gets each new tail from
 a stored one at a dominant weight higher up: memo-first, by one lookup
 of nu + alpha when that is dominant, and otherwise by a walk into the
 dominant chamber (multiplicities and the inner product are
-W-invariant).  Its weights are packed integers of their own, with a
-sign bit in each digit, so nu +- alpha is one addition and dominance
-one mask test, and the norm |lam+rho|^2 - |nu+rho|^2 is carried down
-the search.  Each tail is an exact finite sum and each multiplicity one
+W-invariant).  It keeps one table of entries, by packed key: its
+weights are packed by ``_packing`` and ``_pack`` too, with the radius
+rounded up to a power of two, so the packed zero weight is a mask of
+one sign bit per digit, nu +- alpha is one addition and dominance one
+mask test.  The norm |lam+rho|^2 - |nu+rho|^2 is carried down the
+search.  Each tail is an exact finite sum and each multiplicity one
 integer division whose remainder must be zero, so nothing is rounded
 and a broken table raises instead of returning a wrong number.
 """
@@ -88,7 +91,7 @@ import json
 from functools import lru_cache
 from itertools import compress
 from math import prod
-from operator import add, lshift, mul, sub
+from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from demazure.roots import (
@@ -100,6 +103,7 @@ from demazure.roots import (
     _check_weight,
     _reflect,
     _to_dominant,
+    add_weights,
     dominant_conjugate,
     root_system,
     sub_weights,
@@ -153,15 +157,16 @@ def _radius(rs: RootSystem, start: Iterable[Weight]) -> int:
     return h * max((sum(map(abs, mu)) for mu in start), default=0) + 1
 
 
-def _packing(rs: RootSystem, start: Iterable[Weight]) -> _Packing:
-    """Digits for the chains that start from the weights start.
+def _packing(rs: RootSystem, radius: int) -> _Packing:
+    """Digits for the weights whose coordinates lie in -radius..radius - 1.
 
-    Each coordinate of a weight the chains write is below R of
-    ``_radius`` in absolute value, so it fits a base-(2R+1) digit offset
-    by R.
+    Each coordinate is one base-(2 radius) digit offset by radius.  A
+    chain passes R of ``_radius``, above every coordinate it writes in
+    absolute value.  Freudenthal's pass passes a power of two 2^t: a
+    digit then has bit t set exactly when its coordinate is >= 0, and the
+    offset is the mask of those bits.
     """
-    radius = _radius(rs, start)
-    base = 2 * radius + 1
+    base = 2 * radius
     n = rs.rank
     places = tuple(base ** (n - 1 - j) for j in range(n))
     simple = tuple(sum(c * places[j] for j, c in col) for col in rs.columns)
@@ -169,7 +174,8 @@ def _packing(rs: RootSystem, start: Iterable[Weight]) -> _Packing:
 
 
 def _pack(pk: _Packing, mu: Weight) -> int:
-    return sum(x * p for x, p in zip(mu, pk.places)) + pk.offset
+    # reads the nonzero coordinates only, which a root of high rank has few of
+    return sum(map(mul, filter(None, mu), compress(pk.places, mu))) + pk.offset
 
 
 def _letter(pk: _Packing, i: int, cur: dict[int, int]) -> dict[int, int]:
@@ -251,7 +257,7 @@ def demazure_operator(rs: RootSystem, i: int, char: Character) -> Character:
     """Apply the single-index operator for alpha_i to a character."""
     char = {_check_integral(rs, mu): c for mu, c in char.items()}
     _check_index(rs, i)
-    pk = _packing(rs, char)
+    pk = _packing(rs, _radius(rs, char))
     return dict(_unpack(pk, _letter(pk, i, {_pack(pk, mu): c for mu, c in char.items() if c})))
 
 
@@ -259,7 +265,7 @@ def demazure_operator(rs: RootSystem, i: int, char: Character) -> Character:
 def _demazure_items(rs: RootSystem, word: tuple[int, ...], lam: Weight) -> tuple[_Packing, dict[int, int]]:
     # The packing and the packed character of (word, lam), the letters
     # applied last first.  Readers must not change the dict they get back.
-    pk = _packing(rs, [lam])
+    pk = _packing(rs, _radius(rs, [lam]))
     cur = {_pack(pk, lam): 1}
     for i in reversed(word):
         cur = _letter(pk, i, cur)
@@ -348,9 +354,10 @@ def weight_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -
     mu = tuple(map(int, mu))  # read by value: 1.0 is 1
     # D_i acts on each alpha_i-string on its own, so with w0 = s_i w the
     # coefficient at mu reads only the terms of D_w e^lam on mu's string:
-    # mu + t alpha_i for the t that keep every coordinate inside the
-    # packing's (-R, R), beyond which key + t a is the key of a weight
-    # off the string.
+    # mu + t alpha_i for the t that keep every coordinate inside (-R, R),
+    # where every weight of the chain lies and key + t a is the key of
+    # mu + t alpha_i; further out it can be the key of a weight off the
+    # string.
     word = reduced_word(longest_element(rs))
     i = word[0]
     pk, cur = _demazure_items(rs, word[1:], lam)
@@ -479,20 +486,24 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
 
     The lookup is memo-first.  For most pairs nu + alpha is dominant
     already: then d = nu + alpha and beta = alpha, with no walk.  Every
-    stored weight is dominant and, once the level above nu is done,
+    stored weight is dominant and, once the level above nu is processed,
     every dominant weight above nu in the search is stored; so a stored
     entry at nu + alpha is d's, and a dominant nu + alpha with no entry
     is not below lam, and its tail is 0.  Only a non-dominant nu + alpha
     takes the ``roots._to_dominant`` walk to d, and beta follows from its
-    letters, by ``roots._reflect``, only when d has a stored entry other
-    than lam's, whose tails are all 0.  The packed keys make the first
-    case a few integer operations: each coordinate is one digit of t + 1
-    bits holding 2^t plus the coordinate, 2^t above every coordinate that
-    ``_radius`` allows a weight of V(lam), plus 3 for a root, so
-    nu +- alpha is one integer addition, bit t of every digit is set
-    exactly when the weight is dominant, and no two weights share a key.
-    The remaining room gap - (lam - nu), in simple roots, is packed the
-    same way, and one mask test keeps the search inside the gap.
+    letters, by ``roots._reflect``, only when d has a stored entry.  One
+    table holds the entries, by packed key, and the packed keys make the
+    first case a few integer operations.  They come from ``_packing`` with
+    the radius 2^t, the least power of two that is at least both
+    ``_radius`` of lam + theta, theta the highest root, and max(gap) + 1.
+    Every weight the pass packs (nu, nu +- alpha and a walked d) is a
+    weight of V(lam) (x) V(theta), the adjoint module, so it lies in the
+    hull of W.(lam + theta) that ``_radius`` bounds; so nu +- alpha is one
+    integer addition, bit t of every digit is set exactly when the weight
+    is dominant, and no two weights share a key.  The remaining room
+    gap - (lam - nu), in simple roots, lies in -h..max(gap), h < 2^t the
+    largest simple-root coefficient of a root; it is packed the same way,
+    and one mask test keeps the search inside the gap.
 
     Everything is an integer.  The norm N(nu) = |lam+rho|^2 - |nu+rho|^2
     is carried down the search from N(lam) = 0:
@@ -516,29 +527,24 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
     if gap is None:
         return 0
     gap = list(map(int, gap))
-    # coordinates of nu +- alpha lie in -3..R + 2, and gap - (lam - nu) - alpha in -6..max(gap)
-    t = max((_radius(rs, [lam]) + 2).bit_length(), max(gap).bit_length(), 3)
-    places = range(0, rs.rank * (t + 1), t + 1)
-    mask = sum(1 << (t + p) for p in places)  # bit t of every digit
-
-    def packed(v):  # reads the nonzero coordinates only, which a root of high rank has few of
-        return sum(map(lshift, filter(None, v), compress(places, v)))
-
+    bottom = tuple(map(int, bottom))
+    radius = max(_radius(rs, [add_weights(lam, rs.positive_roots_fund[-1])]), max(gap) + 1)
+    pk = _packing(rs, 1 << (radius - 1).bit_length())
+    mask = pk.offset  # bit t of every digit
     # k, alpha packed, alpha, its simple-root coordinates packed, its height,
     # its dot vector, (alpha, alpha) and 2 (rho, alpha) - (alpha, alpha)
     roots = [
-        (k, packed(alpha), alpha, packed(c), sum(c), dots, sq, 2 * sum(dots) - sq)
+        (k, _pack(pk, alpha) - mask, alpha, _pack(pk, c) - mask, sum(c), dots, sq, 2 * sum(dots) - sq)
         for k, (alpha, c, dots) in enumerate(zip(rs.positive_roots_fund, rs.positive_roots, rs.dots))
         for sq in [sum(map(mul, dots, alpha))]
     ]
     index = {alpha: k for k, alpha in enumerate(rs.positive_roots_fund)}
-    top = (1, [0] * len(roots))  # lam's entry: m = 1, every tail 0
-    # packed dominant weight -> None while queued, (multiplicity, tails) once done
-    entries: dict[int, tuple[int, list[int]] | None] = {mask + packed(lam): top}
-    done = {lam: top}  # the done entries by weight, where a walk looks them up
+    # packed dominant weight -> None while queued, (multiplicity, tails) once
+    # computed; lam's entry is preset: m = 1, every tail 0
+    entries: dict[int, tuple[int, list[int]] | None] = {_pack(pk, lam): (1, [0] * len(roots))}
     # height of lam - nu -> [(packed nu, nu, packed gap - (lam - nu), N(nu))]
     levels: list[list[tuple[int, Weight, int, int]]] = [[] for _ in range(sum(gap) + 1)]
-    levels[0].append((mask + packed(lam), lam, mask + packed(gap), 0))
+    levels[0].append((_pack(pk, lam), lam, _pack(pk, gap), 0))
     for height, level in enumerate(levels):
         for key, nu, room, norm in level:
             tails = []
@@ -559,16 +565,15 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
                 else:
                     x = list(map(add, nu, alpha))
                     letters = _to_dominant(rs.columns, x)
-                    entry, beta = done.get(tuple(x)), k
-                    if entry and entry is not top:
-                        beta = index[_reflect(rs, alpha, letters)]
+                    entry = entries.get(_pack(pk, x))
+                    beta = index[_reflect(rs, alpha, letters)] if entry else k
                 tails.append(entry[0] * (pair + sq) + entry[1][beta] if entry else 0)
             if height:
                 value, rem = divmod(2 * sum(tails), norm)
                 if rem or value < 0:
                     raise RuntimeError(f"{rs.name}: Freudenthal recursion broke at {nu}")
-                entries[key] = done[nu] = (value, tails)
-    return done[bottom][0]
+                entries[key] = (value, tails)
+    return entries[_pack(pk, bottom)][0]
 
 
 def character_to_json(rs: RootSystem, char: Character) -> str:
@@ -580,15 +585,20 @@ def character_to_json(rs: RootSystem, char: Character) -> str:
 
 
 def character_from_json(text: str) -> tuple[RootSystem, Character]:
+    # character_to_json writes these keys, int coordinates and str(c) for
+    # a nonzero int c, and nothing else
     obj = json.loads(text)
+    if not isinstance(obj, dict) or obj.keys() != {"root_system", "terms"}:
+        raise ValueError("a character's JSON has exactly the keys root_system and terms")
     rs = root_system(obj["root_system"])
     char: Character = {}
     for term in obj["terms"]:
+        if not isinstance(term, dict) or term.keys() != {"weight", "coeff"}:
+            raise ValueError(f"term {term} does not have exactly the keys weight and coeff")
         w = _check_integral(rs, term["weight"])
         coeff = term["coeff"]
         c = int(coeff) if isinstance(coeff, str) else 0
-        # character_to_json writes str(c) for a nonzero int c, and nothing else
-        if w in char or not c or coeff != str(c):
-            raise ValueError(f"term {term} repeats a weight or has a coefficient character_to_json never writes")
+        if w in char or not c or coeff != str(c) or bool in map(type, term["weight"]):
+            raise ValueError(f"term {term} repeats a weight or has a value character_to_json never writes")
         char[w] = c
     return rs, char

@@ -275,14 +275,12 @@ _REQUIRED = {"required": True}
 # Every flag: its name, what run() makes of the parsed string before the
 # handler sees it (None: the value as argparse leaves it), the subcommands
 # that take it, and its argparse settings.  A subcommand lists its flags
-# in --help, and run() converts them, in this order.  --word has two
-# entries because only char's carries a help text.
+# in --help, and run() converts them, in this order.
 _FLAGS = (
     ("type", root_system, "char dim weight-mult dual hecke branch unirad growth",
      {**_REQUIRED, "dest": "rs", "metavar": "TYPE"}),
-    ("word", _csv_ints, "char",
+    ("word", _csv_ints, "char dim growth",
      {**_REQUIRED, "help": "comma-separated 1-based letters; empty for the identity"}),
-    ("word", _csv_ints, "dim growth", _REQUIRED),
     ("weight", _csv_ints, "char dim weight-mult dual branch unirad growth", _REQUIRED),
     ("mu", _csv_ints, "weight-mult", _REQUIRED),
     ("left", _csv_ints, "hecke", _REQUIRED),

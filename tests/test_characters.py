@@ -5,6 +5,7 @@ import re
 import time
 from fractions import Fraction
 from itertools import product
+from math import factorial, prod
 from operator import mul
 
 import pytest
@@ -45,6 +46,7 @@ from demazure.characters import (
     _letter,
     _pack,
     _packing,
+    _radius,
     _simple_coordinates,
     _unpack,
 )
@@ -66,7 +68,7 @@ def _apply(rs, word, char):
     word = tuple(word)
     for i in word:
         _check_index(rs, i)
-    pk = _packing(rs, char)
+    pk = _packing(rs, _radius(rs, char))
     cur = {_pack(pk, mu): c for mu, c in char.items() if c}
     for i in reversed(word):
         cur = _letter(pk, i, cur)
@@ -377,14 +379,18 @@ def test_freudenthal_matches_operator_character_across_families(name):
 
 
 def _scale_at_alpha_1(rs):
-    """Freudenthal's K as the first coordinate of sum_{alpha > 0} (alpha_1, alpha) alpha."""
+    """K, with sum_{alpha > 0} (x, alpha) alpha = K x, read at x = alpha_1.
+
+    The first simple-root coordinate of sum_{alpha > 0} (alpha_1, alpha) alpha.
+    """
     pairs = [sum(map(mul, dots, simple_root(rs, 1))) for dots in rs.dots]
     return sum(p * coords[0] for p, coords in zip(pairs, rs.positive_roots))
 
 
 def test_freudenthal_scale_is_the_trace():
-    # freudenthal_multiplicity reads K as sum_{alpha > 0} (alpha, alpha) / rank,
-    # the trace of x -> sum_{alpha > 0} (x, alpha) alpha over the rank
+    # oracles.gram_rows reads K as sum_{alpha > 0} (alpha, alpha) / rank,
+    # the trace of x -> sum_{alpha > 0} (x, alpha) alpha = K x over the
+    # rank; the map's value at alpha_1 gives the same K
     names = (
         [f"A{n}" for n in range(1, 13)]
         + [f"B{n}" for n in range(2, 13)]
@@ -518,6 +524,64 @@ def test_freudenthal_at_rank_100():
     assert freudenthal_multiplicity(rs, lam, (0,) * 100) == 100
     assert freudenthal_multiplicity(rs, lam, lam) == 1
     assert freudenthal_multiplicity(rs, lam, (1,) + (0,) * 99) == 0
+
+
+def _standard_tableaux(shape):
+    """f^shape, the number of standard Young tableaux, by the hook length formula."""
+    cols = [sum(1 for row in shape if row > j) for j in range(shape[0])]
+    hooks = prod(row - j + cols[j] - i - 1 for i, row in enumerate(shape) for j in range(row))
+    return factorial(sum(shape)) // hooks
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 1, 1), (3, 3, 3, 3), (2,) * 16], ids=["2211", "3333", "2^16"])
+def test_freudenthal_zero_weight_counts_standard_tableaux(shape):
+    # for a partition of n + 1 into at most n parts, V(lam) of A_n has
+    # f^shape at the zero weight; (2^16) in A31 is 2 omega_16, whose
+    # simple-root coordinates reach 16, above the digits that lam + theta
+    # alone would size
+    n = sum(shape) - 1
+    parts = [*shape, *[0] * (n + 1 - len(shape))]
+    lam = tuple(parts[j] - parts[j + 1] for j in range(n))
+    assert freudenthal_multiplicity(root_system(f"A{n}"), lam, (0,) * n) == _standard_tableaux(shape)
+
+
+def test_freudenthal_reads_mu_by_value_at_e8():
+    # a float mu+ packed as it is gives a float key, which at these sizes
+    # rounds away from the key of its entry
+    e8 = root_system("E8")
+    lam = (2, 0, 0, 0, 0, 0, 0, 3)
+    for mu in [(1, 0, 0, 0, 0, 0, 0, 1), (1.0, 0, 0, 0, 0, 0, 0, 1.0)]:
+        assert freudenthal_multiplicity(e8, lam, mu) == 12_748_078
+
+
+@pytest.mark.parametrize("name, lams", [
+    ("A1", [(0,), (1,), (5,)]),
+    ("A2", [(0, 0), (1, 0), (2, 1)]),
+    ("B2", [(1, 0), (0, 1), (2, 2)]),
+    ("G2", [(1, 0), (0, 1), (1, 1)]),
+    ("A3", [(1, 0, 0), (0, 1, 0), (1, 0, 2)]),
+    ("B3", [(1, 0, 0), (0, 0, 1), (1, 1, 0)]),
+    ("C3", [(1, 0, 0), (0, 1, 0), (0, 0, 2)]),
+    ("D4", [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)]),
+    ("F4", [(1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)]),
+])
+def test_radius_rule_bounds_every_key_of_freudenthal(name, lams):
+    # freudenthal_multiplicity packs nu, nu +- alpha and the dominant
+    # conjugate of nu + alpha, for dominant weights nu of V(lam), with a
+    # radius of at least _radius(rs, [lam + theta]); and its room, in
+    # simple roots, reaches down to -h, h the largest coefficient of theta
+    rs = root_system(name)
+    theta = rs.positive_roots_fund[-1]
+    for lam in lams:
+        radius = _radius(rs, [add_weights(lam, theta)])
+        assert max(rs.positive_roots[-1]) < radius, (name, lam)
+        for nu in weyl_character(rs, lam):
+            if min(nu) < 0:
+                continue
+            for alpha in rs.positive_roots_fund:
+                up = add_weights(nu, alpha)
+                for key in (sub_weights(nu, alpha), up, dominant_conjugate(rs, up)):
+                    assert max(map(abs, key)) < radius, (name, lam, nu, alpha)
 
 
 @pytest.mark.parametrize("k", [4000, 4001])
@@ -780,17 +844,30 @@ def test_json_round_trip_negative_coefficients():
     assert back == char
 
 
-@pytest.mark.parametrize("terms", [
-    [{"weight": [0.5, 1], "coeff": "1"}],  # read as {(0.5, 1): 1}
-    [{"weight": [1, 0], "coeff": 1.9}],  # read as {(1, 0): 1}
-    [{"weight": [1, 0], "coeff": 2}],
-    [{"weight": [1, 0], "coeff": "1"}, {"weight": [True, 0], "coeff": "0"}],  # read as {(1, 0): 0}
-    [{"weight": [1, 0], "coeff": "0"}],  # read as a zero term
-    [{"weight": [1, 0], "coeff": " 1_0 "}],  # read as 10
-], ids=["half weight", "float coeff", "int coeff", "repeated weight", "zero coeff", "padded coeff"])
-def test_json_that_no_character_writes_is_refused(terms):
+def _doc(*terms, **top):
+    return {"root_system": "A2", "terms": list(terms), **top}
+
+
+@pytest.mark.parametrize("doc", [
+    _doc({"weight": [0.5, 1], "coeff": "1"}),  # read as {(0.5, 1): 1}
+    _doc({"weight": [1, 0], "coeff": 1.9}),  # read as {(1, 0): 1}
+    _doc({"weight": [1, 0], "coeff": 2}),
+    _doc({"weight": [1, 0], "coeff": "1"}, {"weight": [True, 0], "coeff": "0"}),  # read as {(1, 0): 0}
+    _doc({"weight": [1, 0], "coeff": "0"}),  # read as a zero term
+    _doc({"weight": [1, 0], "coeff": " 1_0 "}),  # read as 10
+    _doc({"weight": [True, 0], "coeff": "1"}),  # read as {(1, 0): 1}
+    _doc({"weight": [1, 0], "coeff": "1", "extra": 5}),  # the extra key was ignored
+    _doc({"weight": [1, 0], "coeff": "1"}, extra=5),  # the extra key was ignored
+    _doc({"weight": [1, 0]}),
+    {"root_system": "A2"},
+    [],
+], ids=[
+    "half weight", "float coeff", "int coeff", "repeated weight", "zero coeff", "padded coeff",
+    "bool coordinate", "extra term key", "extra top key", "missing coeff", "missing terms", "list",
+])
+def test_json_that_no_character_writes_is_refused(doc):
     with pytest.raises(ValueError):
-        character_from_json(json.dumps({"root_system": "A2", "terms": terms}))
+        character_from_json(json.dumps(doc))
 
 
 def test_big_dimensions_stay_exact():
@@ -913,7 +990,7 @@ def test_kernel_on_long_strings_and_both_signs(name, word, char):
 
 def test_letter_that_fixes_every_term_returns_its_input():
     # every term pairs to 0 with alpha_1^vee: the letter is the identity
-    pk = _packing(A2, [(6, 0)])
+    pk = _packing(A2, _radius(A2, [(6, 0)]))
     fixed = {_pack(pk, mu): c for mu, c in {(0, 3): 1, (0, -2): -4}.items()}
     assert _letter(pk, 1, fixed) is fixed
     moved = {**fixed, _pack(pk, (1, 0)): 2}
@@ -981,9 +1058,9 @@ def test_repeat_calls_build_no_packing(monkeypatch):
     # a memoised character is decoded with the packing stored beside it
     built = []
 
-    def counted(rs, start):
+    def counted(rs, radius):
         built.append(rs.name)
-        return _packing(rs, start)
+        return _packing(rs, radius)
 
     monkeypatch.setattr(characters, "_packing", counted)
     A3 = root_system("A3")

@@ -9,14 +9,17 @@ the packed simple roots that ``characters`` builds from them.
 Only ``roots`` reads a root system's family, so what is known per family
 (the Dynkin graphs, the rank ranges, the root counts) stays in one
 module.  Only ``characters`` reads the fields of a packing, so the
-packed weight format stays in one module too.  Within it, only
-``_demazure_items`` sizes the packing of a memoised character and runs
-a word's letters, and only ``characters`` reads its entries;
-``weight_multiplicity`` applies the first letter of w0's word to one
-alpha_i-string of the entry for the rest of the word;
-``demazure_operator`` packs its input for one letter, and
-``weight_multiplicity`` reads only the radius rule, ``_radius``, for
-its range test.  The package has one per-instance cache: ``_cached`` is defined only in
+packed weight format stays in one module too, and within it one
+layout, ``_packing``, builds every packing, of chains and of
+Freudenthal's keys alike, each sized by the one radius rule,
+``_radius``.  Only ``_demazure_items`` sizes the packing of a memoised
+character and runs a word's letters, and only ``characters`` reads its
+entries; ``weight_multiplicity`` applies the first letter of w0's word
+to one alpha_i-string of the entry for the rest of the word;
+``demazure_operator`` packs its input for one letter;
+``freudenthal_multiplicity`` packs its keys with a power-of-two radius;
+and ``weight_multiplicity`` reads only the radius, for its range test.
+The package has one per-instance cache: ``_cached`` is defined only in
 ``roots``, and no module uses ``functools.cached_property``.
 ``branching`` reads Demazure characters only, never an irreducible
 character or a weight multiplicity.  No module imports a name it never
@@ -32,7 +35,7 @@ doctest line of README.md, a doctest in the package, or the acceptance
 suite ``tests/test_acceptance.py``.  A name counts as used where it is read as
 a name, as an attribute or as an imported name; in text, where it is a
 word.  The exceptions are listed in ``UNUSED_PUBLIC``, each with its
-reason: five one-line Weyl group and weight primitives.  Code that only
+reason: four one-line Weyl group and weight primitives.  Code that only
 the tests need lives in the tests, as ``tests/oracles.py`` and the
 test-side helpers do.
 
@@ -107,16 +110,20 @@ def _callers(name):
 
 
 def test_one_function_packs_a_memoised_character():
+    # one layout: only _packing builds a _Packing
+    assert _callers("_Packing") == {("characters.py", "_packing")}
     # _demazure_items alone sizes the packing of a memoised character;
-    # demazure_operator packs its own input; one rule gives the radius,
-    # which weight_multiplicity's range test and Freudenthal's keys read
-    # without building a packing
+    # demazure_operator packs its own input, and Freudenthal's pass its
+    # keys; one rule gives every radius, and weight_multiplicity's range
+    # test reads it without building a packing
     assert _callers("_packing") == {
         ("characters.py", "_demazure_items"),
         ("characters.py", "demazure_operator"),
+        ("characters.py", "freudenthal_multiplicity"),
     }
     assert _callers("_radius") == {
-        ("characters.py", "_packing"),
+        ("characters.py", "_demazure_items"),
+        ("characters.py", "demazure_operator"),
         ("characters.py", "weight_multiplicity"),
         ("characters.py", "freudenthal_multiplicity"),
     }
@@ -225,7 +232,6 @@ ROOT = TESTS.parent
 # Public names that nothing outside the tests uses, each with the reason it stays.
 UNUSED_PUBLIC = {
     "pairing": "names the coroot pairing <mu, alpha_i^vee>, which the library reads as mu[i - 1]",
-    "add_weights": "completes sub_weights and scale_weight, which the library uses; one line",
     "inverse": "the group inverse; one line on w(rho), which every element already computes",
     "left_descents": "the descents the README describes; one line on w(rho)",
     "right_descents": "the descents the README describes; one line on the stored u = w^{-1}(rho)",
