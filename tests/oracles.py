@@ -3,13 +3,28 @@
 Nothing here imports ``demazure``: an oracle reads only the public fields
 of the objects it is handed (``rs.rank``, ``rs.cartan``, ``rs.name``), or
 the plain tables it is handed, so it shares no code with the routes it
-checks.
+checks.  ``rebuilt`` makes the one object here, a root system built from
+another's fields, by calling the given one's class.
 """
 
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
+
+
+ROOT_SYSTEM_FIELDS = (
+    "family", "rank", "cartan", "positive_roots", "columns", "positive_roots_fund", "symmetrizer",
+)
+
+
+def rebuilt(rs, **changes):
+    """A new root system with the fields of rs, those named in changes replaced.
+
+    It has none of the ``_cached`` attributes that rs may hold.
+    """
+    fields = {name: getattr(rs, name) for name in ROOT_SYSTEM_FIELDS}
+    return type(rs)(**{**fields, **changes})
 
 
 def simple_root(rs, i):

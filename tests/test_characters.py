@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import re
@@ -51,7 +50,7 @@ from demazure.characters import (
     _unpack,
 )
 from demazure.roots import _check_index
-from oracles import descent, gram_rows, half_norms, scaled_inverse_cartan, simple_root
+from oracles import descent, gram_rows, half_norms, rebuilt, scaled_inverse_cartan, simple_root
 
 A1 = root_system("A1")
 A2 = root_system("A2")
@@ -222,7 +221,7 @@ def _corrupted_dots(name, k, dots):
     The copy equals the named system and hashes like it, so it is passed
     only to functions that memoise nothing by root system.
     """
-    rs = dataclasses.replace(root_system(name))
+    rs = rebuilt(root_system(name))
     vars(rs)["dots"] = rs.dots[:k] + (dots,) + rs.dots[k + 1:]
     return rs
 

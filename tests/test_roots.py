@@ -1,4 +1,3 @@
-import dataclasses
 import time
 from math import gcd
 
@@ -24,6 +23,7 @@ from oracles import (
     half_norms,
     height_product_order,
     propagated_symmetrizer,
+    rebuilt,
     scaled_inverse_cartan,
     simple_root,
 )
@@ -188,7 +188,7 @@ def test_dots_coroot_pairing_is_two():
 @pytest.mark.parametrize("name, symmetrizer", [("G2", (1, 2)), ("B3", (1, 1, 2)), ("A2", (1, -1))])
 def test_dots_raise_on_a_bad_norm(name, symmetrizer):
     # an odd (G2, B3) or a nonpositive (A2) root norm raises on every read
-    broken = dataclasses.replace(root_system(name), symmetrizer=symmetrizer)
+    broken = rebuilt(root_system(name), symmetrizer=symmetrizer)
     for _ in range(2):
         with pytest.raises(RuntimeError, match=f"{name}: bad norm for root"):
             broken.dots
@@ -208,7 +208,7 @@ def test_dots_and_order_are_computed_once_per_instance(monkeypatch):
         descriptor = vars(RootSystem)[attr]
         monkeypatch.setattr(descriptor, "fn", _counting(descriptor.fn, calls))
     named = root_system("B3")
-    fresh = dataclasses.replace(named)
+    fresh = rebuilt(named)
     assert fresh is not named and not {"dots", "order"} & set(vars(fresh))
     dots, order = fresh.dots, fresh.order
     assert fresh.dots is dots and fresh.order == order
@@ -216,7 +216,7 @@ def test_dots_and_order_are_computed_once_per_instance(monkeypatch):
     assert vars(fresh)["dots"] is dots and vars(fresh)["order"] == order == 48
     # they are stored on the instance, not as fields: equality and hashing ignore them
     assert fresh == named and hash(fresh) == hash(named)
-    assert not {"dots", "order"} & set(vars(dataclasses.replace(fresh)))
+    assert not {"dots", "order"} & set(vars(rebuilt(fresh)))
 
 
 ORDER_NAMES = [
