@@ -52,7 +52,6 @@ with the same highest weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -70,6 +69,7 @@ from demazure.roots import (
     _check_dominant,
     _check_index,
     _check_integral,
+    _record,
 )
 from demazure.weyl import longest_parabolic, min_coset_rep, reduced_word
 
@@ -85,7 +85,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class LeviDatum:
     """A subset of simple indices defining a Levi subgroup."""
 
@@ -98,7 +98,7 @@ class LeviDatum:
             _check_index(self.rs, i)
 
 
-@dataclass(frozen=True)
+@_record
 class BranchingResult:
     levi: LeviDatum
     lam: Weight

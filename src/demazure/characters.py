@@ -585,16 +585,27 @@ def character_to_json(rs: RootSystem, char: Character) -> str:
 
 
 def character_from_json(text: str) -> tuple[RootSystem, Character]:
-    # character_to_json writes these keys, int coordinates and str(c) for
-    # a nonzero int c, and nothing else
-    obj = json.loads(text)
+    """The root system and character that ``character_to_json`` wrote as text.
+
+    ValueError for any text it never writes, whatever the types of its values.
+    """
+    # character_to_json writes these keys, a name, a list of terms, a list
+    # of int coordinates and str(c) for a nonzero int c, and nothing else
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply for a character") from None
     if not isinstance(obj, dict) or obj.keys() != {"root_system", "terms"}:
         raise ValueError("a character's JSON has exactly the keys root_system and terms")
+    if not isinstance(obj["root_system"], str) or not isinstance(obj["terms"], list):
+        raise ValueError("a character's root_system is a name and its terms a list")
     rs = root_system(obj["root_system"])
     char: Character = {}
     for term in obj["terms"]:
         if not isinstance(term, dict) or term.keys() != {"weight", "coeff"}:
             raise ValueError(f"term {term} does not have exactly the keys weight and coeff")
+        if not isinstance(term["weight"], list):
+            raise ValueError(f"term {term} has a weight that is not a list")
         w = _check_integral(rs, term["weight"])
         coeff = term["coeff"]
         c = int(coeff) if isinstance(coeff, str) else 0

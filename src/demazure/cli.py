@@ -42,7 +42,6 @@ import hashlib
 import json
 import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -84,27 +83,29 @@ def _cached_character(rs, word, lam, cache: str | None):
     cache = cache or os.environ.get(CACHE_ENV_VAR)  # the --cache flag, else the variable
     if not cache:
         return demazure_character(rs, word, lam)
-    cache_dir = Path(cache)
     try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(cache, exist_ok=True)
     except OSError as exc:
-        raise OSError(f"cannot create cache directory {cache_dir}: {exc.strerror}") from None
+        raise OSError(f"cannot create cache directory {cache}: {exc.strerror}") from None
     key = (
         f"format={_CACHE_FORMAT};{rs.name};word={','.join(map(str, word))};"
         f"weight={','.join(map(str, lam))}"
     )
-    path = cache_dir / (hashlib.sha256(key.encode()).hexdigest() + ".json")
-    if path.exists():
+    digest = hashlib.sha256(key.encode()).hexdigest()
+    name = digest + ".json"
+    path = os.path.join(cache, name)
+    if os.path.exists(path):
         try:
-            obj = json.loads(path.read_text())
+            with open(path) as f:
+                obj = json.load(f)
             text = obj["character"]
             if obj["key"] != key or hashlib.sha256(text.encode()).hexdigest() != obj["sha256"]:
                 raise ValueError("key or checksum mismatch")
             _, char = character_from_json(text)
-            print(f"cache hit: {path.name}", file=sys.stderr)
+            print(f"cache hit: {name}", file=sys.stderr)
             return char
         except (AttributeError, KeyError, OSError, RecursionError, TypeError, ValueError):
-            print(f"cache entry {path.name} is corrupt; recomputing", file=sys.stderr)
+            print(f"cache entry {name} is corrupt; recomputing", file=sys.stderr)
     char = demazure_character(rs, word, lam)
     text = character_to_json(rs, char)
     payload = {
@@ -114,12 +115,14 @@ def _cached_character(rs, word, lam, cache: str | None):
     }
     # Write a uniquely named sibling and rename it over the entry, so a
     # concurrent reader sees either no entry or a whole one.
-    tmp = path.with_name(f".{path.stem}.{os.urandom(16).hex()}.tmp")
+    tmp = os.path.join(cache, f".{digest}.{os.urandom(16).hex()}.tmp")
     try:
-        tmp.write_text(json.dumps(payload, separators=(",", ":")))
+        with open(tmp, "w") as f:
+            f.write(json.dumps(payload, separators=(",", ":")))
         os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
     return char
 
 

@@ -78,19 +78,18 @@ the end F_e(1) = F_e(Q) mod (Q - 1), as Q = 1 mod (Q - 1), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
 from demazure.characters import weyl_dim
-from demazure.roots import RootSystem, Weight, _check_dominant
+from demazure.roots import RootSystem, Weight, _check_dominant, _record
 from demazure.weyl import WeylElement, reduced_word
 
 __all__ = ["DilationSequence", "dimension_sequence", "finite_differences", "growth_degree"]
 
 
-@dataclass(frozen=True)
+@_record
 class DilationSequence:
     w: WeylElement
     lam: Weight

@@ -76,7 +76,6 @@ that nothing reads them from never pays for them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import log10, prod
 from operator import index, mul
@@ -115,9 +114,9 @@ class _cached:
     """An attribute computed on first read and stored in the instance dictionary.
 
     The stored value shadows this non-data descriptor, so later reads are
-    plain attribute lookups, and it bypasses a frozen dataclass's
-    ``__setattr__``.  A dataclass does not count it as a field, so it
-    takes no part in equality, hashing or ``dataclasses.replace``.
+    plain attribute lookups, and it bypasses a ``_record``'s frozen
+    ``__setattr__``.  It is not annotated, so ``_record`` does not count
+    it as a field: it takes no part in equality, hashing or the repr.
     Unlike ``functools.cached_property`` before Python 3.12, the first
     read takes no lock.  It is the package's one per-instance cache.
     """
@@ -134,7 +133,52 @@ class _cached:
         return value
 
 
-@dataclass(frozen=True)
+def _record(cls):
+    """cls as a frozen record of the fields it annotates, in their order.
+
+    What ``dataclasses.dataclass(frozen=True)`` makes, without importing
+    ``dataclasses``, which loads ``inspect`` and ``ast``.  One ``exec``
+    builds each method, reading the fields in straight-line code:
+    ``__init__`` stores them, by position or keyword, in the instance
+    dictionary and then calls ``__post_init__`` if the class has one;
+    ``__eq__`` is NotImplemented for another class and otherwise
+    compares the tuples of fields; ``__hash__`` hashes that tuple; and
+    ``__repr__`` lists the fields.  A method the class defines itself is
+    kept.  Setting or deleting any attribute raises AttributeError, so a
+    ``__post_init__`` that normalises a field writes it with
+    ``object.__setattr__``.
+    """
+    names = tuple(cls.__annotations__)  # strings, under the __future__ import
+    mine = "".join(f"self.{n}, " for n in names)
+    theirs = "".join(f"other.{n}, " for n in names)
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    source = "\n".join([
+        f"def __init__(self, {', '.join(names)}):",
+        *(f"    self.__dict__[{n!r}] = {n}" for n in names),
+        "    self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+        "def __eq__(self, other):",
+        "    if other.__class__ is not self.__class__:",
+        "        return NotImplemented",
+        f"    return ({mine}) == ({theirs})",
+        "def __hash__(self):",
+        f"    return hash(({mine}))",
+        "def __repr__(self):",
+        f"    return f'{cls.__qualname__}({shown})'",
+        "def __setattr__(self, name, value):",
+        "    raise AttributeError(f'cannot assign to field {name!r}')",
+        "def __delattr__(self, name):",
+        "    raise AttributeError(f'cannot delete field {name!r}')",
+    ])
+    methods = {}
+    exec(source, {}, methods)
+    for name, fn in methods.items():
+        if name not in vars(cls):
+            fn.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, fn)
+    return cls
+
+
+@_record
 class RootSystem:
     """An irreducible finite root system, fixed at construction.
 

@@ -41,13 +41,12 @@ own, and looks each torus character up in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd
 from typing import Iterator, Sequence
 
 from demazure.characters import weight_multiplicity, weyl_character
-from demazure.roots import Weight, root_system
+from demazure.roots import Weight, _record, root_system
 
 __all__ = [
     "Biweight",
@@ -61,7 +60,7 @@ __all__ = [
     "AUDIT_COLUMNS",
 ]
 
-@dataclass(frozen=True)
+@_record
 class Biweight:
     k1: int
     k2: int

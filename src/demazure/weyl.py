@@ -61,7 +61,6 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -71,6 +70,7 @@ from demazure.roots import (
     _cached,
     _check_index,
     _check_weight,
+    _record,
     _reflect,
     _to_dominant,
     rho,
@@ -105,7 +105,7 @@ def _rho_image(w: "WeylElement") -> Weight:
     return _reflect(w.rs, rho(w.rs), w._peel)
 
 
-@dataclass(frozen=True)
+@_record
 class WeylElement:
     rs: RootSystem
     u: Weight  # w^{-1}(rho)

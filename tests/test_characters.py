@@ -860,13 +860,28 @@ def _doc(*terms, **top):
     _doc({"weight": [1, 0]}),
     {"root_system": "A2"},
     [],
+    {"root_system": 5, "terms": []},  # raised AttributeError
+    _doc(terms=5),  # raised TypeError
+    _doc({"weight": 5, "coeff": "1"}),  # raised TypeError
+    _doc({"weight": "10", "coeff": "1"}),
+    _doc({"weight": {"1": 0, "0": 1}, "coeff": "1"}),
+    _doc(terms={"weight": [1, 0], "coeff": "1"}),
+    _doc(root_system=["A2"]),
 ], ids=[
     "half weight", "float coeff", "int coeff", "repeated weight", "zero coeff", "padded coeff",
     "bool coordinate", "extra term key", "extra top key", "missing coeff", "missing terms", "list",
+    "int root system", "int terms", "int weight", "string weight", "object weight", "object terms",
+    "list root system",
 ])
 def test_json_that_no_character_writes_is_refused(doc):
     with pytest.raises(ValueError):
         character_from_json(json.dumps(doc))
+
+
+def test_json_nested_too_deeply_is_refused():
+    # the parser's recursion limit raised RecursionError
+    with pytest.raises(ValueError, match="nested too deeply"):
+        character_from_json("[" * 100_000 + "]" * 100_000)
 
 
 def test_big_dimensions_stay_exact():

@@ -626,6 +626,23 @@ def test_only_the_fallback_parser_imports_argparse(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [False, [0, False], [0, False], [0, True]]
 
 
+# Modules a fresh import of the CLI must not load: ``dataclasses`` brings
+# ``inspect`` and ``ast`` with it, and only the cache needs paths, which
+# it joins with ``os.path``.
+_HEAVY = ("dataclasses", "inspect", "ast", "pathlib")
+
+
+def test_a_fresh_cli_import_loads_no_dataclasses_or_pathlib():
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV_VAR}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    code = f"import sys, demazure.cli; print([m for m in {_HEAVY!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # --- the parser across many in-process calls ------------------------------
 #
 # One process may serve many ``run`` calls.  Help texts, usage errors and

@@ -20,7 +20,10 @@ to one alpha_i-string of the entry for the rest of the word;
 ``freudenthal_multiplicity`` packs its keys with a power-of-two radius;
 and ``weight_multiplicity`` reads only the radius, for its range test.
 The package has one per-instance cache: ``_cached`` is defined only in
-``roots``, and no module uses ``functools.cached_property``.
+``roots``, and no module uses ``functools.cached_property``.  It has one
+way to make a frozen record too: ``_record`` is defined only in
+``roots``, and no module imports ``dataclasses``, which would load
+``inspect`` and ``ast`` in every process that imports the package.
 ``branching`` reads Demazure characters only, never an irreducible
 character or a weight multiplicity.  No module imports a name it never
 uses, and no private function or class is left that only the tests
@@ -142,6 +145,23 @@ def test_one_function_packs_a_memoised_character():
         ("characters.py", "_straightened"),
         ("characters.py", "weight_multiplicity"),
     }
+
+
+def test_no_module_imports_dataclasses():
+    assert [p.name for p in SRC.glob("*.py") if "dataclasses" in _imported_modules(p)] == []
+
+
+def _definers(name):
+    return [
+        p.name
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text(), str(p)))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+    ]
+
+
+def test_one_record_decorator():
+    assert _definers("_record") == ["roots.py"]
 
 
 def test_one_per_instance_cache():
