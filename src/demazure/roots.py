@@ -133,12 +133,20 @@ class _cached:
         return value
 
 
+def _no_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _no_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _record(cls):
     """cls as a frozen record of the fields it annotates, in their order.
 
     What ``dataclasses.dataclass(frozen=True)`` makes, without importing
     ``dataclasses``, which loads ``inspect`` and ``ast``.  One ``exec``
-    builds each method, reading the fields in straight-line code:
+    builds the methods that read the fields, each in straight-line code:
     ``__init__`` stores them, by position or keyword, in the instance
     dictionary and then calls ``__post_init__`` if the class has one;
     ``__eq__`` is NotImplemented for another class and otherwise
@@ -164,16 +172,11 @@ def _record(cls):
         f"    return hash(({mine}))",
         "def __repr__(self):",
         f"    return f'{cls.__qualname__}({shown})'",
-        "def __setattr__(self, name, value):",
-        "    raise AttributeError(f'cannot assign to field {name!r}')",
-        "def __delattr__(self, name):",
-        "    raise AttributeError(f'cannot delete field {name!r}')",
     ])
-    methods = {}
+    methods = {"__setattr__": _no_setattr, "__delattr__": _no_delattr}
     exec(source, {}, methods)
     for name, fn in methods.items():
         if name not in vars(cls):
-            fn.__qualname__ = f"{cls.__qualname__}.{name}"
             setattr(cls, name, fn)
     return cls
 
