@@ -52,8 +52,8 @@ with the same highest weight.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 from demazure.characters import (
     _dim,

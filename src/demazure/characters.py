@@ -88,11 +88,11 @@ and a broken table raises instead of returning a wrong number.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import compress
 from math import prod
 from operator import add, mul, sub
-from typing import Iterable, NamedTuple, Sequence
 
 from demazure.roots import (
     RootSystem,
@@ -101,6 +101,7 @@ from demazure.roots import (
     _check_index,
     _check_integral,
     _check_weight,
+    _record,
     _reflect,
     _to_dominant,
     add_weights,
@@ -127,7 +128,8 @@ __all__ = [
 ]
 
 
-class _Packing(NamedTuple):
+@_record
+class _Packing:
     radius: int
     base: int
     places: tuple[int, ...]  # coordinate 1 most significant

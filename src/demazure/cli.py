@@ -10,24 +10,30 @@ JSON integers; potentially large quantities (dimensions, coefficients,
 multiplicities) are decimal strings.  stdout is deterministic for a
 given invocation; cache messages go to stderr.
 
-``run(argv)`` runs one invocation in process and returns its exit code.
-A plain argv (a subcommand, then each of its flags once, with a value
-argparse would accept) is read straight from ``_FLAGS``, since argparse
-costs more than a small query.  Every other argv, help, usage errors and
-``sl3t --grid`` go to one argparse parser, built on the first such call
-and reused; both routes give the handler the same values.  A flag given
-``--`` as its value (``--word=--``) is a usage error on either route.
-``argparse`` is imported only to build that parser, so a plain call
-never loads it.
-
 ``_FLAGS`` is the one place that declares a flag: its name, what
 ``run`` makes of the parsed string (the root system, a tuple of
 integers, or the value as argparse leaves it), the subcommands that take
-it, and its argparse settings.  ``run`` converts every value once, in
-table order, before the handler runs, so a malformed integer list is
-reported before any check but the one on ``--type``, which comes first.
-Each ``_cmd_*`` handler takes the converted values as keyword arguments
-named after its flags (``rs`` for ``--type``).
+it, and its argparse settings.  At import, ``_OPTIONS`` turns it into
+one table per subcommand: each of its ``--name`` options, in table
+order, with its dest, conversion and argparse settings.  That table is
+all that the parser, the plain parse and ``run`` read.
+
+``run(argv)`` runs one invocation in process and returns its exit code.
+A plain argv (a subcommand, then each of its flags once, with a value
+argparse would accept) is read straight from the subcommand's table,
+since argparse costs more than a small query.  Every other argv, help,
+usage errors and ``sl3t --grid`` go to one argparse parser, built on the
+first such call and reused.  Both routes give ``run`` the same dict, the
+subcommand and each dest's value, as ``vars`` of argparse's namespace.
+A flag given ``--`` as its value (``--word=--``) is a usage error on
+either route.  ``argparse`` is imported only to build that parser, so a
+plain call never loads it.
+
+``run`` converts every value once, in table order, before the handler
+runs, so a malformed integer list is reported before any check but the
+one on ``--type``, which comes first.  Each ``_cmd_*`` handler takes the
+converted values as keyword arguments named after their dests (``rs``
+for ``--type``).
 
 The character cache (``--cache DIR``, default from the environment
 variable DEMAZURE_CACHE_DIR) stores canonical character JSON keyed by
@@ -42,8 +48,7 @@ import hashlib
 import json
 import os
 import sys
-from types import SimpleNamespace
-from typing import Sequence
+from collections.abc import Sequence
 
 from demazure.branching import LeviDatum, unirad_mult_identity
 from demazure.branching import _branch, _coset_bound
@@ -157,7 +162,7 @@ def _cmd_hecke(rs, left, right) -> int:
 
 
 def _cmd_branch(rs, weight, subset) -> int:
-    levi = LeviDatum(rs, frozenset(subset))
+    levi = LeviDatum(rs, subset)
     result, dims, full_dim = _branch(weight, levi)
     bound = _coset_bound(result.lam, levi)
     constituents = [
@@ -181,7 +186,7 @@ def _cmd_branch(rs, weight, subset) -> int:
 
 
 def _cmd_unirad(rs, weight, subset) -> int:
-    levi = LeviDatum(rs, frozenset(subset))
+    levi = LeviDatum(rs, subset)
     demazure_side, levi_side, equal = unirad_mult_identity(weight, levi)
     out = {
         "root_system": rs.name,
@@ -200,16 +205,12 @@ def _cmd_growth(rs, word, weight, n, format) -> int:
     seq = dimension_sequence(w, weight, n)
     degree = growth_degree(seq)
     if format == "tsv":
-        tables = [list(seq.values)]
+        tables = [seq.values]  # the dimensions are difference table 0
         for _ in range(w.length + 1):
             tables.append(finite_differences(tables[-1]))
-        header = ["n", "dim"] + [f"diff{k}" for k in range(1, w.length + 2)]
-        print("\t".join(header))
-        for i, value in enumerate(seq.values):
-            row = [str(i), str(value)]
-            for k in range(1, w.length + 2):
-                row.append(str(tables[k][i]) if i < len(tables[k]) else "")
-            print("\t".join(row))
+        print("\t".join(["n", "dim", *(f"diff{k}" for k in range(1, len(tables)))]))
+        for i in range(len(seq.values)):
+            print("\t".join([str(i), *(str(t[i]) if i < len(t) else "" for t in tables)]))
     else:
         out = {
             "root_system": rs.name,
@@ -298,6 +299,14 @@ _FLAGS = (
     ("grid", None, "sl3t",
      {"nargs": "+", "help": "kmax lmax (or kmax,lmax): stream the TSV audit grid"}),
 )
+# _FLAGS per subcommand, the one view of it that build_parser, _parse_plain
+# and run read: "--name" -> (dest, conversion, argparse settings), in
+# table order.
+_OPTIONS = {
+    sub: {f"--{flag}": (settings.get("dest", flag), convert, settings)
+          for flag, convert, names, settings in _FLAGS if sub in names.split()}
+    for sub in _SUBCOMMANDS
+}
 
 
 @functools.cache
@@ -310,15 +319,15 @@ def build_parser():
         description="Exact Demazure characters and multiplicity bounds.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    parsers = {name: sub.add_parser(name, help=text) for name, (_, text) in _SUBCOMMANDS.items()}
-    for flag, _, names, settings in _FLAGS:
-        for name in names.split():
-            parsers[name].add_argument(f"--{flag}", **settings)
+    for name, (_, text) in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=text)
+        for option, (_, _, settings) in _OPTIONS[name].items():
+            subparser.add_argument(option, **settings)
     return parser
 
 
-def _parse_plain(argv: Sequence[str] | None) -> SimpleNamespace | None:
-    """What ``build_parser().parse_args(argv)`` returns, read from ``_FLAGS``.
+def _parse_plain(argv: Sequence[str] | None) -> dict | None:
+    """``vars(build_parser().parse_args(argv))``, read from ``_OPTIONS``.
 
     The argv read is a subcommand, then each of its flags at most once,
     as an exact ``--name=value`` or as ``--name`` and a value that does
@@ -326,50 +335,49 @@ def _parse_plain(argv: Sequence[str] | None) -> SimpleNamespace | None:
     argparse, with its messages and exit codes: help, an abbreviated,
     repeated, missing or unknown flag, a value argparse would refuse or
     alter (``--weight=--`` reads as an empty list on Python 3.11), and
-    any ``--grid``.
+    any ``--grid``.  The dict maps "subcommand" and each flag's dest to
+    its value, a flag not given to its default.
     """
-    if not argv or argv[0] not in _SUBCOMMANDS:
+    if not argv or argv[0] not in _OPTIONS:
         return None
-    entries = {f"--{f}": s for f, _, names, s in _FLAGS if argv[0] in names.split()}
-    given = {}
+    options = _OPTIONS[argv[0]]
+    values = {"subcommand": argv[0]}
     tokens = iter(argv[1:])
     for token in tokens:
         name, eq, value = token.partition("=")
         value = value if eq else next(tokens, "-")
-        settings = entries.get(name)
-        if (settings is None or name in given or "nargs" in settings or value == "--"
+        if name not in options:
+            return None
+        dest, _, settings = options[name]
+        if (dest in values or "nargs" in settings or value == "--"
                 or value.startswith("-") and not eq
                 or value not in settings.get("choices", (value,))):
             return None
         try:
-            given[name] = settings.get("type", str)(value)
+            values[dest] = settings.get("type", str)(value)
         except ValueError:
             return None
-    if any(s.get("required") and name not in given for name, s in entries.items()):
+    if any(s.get("required") and dest not in values for dest, _, s in options.values()):
         return None
-    return SimpleNamespace(subcommand=argv[0], **{
-        s.get("dest", name[2:]): given.get(name, s.get("default")) for name, s in entries.items()
-    })
+    return {dest: s.get("default") for dest, _, s in options.values()} | values
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     try:
-        if (ns := _parse_plain(argv)) is None:
-            ns = build_parser().parse_args(argv)
+        if (values := _parse_plain(argv)) is None:
+            values = vars(build_parser().parse_args(argv))
             # argparse reads --name=-- as [] before Python 3.13, applying no
             # type or choices to it, and as "--" from 3.13 on
-            if [] in vars(ns).values() or "--" in vars(ns).values():
+            if [] in values.values() or "--" in values.values():
                 build_parser().exit(2, "demazure: error: a flag was given '--' for its value\n")
     except SystemExit as exc:
         return int(exc.code or 0)
-    kwargs = {}
+    sub = values.pop("subcommand")
     try:
-        for flag, convert, names, settings in _FLAGS:
-            if ns.subcommand in names.split():
-                dest = settings.get("dest", flag)
-                value = getattr(ns, dest)
-                kwargs[dest] = value if convert is None or value is None else convert(value)
-        return _SUBCOMMANDS[ns.subcommand][0](**kwargs)
+        for dest, convert, _ in _OPTIONS[sub].values():
+            if convert is not None and values[dest] is not None:
+                values[dest] = convert(values[dest])
+        return _SUBCOMMANDS[sub][0](**values)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -78,9 +78,9 @@ the end F_e(1) = F_e(Q) mod (Q - 1), as Q = 1 mod (Q - 1), and
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
 
 from demazure.characters import weyl_dim
 from demazure.roots import RootSystem, Weight, _check_dominant, _record

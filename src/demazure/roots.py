@@ -76,10 +76,10 @@ that nothing reads them from never pays for them.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from math import log10, prod
 from operator import index, mul
-from typing import Iterable, Sequence
 
 Weight = tuple[int, ...]
 

@@ -32,18 +32,16 @@ way, given route 2's multiplicity: 6n is computed once, and membership,
 the closed multiplicity and the printed n all come from it; route 3
 steps down from each member by its own membership tests, as
 ``theorem2_mult`` does.  The single query reads route 2 through
-``mult_via_weights``, whose ``weight_multiplicity`` reads the memoised
-character of the longest element's word without its first letter and
-applies that letter to one alpha_i-string only.  ``audit_rows`` expands
-the whole character of V(k2, k1) once per (k1, k2), a memo entry of its
-own, and looks each torus character up in it.
+``mult_via_weights``, which calls ``weight_multiplicity``.  ``audit_rows``
+expands the whole character of V(k2, k1) once per (k1, k2), a memo entry
+of its own, and looks each torus character up in it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from itertools import product
 from math import gcd
-from typing import Iterator, Sequence
 
 from demazure.characters import weight_multiplicity, weyl_character
 from demazure.roots import Weight, _record, root_system
@@ -186,9 +184,8 @@ def audit_rows(kmax: int, lmax: int) -> Iterator[tuple]:
     closed formula, by weights and by steps, the same row the CLI prints
     for a single biweight.  Route 2 expands the whole character of the
     dual module V(k2, k1) once per (k1, k2) and reads each row's weight
-    multiplicity off it; ``weight_multiplicity`` reads the same
-    coefficient from the chain one letter shorter, with that letter
-    applied to one alpha_i-string.
+    multiplicity off it, the number ``weight_multiplicity`` gives for a
+    single biweight.
     """
     a2 = root_system("A2")
     span = range(-lmax, lmax + 1)

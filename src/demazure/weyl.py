@@ -61,8 +61,8 @@ True
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
 
 from demazure.roots import (
     RootSystem,

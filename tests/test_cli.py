@@ -371,6 +371,20 @@ def test_a_single_value_flag_given_double_dash_exits_two(tmp_path, monkeypatch):
         assert list(tmp_path.iterdir()) == [], argv
 
 
+def test_a_plain_run_reads_only_the_per_subcommand_table(monkeypatch):
+    # with the flag table gone after import, a plain argv of every
+    # subcommand still parses and runs as before
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    argvs = [[sub, *(f"--{f}={v}" for f, v in flags.items() if f != "cache")]
+             for sub, flags in _VALID_FLAGS.items()]
+    before = [cap(argv)[:2] for argv in argvs]
+    monkeypatch.setattr(cli, "_FLAGS", ())
+    for argv, (code, out) in zip(argvs, before):
+        assert cli._parse_plain(argv) is not None, argv
+        assert code == 0 and out, argv
+        assert cap(argv)[:2] == (code, out), argv
+
+
 def test_unusable_cache_directory_fails_before_any_work(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("character computed before the cache directory was made")
@@ -390,6 +404,23 @@ def test_unusable_cache_directory_fails_before_any_work(tmp_path, monkeypatch):
     check(argv + ["--cache", str(blocker)])
     monkeypatch.setenv(CACHE_ENV_VAR, str(blocker))
     check(argv)
+
+
+def test_a_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    # the rename over the entry fails: the temporary file it would have
+    # renamed is removed, and the error is reported as any OSError is
+    renamed = []
+
+    def refuse(src, dst):
+        renamed.append(os.path.exists(src))
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    cache = tmp_path / "cache"
+    argv = ["char", "--type", "A2", "--word", "1,2", "--weight", "1,1", "--cache", str(cache)]
+    assert cap(argv) == (2, "", "error: [Errno 28] No space left on device\n")
+    assert renamed == [True]
+    assert list(cache.iterdir()) == []
 
 
 def test_cache_cold_then_warm(tmp_path):
@@ -627,9 +658,10 @@ def test_only_the_fallback_parser_imports_argparse(tmp_path):
 
 
 # Modules a fresh import of the CLI must not load: ``dataclasses`` brings
-# ``inspect`` and ``ast`` with it, and only the cache needs paths, which
-# it joins with ``os.path``.
-_HEAVY = ("dataclasses", "inspect", "ast", "pathlib")
+# ``inspect`` and ``ast`` with it, annotations are strings and name
+# ``collections.abc`` types instead of ``typing`` ones, and only the cache
+# needs paths, which it joins with ``os.path``.
+_HEAVY = ("dataclasses", "inspect", "ast", "pathlib", "typing")
 
 
 def test_a_fresh_cli_import_loads_no_dataclasses_or_pathlib():
@@ -738,7 +770,7 @@ def _argparse_values(argv):
 def _check_plain_parse(argv):
     plain = cli._parse_plain(argv)
     if plain is not None:
-        assert vars(plain) == _argparse_values(argv), argv
+        assert plain == _argparse_values(argv), argv
     return plain
 
 

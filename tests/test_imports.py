@@ -22,8 +22,11 @@ and ``weight_multiplicity`` reads only the radius, for its range test.
 The package has one per-instance cache: ``_cached`` is defined only in
 ``roots``, and no module uses ``functools.cached_property``.  It has one
 way to make a frozen record too: ``_record`` is defined only in
-``roots``, and no module imports ``dataclasses``, which would load
-``inspect`` and ``ast`` in every process that imports the package.
+``roots``, no module imports ``dataclasses``, which would load
+``inspect`` and ``ast`` in every process that imports the package, and
+no module makes a named tuple.  No module imports ``typing`` either: the
+annotations are strings under the ``__future__`` import, and the
+abstract types they name come from ``collections.abc``.
 ``branching`` reads Demazure characters only, never an irreducible
 character or a weight multiplicity.  No module imports a name it never
 uses, and no private function or class is left that only the tests
@@ -162,6 +165,25 @@ def _definers(name):
 
 def test_one_record_decorator():
     assert _definers("_record") == ["roots.py"]
+
+
+def test_no_class_derives_from_named_tuple():
+    # _record is the one way to make a record: no NamedTuple base and no
+    # collections.namedtuple call either
+    named = {"NamedTuple", "namedtuple"}
+    found = [
+        p.name
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text(), str(p)))
+        if isinstance(node, ast.Name) and node.id in named
+        or isinstance(node, ast.Attribute) and node.attr in named
+        or isinstance(node, ast.alias) and node.name in named
+    ]
+    assert found == []
+
+
+def test_no_module_imports_typing():
+    assert [p.name for p in SRC.glob("*.py") if "typing" in _imported_modules(p)] == []
 
 
 def test_one_per_instance_cache():

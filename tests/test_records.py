@@ -1,4 +1,4 @@
-"""Value semantics of the package's six frozen records.
+"""Value semantics of the package's six public frozen records.
 
 ``RootSystem``, ``WeylElement``, ``LeviDatum``, ``BranchingResult``,
 ``DilationSequence`` and ``Biweight`` are records of the fields their
