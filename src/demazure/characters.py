@@ -56,8 +56,10 @@ word without its first letter and applies that letter to mu's
 alpha_i-string only.  ``demazure_operator``, the one other caller of
 ``_letter``, packs its own input for its one letter.
 
-Besides ``_unpack``, a memoised packed character has one reader,
-``_straightened``, the walk of Levi branching (``demazure.branching``).  It takes each key
+A memoised packed character has four readers: ``_character`` unpacks
+it whole, ``_dim`` sums its coefficients, ``weight_multiplicity`` reads
+one alpha_i-string of it, and ``_straightened`` walks it for Levi
+branching (``demazure.branching``).  That walk takes each key
 of a memoised packed character into the S-dominant chamber by the dot
 action, one subtraction of a packed simple root per reflection, sums the
 signed terms by packed key and unpacks only those totals.  No other
@@ -589,29 +591,20 @@ def character_to_json(rs: RootSystem, char: Character) -> str:
 def character_from_json(text: str) -> tuple[RootSystem, Character]:
     """The root system and character that ``character_to_json`` wrote as text.
 
-    ValueError for any text it never writes, whatever the types of its values.
+    The text is read by one round trip: it is parsed, each weight is
+    checked by ``roots._check_integral`` and each coefficient read by
+    ``int``, and the character is written back by ``character_to_json``.
+    Unless that gives the text again, byte for byte, with no zero
+    coefficient, it raises ValueError, whatever the types of its values.
     """
-    # character_to_json writes these keys, a name, a list of terms, a list
-    # of int coordinates and str(c) for a nonzero int c, and nothing else
     try:
         obj = json.loads(text)
+        rs = root_system(obj["root_system"])
+        char = {_check_integral(rs, t["weight"]): int(t["coeff"]) for t in obj["terms"]}
     except RecursionError:
         raise ValueError("JSON nested too deeply for a character") from None
-    if not isinstance(obj, dict) or obj.keys() != {"root_system", "terms"}:
-        raise ValueError("a character's JSON has exactly the keys root_system and terms")
-    if not isinstance(obj["root_system"], str) or not isinstance(obj["terms"], list):
-        raise ValueError("a character's root_system is a name and its terms a list")
-    rs = root_system(obj["root_system"])
-    char: Character = {}
-    for term in obj["terms"]:
-        if not isinstance(term, dict) or term.keys() != {"weight", "coeff"}:
-            raise ValueError(f"term {term} does not have exactly the keys weight and coeff")
-        if not isinstance(term["weight"], list):
-            raise ValueError(f"term {term} has a weight that is not a list")
-        w = _check_integral(rs, term["weight"])
-        coeff = term["coeff"]
-        c = int(coeff) if isinstance(coeff, str) else 0
-        if w in char or not c or coeff != str(c) or bool in map(type, term["weight"]):
-            raise ValueError(f"term {term} repeats a weight or has a value character_to_json never writes")
-        char[w] = c
+    except (AttributeError, KeyError, OverflowError, TypeError):
+        raise ValueError("text is not a character's JSON") from None
+    if 0 in char.values() or character_to_json(rs, char) != text:
+        raise ValueError("text is not a character as character_to_json writes it")
     return rs, char

@@ -36,9 +36,15 @@ converted values as keyword arguments named after their dests (``rs``
 for ``--type``).
 
 The character cache (``--cache DIR``, default from the environment
-variable DEMAZURE_CACHE_DIR) stores canonical character JSON keyed by
-(format version, type, word, weight) with a content checksum; corrupt or
-mismatched entries are recomputed and overwritten with a warning.
+variable DEMAZURE_CACHE_DIR) keeps one plain text file per character,
+named by the SHA-256 of its key, (format version, type, word, weight),
+with the suffix ``.txt``.  Format 2 writes three parts: the key on the
+first line, the SHA-256 of the character's canonical JSON on the second,
+and then that JSON, as ``character_to_json`` writes it, which
+``character_from_json`` reads back.  An entry whose key or checksum does
+not match, or whose text that reader refuses, is corrupt: it is
+recomputed and overwritten with a warning.  Entries of another format
+have other names and are never read.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ from demazure.weyl import _check_reduced
 CACHE_ENV_VAR = "DEMAZURE_CACHE_DIR"
 # Part of every cache key, and so of every entry's file name: raising it
 # when the entry format changes leaves older entries unread.
-_CACHE_FORMAT = 1
+_CACHE_FORMAT = 2
 
 __all__ = ["run", "main", "CACHE_ENV_VAR"]
 
@@ -97,33 +103,27 @@ def _cached_character(rs, word, lam, cache: str | None):
         f"weight={','.join(map(str, lam))}"
     )
     digest = hashlib.sha256(key.encode()).hexdigest()
-    name = digest + ".json"
+    name = digest + ".txt"
     path = os.path.join(cache, name)
     if os.path.exists(path):
         try:
             with open(path) as f:
-                obj = json.load(f)
-            text = obj["character"]
-            if obj["key"] != key or hashlib.sha256(text.encode()).hexdigest() != obj["sha256"]:
+                stored_key, checksum, text = f.read().split("\n", 2)
+            if stored_key != key or hashlib.sha256(text.encode()).hexdigest() != checksum:
                 raise ValueError("key or checksum mismatch")
             _, char = character_from_json(text)
             print(f"cache hit: {name}", file=sys.stderr)
             return char
-        except (AttributeError, KeyError, OSError, RecursionError, TypeError, ValueError):
+        except (OSError, ValueError):
             print(f"cache entry {name} is corrupt; recomputing", file=sys.stderr)
     char = demazure_character(rs, word, lam)
     text = character_to_json(rs, char)
-    payload = {
-        "key": key,
-        "sha256": hashlib.sha256(text.encode()).hexdigest(),
-        "character": text,
-    }
     # Write a uniquely named sibling and rename it over the entry, so a
     # concurrent reader sees either no entry or a whole one.
     tmp = os.path.join(cache, f".{digest}.{os.urandom(16).hex()}.tmp")
     try:
         with open(tmp, "w") as f:
-            f.write(json.dumps(payload, separators=(",", ":")))
+            f.write(f"{key}\n{hashlib.sha256(text.encode()).hexdigest()}\n{text}")
         os.replace(tmp, path)
     finally:
         if os.path.lexists(tmp):

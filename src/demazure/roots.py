@@ -154,7 +154,7 @@ def _record(cls):
     ``__repr__`` lists the fields.  A method the class defines itself is
     kept.  Setting or deleting any attribute raises AttributeError, so a
     ``__post_init__`` that normalises a field writes it with
-    ``object.__setattr__``.
+    ``object.__setattr__`` or into the instance dictionary.
     """
     names = tuple(cls.__annotations__)  # strings, under the __future__ import
     mine = "".join(f"self.{n}, " for n in names)

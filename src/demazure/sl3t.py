@@ -42,6 +42,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from itertools import product
 from math import gcd
+from operator import index
 
 from demazure.characters import weight_multiplicity, weyl_character
 from demazure.roots import Weight, _record, root_system
@@ -65,11 +66,15 @@ class Biweight:
     l: tuple[int, int, int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "l", tuple(self.l))
-        if len(self.l) != 3:
+        try:  # each read through operator.index, as roots._check_integral reads one
+            k1, k2, *l = map(index, (self.k1, self.k2, *self.l))
+        except TypeError:
+            raise ValueError(f"not all integers: {self.k1!r}, {self.k2!r}, {self.l!r}") from None
+        self.__dict__.update(k1=k1, k2=k2, l=tuple(l))
+        if len(l) != 3:
             raise ValueError("torus character needs exactly three integers")
-        if self.k1 < 0 or self.k2 < 0:
-            raise ValueError(f"({self.k1}, {self.k2}) is not a dominant weight")
+        if k1 < 0 or k2 < 0:
+            raise ValueError(f"({k1}, {k2}) is not a dominant weight")
 
 
 def _six_n(k1: int, k2: int, l: Sequence[int]) -> int:

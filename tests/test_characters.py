@@ -51,6 +51,7 @@ from demazure.characters import (
 )
 from demazure.roots import _check_index
 from oracles import descent, gram_rows, half_norms, rebuilt, scaled_inverse_cartan, simple_root
+from test_golden import CLI_CASES, GOLDEN
 
 A1 = root_system("A1")
 A2 = root_system("A2")
@@ -867,15 +868,54 @@ def _doc(*terms, **top):
     _doc({"weight": {"1": 0, "0": 1}, "coeff": "1"}),
     _doc(terms={"weight": [1, 0], "coeff": "1"}),
     _doc(root_system=["A2"]),
+    {"terms": [{"weight": [1, 0], "coeff": "1"}], "root_system": "A2"},
+    _doc({"coeff": "1", "weight": [1, 0]}),
+    _doc({"weight": [1, 0], "coeff": "1"}, {"weight": [0, 1], "coeff": "1"}),
+    _doc({"weight": [1, 0], "coeff": "1"}, root_system="a2"),
+    _doc({"weight": [1, 0], "coeff": "1"}, root_system=" A2 "),
+    _doc({"weight": [1, 0], "coeff": "1"}, root_system="A02"),
+    _doc({"weight": [1], "coeff": "1"}),
+    _doc({"weight": [1, 0], "coeff": "-0"}),
+    _doc({"weight": [1, 0], "coeff": "+1"}),
+    _doc({"weight": [-0.0, 0], "coeff": "1"}),
 ], ids=[
     "half weight", "float coeff", "int coeff", "repeated weight", "zero coeff", "padded coeff",
     "bool coordinate", "extra term key", "extra top key", "missing coeff", "missing terms", "list",
     "int root system", "int terms", "int weight", "string weight", "object weight", "object terms",
-    "list root system",
+    "list root system", "swapped top keys", "swapped term keys", "unsorted terms", "lower-case name",
+    "padded name", "zero-padded rank", "short weight", "minus zero coeff", "plus coeff",
+    "minus zero coordinate",
 ])
 def test_json_that_no_character_writes_is_refused(doc):
+    # written without spaces, as character_to_json writes, so that each
+    # case differs from canonical text by its own defect alone
+    text = json.dumps(doc, separators=(",", ":"))
     with pytest.raises(ValueError):
-        character_from_json(json.dumps(doc))
+        character_from_json(text)
+
+
+_CANONICAL = {"root_system": "A2", "terms": [{"weight": [0, 1], "coeff": "1"}]}
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(_CANONICAL),
+    json.dumps(_CANONICAL, indent=1),
+    json.dumps(_CANONICAL, separators=(",", ":")) + "\n",
+    " " + json.dumps(_CANONICAL, separators=(",", ":")),
+    json.dumps(_CANONICAL, separators=(",", ": ")),
+], ids=["default separators", "pretty-printed", "trailing newline", "leading space", "spaced colons"])
+def test_json_laid_out_otherwise_is_refused(text):
+    # the same character as canonical text, which is read back
+    assert character_from_json(json.dumps(_CANONICAL, separators=(",", ":"))) == (A2, {(0, 1): 1})
+    with pytest.raises(ValueError):
+        character_from_json(text)
+
+
+@pytest.mark.parametrize("name", [name for name, argv, code, _ in CLI_CASES
+                                  if argv[0] == "char" and code == 0])
+def test_every_char_golden_round_trips(name):
+    text = (GOLDEN / f"{name}.out").read_text().removesuffix("\n")
+    assert character_to_json(*character_from_json(text)) == text
 
 
 def test_json_nested_too_deeply_is_refused():

@@ -423,12 +423,22 @@ def test_a_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
     assert list(cache.iterdir()) == []
 
 
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _entry_parts(path):
+    """The key, the checksum and the character text of a cache entry."""
+    key, checksum, text = path.read_text().split("\n", 2)
+    return key, checksum, text
+
+
 def test_cache_cold_then_warm(tmp_path):
     argv = ["char", "--type", "A2", "--word", "1,2,1", "--weight", "1,1",
             "--cache", str(tmp_path)]
     code1, out1, err1 = cap(argv)
     assert code1 == 0 and err1 == ""
-    files = list(tmp_path.glob("*.json"))
+    files = list(tmp_path.glob("*.txt"))
     assert len(files) == 1
     code2, out2, err2 = cap(argv)
     assert code2 == 0
@@ -440,10 +450,11 @@ def test_cache_tamper_recovers(tmp_path):
     argv = ["dim", "--type", "A2", "--word", "1,2,1", "--weight", "1,1",
             "--cache", str(tmp_path)]
     _, out1, _ = cap(argv)
-    entry = next(tmp_path.glob("*.json"))
-    doc = json.loads(entry.read_text())
-    doc["character"] = doc["character"].replace('"coeff":"2"', '"coeff":"7"')
-    entry.write_text(json.dumps(doc))
+    entry = next(tmp_path.glob("*.txt"))
+    key, checksum, text = _entry_parts(entry)
+    tampered = text.replace('"coeff":"2"', '"coeff":"7"')
+    assert tampered != text
+    entry.write_text(f"{key}\n{checksum}\n{tampered}")
     code, out2, err = cap(argv)
     assert code == 0
     assert out2 == out1 == "8\n"
@@ -458,7 +469,7 @@ def test_cache_unparseable_file_recovers(tmp_path):
     argv = ["dim", "--type", "A2", "--word", "1,2", "--weight", "2,2",
             "--cache", str(tmp_path)]
     _, out1, _ = cap(argv)
-    entry = next(tmp_path.glob("*.json"))
+    entry = next(tmp_path.glob("*.txt"))
     entry.write_text("{ not json")
     code, out2, err = cap(argv)
     assert (code, out2) == (0, out1)
@@ -474,23 +485,41 @@ _BAD_TERMS = {
 }
 
 
+def _corrupt_entry(entry, key, checksum, text):
+    """The bytes of a corrupt version of the entry (key, checksum, text)."""
+    if entry in ("[]", "null", "1", '"x"'):
+        return entry.encode()  # the whole file
+    if entry == "one line":
+        return key.encode()
+    if entry == "wrong key":
+        return f"{key.replace('word=2,1', 'word=1,2')}\n{checksum}\n{text}".encode()
+    if entry == "checksum of another text":
+        return f"{key}\n{_sha(text[:-1])}\n{text}".encode()
+    if entry == "non-UTF-8":
+        return f"{key}\n{checksum}\n{text}".encode() + b"\xff"
+    # the rest hold a text other than the character under a valid checksum
+    if entry == "character 3":
+        text = "3"
+    elif entry == "nested too deep":
+        text = "[" * 100_000 + "]" * 100_000
+    elif entry == "non-canonical text":
+        text = json.dumps(json.loads(text))  # with spaces after , and :
+    else:
+        # written without spaces, so that the terms alone are at fault
+        text = json.dumps({"root_system": "A2", "terms": _BAD_TERMS[entry]}, separators=(",", ":"))
+    return f"{key}\n{_sha(text)}\n{text}".encode()
+
+
 @pytest.mark.parametrize("sub", ["char", "dim"])
-@pytest.mark.parametrize(
-    "entry", ["[]", "null", "1", '"x"', "character 3", "nested too deep", *_BAD_TERMS]
-)
+@pytest.mark.parametrize("entry", [
+    "[]", "null", "1", '"x"', "character 3", "nested too deep", *_BAD_TERMS, "one line",
+    "wrong key", "checksum of another text", "non-UTF-8", "non-canonical text",
+])
 def test_cache_entry_of_the_wrong_shape_recovers(tmp_path, sub, entry):
     argv = [sub, "--type", "A2", "--word", "2,1", "--weight", "1,2", "--cache", str(tmp_path)]
     _, out1, _ = cap(argv)
-    path = next(tmp_path.glob("*.json"))
-    if entry == "character 3":
-        entry = json.dumps({**json.loads(path.read_text()), "character": 3})
-    elif entry == "nested too deep":
-        entry = "[" * 100_000 + "]" * 100_000
-    elif entry in _BAD_TERMS:
-        text = json.dumps({"root_system": "A2", "terms": _BAD_TERMS[entry]})
-        sha = hashlib.sha256(text.encode()).hexdigest()
-        entry = json.dumps({**json.loads(path.read_text()), "character": text, "sha256": sha})
-    path.write_text(entry)
+    path = next(tmp_path.glob("*.txt"))
+    path.write_bytes(_corrupt_entry(entry, *_entry_parts(path)))
     code, out2, err = cap(argv)
     assert (code, out2) == (0, out1)
     assert err == f"cache entry {path.name} is corrupt; recomputing\n"
@@ -498,25 +527,40 @@ def test_cache_entry_of_the_wrong_shape_recovers(tmp_path, sub, entry):
     assert (code, out3, err) == (0, out1, f"cache hit: {path.name}\n")
 
 
+def test_cached_character_catches_only_os_and_value_errors():
+    # a reader that raises anything else is a bug to see, not a corrupt entry
+    tree = ast.parse(inspect.getsource(cli._cached_character))
+    handlers = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
+    assert len(handlers) == 2
+    caught = [ast.unparse(handler.type) for handler in handlers]
+    assert caught == ["OSError", "(OSError, ValueError)"], caught  # makedirs, then the read
+    assert cli._CACHE_FORMAT == 2
+
+
 def test_cache_never_reads_an_unversioned_entry(tmp_path):
-    # A well-formed entry under the file name of the old key, which had no
-    # format version, holding a wrong character: it must not be read.
+    # Well-formed entries under the file names of older keys, each holding
+    # a wrong character: the key with no format version, and the format-1
+    # key, whose entries were JSON objects in files named <digest>.json.
+    # Each is also written in the current layout under its key's .txt
+    # name.  None of them must be read.
     rs = root_system("A2")
-    old_key = "A2;word=1,2,1;weight=1,1"
     wrong = demazure.characters.character_to_json(rs, {(1, 1): 5})
-    payload = {"key": old_key, "sha256": hashlib.sha256(wrong.encode()).hexdigest(),
-               "character": wrong}
-    name = hashlib.sha256(old_key.encode()).hexdigest() + ".json"
+    old = {}
+    for old_key in ("A2;word=1,2,1;weight=1,1", "format=1;A2;word=1,2,1;weight=1,1"):
+        payload = {"key": old_key, "sha256": _sha(wrong), "character": wrong}
+        old[_sha(old_key) + ".json"] = json.dumps(payload, separators=(",", ":"))
+        old[_sha(old_key) + ".txt"] = f"{old_key}\n{_sha(wrong)}\n{wrong}"
     for sub, expected in (("char", ADJOINT_JSON + "\n"), ("dim", "8\n")):
         cache = tmp_path / sub
         cache.mkdir()
-        (cache / name).write_text(json.dumps(payload))
+        for name, content in old.items():
+            (cache / name).write_text(content)
         code, out, err = cap([sub, "--type", "A2", "--word", "1,2,1", "--weight", "1,1",
                               "--cache", str(cache)])
         assert (code, out, err) == (0, expected, ""), sub
-        # the fresh entry sits beside the old one, which is left as it was
-        assert len(list(cache.glob("*.json"))) == 2, sub
-        assert json.loads((cache / name).read_text()) == payload, sub
+        # the fresh entry sits beside the old ones, which are left as they were
+        assert len(list(cache.iterdir())) == len(old) + 1, sub
+        assert {name: (cache / name).read_text() for name in old} == old, sub
 
 
 def test_cache_write_is_atomic_rename(tmp_path, monkeypatch):
@@ -525,9 +569,11 @@ def test_cache_write_is_atomic_rename(tmp_path, monkeypatch):
 
     def spy(src, dst):
         # the entry must not exist until the rename puts the whole file there
-        assert not list(tmp_path.glob("*.json"))
-        doc = json.loads(Path(src).read_text())
-        assert set(doc) == {"key", "sha256", "character"}
+        assert not list(tmp_path.glob("*.txt"))
+        key, checksum, text = _entry_parts(Path(src))
+        assert key == "format=2;B2;word=1,2;weight=1,1"
+        assert checksum == _sha(text)
+        assert demazure.characters.character_from_json(text)[0].name == "B2"
         renames.append((src, dst))
         real_replace(src, dst)
 
@@ -540,14 +586,14 @@ def test_cache_write_is_atomic_rename(tmp_path, monkeypatch):
     src, dst = map(Path, renames[0])
     assert src.parent == dst.parent == tmp_path
     assert list(tmp_path.iterdir()) == [dst]
-    assert re.fullmatch(r"[0-9a-f]{64}\.json", dst.name)
+    assert re.fullmatch(r"[0-9a-f]{64}\.txt", dst.name)
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
     argv = ["char", "--type", "B2", "--word", "2,1", "--weight", "1,0"]
     _, out1, err1 = cap(argv)
-    assert list(tmp_path.glob("*.json"))
+    assert list(tmp_path.glob("*.txt"))
     _, out2, err2 = cap(argv)
     assert out2 == out1
     assert "cache hit" in err2
@@ -591,12 +637,13 @@ def test_cache_concurrent_writers_leave_one_whole_entry(tmp_path):
     for (out, err), code in results:
         assert (code, out) == (0, golden), err
         assert "corrupt" not in err  # a reader sees a whole entry or none
-    # one entry, no stray temporary file, and its checksum holds
+    # one entry, no stray temporary file, and its key and checksum hold
     entries = list(cache.iterdir())
-    assert [p.suffix for p in entries] == [".json"]
-    doc = json.loads(entries[0].read_text())
-    assert hashlib.sha256(doc["character"].encode()).hexdigest() == doc["sha256"]
-    assert doc["character"] + "\n" == golden
+    assert [p.suffix for p in entries] == [".txt"]
+    key, checksum, text = _entry_parts(entries[0])
+    assert entries[0].name == _sha(key) + ".txt"
+    assert _sha(text) == checksum
+    assert text + "\n" == golden
     code, out, err = cap(argv)
     assert (code, out) == (0, golden)
     assert err == f"cache hit: {entries[0].name}\n"

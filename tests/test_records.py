@@ -178,3 +178,14 @@ def test_biweight_normalises_and_checks_its_torus_character():
     for k1, k2 in ((-1, 0), (0, -2), (-1, -1)):
         with pytest.raises(ValueError, match=rf"^\({k1}, {k2}\) is not a dominant weight$"):
             Biweight(k1, k2, (0, 0, 0))
+    # each integer is read through operator.index: a bool becomes an int,
+    # and anything else is refused before any route reads it (0.5 made
+    # closed_mult and theorem2_mult return 0 while mult_via_weights
+    # raised, and "abc" made closed_mult raise TypeError)
+    bw = Biweight(True, False, (False, True, 0))
+    assert bw == Biweight(1, 0, (0, 1, 0))
+    assert list(map(type, (bw.k1, bw.k2, *bw.l))) == [int] * 5
+    for k1, k2, l in ((0.5, 0.5, (0, 0, 0)), (1, 0, "abc"), (1.0, 0, (1, 0, 0)), ("1", 0, (1, 0, 0)),
+                      (1, 0, (0.5, 0, 0)), (1, 0, (1, 0, None)), (1, 0, 5), (None, 0, (1, 0, 0))):
+        with pytest.raises(ValueError, match="^not all integers: "):
+            Biweight(k1, k2, l)
