@@ -69,6 +69,7 @@ from demazure.roots import (
     _check_dominant,
     _check_index,
     _check_integral,
+    _dim_table,
     _record,
 )
 from demazure.weyl import longest_parabolic, min_coset_rep, reduced_word
@@ -131,6 +132,11 @@ def _levi_root_indices(rs: RootSystem, subset: frozenset[int]) -> tuple[int, ...
     )
 
 
+def _levi_dim_table(rs: RootSystem, subset: frozenset[int]) -> tuple:
+    # the roots._dim_table of the Levi's positive roots, built per call
+    return _dim_table([rs.dots[k] for k in _levi_root_indices(rs, subset)])
+
+
 @lru_cache(maxsize=256)
 def _levi_char_items(rs: RootSystem, subset: frozenset[int], mu: Weight) -> int:
     # The dimension of the Demazure module of w_S at mu.  The benchmark's
@@ -141,7 +147,7 @@ def _levi_char_items(rs: RootSystem, subset: frozenset[int], mu: Weight) -> int:
 def levi_weyl_dim(rs: RootSystem, subset: Iterable[int], mu: Sequence[int]) -> int:
     """Dimension of the Levi module by the product formula over its roots."""
     s = LeviDatum(rs, subset).subset
-    return _weyl_dims(rs, _levi_root_indices(rs, s), [_check_s_dominant(rs, s, mu)])[0]
+    return _weyl_dims(rs, _levi_dim_table(rs, s), [_check_s_dominant(rs, s, mu)])[0]
 
 
 def restrict_to_levi(lam: Sequence[int], levi: LeviDatum) -> BranchingResult:
@@ -161,7 +167,7 @@ def _branch(lam: Sequence[int], levi: LeviDatum) -> tuple[BranchingResult, list[
         if n:
             found.append((mu, n))
     result = BranchingResult(levi, lam, tuple(found))
-    dims = _weyl_dims(rs, _levi_root_indices(rs, s), (mu for mu, _ in found))
+    dims = _weyl_dims(rs, _levi_dim_table(rs, s), (mu for mu, _ in found))
     dim = weyl_dim(rs, lam)
     if _filled(result, dims) != dim:
         raise RuntimeError("branching lost dimensions; the alternating sum is broken")
@@ -171,7 +177,7 @@ def _branch(lam: Sequence[int], levi: LeviDatum) -> tuple[BranchingResult, list[
 def dimension_conserved(result: BranchingResult) -> bool:
     rs = result.levi.rs
     mus = (mu for mu, _ in result.constituents)
-    dims = _weyl_dims(rs, _levi_root_indices(rs, result.levi.subset), mus)
+    dims = _weyl_dims(rs, _levi_dim_table(rs, result.levi.subset), mus)
     return _filled(result, dims) == weyl_dim(rs, result.lam)
 
 

@@ -344,18 +344,32 @@ def weyl_character(rs: RootSystem, lam: Sequence[int]) -> Character:
     return _character(rs, reduced_word(longest_element(rs)), _check_dominant(rs, lam))
 
 
+def _by_value(mu: Weight, radius: int) -> Weight | None:
+    """mu as ints, read by value as a dict lookup would; None if no weight has that value.
+
+    radius is ``_radius`` of lam, so |mu_j| >= radius is beyond every
+    weight of V(lam).  A coordinate that no int equals, whatever its
+    type, reads as no weight, and 1.0 or a numpy integer is 1.  It takes
+    O(rank) steps: ``x in range(...)`` would scan the range for a float.
+    """
+    try:
+        ints = tuple(map(int, mu))
+    except (TypeError, ValueError, OverflowError):  # a str, None, nan or inf
+        return None
+    if ints == mu and all(-radius < k < radius for k in ints):
+        return ints
+    return None
+
+
 def weight_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -> int:
     """Multiplicity of the weight mu in the irreducible module of highest weight lam."""
     lam = _check_weight(rs, lam)
     mu = _check_weight(rs, mu)
     _check_dominant(rs, lam)  # after both length checks, whose errors come first
-    # |mu_j| >= R is beyond every weight of the module, and a range test
-    # also reads a non-integral coordinate as 0, as a dict lookup would;
-    # it runs before the memo, so no such mu builds a character
+    # before the memo, so no mu that reads 0 builds a character
     radius = _radius(rs, [lam])
-    if not all(x in range(1 - radius, radius) for x in mu):
+    if (mu := _by_value(mu, radius)) is None:
         return 0
-    mu = tuple(map(int, mu))  # read by value: 1.0 is 1
     # D_i acts on each alpha_i-string on its own, so with w0 = s_i w the
     # coefficient at mu reads only the terms of D_w e^lam on mu's string:
     # mu + t alpha_i for the t that keep every coordinate inside (-R, R),
@@ -385,14 +399,16 @@ def weyl_dim(rs: RootSystem, lam: Sequence[int]) -> int:
     separately.  Raises if the product is not an integer,
     which would signal a broken root table.
     """
-    return _weyl_dims(rs, range(len(rs.positive_roots)), [_check_dominant(rs, lam)])[0]
+    return _weyl_dims(rs, rs.dim_table, [_check_dominant(rs, lam)])[0]
 
 
-def _weyl_dims(rs: RootSystem, root_indices: Sequence[int], mus: Iterable[Weight]) -> list[int]:
-    """``weyl_dim`` of each checked weight mu, over the positive roots at root_indices."""
-    roots = [rs.dots[k] for k in root_indices]
-    rho_dots = list(map(sum, roots))  # dot with rho = all ones
-    den = prod(rho_dots)
+def _weyl_dims(rs: RootSystem, table: tuple, mus: Iterable[Weight]) -> list[int]:
+    """``weyl_dim`` of each checked weight mu, over the roots of a ``roots._dim_table``.
+
+    The full root set's table is ``rs.dim_table``, built once per root
+    system; ``branching`` builds a Levi's table per call.
+    """
+    roots, rho_dots, den = table
     dims = []
     for mu in mus:
         dim, rem = divmod(prod(sum(map(mul, dots, mu)) + r for dots, r in zip(roots, rho_dots)), den)
@@ -457,7 +473,8 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
     """Weight multiplicity by Freudenthal's formula, in one iterative pass.
 
     Independent of the operator machinery, so it serves as an oracle for
-    ``weight_multiplicity``.  Freudenthal's formula reads
+    ``weight_multiplicity``; both read mu by ``_by_value``, so a mu that
+    equals no weight of the module gives 0.  Freudenthal's formula reads
 
         (|lam+rho|^2 - |nu+rho|^2) m(nu) = 2 sum_{alpha > 0} T(nu, alpha),
         T(nu, alpha) = sum_{k >= 1} m(nu + k alpha) (nu + k alpha, alpha).
@@ -524,14 +541,12 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
     lam = _check_weight(rs, lam)
     mu = _check_weight(rs, mu)
     lam = _check_dominant(rs, lam)  # after both length checks, whose errors come first
+    if (mu := _by_value(mu, _radius(rs, [lam]))) is None:
+        return 0
     bottom = dominant_conjugate(rs, mu)
-    # mu is read by value, as a dict lookup would: a coordinate that is
-    # not an integer leaves a remainder, and 1.0 or a numpy integer is 1
     gap = _simple_coordinates(rs.columns, sub_weights(lam, bottom))
     if gap is None:
         return 0
-    gap = list(map(int, gap))
-    bottom = tuple(map(int, bottom))
     radius = max(_radius(rs, [add_weights(lam, rs.positive_roots_fund[-1])]), max(gap) + 1)
     pk = _packing(rs, 1 << (radius - 1).bit_length())
     mask = pk.offset  # bit t of every digit

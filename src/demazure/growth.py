@@ -80,7 +80,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from operator import mul
+from itertools import repeat
+from operator import gt, index, mod, mul, sub
 
 from demazure.characters import weyl_dim
 from demazure.roots import RootSystem, Weight, _check_dominant, _record
@@ -149,7 +150,8 @@ def _specialisation(
     """
     points, sizes, pairs = _interval(rs, word)
     b = weyl_dim(rs, [n_max * x for x in lam]).bit_length() + 2
-    chain = [[1 << b * n * sum(map(mul, k, lam)) for n in range(n_max + 1)] for k in points]
+    ns = range(n_max + 1)
+    chain = [[1 << e * n for n in ns] for e in [b * sum(map(mul, k, lam)) for k in points]]
     for j in range(len(word), 0, -1):
         for low, high, c in pairs[j - 1]:
             bc = b * c
@@ -170,35 +172,40 @@ def dimension_sequence(w: WeylElement, lam: Sequence[int], n_max: int | None = N
 
     n_max defaults to length(w)+4 and must be at least length(w)+2 so
     the (length+1)-st finite difference can be confirmed on two entries.
+    It is read through ``operator.index``: ValueError for a value that
+    is not an integer, such as 7.5, 7.0 or "7".
     """
     lam = _check_dominant(w.rs, lam)
     need = w.length + 2
     if n_max is None:
         n_max = w.length + 4
-    if n_max < need:
+    try:
+        n = index(n_max)
+    except TypeError:
+        raise ValueError(f"n_max={n_max!r} is not an integer") from None
+    if n < need:
         raise ValueError(f"n_max={n_max} too small; need at least length(w)+2 = {need}")
-    q, at_q = _specialisation(w.rs, reduced_word(w), lam, n_max)
-    values = tuple(f % (q - 1) for f in at_q)
+    q, at_q = _specialisation(w.rs, reduced_word(w), lam, n)
+    values = tuple(map(mod, at_q, repeat(q - 1)))
     if values[0] != 1:
         raise RuntimeError("dilation sequence must start at 1")
-    if any(a > b for a, b in zip(values, values[1:])):
+    if any(map(gt, values, values[1:])):
         raise RuntimeError("dilation sequence must be nondecreasing")
     return DilationSequence(w, lam, values)
 
 
 def finite_differences(values: Sequence[int]) -> tuple[int, ...]:
-    return tuple(b - a for a, b in zip(values, values[1:]))
+    return tuple(map(sub, values[1:], values))
 
 
 def growth_degree(seq: DilationSequence | Sequence[int]) -> int:
     """Smallest d whose (d+1)-st finite difference vanishes identically."""
-    values = seq.values if isinstance(seq, DilationSequence) else tuple(seq)
-    cur = list(values)
+    cur = seq.values if isinstance(seq, DilationSequence) else tuple(seq)
     order = 0
     while len(cur) > 1:
         cur = finite_differences(cur)
         order += 1
-        if all(x == 0 for x in cur):
+        if not any(cur):
             return order - 1
     raise RuntimeError(
         f"no vanishing finite difference up to order {order}; extend the sequence"

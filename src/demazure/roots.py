@@ -60,9 +60,10 @@ classical formula for each family at construction time.
 
 A root system's fields are what the build makes; equality compares
 them.  What readers derive from them, the dot vectors of the positive
-roots and the order of the Weyl group, are ``_cached`` attributes: each
-is computed on its first read and stored on the instance, so a build
-that nothing reads them from never pays for them.
+roots, the order of the Weyl group and the table of Weyl's dimension
+product over all positive roots, are ``_cached`` attributes: each is
+computed on its first read and stored on the instance, so a build that
+nothing reads them from never pays for them.
 
 >>> a2 = root_system("A2")
 >>> a2.cartan
@@ -198,8 +199,8 @@ class RootSystem:
     - ``symmetrizer``: d_i = (alpha_i, alpha_i)/2, short roots 1, the
       least positive integers with d_i * a_ij == d_j * a_ji.
 
-    ``dots`` and ``order`` are ``_cached``: derived from the fields on
-    their first read, and stored on the instance.
+    ``dots``, ``order`` and ``dim_table`` are ``_cached``: derived from
+    the fields on their first read, and stored on the instance.
     """
 
     family: str
@@ -243,6 +244,11 @@ class RootSystem:
         return tuple(out)
 
     @_cached
+    def dim_table(self) -> tuple[tuple[Weight, ...], tuple[int, ...], int]:
+        """Weyl's dimension product over all positive roots, as ``_dim_table`` lays it out."""
+        return _dim_table(self.dots)
+
+    @_cached
     def order(self) -> int:
         """|W| = prod_k (k + 1)^(n_k - n_{k+1}), n_k the number of positive roots of height k.
 
@@ -256,6 +262,17 @@ class RootSystem:
         """
         counts = Counter(map(sum, self.positive_roots))
         return prod((k + 1) ** (n - counts[k + 1]) for k, n in counts.items())
+
+
+def _dim_table(dots: Sequence[Weight]) -> tuple[tuple[Weight, ...], tuple[int, ...], int]:
+    """(dots, rho_dots, den) for the positive roots with the given dot vectors.
+
+    rho_dots holds each root's pairing with rho, the sum of its dot
+    vector since rho has every coordinate 1, and den is their product:
+    dim V(mu) = prod (dots . mu + rho_dots) / den, over these roots.
+    """
+    rho_dots = tuple(map(sum, dots))
+    return tuple(dots), rho_dots, prod(rho_dots)
 
 
 def _classical_positive_count(family: str, rank: int) -> int:

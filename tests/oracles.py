@@ -285,3 +285,26 @@ def principal_specialisation(tables, lam, n_max):
             chain[low] = chain[high] = quotient
         del chain[sizes[j - 1]:]
     return [chain[0][s:s + n * span + 1] for n, s in enumerate(starts)]
+
+
+def finite_differences(values):
+    """The differences of consecutive entries, by a generator over the pairs."""
+    return tuple(b - a for a, b in zip(values, values[1:]))
+
+
+def growth_degree(values):
+    """Smallest d whose (d+1)-st finite difference of values vanishes identically.
+
+    RuntimeError when none vanishes, as for a sequence of fewer than two
+    entries.
+    """
+    cur = list(values)
+    order = 0
+    while len(cur) > 1:
+        cur = finite_differences(cur)
+        order += 1
+        if all(x == 0 for x in cur):
+            return order - 1
+    raise RuntimeError(
+        f"no vanishing finite difference up to order {order}; extend the sequence"
+    )

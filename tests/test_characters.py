@@ -234,6 +234,17 @@ def test_a_corrupted_root_table_breaks_the_dimension_product():
         weyl_dim(rs, (1, 0))
 
 
+def test_a_corrupted_copy_reads_its_own_dimension_table():
+    # the table is kept on each instance: the real A2's, read first, is
+    # not the copy's, though the copy equals A2 and hashes like it
+    rs = _corrupted_dots("A2", 2, (1, 2))
+    assert rs == A2 and hash(rs) == hash(A2)
+    assert weyl_dim(A2, (1, 0)) == 3 and "dim_table" in vars(A2)
+    with pytest.raises(RuntimeError, match=r"^A2: non-integral dimension product for \(1, 0\)$"):
+        weyl_dim(rs, (1, 0))
+    assert rs.dim_table[0] == rs.dots != A2.dots == A2.dim_table[0]
+
+
 def test_weyl_character_matches_dim_and_symmetry():
     for name, lam in (("A2", (2, 1)), ("B2", (1, 1)), ("G2", (1, 0))):
         rs = root_system(name)
@@ -261,13 +272,23 @@ def test_weight_multiplicity_spots():
     assert weight_multiplicity(A2, (2, 2), (0, 0)) == 3
 
 
-@pytest.mark.parametrize("mu", [(0.5, 0), (True, 0), (10**6, 0), (-5, -5)])
+@pytest.mark.parametrize("mu", [(0.5, 0), (True, 0), (10**6, 0), (-5, -5), ("a", 0), (None, 0)])
 def test_both_multiplicity_routes_read_zero(mu):
     # a non-integral coordinate, a bool, a coordinate far past the
-    # packing radius, and a weight whose dominant conjugate (5, 5) lies
-    # above lam: both routes answer 0 rather than raise
+    # packing radius, a weight whose dominant conjugate (5, 5) lies above
+    # lam, and coordinates that are not numbers, which Freudenthal once
+    # handed to dominant_conjugate: both routes answer 0 rather than raise
     assert weight_multiplicity(A2, (1, 1), mu) == 0
     assert freudenthal_multiplicity(A2, (1, 1), mu) == 0
+
+
+@pytest.mark.parametrize("mu", [(0.5,), (float("nan"),), (float("inf"),), ("3",), (3j,)])
+def test_a_coordinate_no_int_equals_reads_zero_at_once(mu):
+    # the range test once scanned range(1 - R, R) for such a coordinate,
+    # about 2 * 10**12 steps here
+    rs = root_system("A1")
+    assert weight_multiplicity(rs, (10**12,), mu) == 0
+    assert freudenthal_multiplicity(rs, (10**12,), mu) == 0
 
 
 @pytest.mark.parametrize("name, lam, mu", [

@@ -1,4 +1,5 @@
 import random
+import re
 from operator import mul
 
 import pytest
@@ -22,6 +23,7 @@ from demazure import (
     weyl_group,
 )
 from demazure import growth
+import oracles
 from oracles import half_norms, principal_specialisation, scaled_inverse_cartan
 
 A2 = root_system("A2")
@@ -85,6 +87,42 @@ def test_growth_degree_needs_a_vanishing_difference():
         growth_degree((1, 2, 4, 8, 16))
 
 
+def _polynomial(coeffs, size):
+    return [sum(c * n**k for k, c in enumerate(coeffs)) for n in range(size)]
+
+
+# free integer lists, which mostly have no vanishing difference, and
+# values of integer polynomials, which have one; both may be empty or
+# of length 1, and both take negative entries
+SEQUENCES = st.one_of(
+    st.lists(st.integers(-50, 50), max_size=10),
+    st.builds(_polynomial, st.lists(st.integers(-9, 9), max_size=4), st.integers(0, 9)),
+)
+
+
+@given(values=SEQUENCES)
+@settings(max_examples=300, deadline=None)
+def test_differences_and_degree_match_the_generator_oracles(values):
+    assert finite_differences(values) == oracles.finite_differences(values)
+    try:
+        expected = oracles.growth_degree(values)
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError) as got:
+            growth_degree(values)
+        assert str(got.value) == str(exc)
+    else:
+        assert growth_degree(values) == expected
+
+
+def test_degree_oracle_reads_known_sequences():
+    assert oracles.growth_degree([-3, -3, -3]) == 0
+    assert oracles.growth_degree([4, -1, -6, -11]) == 1
+    assert oracles.growth_degree(_polynomial([1, -2, 0, 3], 6)) == 3
+    for values in ([], [5], [1, 2, 4, 8, 16]):
+        with pytest.raises(RuntimeError, match="no vanishing finite difference"):
+            oracles.growth_degree(values)
+
+
 def test_dimension_sequence_validation():
     w = from_word(A2, (1, 2))
     with pytest.raises(ValueError):
@@ -92,6 +130,30 @@ def test_dimension_sequence_validation():
     # too short to certify a degree for this length
     with pytest.raises(ValueError):
         dimension_sequence(w, (1, 1), w.length + 1)
+
+
+@pytest.mark.parametrize("n_max", [7.5, 7.0, "7"])
+def test_n_max_that_is_not_an_integer_is_refused_by_name(n_max):
+    # 7.5 once reached the specialisation as the weight (7.5, 7.5), and
+    # "7" raised TypeError from a comparison
+    message = f"n_max={n_max!r} is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dimension_sequence(longest_element(A2), (1, 1), n_max)
+
+
+class _Seven:
+    def __index__(self):
+        return 7
+
+
+def test_n_max_is_read_through_index():
+    w0 = longest_element(A2)
+    cubes = tuple((n + 1) ** 3 for n in range(8))
+    assert dimension_sequence(w0, (1, 1), 7).values == cubes
+    assert dimension_sequence(w0, (1, 1), _Seven()).values == cubes
+    # a bool reads as before: True is 1, too small, and named as given
+    with pytest.raises(ValueError, match=r"^n_max=True too small; need at least length\(w\)\+2 = 5$"):
+        dimension_sequence(w0, (1, 1), True)
 
 
 def test_default_window():

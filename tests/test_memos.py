@@ -4,8 +4,8 @@ A memo keyed on a weight, a word or a subset grows with the input, so it
 has a finite ``maxsize``.  Only memos keyed on the root system alone (or
 on nothing) may be unbounded: there are finitely many root systems.
 A value that depends on one root system alone is no memo at all: it is
-a ``_cached`` attribute of the ``RootSystem`` (``dots``, ``order``),
-stored on the instance on its first read.
+a ``_cached`` attribute of the ``RootSystem`` (``dots``, ``order``,
+``dim_table``), stored on the instance on its first read.
 ``MEMOS`` lists every memo with its ``maxsize``, so none is added,
 dropped or resized without a line here.
 ``perfbench/worker.py`` reads ``cache_info()`` of two of them under

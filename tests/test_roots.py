@@ -1,5 +1,5 @@
 import time
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -204,19 +204,23 @@ def _counting(fn, calls):
 
 def test_dots_and_order_are_computed_once_per_instance(monkeypatch):
     calls = []
-    for attr in ("dots", "order"):
+    for attr in ("dots", "order", "dim_table"):
         descriptor = vars(RootSystem)[attr]
         monkeypatch.setattr(descriptor, "fn", _counting(descriptor.fn, calls))
     named = root_system("B3")
     fresh = rebuilt(named)
-    assert fresh is not named and not {"dots", "order"} & set(vars(fresh))
+    assert fresh is not named and not {"dots", "order", "dim_table"} & set(vars(fresh))
     dots, order = fresh.dots, fresh.order
     assert fresh.dots is dots and fresh.order == order
     assert calls == ["dots", "order"]
     assert vars(fresh)["dots"] is dots and vars(fresh)["order"] == order == 48
+    # the dimension table is built from the stored dot vectors, once
+    table = fresh.dim_table
+    assert fresh.dim_table is table and table[0] is dots and table[2] == prod(table[1])
+    assert calls == ["dots", "order", "dim_table"]
     # they are stored on the instance, not as fields: equality and hashing ignore them
     assert fresh == named and hash(fresh) == hash(named)
-    assert not {"dots", "order"} & set(vars(rebuilt(fresh)))
+    assert not {"dots", "order", "dim_table"} & set(vars(rebuilt(fresh)))
 
 
 ORDER_NAMES = [
@@ -351,7 +355,7 @@ def test_repr_names_the_system():
 
 def test_a_cached_attribute_read_on_the_class_is_its_descriptor():
     # only an instance computes and stores the value
-    for attr in ("dots", "order"):
+    for attr in ("dots", "order", "dim_table"):
         descriptor = getattr(RootSystem, attr)
         assert isinstance(descriptor, roots._cached) and descriptor.name == attr
         assert descriptor.__doc__ == descriptor.fn.__doc__
@@ -366,7 +370,8 @@ def test_directly_built_system_equals_and_hashes_like_named_one():
         assert direct is not named
         assert direct == named and hash(direct) == hash(named), name
         # reading the derived values changes neither equality nor hash
-        assert (direct.dots, direct.order) == (named.dots, named.order), name
+        derived = ("dots", "order", "dim_table")
+        assert [getattr(direct, a) for a in derived] == [getattr(named, a) for a in derived], name
         assert direct == named and hash(direct) == hash(named), name
         assert {named: name}[direct] == name
         # equality still compares every field
