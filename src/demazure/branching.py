@@ -41,6 +41,12 @@ S-dominant nu are the multiplicities, since the characters L(nu) are
 linearly independent.  A negative one, or a total that misses
 dim V(lam), raises RuntimeError.
 
+Each Levi dimension, of a constituent or of ``levi_weyl_dim``, is
+Weyl's product over the positive roots of L_S, read from the table that
+the ``LeviDatum`` keeps (``LeviDatum.dim_table``, built on its first
+read): ``dimension_conserved`` of a result reads the table that
+``restrict_to_levi`` built for the same Levi.
+
 The bound is ``_coset_bound``, the dimension of the Demazure module of
 the minimal coset representative for S at the dual weight.
 ``levi_length_bound`` compares the number of constituents with it, and
@@ -54,6 +60,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
+from itertools import compress
 
 from demazure.characters import (
     _dim,
@@ -66,6 +73,7 @@ from demazure.characters import (
 from demazure.roots import (
     RootSystem,
     Weight,
+    _cached,
     _check_dominant,
     _check_index,
     _check_integral,
@@ -88,15 +96,28 @@ __all__ = [
 
 @_record
 class LeviDatum:
-    """A subset of simple indices defining a Levi subgroup."""
+    """A subset of simple indices defining a Levi subgroup.
+
+    The subset is stored as a frozenset of the ints ``roots._check_index``
+    returns, so no Levi query meets an index as it was given.
+    ``dim_table`` is ``_cached``: the ``roots._dim_table`` of the
+    positive roots supported on the subset, built on its first read and
+    stored on the instance, as ``RootSystem.dim_table`` is for all
+    positive roots.
+    """
 
     rs: RootSystem
     subset: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "subset", frozenset(self.subset))
-        for i in self.subset:
-            _check_index(self.rs, i)
+        object.__setattr__(self, "subset", frozenset(_check_index(self.rs, i) for i in self.subset))
+
+    @_cached
+    def dim_table(self) -> tuple[tuple[Weight, ...], tuple[int, ...], int]:
+        """Weyl's dimension product over the positive roots of the Levi."""
+        rs = self.rs
+        off = [i not in self.subset for i in range(1, rs.rank + 1)]
+        return _dim_table([v for c, v in zip(rs.positive_roots, rs.dots) if not any(compress(c, off))])
 
 
 @_record
@@ -123,20 +144,6 @@ def _check_s_dominant(rs: RootSystem, s: frozenset[int], mu: Sequence[int]) -> W
     return t
 
 
-@lru_cache(maxsize=1024)
-def _levi_root_indices(rs: RootSystem, subset: frozenset[int]) -> tuple[int, ...]:
-    # positive roots supported on the subset
-    off = [j for j in range(rs.rank) if (j + 1) not in subset]
-    return tuple(
-        k for k, c in enumerate(rs.positive_roots) if all(c[j] == 0 for j in off)
-    )
-
-
-def _levi_dim_table(rs: RootSystem, subset: frozenset[int]) -> tuple:
-    # the roots._dim_table of the Levi's positive roots, built per call
-    return _dim_table([rs.dots[k] for k in _levi_root_indices(rs, subset)])
-
-
 @lru_cache(maxsize=256)
 def _levi_char_items(rs: RootSystem, subset: frozenset[int], mu: Weight) -> int:
     # The dimension of the Demazure module of w_S at mu.  The benchmark's
@@ -146,8 +153,8 @@ def _levi_char_items(rs: RootSystem, subset: frozenset[int], mu: Weight) -> int:
 
 def levi_weyl_dim(rs: RootSystem, subset: Iterable[int], mu: Sequence[int]) -> int:
     """Dimension of the Levi module by the product formula over its roots."""
-    s = LeviDatum(rs, subset).subset
-    return _weyl_dims(rs, _levi_dim_table(rs, s), [_check_s_dominant(rs, s, mu)])[0]
+    levi = LeviDatum(rs, subset)
+    return _weyl_dims(rs, levi.dim_table, [_check_s_dominant(rs, levi.subset, mu)])[0]
 
 
 def restrict_to_levi(lam: Sequence[int], levi: LeviDatum) -> BranchingResult:
@@ -167,7 +174,7 @@ def _branch(lam: Sequence[int], levi: LeviDatum) -> tuple[BranchingResult, list[
         if n:
             found.append((mu, n))
     result = BranchingResult(levi, lam, tuple(found))
-    dims = _weyl_dims(rs, _levi_dim_table(rs, s), (mu for mu, _ in found))
+    dims = _weyl_dims(rs, levi.dim_table, (mu for mu, _ in found))
     dim = weyl_dim(rs, lam)
     if _filled(result, dims) != dim:
         raise RuntimeError("branching lost dimensions; the alternating sum is broken")
@@ -175,10 +182,9 @@ def _branch(lam: Sequence[int], levi: LeviDatum) -> tuple[BranchingResult, list[
 
 
 def dimension_conserved(result: BranchingResult) -> bool:
-    rs = result.levi.rs
-    mus = (mu for mu, _ in result.constituents)
-    dims = _weyl_dims(rs, _levi_dim_table(rs, result.levi.subset), mus)
-    return _filled(result, dims) == weyl_dim(rs, result.lam)
+    levi = result.levi
+    dims = _weyl_dims(levi.rs, levi.dim_table, (mu for mu, _ in result.constituents))
+    return _filled(result, dims) == weyl_dim(levi.rs, result.lam)
 
 
 def _filled(result: BranchingResult, dims: Sequence[int]) -> int:

@@ -260,7 +260,7 @@ def _unpack(pk: _Packing, cur: dict[int, int]) -> list[tuple[Weight, int]]:
 def demazure_operator(rs: RootSystem, i: int, char: Character) -> Character:
     """Apply the single-index operator for alpha_i to a character."""
     char = {_check_integral(rs, mu): c for mu, c in char.items()}
-    _check_index(rs, i)
+    i = _check_index(rs, i)
     pk = _packing(rs, _radius(rs, char))
     return dict(_unpack(pk, _letter(pk, i, {_pack(pk, mu): c for mu, c in char.items() if c})))
 
@@ -344,31 +344,37 @@ def weyl_character(rs: RootSystem, lam: Sequence[int]) -> Character:
     return _character(rs, reduced_word(longest_element(rs)), _check_dominant(rs, lam))
 
 
-def _by_value(mu: Weight, radius: int) -> Weight | None:
-    """mu as ints, read by value as a dict lookup would; None if no weight has that value.
+def _multiplicity_input(
+    rs: RootSystem, lam: Sequence[int], mu: Sequence[int]
+) -> tuple[Weight, Weight | None, int]:
+    """(lam, mu, R) as both multiplicity routes read them; mu is None if no weight has its value.
 
-    radius is ``_radius`` of lam, so |mu_j| >= radius is beyond every
-    weight of V(lam).  A coordinate that no int equals, whatever its
-    type, reads as no weight, and 1.0 or a numpy integer is 1.  It takes
-    O(rank) steps: ``x in range(...)`` would scan the range for a float.
+    The two length checks run first, so their errors come before a
+    dominance error, and lam is kept as the checked tuple of ints.  R is
+    ``_radius`` of lam, so |mu_j| >= R is beyond every weight of V(lam).
+    mu is read by value, as a dict lookup would read it: a coordinate
+    that no int equals, whatever its type, reads as no weight, and 1.0
+    or a numpy integer is 1.  It takes O(rank) steps: ``x in range(...)``
+    would scan the range for a float.
     """
+    lam = _check_weight(rs, lam)
+    mu = _check_weight(rs, mu)
+    lam = _check_dominant(rs, lam)
+    radius = _radius(rs, [lam])
     try:
         ints = tuple(map(int, mu))
     except (TypeError, ValueError, OverflowError):  # a str, None, nan or inf
-        return None
+        return lam, None, radius
     if ints == mu and all(-radius < k < radius for k in ints):
-        return ints
-    return None
+        return lam, ints, radius
+    return lam, None, radius
 
 
 def weight_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -> int:
     """Multiplicity of the weight mu in the irreducible module of highest weight lam."""
-    lam = _check_weight(rs, lam)
-    mu = _check_weight(rs, mu)
-    _check_dominant(rs, lam)  # after both length checks, whose errors come first
     # before the memo, so no mu that reads 0 builds a character
-    radius = _radius(rs, [lam])
-    if (mu := _by_value(mu, radius)) is None:
+    lam, mu, radius = _multiplicity_input(rs, lam, mu)
+    if mu is None:
         return 0
     # D_i acts on each alpha_i-string on its own, so with w0 = s_i w the
     # coefficient at mu reads only the terms of D_w e^lam on mu's string:
@@ -406,7 +412,8 @@ def _weyl_dims(rs: RootSystem, table: tuple, mus: Iterable[Weight]) -> list[int]
     """``weyl_dim`` of each checked weight mu, over the roots of a ``roots._dim_table``.
 
     The full root set's table is ``rs.dim_table``, built once per root
-    system; ``branching`` builds a Levi's table per call.
+    system, and a Levi's is ``branching.LeviDatum.dim_table``, built once
+    per ``LeviDatum``.
     """
     roots, rho_dots, den = table
     dims = []
@@ -473,8 +480,9 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
     """Weight multiplicity by Freudenthal's formula, in one iterative pass.
 
     Independent of the operator machinery, so it serves as an oracle for
-    ``weight_multiplicity``; both read mu by ``_by_value``, so a mu that
-    equals no weight of the module gives 0.  Freudenthal's formula reads
+    ``weight_multiplicity``; both read lam and mu by
+    ``_multiplicity_input``, so a mu that equals no weight of the module
+    gives 0.  Freudenthal's formula reads
 
         (|lam+rho|^2 - |nu+rho|^2) m(nu) = 2 sum_{alpha > 0} T(nu, alpha),
         T(nu, alpha) = sum_{k >= 1} m(nu + k alpha) (nu + k alpha, alpha).
@@ -538,10 +546,8 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
     >>> freudenthal_multiplicity(root_system("A1"), (4000,), (0,))
     1
     """
-    lam = _check_weight(rs, lam)
-    mu = _check_weight(rs, mu)
-    lam = _check_dominant(rs, lam)  # after both length checks, whose errors come first
-    if (mu := _by_value(mu, _radius(rs, [lam]))) is None:
+    lam, mu, _ = _multiplicity_input(rs, lam, mu)
+    if mu is None:
         return 0
     bottom = dominant_conjugate(rs, mu)
     gap = _simple_coordinates(rs.columns, sub_weights(lam, bottom))

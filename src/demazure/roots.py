@@ -353,17 +353,24 @@ def _close_under_reflections(
     return sorted(seen.items(), key=lambda root: (sum(root[0]), root[0]))
 
 
-@lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Build (and memoize) the root system of the given family and rank.
 
-    Raises ValueError for families outside A-G or ranks outside the
-    valid range of the family (A: 1..100, B: 2..100, C: 3..100,
-    D: 4..100, E: 6..8, F: 4, G: 2), before any work.
+    The family is read upper-cased and the rank through
+    ``operator.index``, so ``("a", 2)`` and ``("A", numpy.int64(2))``
+    give the system of ``("A", 2)``, with an int rank.  Raises
+    ValueError for families outside A-G, for a rank that is not an
+    integer and for ranks outside the valid range of the family
+    (A: 1..100, B: 2..100, C: 3..100, D: 4..100, E: 6..8, F: 4, G: 2),
+    before any work.  Only checked arguments reach the memo.
     """
     fam = family.upper()
     if fam not in _RANK_RANGES:
         raise ValueError(f"unknown family {family!r}; expected one of A..G")
+    try:
+        rank = index(rank)
+    except TypeError:
+        raise ValueError(f"rank {rank!r} is not an integer") from None
     lo, hi = _RANK_RANGES[fam]
     if not lo <= rank <= hi:
         shown = rank
@@ -371,6 +378,12 @@ def build_root_system(family: str, rank: int) -> RootSystem:
             head = abs(rank) // 10 ** (int(log10(abs(rank))) - 20)
             shown = f"{'-' if rank < 0 else ''}{str(head)[:20]}..."
         raise ValueError(f"rank {shown} invalid for type {fam}; allowed {lo}..{hi}")
+    return _build_root_system(fam, rank)
+
+
+@lru_cache(maxsize=None)
+def _build_root_system(fam: str, rank: int) -> RootSystem:
+    # fam is upper-case and rank an int in its range, as build_root_system checks
     edges, d = _dynkin(fam, rank)
     cartan = _cartan_matrix(edges, d)
     cols = tuple(tuple((j, row[i]) for j, row in enumerate(cartan) if row[i]) for i in range(rank))
@@ -403,15 +416,16 @@ def root_system(name: str) -> RootSystem:
     return build_root_system(text[0], int(digits[:21]))
 
 
-def _check_index(rs: RootSystem, i: int) -> None:
-    """ValueError unless i is an integer in 1..rank, read as ``_check_integral`` reads one.
+def _check_index(rs: RootSystem, i: int) -> int:
+    """i as an int, read as ``_check_integral`` reads a coordinate; ValueError unless in 1..rank.
 
-    The message shows i by its repr, so the string "1" reads '1'; an int's
-    repr is its digits.
+    Callers keep the int it returns, so an index that is a bool or a
+    numpy integer is never used as it came.  The message shows i by its
+    repr, so the string "1" reads '1'; an int's repr is its digits.
     """
     try:
-        if 1 <= index(i) <= rs.rank:
-            return
+        if 1 <= (k := index(i)) <= rs.rank:
+            return k
     except TypeError:
         pass
     raise ValueError(f"simple index {i!r} out of range 1..{rs.rank}")
@@ -426,7 +440,7 @@ def _check_weight(rs: RootSystem, mu: Sequence[int]) -> Weight:
 
 def pairing(rs: RootSystem, mu: Sequence[int], i: int) -> int:
     """<mu, alpha_i^vee>: in fundamental coordinates this is mu[i-1]."""
-    _check_index(rs, i)
+    i = _check_index(rs, i)
     return _check_weight(rs, mu)[i - 1]
 
 
@@ -444,8 +458,7 @@ def _reflect(rs: RootSystem, v: Sequence[int], letters: Iterable[int]) -> Weight
 def simple_reflection(rs: RootSystem, i: int, mu: Sequence[int]) -> Weight:
     """s_i(mu) = mu - <mu, alpha_i^vee> * alpha_i."""
     mu = _check_weight(rs, mu)
-    _check_index(rs, i)
-    return _reflect(rs, mu, (i,))
+    return _reflect(rs, mu, (_check_index(rs, i),))
 
 
 def _to_dominant(cols: Sequence, x: list[int]) -> list[int]:

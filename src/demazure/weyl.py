@@ -228,13 +228,10 @@ def longest_element(rs: RootSystem) -> WeylElement:
 
 def longest_parabolic(rs: RootSystem, subset: Iterable[int]) -> WeylElement:
     """Longest element of the parabolic subgroup generated by {s_i : i in subset}."""
-    s = frozenset(subset)
-    for i in s:
-        _check_index(rs, i)
     # Greedy ascent inside the parabolic: keep adding the smallest
     # generator that still increases length; the unique element with no
     # ascent in the subset is the parabolic longest element.
-    order = sorted(s)
+    order = sorted({_check_index(rs, i) for i in subset})
     u = rho(rs)
     while i := next((i for i in order if u[i - 1] > 0), 0):
         u = _reflect(rs, u, (i,))

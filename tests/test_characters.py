@@ -26,6 +26,9 @@ from demazure import (
     from_word,
     levi_weyl_dim,
     longest_element,
+    longest_parabolic,
+    min_coset_rep,
+    pairing,
     reduced_word,
     restrict_to_levi,
     rho,
@@ -350,6 +353,48 @@ def test_integer_like_coordinates_are_read_as_ints():
     assert weyl_dim(A2, (Index(1), True)) == 8
     assert weyl_character(A2, (Index(1), True)) == weyl_character(A2, (1, 1))
     assert demazure_operator(A2, 1, {(Index(1), False): 1}) == {(1, 0): 1, (-1, 1): 1}
+    # a simple index: LeviDatum kept Index(1), and each call below raised
+    # TypeError from an index read as it came
+    levi = LeviDatum(A2, {Index(1)})
+    assert levi == LeviDatum(A2, {1}) and [type(i) for i in levi.subset] == [int]
+    assert restrict_to_levi((1, 1), levi) == restrict_to_levi((1, 1), LeviDatum(A2, {1}))
+    assert unirad_mult_identity((1, 0), levi) == unirad_mult_identity((1, 0), LeviDatum(A2, {1}))
+    assert levi_weyl_dim(A2, {Index(1)}, (1, 0)) == levi_weyl_dim(A2, {1}, (1, 0)) == 2
+    assert demazure_operator(A2, Index(1), {(1, 0): 1}) == demazure_operator(A2, 1, {(1, 0): 1})
+    assert pairing(A2, (3, 4), Index(2)) == pairing(A2, (3, 4), 2) == 4
+    assert simple_reflection(A2, Index(1), (1, 0)) == simple_reflection(A2, 1, (1, 0))
+    assert longest_parabolic(A2, {Index(1)}) == longest_parabolic(A2, {1})
+    assert min_coset_rep(A2, {Index(1)}) == min_coset_rep(A2, {1})
+    # weight_multiplicity dropped the lam it checked, and abs() refused Index(1)
+    assert weight_multiplicity(A2, (Index(1), True), (0, 0)) == weight_multiplicity(A2, (1, 1), (0, 0)) == 2
+
+
+def test_a_memoised_character_is_keyed_on_ints(monkeypatch):
+    # weight_multiplicity handed the memo (True, True) as it came
+    seen = []
+
+    def spy(rs, word, lam):
+        seen.append(lam)
+        return items(rs, word, lam)
+
+    items = characters._demazure_items
+    monkeypatch.setattr(characters, "_demazure_items", spy)
+    assert weight_multiplicity(A2, (True, True), (0, 0)) == 2
+    assert weyl_character(A2, (True, False)) == weyl_character(A2, (1, 0))
+    assert demazure_dim(longest_element(A2), (False, True)) == 3
+    assert seen and all(type(x) is int for lam in seen for x in lam)
+
+
+def test_a_numpy_weight_leaves_no_numpy_memo_entry():
+    # weight_multiplicity raised TypeError from _letter's sort for a numpy
+    # lam, after storing a memo entry packed with numpy values, equal to
+    # the plain (A1, (), (4,)) key, so that the plain call raised too
+    np = pytest.importorskip("numpy")
+    _demazure_items.cache_clear()
+    assert weight_multiplicity(A1, (np.int64(4),), (0,)) == 1
+    assert weight_multiplicity(A1, (4,), (0,)) == 1
+    pk, cur = _demazure_items(A1, (), (4,))
+    assert all(type(x) is int for x in (pk.radius, pk.base, *pk.places, pk.offset, *pk.simple, *cur))
 
 
 @pytest.mark.parametrize("term", [(1,), (1, 0, 5)])

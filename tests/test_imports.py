@@ -18,7 +18,8 @@ entries; ``weight_multiplicity`` applies the first letter of w0's word
 to one alpha_i-string of the entry for the rest of the word;
 ``demazure_operator`` packs its input for one letter;
 ``freudenthal_multiplicity`` packs its keys with a power-of-two radius;
-and ``weight_multiplicity`` reads only the radius, for its range test.
+and ``_multiplicity_input``, the one front end of both multiplicity
+routes, reads only the radius, for its range test.
 The package has one per-instance cache: ``_cached`` is defined only in
 ``roots``, and no module uses ``functools.cached_property``.  It has one
 way to make a frozen record too: ``_record`` is defined only in
@@ -120,8 +121,8 @@ def test_one_function_packs_a_memoised_character():
     assert _callers("_Packing") == {("characters.py", "_packing")}
     # _demazure_items alone sizes the packing of a memoised character;
     # demazure_operator packs its own input, and Freudenthal's pass its
-    # keys; one rule gives every radius, and weight_multiplicity's range
-    # test reads it without building a packing
+    # keys; one rule gives every radius, and the multiplicity routes'
+    # one front end reads it for its range test without building a packing
     assert _callers("_packing") == {
         ("characters.py", "_demazure_items"),
         ("characters.py", "demazure_operator"),
@@ -130,7 +131,7 @@ def test_one_function_packs_a_memoised_character():
     assert _callers("_radius") == {
         ("characters.py", "_demazure_items"),
         ("characters.py", "demazure_operator"),
-        ("characters.py", "weight_multiplicity"),
+        ("characters.py", "_multiplicity_input"),
         ("characters.py", "freudenthal_multiplicity"),
     }
     # weight_multiplicity applies w0's first letter to one alpha_i-string

@@ -5,7 +5,11 @@ has a finite ``maxsize``.  Only memos keyed on the root system alone (or
 on nothing) may be unbounded: there are finitely many root systems.
 A value that depends on one root system alone is no memo at all: it is
 a ``_cached`` attribute of the ``RootSystem`` (``dots``, ``order``,
-``dim_table``), stored on the instance on its first read.
+``dim_table``), stored on the instance on its first read.  So is the
+table of a Levi's positive roots: ``LeviDatum.dim_table``, stored on the
+``LeviDatum`` that a query builds.  ``roots._build_root_system`` is
+keyed on the upper-case family and the int rank that
+``build_root_system`` checks, never on its raw arguments.
 ``MEMOS`` lists every memo with its ``maxsize``, so none is added,
 dropped or resized without a line here.
 ``perfbench/worker.py`` reads ``cache_info()`` of two of them under
@@ -30,11 +34,10 @@ from demazure.characters import _demazure_items
 # a root system, a (family, rank) pair or nothing
 MEMOS = {
     "branching._levi_char_items": 256,
-    "branching._levi_root_indices": 1024,
     "characters._demazure_items": 256,
     "cli.build_parser": None,
     "growth._interval": 1024,
-    "roots.build_root_system": None,
+    "roots._build_root_system": None,
     "weyl._min_coset_rep": 1024,
     "weyl.longest_element": None,
     "weyl.weyl_group": None,

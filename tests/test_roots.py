@@ -1,5 +1,10 @@
+import os
+import re
+import subprocess
+import sys
 import time
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -61,7 +66,7 @@ def test_a_closure_that_loses_a_root_is_refused(monkeypatch):
     monkeypatch.setattr(roots, "_close_under_reflections", lambda *table: close(*table)[:-1])
     message = "^B3: positive-root closure produced 8 roots, classical count is 9$"
     with pytest.raises(RuntimeError, match=message):
-        build_root_system.__wrapped__("B", 3)
+        roots._build_root_system.__wrapped__("B", 3)
 
 
 def test_cartan_tables_rank2():
@@ -341,6 +346,42 @@ def test_weight_length_checked():
 def test_instances_are_cached():
     assert root_system("B3") is root_system("B3")
     assert root_system("B3") is build_root_system("B", 3)
+
+
+# build_root_system once memoised its raw arguments: ("A", True) kept a
+# system of rank True named "ATrue", which every later root_system("A1")
+# returned and the CLI printed.  A fresh process, so that no system built
+# earlier in the session answers the first call.
+_RAW_ARGUMENTS = """
+from demazure import build_root_system, root_system
+from demazure.cli import run
+
+class Index:  # anything with __index__, as a numpy integer has
+    def __index__(self):
+        return 3
+
+first = build_root_system("a", True)
+print(first.name, type(first.rank).__name__, root_system("A1") is first)
+b3 = build_root_system("B", Index())
+print(b3.name, type(b3.rank).__name__, root_system("B3") is b3)
+run(["unirad", "--type", "A1", "--weight", "1", "--subset", "1"])
+"""
+
+
+def test_the_memo_keeps_only_checked_arguments():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", _RAW_ARGUMENTS], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["A1 int True", "B3 int True"]
+    assert lines[2].startswith('{"root_system":"A1",')
+
+
+@pytest.mark.parametrize("rank", [2.0, "2", None])
+def test_a_rank_that_is_not_an_integer_is_refused(rank):
+    # 2.0 once returned A2 when A2 was built earlier, and raised TypeError otherwise
+    with pytest.raises(ValueError, match=f"^rank {re.escape(repr(rank))} is not an integer$"):
+        build_root_system("A", rank)
 
 
 def test_name_round_trip():
