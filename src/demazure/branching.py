@@ -61,6 +61,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import compress
+from operator import index
 
 from demazure.characters import (
     _dim,
@@ -133,7 +134,7 @@ class BranchingResult:
 
 
 def s_dominant(subset: Iterable[int], mu: Sequence[int]) -> bool:
-    return all(mu[i - 1] >= 0 for i in subset)
+    return all(mu[index(i) - 1] >= 0 for i in subset)
 
 
 def _check_s_dominant(rs: RootSystem, s: frozenset[int], mu: Sequence[int]) -> Weight:

@@ -54,9 +54,11 @@ q = 1 is dim V_w(lam).  ``_interval`` keeps the points and the pairs of
 every letter per (root system, word); they do not depend on lam.
 
 *Evaluation at Q.*  Only the value at q = 1 is read, so each F_v is
-kept, per dilation n, as one integer: its value at Q = 2^b, with b the
-bit length of D = dim V(n_max lam) plus 2, so Q > 4D.  The chain starts
-from F_z(Q) = Q^{n k_z . lam}, and each pair takes
+kept, per dilation n = 1..n_max, as one integer: its value at Q = 2^b,
+with b the bit length of D = dim V(n_max lam) plus 2, so Q > 4D.  At
+n = 0 every F_v is 1, as dim V_w(0) = 1, so that entry is never
+carried or divided.  The chain starts from F_z(Q) = Q^{n k_z . lam},
+and each pair takes
 
     g = (Q^c F_high(Q) - F_low(Q)) / (Q^c - 1),
 
@@ -146,11 +148,12 @@ def _specialisation(
 
     Base-Q digit k of F_e(Q) for n*lam is the sum of the coefficients of
     the weights mu with ht(n*lam - mu) = k in the Demazure character of
-    (word, n*lam).
+    (word, n*lam).  The chain carries n = 1..n_max only: at n = 0 every
+    F_v is 1, since dim V_w(0) = 1, so that entry is never divided.
     """
     points, sizes, pairs = _interval(rs, word)
     b = weyl_dim(rs, [n_max * x for x in lam]).bit_length() + 2
-    ns = range(n_max + 1)
+    ns = range(1, n_max + 1)
     chain = [[1 << e * n for n in ns] for e in [b * sum(map(mul, k, lam)) for k in points]]
     for j in range(len(word), 0, -1):
         for low, high, c in pairs[j - 1]:
@@ -164,7 +167,7 @@ def _specialisation(
                 quotient.append(g)
             chain[low] = chain[high] = quotient
         del chain[sizes[j - 1]:]
-    return 1 << b, chain[0]
+    return 1 << b, [1, *chain[0]]
 
 
 def dimension_sequence(w: WeylElement, lam: Sequence[int], n_max: int | None = None) -> DilationSequence:
@@ -187,8 +190,6 @@ def dimension_sequence(w: WeylElement, lam: Sequence[int], n_max: int | None = N
         raise ValueError(f"n_max={n_max} too small; need at least length(w)+2 = {need}")
     q, at_q = _specialisation(w.rs, reduced_word(w), lam, n)
     values = tuple(map(mod, at_q, repeat(q - 1)))
-    if values[0] != 1:
-        raise RuntimeError("dilation sequence must start at 1")
     if any(map(gt, values, values[1:])):
         raise RuntimeError("dilation sequence must be nondecreasing")
     return DilationSequence(w, lam, values)

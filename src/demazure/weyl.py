@@ -243,9 +243,10 @@ def min_coset_rep(rs: RootSystem, subset: Iterable[int]) -> WeylElement:
 
     w_P is the parabolic longest element for the subset; the result is
     w_P^{-1} w0 (= w_P w0 since parabolic longest elements are involutions).
-    It is memoised per subset, so its reduced word is spelt once.
+    It is memoised per subset of checked ints, so its reduced word is
+    spelt once, however the indices came.
     """
-    return _min_coset_rep(rs, frozenset(subset))
+    return _min_coset_rep(rs, frozenset(_check_index(rs, i) for i in subset))
 
 
 @lru_cache(maxsize=1024)

@@ -42,7 +42,8 @@ from demazure import (
     weyl_dim,
     weyl_group,
 )
-from demazure import characters
+from demazure import characters, weyl
+from demazure.branching import s_dominant
 from demazure.characters import (
     _demazure_items,
     _letter,
@@ -365,6 +366,14 @@ def test_integer_like_coordinates_are_read_as_ints():
     assert simple_reflection(A2, Index(1), (1, 0)) == simple_reflection(A2, 1, (1, 0))
     assert longest_parabolic(A2, {Index(1)}) == longest_parabolic(A2, {1})
     assert min_coset_rep(A2, {Index(1)}) == min_coset_rep(A2, {1})
+    # the coset memo was keyed on the subset as it came, so each Index(1) missed
+    before = weyl._min_coset_rep.cache_info()
+    for _ in range(5):
+        min_coset_rep(A2, {Index(1)})
+    after = weyl._min_coset_rep.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (5, 0)
+    assert s_dominant({Index(1)}, (1, 0)) is s_dominant({1}, (1, 0)) is True
+    assert s_dominant({Index(2)}, (1, -1)) is s_dominant({2}, (1, -1)) is False
     # weight_multiplicity dropped the lam it checked, and abs() refused Index(1)
     assert weight_multiplicity(A2, (Index(1), True), (0, 0)) == weight_multiplicity(A2, (1, 1), (0, 0)) == 2
 

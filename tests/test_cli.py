@@ -167,13 +167,10 @@ def test_growth_exit_one_when_degree_exceeds_length(monkeypatch):
     (demazure.branching, "_straightened", lambda *args: iter([]),
      ["branch", "--type", "A2", "--weight", "1,1", "--subset", "1"],
      "branching lost dimensions; the alternating sum is broken"),
-    (demazure.growth, "_specialisation", lambda *args: (1 << 20, [2, 9, 9, 9, 9, 9, 9]),
-     ["growth", "--type", "A2", "--word", "1,2", "--weight", "1,1"],
-     "dilation sequence must start at 1"),
     (demazure.growth, "_specialisation", lambda *args: (1 << 20, [1, 3, 2, 4, 5, 6, 7]),
      ["growth", "--type", "A2", "--word", "1,2", "--weight", "1,1"],
      "dilation sequence must be nondecreasing"),
-], ids=["negative", "lost", "start", "decreasing"])
+], ids=["negative", "lost", "decreasing"])
 def test_broken_internal_checks_exit_two(monkeypatch, module, name, fake, argv, message):
     monkeypatch.setattr(module, name, fake)
     assert cap(argv) == (2, "", f"error: {message}\n")

@@ -290,7 +290,6 @@ def test_swapped_pair_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("at_q, message", [
-    ([2, 9, 9, 9, 9], "dilation sequence must start at 1"),
     ([1, 3, 2, 4, 5], "dilation sequence must be nondecreasing"),
 ])
 def test_dimension_sequence_refuses_a_broken_specialisation(monkeypatch, at_q, message):
@@ -298,6 +297,24 @@ def test_dimension_sequence_refuses_a_broken_specialisation(monkeypatch, at_q, m
     with pytest.raises(RuntimeError) as exc:
         dimension_sequence(from_word(A2, (1, 2)), (1, 1))
     assert str(exc.value) == message
+
+
+def test_the_n_zero_entry_is_never_divided(monkeypatch):
+    # one division per pair and dilation n = 1..n_max; n = 0 is 1 without one
+    calls = []
+
+    def counting(a, b):
+        calls.append(b)
+        return divmod(a, b)
+
+    rs = root_system("B3")
+    w0 = longest_element(rs)
+    n_max = w0.length + 2
+    pairs = sum(map(len, growth._interval(rs, reduced_word(w0))[2]))
+    monkeypatch.setattr(growth, "divmod", counting, raising=False)
+    seq = dimension_sequence(w0, (1, 1, 1), n_max)
+    assert len(calls) == pairs * n_max
+    assert len(seq.values) == n_max + 1 and seq.values[0] == 1
 
 
 def test_every_shifted_c_raises_on_b3():
