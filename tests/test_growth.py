@@ -291,6 +291,7 @@ def test_swapped_pair_raises(monkeypatch):
 
 @pytest.mark.parametrize("at_q, message", [
     ([1, 3, 2, 4, 5], "dilation sequence must be nondecreasing"),
+    ([1, 2, 3, 5, 4], "dilation sequence must be nondecreasing"),
 ])
 def test_dimension_sequence_refuses_a_broken_specialisation(monkeypatch, at_q, message):
     monkeypatch.setattr(growth, "_specialisation", lambda *args: (1 << 20, at_q))
