@@ -61,7 +61,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import compress
-from operator import index
 
 from demazure.characters import (
     _dim,
@@ -79,6 +78,8 @@ from demazure.roots import (
     _check_index,
     _check_integral,
     _dim_table,
+    _integral,
+    _ints,
     _record,
 )
 from demazure.weyl import longest_parabolic, min_coset_rep, reduced_word
@@ -134,13 +135,19 @@ class BranchingResult:
 
 
 def s_dominant(subset: Iterable[int], mu: Sequence[int]) -> bool:
-    return all(mu[index(i) - 1] >= 0 for i in subset)
+    """Whether mu_i >= 0 for each i in subset.
+
+    The indices and the coordinates of mu are read by ``roots._ints``,
+    so a coordinate such as 1.5 raises ``roots._integral``'s ValueError.
+    """
+    t = _integral(mu)
+    return all(t[i - 1] >= 0 for i in _ints(subset, "subset {!r} is not all integers", subset))
 
 
 def _check_s_dominant(rs: RootSystem, s: frozenset[int], mu: Sequence[int]) -> Weight:
     """mu as a checked tuple of ints; ValueError unless it is dominant on s."""
     t = _check_integral(rs, mu)
-    if not s_dominant(s, t):
+    if any(t[i - 1] < 0 for i in s):  # s holds checked ints, and t is read once
         raise ValueError(f"weight {t} is not dominant on subset {sorted(s)}")
     return t
 

@@ -83,10 +83,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import repeat
-from operator import gt, index, mod, mul, sub
+from operator import gt, mod, mul, sub
 
 from demazure.characters import weyl_dim
-from demazure.roots import RootSystem, Weight, _check_dominant, _record
+from demazure.roots import RootSystem, Weight, _check_dominant, _ints, _record
 from demazure.weyl import WeylElement, reduced_word
 
 __all__ = ["DilationSequence", "dimension_sequence", "finite_differences", "growth_degree"]
@@ -175,17 +175,14 @@ def dimension_sequence(w: WeylElement, lam: Sequence[int], n_max: int | None = N
 
     n_max defaults to length(w)+4 and must be at least length(w)+2 so
     the (length+1)-st finite difference can be confirmed on two entries.
-    It is read through ``operator.index``: ValueError for a value that
-    is not an integer, such as 7.5, 7.0 or "7".
+    It is read by ``roots._ints``: ValueError for a value that is not
+    an integer, such as 7.5, 7.0 or "7".
     """
     lam = _check_dominant(w.rs, lam)
     need = w.length + 2
     if n_max is None:
         n_max = w.length + 4
-    try:
-        n = index(n_max)
-    except TypeError:
-        raise ValueError(f"n_max={n_max!r} is not an integer") from None
+    (n,) = _ints((n_max,), "n_max={!r} is not an integer", n_max)
     if n < need:
         raise ValueError(f"n_max={n_max} too small; need at least length(w)+2 = {need}")
     q, at_q = _specialisation(w.rs, reduced_word(w), lam, n)

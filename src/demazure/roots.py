@@ -32,6 +32,9 @@ w(rho), ``dominant_conjugate`` and Freudenthal's tails all take it.
 No module reads the stored Cartan matrix: the build reads the matrix
 it makes, and every other reader takes ``columns``.  No module but this
 one reads a root system's family: what is known per family stays here.
+No module but this one reads ``operator.index`` either: ``_ints`` reads
+every weight coordinate, rank, dilation count and biweight, and
+``_check_index`` every simple index, each as an int or a ValueError.
 
 A root system is given by its Dynkin graph and the half-norms
 d_i = (alpha_i, alpha_i)/2 of its simple roots, short roots 1 and long
@@ -356,21 +359,18 @@ def _close_under_reflections(
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Build (and memoize) the root system of the given family and rank.
 
-    The family is read upper-cased and the rank through
-    ``operator.index``, so ``("a", 2)`` and ``("A", numpy.int64(2))``
-    give the system of ``("A", 2)``, with an int rank.  Raises
-    ValueError for families outside A-G, for a rank that is not an
-    integer and for ranks outside the valid range of the family
+    The family is read upper-cased and the rank through ``_ints``, so
+    ``("a", 2)`` and ``("A", numpy.int64(2))`` give the system of
+    ``("A", 2)``, with an int rank.  Raises ValueError for families
+    outside A-G, for a rank that is not an integer and for ranks outside
+    the valid range of the family
     (A: 1..100, B: 2..100, C: 3..100, D: 4..100, E: 6..8, F: 4, G: 2),
     before any work.  Only checked arguments reach the memo.
     """
     fam = family.upper()
     if fam not in _RANK_RANGES:
         raise ValueError(f"unknown family {family!r}; expected one of A..G")
-    try:
-        rank = index(rank)
-    except TypeError:
-        raise ValueError(f"rank {rank!r} is not an integer") from None
+    (rank,) = _ints((rank,), "rank {!r} is not an integer", rank)
     lo, hi = _RANK_RANGES[fam]
     if not lo <= rank <= hi:
         shown = rank
@@ -416,12 +416,31 @@ def root_system(name: str) -> RootSystem:
     return build_root_system(text[0], int(digits[:21]))
 
 
+def _ints(values: Iterable[int], message: str, *args) -> tuple[int, ...]:
+    """values as a tuple of ints; ValueError(message.format(*args)) unless each is an integer.
+
+    The package's one reader of integer inputs besides ``_check_index``:
+    every weight coordinate, rank, ``n_max``, biweight and
+    ``s_dominant`` subset is read here, each value through
+    ``operator.index``, so ints, bools and numpy integers pass and a
+    float, a string or None is refused.  A TypeError from iterating
+    values refuses them too.  The message is formatted only when a value
+    is refused, so the common path builds no string.
+    """
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(message.format(*args)) from None
+
+
 def _check_index(rs: RootSystem, i: int) -> int:
-    """i as an int, read as ``_check_integral`` reads a coordinate; ValueError unless in 1..rank.
+    """i as an int, read through ``operator.index``; ValueError unless in 1..rank.
 
     Callers keep the int it returns, so an index that is a bool or a
-    numpy integer is never used as it came.  The message shows i by its
-    repr, so the string "1" reads '1'; an int's repr is its digits.
+    numpy integer is never used as it came.  It makes one ``index()``
+    call, not ``_ints``'s tuple, as a Levi query reads several indices
+    one at a time.  The message shows i by its repr, so the string "1"
+    reads '1'; an int's repr is its digits.
     """
     try:
         if 1 <= (k := index(i)) <= rs.rank:
@@ -439,9 +458,9 @@ def _check_weight(rs: RootSystem, mu: Sequence[int]) -> Weight:
 
 
 def pairing(rs: RootSystem, mu: Sequence[int], i: int) -> int:
-    """<mu, alpha_i^vee>: in fundamental coordinates this is mu[i-1]."""
+    """<mu, alpha_i^vee>: in fundamental coordinates this is mu[i-1], as an int."""
     i = _check_index(rs, i)
-    return _check_weight(rs, mu)[i - 1]
+    return _check_integral(rs, mu)[i - 1]
 
 
 def _reflect(rs: RootSystem, v: Sequence[int], letters: Iterable[int]) -> Weight:
@@ -457,8 +476,7 @@ def _reflect(rs: RootSystem, v: Sequence[int], letters: Iterable[int]) -> Weight
 
 def simple_reflection(rs: RootSystem, i: int, mu: Sequence[int]) -> Weight:
     """s_i(mu) = mu - <mu, alpha_i^vee> * alpha_i."""
-    mu = _check_weight(rs, mu)
-    return _reflect(rs, mu, (_check_index(rs, i),))
+    return _reflect(rs, _check_integral(rs, mu), (_check_index(rs, i),))
 
 
 def _to_dominant(cols: Sequence, x: list[int]) -> list[int]:
@@ -489,28 +507,30 @@ def _to_dominant(cols: Sequence, x: list[int]) -> list[int]:
 
 
 def is_dominant(mu: Sequence[int]) -> bool:
-    return all(x >= 0 for x in mu)
+    """Whether every coordinate of mu is at least 0, each read by ``_integral``."""
+    return min(_integral(mu), default=0) >= 0
+
+
+def _integral(mu: Iterable[int]) -> Weight:
+    """mu as a tuple of ints; ValueError unless each coordinate is an integer.
+
+    Each coordinate is read by ``_ints``.  A float such as 0.5 is refused
+    here: the operator kernel's sweep steps through integer keys, never
+    meets a float one, and would run until memory gives out; and a
+    reflection would return floats from an exact library.
+    """
+    return _ints(t := tuple(mu), "weight {} has a coordinate that is not an integer", t)
 
 
 def _check_integral(rs: RootSystem, mu: Sequence[int]) -> Weight:
-    """mu as a checked tuple of ints; ValueError unless each coordinate is an integer.
-
-    Each coordinate is read through ``operator.index``, so ints, bools and
-    numpy integers pass.  A float such as 0.5 is refused here: the operator
-    kernel's sweep steps through integer keys, never meets a float one,
-    and would run until memory gives out.
-    """
-    t = _check_weight(rs, mu)
-    try:
-        return tuple(map(index, t))
-    except TypeError:
-        raise ValueError(f"weight {t} has a coordinate that is not an integer") from None
+    """mu as a checked tuple of ints: ``_integral``, after the rank check of ``_check_weight``."""
+    return _integral(_check_weight(rs, mu))
 
 
 def _check_dominant(rs: RootSystem, lam: Sequence[int]) -> Weight:
     """lam as a checked tuple of ints; ValueError unless it is dominant."""
     t = _check_integral(rs, lam)
-    if not is_dominant(t):
+    if min(t) < 0:  # t has rank >= 1 ints, read once
         raise ValueError(f"weight {t} is not dominant")
     return t
 
@@ -534,7 +554,7 @@ def scale_weight(n: int, a: Sequence[int]) -> Weight:
 
 def dominant_conjugate(rs: RootSystem, mu: Sequence[int]) -> Weight:
     """The unique dominant weight in the Weyl orbit of mu."""
-    cur = list(_check_weight(rs, mu))
+    cur = list(_check_integral(rs, mu))
     _to_dominant(rs.columns, cur)
     return tuple(cur)
 

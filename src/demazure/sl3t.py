@@ -40,12 +40,11 @@ of its own, and looks each torus character up in it.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import product
+from itertools import chain, product
 from math import gcd
-from operator import index
 
 from demazure.characters import weight_multiplicity, weyl_character
-from demazure.roots import Weight, _record, root_system
+from demazure.roots import Weight, _ints, _record, root_system
 
 __all__ = [
     "Biweight",
@@ -66,10 +65,9 @@ class Biweight:
     l: tuple[int, int, int]
 
     def __post_init__(self) -> None:
-        try:  # each read through operator.index, as roots._check_integral reads one
-            k1, k2, *l = map(index, (self.k1, self.k2, *self.l))
-        except TypeError:
-            raise ValueError(f"not all integers: {self.k1!r}, {self.k2!r}, {self.l!r}") from None
+        # l is iterated inside the reader, so an l that is no iterable is refused by it too
+        message = "not all integers: {!r}, {!r}, {!r}"
+        k1, k2, *l = _ints(chain((self.k1, self.k2), self.l), message, self.k1, self.k2, self.l)
         self.__dict__.update(k1=k1, k2=k2, l=tuple(l))
         if len(l) != 3:
             raise ValueError("torus character needs exactly three integers")

@@ -69,7 +69,7 @@ from demazure.roots import (
     Weight,
     _cached,
     _check_index,
-    _check_weight,
+    _check_integral,
     _record,
     _reflect,
     _to_dominant,
@@ -133,7 +133,7 @@ class WeylElement:
 
     def apply(self, mu: Sequence[int]) -> Weight:
         """Image of a weight (fundamental coordinates) under this element."""
-        return _reflect(self.rs, _check_weight(self.rs, mu), self._peel)
+        return _reflect(self.rs, _check_integral(self.rs, mu), self._peel)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs != other.rs:
@@ -165,10 +165,14 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
 
     The word is folded first: when every letter ascends, it is reduced,
     the fold is the product, and it keeps the word, reversed, as its peel.
+    Otherwise rho is reflected along the letters as ``_check_index``
+    reads them.
     """
     word = tuple(word)
     x = demazure_fold(identity(rs), word)
-    return x if x.length == len(word) else WeylElement(rs, _reflect(rs, rho(rs), word))
+    if x.length != len(word):  # the fold has checked the range of every letter
+        x = WeylElement(rs, _reflect(rs, rho(rs), [_check_index(rs, i) for i in word]))
+    return x
 
 
 def _check_reduced(rs: RootSystem, word: tuple[int, ...]) -> WeylElement:
@@ -269,7 +273,12 @@ def demazure_fold(w: WeylElement, letters: Iterable[int]) -> WeylElement:
     A letter that is not an integer in 1..rank raises ``_check_index``'s
     ValueError.  The loop tests only the range; a letter that passes it
     but indexes no list, such as 1.0, raises TypeError, which is turned
-    into that ValueError outside the loop, at no cost per letter.
+    into that ValueError outside the loop, at no cost per letter.  A
+    letter that ``_check_index`` reads as an int but the loop cannot
+    use, such as one with only ``__index__``, is read the same way: when
+    letters is a Sequence, the fold starts again from w on the ints
+    ``_check_index`` returns.  A one-shot iterator has lost the letters
+    it gave, so it raises the TypeError.
     """
     rs = w.rs
     n = rs.rank
@@ -289,9 +298,12 @@ def demazure_fold(w: WeylElement, letters: Iterable[int]) -> WeylElement:
                     u[j] -= m * c
     except TypeError:
         # _check_index raises its ValueError for a letter that is no index,
-        # such as 1.0 or "1"; any other TypeError is not the letter's
+        # such as 1.0 or "1"; an index the loop cannot use starts it again,
+        # on ints that it can use, and any other TypeError is not the letter's
         _check_index(rs, i)
-        raise
+        if not isinstance(letters, Sequence):
+            raise
+        return demazure_fold(w, [_check_index(rs, j) for j in letters])
     x = WeylElement(rs, tuple(u))
     peel = w.__dict__.get("_peel")  # read only if stored, never walked here
     return x if peel is None else _with_peel(x, (*reversed(applied), *peel))

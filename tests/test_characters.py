@@ -18,12 +18,15 @@ from demazure import (
     character_to_json,
     demazure_character,
     demazure_dim,
+    demazure_fold,
     demazure_operator,
     dimension_sequence,
     dominant_conjugate,
     dual_weight,
     freudenthal_multiplicity,
     from_word,
+    identity,
+    is_dominant,
     levi_weyl_dim,
     longest_element,
     longest_parabolic,
@@ -320,9 +323,17 @@ def test_both_multiplicity_routes_read_mu_by_value(name, lam, mu):
     (lambda: freudenthal_multiplicity(A2, (0.5, 0), (0.5, 0)), (0.5, 0)),
     (lambda: weight_multiplicity(A2, (1.0, 1), (0, 0)), (1.0, 1)),
     (lambda: dimension_sequence(longest_element(A2), (0.5, 1)), (0.5, 1)),
+    # these returned floats, or True, for a weight that is not integral
+    (lambda: pairing(A2, (0.5, 0), 1), (0.5, 0)),
+    (lambda: simple_reflection(A2, 1, (0.5, 0)), (0.5, 0)),
+    (lambda: from_word(A2, (1, 2)).apply((0.5, 0)), (0.5, 0)),
+    (lambda: dominant_conjugate(A2, (0.5, -1.5)), (0.5, -1.5)),
+    (lambda: s_dominant({1}, (1.5, 0)), (1.5, 0)),
+    (lambda: is_dominant((0.5, 0)), (0.5, 0)),
 ], ids=["demazure_character", "demazure_dim", "unirad_mult_identity", "demazure_operator",
         "weyl_character", "levi_weyl_dim", "freudenthal_multiplicity", "weight_multiplicity",
-        "dimension_sequence"])
+        "dimension_sequence", "pairing", "simple_reflection", "apply", "dominant_conjugate",
+        "s_dominant", "is_dominant"])
 def test_a_weight_that_is_not_integral_is_refused(call, weight):
     message = f"weight {weight} has a coordinate that is not an integer"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -343,14 +354,38 @@ def test_an_index_that_is_not_an_integer_is_refused(call):
         call()
 
 
+def test_s_dominant_refuses_a_subset_that_is_not_all_integers():
+    # each index was read by operator.index alone, which raised TypeError
+    with pytest.raises(ValueError, match=r"^subset \{1\.0\} is not all integers$"):
+        s_dominant({1.0}, (1, 0))
+
+
+class Index:  # anything with __index__, as a numpy integer has
+    def __init__(self, n):
+        self.n = n
+
+    def __index__(self):
+        return self.n
+
+
+# The public readers of one weight.  Each returned a coordinate with only
+# __index__ as it came, or raised TypeError on one.
+WEIGHT_READERS = [
+    lambda mu: pairing(A2, mu, 1),
+    lambda mu: simple_reflection(A2, 1, mu),
+    lambda mu: from_word(A2, (1, 2)).apply(mu),
+    lambda mu: dominant_conjugate(A2, mu),
+    is_dominant,
+    lambda mu: s_dominant({1}, mu),
+]
+
+
+def _assert_read_as_ints(got, want):
+    assert got == want and type(got) is type(want)
+    assert all(type(x) is int for x in (got if isinstance(got, tuple) else ()))
+
+
 def test_integer_like_coordinates_are_read_as_ints():
-    class Index:  # anything with __index__, as a numpy integer has
-        def __init__(self, n):
-            self.n = n
-
-        def __index__(self):
-            return self.n
-
     assert weyl_dim(A2, (Index(1), True)) == 8
     assert weyl_character(A2, (Index(1), True)) == weyl_character(A2, (1, 1))
     assert demazure_operator(A2, 1, {(Index(1), False): 1}) == {(1, 0): 1, (-1, 1): 1}
@@ -376,6 +411,17 @@ def test_integer_like_coordinates_are_read_as_ints():
     assert s_dominant({Index(2)}, (1, -1)) is s_dominant({2}, (1, -1)) is False
     # weight_multiplicity dropped the lam it checked, and abs() refused Index(1)
     assert weight_multiplicity(A2, (Index(1), True), (0, 0)) == weight_multiplicity(A2, (1, 1), (0, 0)) == 2
+    for read in WEIGHT_READERS:
+        for mu in [(3, -4), (-1, 1), (0, 2)]:
+            _assert_read_as_ints(read((Index(mu[0]), mu[1])), read(mu))
+        _assert_read_as_ints(read((True, False)), read((1, 0)))
+    # letters: the fold compared Index(1) with an int and raised TypeError
+    x = from_word(A2, (Index(1), Index(2)))
+    assert x == from_word(A2, (1, 2)) and [type(i) for i in x._peel] == [int, int]
+    assert from_word(A2, [Index(2), Index(2), Index(1)]) == from_word(A2, (2, 2, 1))
+    assert demazure_fold(identity(A2), [Index(2)]) == demazure_fold(identity(A2), [2])
+    with pytest.raises(TypeError):  # a one-shot iterator cannot be read again
+        demazure_fold(identity(A2), iter([Index(1)]))
 
 
 def test_a_memoised_character_is_keyed_on_ints(monkeypatch):
@@ -392,6 +438,13 @@ def test_a_memoised_character_is_keyed_on_ints(monkeypatch):
     assert weyl_character(A2, (True, False)) == weyl_character(A2, (1, 0))
     assert demazure_dim(longest_element(A2), (False, True)) == 3
     assert seen and all(type(x) is int for lam in seen for x in lam)
+
+
+def test_numpy_coordinates_are_read_as_ints():
+    np = pytest.importorskip("numpy")
+    for read in WEIGHT_READERS:
+        for mu in [(3, -4), (-1, 1), (0, 2)]:
+            _assert_read_as_ints(read(tuple(map(np.int64, mu))), read(mu))
 
 
 def test_a_numpy_weight_leaves_no_numpy_memo_entry():

@@ -8,7 +8,9 @@ every reflection runs through the root system's ``columns``, or through
 the packed simple roots that ``characters`` builds from them.
 Only ``roots`` reads a root system's family, so what is known per family
 (the Dynkin graphs, the rank ranges, the root counts) stays in one
-module.  Only ``characters`` reads the fields of a packing, so the
+module.  Only ``roots`` reads ``operator.index`` too, so what counts as
+an integer input, and the ValueError for one that does not, is decided
+in one module.  Only ``characters`` reads the fields of a packing, so the
 packed weight format stays in one module too, and within it one
 layout, ``_packing``, builds every packing, of chains and of
 Freudenthal's keys alike, each sized by the one radius rule,
@@ -92,6 +94,23 @@ def test_no_module_reads_the_stored_cartan_matrix():
 
 def test_only_roots_reads_a_root_systems_family():
     assert _attribute_readers("family") == ["roots.py"]
+
+
+def test_only_roots_reads_operator_index():
+    # one reader decides what an integer input is: roots._ints, and
+    # roots._check_index for a single simple index
+    readers = sorted(
+        p.name
+        for p in SRC.glob("*.py")
+        if any(
+            isinstance(node, ast.ImportFrom) and node.module == "operator"
+            and any(alias.name == "index" for alias in node.names)
+            or isinstance(node, ast.Attribute) and node.attr == "index"
+            and isinstance(node.value, ast.Name) and node.value.id == "operator"
+            for node in ast.walk(ast.parse(p.read_text(), str(p)))
+        )
+    )
+    assert readers == ["roots.py"]
 
 
 def test_only_characters_reads_the_packing():
