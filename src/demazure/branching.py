@@ -139,9 +139,14 @@ def s_dominant(subset: Iterable[int], mu: Sequence[int]) -> bool:
 
     The indices and the coordinates of mu are read by ``roots._ints``,
     so a coordinate such as 1.5 raises ``roots._integral``'s ValueError.
+    No root system is given, so the indices are bounded by mu's length:
+    one outside 1..len(mu) raises ValueError in ``_check_index``'s words.
     """
     t = _integral(mu)
-    return all(t[i - 1] >= 0 for i in _ints(subset, "subset {!r} is not all integers", subset))
+    s = _ints(subset, "subset {!r} is not all integers", subset)
+    if bad := [i for i in s if not 1 <= i <= len(t)]:
+        raise ValueError(f"simple index {bad[0]} out of range 1..{len(t)}")
+    return all(t[i - 1] >= 0 for i in s)
 
 
 def _check_s_dominant(rs: RootSystem, s: frozenset[int], mu: Sequence[int]) -> Weight:

@@ -326,11 +326,13 @@ def demazure_character(rs: RootSystem, word: Sequence[int], lam: Sequence[int]) 
 
     Rejects non-reduced words (the word must have length equal to the
     length of the group element it spells) and non-dominant weights.
+    The chain runs on, and the memo is keyed on, the word as the check's
+    fold read it: the same letters, each an int, as its stored peel
+    holds them, reversed.
     """
     lam = _check_dominant(rs, lam)
     word = tuple(word)
-    _check_reduced(rs, word)
-    return _character(rs, word, lam)
+    return _character(rs, _check_reduced(rs, word)._peel[::-1], lam)
 
 
 def demazure_dim(w: WeylElement, lam: Sequence[int]) -> int:

@@ -19,12 +19,13 @@ order, with its dest, conversion and argparse settings.  That table is
 all that the parser, the plain parse and ``run`` read.
 
 ``run(argv)`` runs one invocation in process and returns its exit code.
-A plain argv (a subcommand, then each of its flags once, with a value
-argparse would accept) is read straight from the subcommand's table,
-since argparse costs more than a small query.  Every other argv, help,
-usage errors and ``sl3t --grid`` go to one argparse parser, built on the
-first such call and reused.  Both routes give ``run`` the same dict, the
-subcommand and each dest's value, as ``vars`` of argparse's namespace.
+A plain argv (a subcommand, then each of its flags once, with the
+values argparse would accept) is read straight from the subcommand's
+table, since argparse costs more than a small query.  Only help, usage
+errors and the argv the plain parse refuses go to one argparse parser,
+built on the first such call and reused.  Both routes give ``run`` the
+same dict, the subcommand and each dest's value, as ``vars`` of
+argparse's namespace.
 A flag given ``--`` as its value (``--word=--``) is a usage error on
 either route.  ``argparse`` is imported only to build that parser, so a
 plain call never loads it.
@@ -331,30 +332,39 @@ def _parse_plain(argv: Sequence[str] | None) -> dict | None:
 
     The argv read is a subcommand, then each of its flags at most once,
     as an exact ``--name=value`` or as ``--name`` and a value that does
-    not start with ``-``.  Anything else gives None and is left to
-    argparse, with its messages and exit codes: help, an abbreviated,
-    repeated, missing or unknown flag, a value argparse would refuse or
-    alter (``--weight=--`` reads as an empty list on Python 3.11), and
-    any ``--grid``.  The dict maps "subcommand" and each flag's dest to
-    its value, a flag not given to its default.
+    not start with ``-``.  A flag with ``nargs`` (``--grid``) reads as a
+    list: ``--name=value`` is its one value, and ``--name value`` takes
+    each following token too, up to the first that starts with ``-``,
+    as argparse's ``"+"`` does for these argv.  Anything else gives None
+    and is left to argparse, with its messages and exit codes: help, an
+    abbreviated, repeated, missing or unknown flag, and a value argparse
+    would refuse or read otherwise (``--weight=--`` reads as an empty
+    list on Python 3.11, and argparse gives ``--grid 1 -1`` both values,
+    where the plain parse stops at ``-1`` and refuses it as a flag).
+    The dict maps "subcommand" and each flag's dest to its value, a flag
+    not given to its default.
     """
     if not argv or argv[0] not in _OPTIONS:
         return None
     options = _OPTIONS[argv[0]]
     values = {"subcommand": argv[0]}
-    tokens = iter(argv[1:])
-    for token in tokens:
-        name, eq, value = token.partition("=")
-        value = value if eq else next(tokens, "-")
+    tokens = list(argv[:0:-1])  # the rest, last first, so pop() takes the next
+    while tokens:
+        name, eq, value = tokens.pop().partition("=")
+        value = value if eq else (tokens.pop() if tokens else "-")
         if name not in options:
             return None
         dest, _, settings = options[name]
-        if (dest in values or "nargs" in settings or value == "--"
+        if (dest in values or value == "--"
                 or value.startswith("-") and not eq
                 or value not in settings.get("choices", (value,))):
             return None
+        if "nargs" in settings:
+            value = [value]
+            while not eq and tokens and not tokens[-1].startswith("-"):
+                value.append(tokens.pop())
         try:
-            values[dest] = settings.get("type", str)(value)
+            values[dest] = settings["type"](value) if "type" in settings else value
         except ValueError:
             return None
     if any(s.get("required") and dest not in values for dest, _, s in options.values()):

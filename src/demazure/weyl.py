@@ -176,8 +176,14 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
 
 
 def _check_reduced(rs: RootSystem, word: tuple[int, ...]) -> WeylElement:
-    """The element the word spells; ValueError unless the word is reduced."""
-    w = from_word(rs, word)
+    """The element the word spells; ValueError unless the word is reduced.
+
+    One fold from the identity reads the word: it is reduced exactly
+    when every letter ascends, and then the fold's stored peel is the
+    word, reversed, as the ints the fold read.  An unreduced word is
+    refused after that fold alone.
+    """
+    w = demazure_fold(identity(rs), word)
     if w.length != len(word):
         raise ValueError(f"word {word} is not reduced")
     return w
@@ -270,40 +276,27 @@ def demazure_fold(w: WeylElement, letters: Iterable[int]) -> WeylElement:
     lengths adding, so when w's peel is stored, x's is
     (jm, ..., j1) followed by it.  An unstored peel is not walked for it.
 
-    A letter that is not an integer in 1..rank raises ``_check_index``'s
-    ValueError.  The loop tests only the range; a letter that passes it
-    but indexes no list, such as 1.0, raises TypeError, which is turned
-    into that ValueError outside the loop, at no cost per letter.  A
-    letter that ``_check_index`` reads as an int but the loop cannot
-    use, such as one with only ``__index__``, is read the same way: when
-    letters is a Sequence, the fold starts again from w on the ints
-    ``_check_index`` returns.  A one-shot iterator has lost the letters
-    it gave, so it raises the TypeError.
+    Each letter is read once.  A plain int in 1..rank is used as it
+    comes; any other letter goes through ``_check_index``, which returns
+    it as an int, such as True or a numpy integer, or raises its
+    ValueError, such as for 0, 1.0 or "1".  So every letter applied is
+    an int, and so is every letter of a stored peel.  A TypeError from
+    iterating letters itself reaches the caller.
     """
     rs = w.rs
     n = rs.rank
     cols = rs.columns
     u = list(w.u)
     applied = []
-    i = 1  # an index, so a TypeError raised before any letter passes through
-    try:
-        for i in letters:
-            if not 1 <= i <= n:
-                _check_index(rs, i)
-            m = u[i - 1]
-            # i is an ascent of x exactly when u_i > 0
-            if m > 0:
-                applied.append(i)
-                for j, c in cols[i - 1]:
-                    u[j] -= m * c
-    except TypeError:
-        # _check_index raises its ValueError for a letter that is no index,
-        # such as 1.0 or "1"; an index the loop cannot use starts it again,
-        # on ints that it can use, and any other TypeError is not the letter's
-        _check_index(rs, i)
-        if not isinstance(letters, Sequence):
-            raise
-        return demazure_fold(w, [_check_index(rs, j) for j in letters])
+    for i in letters:
+        if i.__class__ is not int or not 1 <= i <= n:
+            i = _check_index(rs, i)
+        m = u[i - 1]
+        # i is an ascent of x exactly when u_i > 0
+        if m > 0:
+            applied.append(i)
+            for j, c in cols[i - 1]:
+                u[j] -= m * c
     x = WeylElement(rs, tuple(u))
     peel = w.__dict__.get("_peel")  # read only if stored, never walked here
     return x if peel is None else _with_peel(x, (*reversed(applied), *peel))

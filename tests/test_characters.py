@@ -37,6 +37,7 @@ from demazure import (
     rho,
     root_system,
     scale_weight,
+    simple_element,
     simple_reflection,
     sub_weights,
     unirad_mult_identity,
@@ -360,6 +361,13 @@ def test_s_dominant_refuses_a_subset_that_is_not_all_integers():
         s_dominant({1.0}, (1, 0))
 
 
+@pytest.mark.parametrize("subset, mu, bad", [({0}, (1, -1), 0), ({-1}, (1, -1), -1), ({3}, (1, 0), 3)])
+def test_s_dominant_refuses_an_index_outside_the_weight(subset, mu, bad):
+    # 0 read mu's last coordinate and -1 its second last, and 3 raised IndexError
+    with pytest.raises(ValueError, match=rf"^simple index {bad} out of range 1\.\.2$"):
+        s_dominant(subset, mu)
+
+
 class Index:  # anything with __index__, as a numpy integer has
     def __init__(self, n):
         self.n = n
@@ -420,8 +428,16 @@ def test_integer_like_coordinates_are_read_as_ints():
     assert x == from_word(A2, (1, 2)) and [type(i) for i in x._peel] == [int, int]
     assert from_word(A2, [Index(2), Index(2), Index(1)]) == from_word(A2, (2, 2, 1))
     assert demazure_fold(identity(A2), [Index(2)]) == demazure_fold(identity(A2), [2])
-    with pytest.raises(TypeError):  # a one-shot iterator cannot be read again
-        demazure_fold(identity(A2), iter([Index(1)]))
+    # the fold read such a letter a second time, from a Sequence only, so a
+    # one-shot iterator raised TypeError; each letter is now read once
+    assert demazure_fold(identity(A2), iter([Index(1)])) == simple_element(A2, 1)
+    # a bool letter passed the fold's range test and was stored as it came
+    for x in (from_word(A2, (True,)), demazure_fold(identity(A2), [2, True])):
+        assert [type(i) for i in x._peel] == [int] * x.length
+    assert from_word(A2, (True,))._peel == (1,)
+    # the chain ran on the word as it came, and _letter refused Index(1)
+    assert demazure_character(A2, (Index(1),), (1, 0)) == demazure_character(A2, (1,), (1, 0))
+    assert demazure_character(A2, (Index(2), True), (1, 1)) == demazure_character(A2, (2, 1), (1, 1))
 
 
 def test_a_memoised_character_is_keyed_on_ints(monkeypatch):
@@ -440,11 +456,29 @@ def test_a_memoised_character_is_keyed_on_ints(monkeypatch):
     assert seen and all(type(x) is int for lam in seen for x in lam)
 
 
+def test_a_demazure_character_chain_reads_the_letters_as_ints(monkeypatch):
+    # demazure_character handed the memo its word as it came
+    seen = []
+
+    def spy(rs, word, lam):
+        seen.append(word)
+        return items(rs, word, lam)
+
+    items = characters._demazure_items
+    monkeypatch.setattr(characters, "_demazure_items", spy)
+    assert demazure_character(A2, (True, Index(2)), (1, 0)) == demazure_character(A2, (1, 2), (1, 0))
+    assert seen == [(1, 2), (1, 2)] and all(type(i) is int for word in seen for i in word)
+
+
 def test_numpy_coordinates_are_read_as_ints():
     np = pytest.importorskip("numpy")
     for read in WEIGHT_READERS:
         for mu in [(3, -4), (-1, 1), (0, 2)]:
             _assert_read_as_ints(read(tuple(map(np.int64, mu))), read(mu))
+    # a numpy letter passed the fold's range test and was stored as it came
+    for x in (from_word(A2, (np.int64(1), np.int64(2))), demazure_fold(identity(A2), np.array([2, 1]))):
+        assert [type(i) for i in x._peel] == [int, int]
+    assert from_word(A2, (np.int64(1), np.int64(2))) == from_word(A2, (1, 2))
 
 
 def test_a_numpy_weight_leaves_no_numpy_memo_entry():

@@ -683,6 +683,7 @@ states = ["argparse" in sys.modules]
 for argv in (
     ["dual", "--type=A2", "--weight=1,1"],
     ["dim", "--type=A2", "--word=1", "--weight=1,0", "--cache=" + sys.argv[1]],
+    ["sl3t", "--grid", "1", "1"],
     ["dual", "--type", "A2", "--weight", "1,1", "--weight", "1,0"],
 ):
     states.append([run(argv), "argparse" in sys.modules])
@@ -698,7 +699,7 @@ def test_only_the_fallback_parser_imports_argparse(tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [False, [0, False], [0, False], [0, True]]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, [0, False], [0, False], [0, False], [0, True]]
 
 
 # Modules a fresh import of the CLI must not load: ``dataclasses`` brings
@@ -835,6 +836,9 @@ _PLAIN = [
     ["dim", "--type", "A2", "--word", "1", "--weight", "1,0", "--cache", "a=b"],
     ["dim", "--cache==", "--weight=1,0", "--word=1", "--type=A2"],
     ["sl3t", "--k1", "1", "--k2", "0", "--l=-1,0,1"],
+    ["sl3t", "--grid", "1", "1"],
+    ["sl3t", "--grid", "6,3"],
+    ["sl3t", "--grid=6,3"],
 ]
 # argv left to argparse, whatever it makes of them; the first two are
 # goldens that exit 0
@@ -852,7 +856,8 @@ _NOT_PLAIN = [
     [*_GROWTH, "--n", "x"],
     [*_GROWTH, "--n="],
     [*_GROWTH, "--format", "xml"],
-    ["sl3t", "--grid", "1", "1"],
+    ["sl3t", "--grid=2", "1"],
+    ["sl3t", "--grid", "-1", "2"],
 ]
 
 
@@ -865,17 +870,16 @@ def test_plain_parse_matches_argparse_on_every_listed_argv():
         assert _check_plain_parse(argv) is None, argv
     for argv in [case[1] for case in CLI_CASES] + _PARSER_CASES + _EARLIER_CALLS:
         _check_plain_parse(argv)
-    # Every other golden that succeeds without --grid takes the plain
-    # route, so a later edit cannot send all argv back to argparse
-    # unnoticed ...
+    # Every other golden that succeeds takes the plain route, so a later
+    # edit cannot send all argv back to argparse unnoticed ...
     for _name, argv, code, _ in CLI_CASES:
-        if code == 0 and "--grid" not in argv and argv not in _NOT_PLAIN:
+        if code == 0 and argv not in _NOT_PLAIN:
             assert _check_plain_parse(argv) is not None, argv
-    # ... and so does every benchmark argv but sl3t --grid.
+    # ... and so does every benchmark argv, sl3t --grid included.
     argvs = _cli_mix_argvs()
-    assert len(argvs) == 8000
+    assert len(argvs) == 8000 and any("--grid" in argv for argv in argvs)
     for argv in argvs:
-        assert (_check_plain_parse(argv) is None) == ("--grid" in argv), argv
+        assert _check_plain_parse(argv) is not None, argv
 
 
 _ALL_FLAGS = sorted({f"--{flag}" for flag, *_ in cli._FLAGS})
@@ -903,9 +907,11 @@ def _argvs(draw):
     ), max_size=draw(st.sampled_from([0, 0, 0, 2]))))
     argv = [sub]
     for name in draw(st.permutations(names)):
-        value = draw(_VALUES)
+        # one to three values after the flag: --grid given apart takes
+        # them all, and any other flag leaves the extra ones to argparse
+        value, *more = [draw(_VALUES) for _ in range(draw(st.sampled_from([1, 1, 1, 1, 2, 3])))]
         form = draw(st.sampled_from(["apart"] * 4 + ["joined"] * 4 + ["bare"]))
-        argv += {"apart": [name, value], "joined": [f"{name}={value}"], "bare": [name]}[form]
+        argv += {"apart": [name, value], "joined": [f"{name}={value}"], "bare": [name]}[form] + more
     return argv
 
 
