@@ -103,6 +103,7 @@ from demazure.roots import (
     _check_index,
     _check_integral,
     _check_weight,
+    _ints,
     _record,
     _reflect,
     _to_dominant,
@@ -258,8 +259,14 @@ def _unpack(pk: _Packing, cur: dict[int, int]) -> list[tuple[Weight, int]]:
 
 
 def demazure_operator(rs: RootSystem, i: int, char: Character) -> Character:
-    """Apply the single-index operator for alpha_i to a character."""
-    char = {_check_integral(rs, mu): c for mu, c in char.items()}
+    """Apply the single-index operator for alpha_i to a character.
+
+    Each coefficient is read by ``_ints``, so 0.5 or "1" raises
+    ValueError naming the character: a float would make the result
+    inexact.
+    """
+    coefficients = _ints(char.values(), "character {} has a coefficient that is not an integer", char)
+    char = {_check_integral(rs, mu): c for mu, c in zip(char, coefficients)}
     i = _check_index(rs, i)
     pk = _packing(rs, _radius(rs, char))
     return dict(_unpack(pk, _letter(pk, i, {_pack(pk, mu): c for mu, c in char.items() if c})))
@@ -366,10 +373,9 @@ def _multiplicity_input(
     try:
         ints = tuple(map(int, mu))
     except (TypeError, ValueError, OverflowError):  # a str, None, nan or inf
-        return lam, None, radius
-    if ints == mu and all(-radius < k < radius for k in ints):
-        return lam, ints, radius
-    return lam, None, radius
+        ints = None
+    known = ints == mu and all(-radius < k < radius for k in ints)
+    return lam, ints if known else None, radius
 
 
 def weight_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -> int:

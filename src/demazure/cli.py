@@ -110,13 +110,13 @@ def _cached_character(rs, word, lam, cache: str | None):
         try:
             with open(path) as f:
                 stored_key, checksum, text = f.read().split("\n", 2)
-            if stored_key != key or hashlib.sha256(text.encode()).hexdigest() != checksum:
-                raise ValueError("key or checksum mismatch")
-            _, char = character_from_json(text)
-            print(f"cache hit: {name}", file=sys.stderr)
-            return char
+            if stored_key == key and hashlib.sha256(text.encode()).hexdigest() == checksum:
+                _, char = character_from_json(text)
+                print(f"cache hit: {name}", file=sys.stderr)
+                return char
         except (OSError, ValueError):
-            print(f"cache entry {name} is corrupt; recomputing", file=sys.stderr)
+            pass
+        print(f"cache entry {name} is corrupt; recomputing", file=sys.stderr)
     char = demazure_character(rs, word, lam)
     text = character_to_json(rs, char)
     # Write a uniquely named sibling and rename it over the entry, so a

@@ -33,8 +33,9 @@ No module reads the stored Cartan matrix: the build reads the matrix
 it makes, and every other reader takes ``columns``.  No module but this
 one reads a root system's family: what is known per family stays here.
 No module but this one reads ``operator.index`` either: ``_ints`` reads
-every weight coordinate, rank, dilation count and biweight, and
-``_check_index`` every simple index, each as an int or a ValueError.
+every weight coordinate, rank, dilation count, biweight, character
+coefficient and grid bound, and ``_check_index`` every simple index,
+each as an int or a ValueError.
 
 A root system is given by its Dynkin graph and the half-norms
 d_i = (alpha_i, alpha_i)/2 of its simple roots, short roots 1 and long
@@ -420,10 +421,10 @@ def _ints(values: Iterable[int], message: str, *args) -> tuple[int, ...]:
     """values as a tuple of ints; ValueError(message.format(*args)) unless each is an integer.
 
     The package's one reader of integer inputs besides ``_check_index``:
-    every weight coordinate, rank, ``n_max``, biweight and
-    ``s_dominant`` subset is read here, each value through
-    ``operator.index``, so ints, bools and numpy integers pass and a
-    float, a string or None is refused.  A TypeError from iterating
+    every weight coordinate, rank, ``n_max``, biweight, ``s_dominant``
+    subset, character coefficient and ``audit_rows`` grid bound is read
+    here, each value through ``operator.index``, so ints, bools and
+    numpy integers pass and a float, a string or None is refused.  A TypeError from iterating
     values refuses them too.  The message is formatted only when a value
     is refused, so the common path builds no string.
     """

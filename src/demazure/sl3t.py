@@ -188,8 +188,10 @@ def audit_rows(kmax: int, lmax: int) -> Iterator[tuple]:
     for a single biweight.  Route 2 expands the whole character of the
     dual module V(k2, k1) once per (k1, k2) and reads each row's weight
     multiplicity off it, the number ``weight_multiplicity`` gives for a
-    single biweight.
+    single biweight.  kmax and lmax are read by ``_ints``: True is 1,
+    and 0.5 raises ValueError naming both.
     """
+    kmax, lmax = _ints((kmax, lmax), "grid bounds kmax={!r}, lmax={!r} are not both integers", kmax, lmax)
     a2 = root_system("A2")
     span = range(-lmax, lmax + 1)
     for k1 in range(kmax + 1):

@@ -9,15 +9,19 @@ by s_i stores s_i(u).  Left descents are the negative coordinates of
 w(rho).
 
 Each element carries its peel: letters a1, ..., ak with
-w = s_ak ... s_a1, a reduced word of w reversed, stored when known and
-walked otherwise.  A builder that knows a reduced word of its result
-stores it, reversed: ``identity`` the empty word, ``demazure_fold`` the
-letters it applies before the peel of w (when that is stored), and so
-``from_word`` a word whose every letter ascends.  Any other element
-walks once, on first use: reflecting u at its first negative
-coordinate until it reaches rho takes letters a1, ..., ak with
-s_ak ... s_a1 w^{-1} = 1.  Everything else reads the peel without
-scanning again, and any reduced word serves: the length is its count;
+w = s_ak ... s_a1, a reduced word of w reversed.  Every builder that
+knows a reduced word of its result stores it, reversed: ``identity``
+the empty word; ``demazure_fold`` the letters it applies before the
+peel of w, and so ``from_word`` of a word whose every letter ascends,
+``simple_element``, ``demazure_product`` and ``longest_parabolic``,
+which folds its subset in; and ``inverse`` the peel of w backwards.
+Only an element built from a vector walks: ``WeylElement(rs, u)``,
+``longest_element``, ``*``, ``from_word`` of an unreduced word and
+``weyl_group``.  It walks once, on first use, a fold onto it
+included: reflecting u at its first negative coordinate until it
+reaches rho takes letters a1, ..., ak with s_ak ... s_a1 w^{-1} = 1.
+Everything else reads the peel without scanning again, and any
+reduced word serves: the length is its count;
 ``apply`` reflects a weight along it, a1 first, and w(rho) is rho
 reflected so; ``*`` reflects along it reversed; and
 ``demazure_product`` folds it reversed.
@@ -114,8 +118,9 @@ class WeylElement:
     def _peel(self) -> tuple[int, ...]:
         """Letters a1, ..., ak with w = s_ak ... s_a1: a reduced word of w, reversed.
 
-        A builder that knows one stores it with ``_with_peel``; otherwise
-        the first read walks u to rho, and takes these letters.
+        Every builder that knows one stores it with ``_with_peel``; for an
+        element built from a vector, the first read walks u to rho, and
+        takes these letters.
         """
         return tuple(_to_dominant(self.rs.columns, list(self.u)))
 
@@ -227,7 +232,7 @@ def all_reduced_words(w: WeylElement) -> Iterator[tuple[int, ...]]:
 
 
 def inverse(w: WeylElement) -> WeylElement:
-    return WeylElement(w.rs, _rho_image(w))
+    return _with_peel(WeylElement(w.rs, _rho_image(w)), w._peel[::-1])
 
 
 @lru_cache(maxsize=None)
@@ -238,14 +243,13 @@ def longest_element(rs: RootSystem) -> WeylElement:
 
 def longest_parabolic(rs: RootSystem, subset: Iterable[int]) -> WeylElement:
     """Longest element of the parabolic subgroup generated by {s_i : i in subset}."""
-    # Greedy ascent inside the parabolic: keep adding the smallest
-    # generator that still increases length; the unique element with no
-    # ascent in the subset is the parabolic longest element.
+    # Fold the subset in until a pass adds no letter: the unique element
+    # with no ascent in the subset is the parabolic longest element.
     order = sorted({_check_index(rs, i) for i in subset})
-    u = rho(rs)
-    while i := next((i for i in order if u[i - 1] > 0), 0):
-        u = _reflect(rs, u, (i,))
-    return WeylElement(rs, u)
+    w = identity(rs)
+    while (x := demazure_fold(w, order)) != w:
+        w = x
+    return w
 
 
 def min_coset_rep(rs: RootSystem, subset: Iterable[int]) -> WeylElement:
@@ -273,8 +277,8 @@ def demazure_fold(w: WeylElement, letters: Iterable[int]) -> WeylElement:
     """Fold letters into w by x*s = xs if that is longer, else x.
 
     The letters applied, j1, ..., jm, give x = w s_j1 ... s_jm with the
-    lengths adding, so when w's peel is stored, x's is
-    (jm, ..., j1) followed by it.  An unstored peel is not walked for it.
+    lengths adding, so x stores as its peel (jm, ..., j1) followed by
+    w's.  A w built from a vector walks its peel here, once.
 
     Each letter is read once.  A plain int in 1..rank is used as it
     comes; any other letter goes through ``_check_index``, which returns
@@ -297,9 +301,7 @@ def demazure_fold(w: WeylElement, letters: Iterable[int]) -> WeylElement:
             applied.append(i)
             for j, c in cols[i - 1]:
                 u[j] -= m * c
-    x = WeylElement(rs, tuple(u))
-    peel = w.__dict__.get("_peel")  # read only if stored, never walked here
-    return x if peel is None else _with_peel(x, (*reversed(applied), *peel))
+    return _with_peel(WeylElement(rs, tuple(u)), (*reversed(applied), *w._peel))
 
 
 def demazure_product(w: WeylElement, v: WeylElement) -> WeylElement:

@@ -501,6 +501,14 @@ def test_demazure_operator_refuses_a_term_of_the_wrong_length(term):
         demazure_operator(A2, 1, {(0, 1): 1, term: 1})
 
 
+@pytest.mark.parametrize("coefficient", [0.5, "1"])
+def test_demazure_operator_refuses_a_coefficient_that_is_not_an_integer(coefficient):
+    # 0.5 gave floats from an exact library, and "1" a TypeError
+    message = f"character {{(1, 0): {coefficient!r}}} has a coefficient that is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        demazure_operator(A2, 1, {(1, 0): coefficient})
+
+
 def test_freudenthal_agrees_with_character_expansion():
     # independent recursion vs the Demazure-expanded character
     grids = [

@@ -161,6 +161,14 @@ def test_audit_rows():
     assert (member, closed, weights, steps, agree) == (True, 2, 2, 2, True)
 
 
+def test_audit_rows_reads_its_grid_bounds_as_integers():
+    # a float bound reached range() as a TypeError before
+    message = "grid bounds kmax=0.5, lmax=0 are not both integers"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        list(audit_rows(0.5, 0))
+    assert list(audit_rows(True, 1)) == list(audit_rows(1, 1))
+
+
 @pytest.mark.parametrize("kmax, lmax", [(3, 2), (1, 3)])
 def test_audit_rows_match_public_routes(kmax, lmax):
     # Every audit column against the public per-biweight function it stands for.

@@ -3,8 +3,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from demazure import cli, weyl
+from demazure import branching, cli, weyl
 from demazure import (
+    LeviDatum,
     all_reduced_words,
     demazure_fold,
     demazure_product,
@@ -22,6 +23,7 @@ from demazure import (
     root_system,
     simple_element,
     simple_reflection,
+    unirad_mult_identity,
     weyl_group,
 )
 from demazure.roots import _to_dominant
@@ -541,11 +543,11 @@ def test_weight_reflections_match_reference_reflection(data):
     assert straighten(rs.columns, subset, mu) == expected
 
 
-# Stored peels.  A builder that knows a reduced word of its result stores
-# it, reversed, as the peel; any other element walks u to rho on first
-# use.  The oracle is that walk: a stored peel must be as long as it, and
-# reflect rho, first letter first, to the same w(rho) by the tuple
-# reflection, so it spells w with no letter to spare.
+# Stored peels.  Every builder that knows a reduced word of its result
+# stores it, reversed, as the peel; an element built from a vector walks
+# u to rho on first use.  The oracle is that walk: a stored peel must be
+# as long as it, and reflect rho, first letter first, to the same w(rho)
+# by the tuple reflection, so it spells w with no letter to spare.
 
 PEEL_TYPES = ("B3", "D4", "F4", "E6", "G2")
 
@@ -583,19 +585,25 @@ def test_stored_peels_are_reduced_words_reversed(data):
     reduced = len(words[1]) == len(_to_dominant(rs.columns, list(y.u)))
     assert (_stored_peel(y) is not None) == reduced
     z = from_word(rs, _ascents(rs, words[2]))
+    # elements built from a vector; E6's group takes about 1 s to list,
+    # so its draw is w0 again
+    group = (longest_element(rs),) if rs.name == "E6" else weyl_group(rs)
+    vectors = [longest_element(rs), data.draw(st.sampled_from(group)), WeylElement(rs, x.u)]
+    subset = data.draw(st.sets(st.integers(1, rs.rank)))
     built = [
         e, x, z, from_word(rs, reduced_word(x)),
         *(simple_element(rs, i) for i in range(1, rs.rank + 1)),
         demazure_fold(x, words[1]), demazure_fold(z, words[2]), demazure_product(x, z),
-        demazure_product(z, y),
+        demazure_product(z, y), *(demazure_fold(v, words[2]) for v in vectors),
+        longest_parabolic(rs, subset), inverse(x), inverse(y),
     ]
     assert all(_stored_peel(w) is not None for w in built)
     assert _stored_peel(e) == ()
-    # folding into an element whose peel is not stored neither walks it nor stores one
-    fresh = WeylElement(rs, x.u)
-    folded = demazure_fold(fresh, words[2])
-    assert "_peel" not in vars(fresh) and "_peel" not in vars(folded)
-    assert folded == demazure_fold(x, words[2])
+    # each fold walked the element built from a vector it was onto, and
+    # the one onto WeylElement(rs, x.u) is the product onto x
+    assert all(_stored_peel(v) is not None for v in vectors)
+    assert demazure_fold(vectors[2], words[2]) == demazure_fold(x, words[2])
+    assert inverse(x)._peel == x._peel[::-1]
 
 
 def test_a_known_reduced_word_takes_no_peel_walk(monkeypatch, capsys):
@@ -617,6 +625,27 @@ def test_a_known_reduced_word_takes_no_peel_walk(monkeypatch, capsys):
     # refuses the word without a walk; it walked a second product before
     with pytest.raises(ValueError, match="not reduced"):
         weyl._check_reduced(root_system("E6"), (1, 3, 3))
+    assert len(walks) == 1
+
+
+def test_a_levi_subset_walks_once(monkeypatch):
+    # w_S keeps the peel its fold stored, so neither query walks it:
+    # the coset representative w_S * w0 walks for its length, and the
+    # unipotent-radical identity walks for the lexicographic word of w_S
+    walks = []
+
+    def counted(cols, x):
+        walks.append(None)
+        return _to_dominant(cols, x)
+
+    b3 = root_system("B3")
+    assert longest_element(b3).length == 9  # w0 built and walked before counting
+    monkeypatch.setattr(weyl, "_to_dominant", counted)
+    rep = weyl._min_coset_rep.__wrapped__(b3, frozenset({1, 2}))
+    assert rep.length == 6 and len(walks) == 1
+    branching._levi_char_items.cache_clear()
+    walks.clear()
+    assert unirad_mult_identity((1, 1, 0), LeviDatum(b3, {1, 2})) == (8, 8, True)
     assert len(walks) == 1
 
 
