@@ -70,21 +70,31 @@ module reads a packing.
 serve as cross-checks.  Freudenthal's pass first writes lam - mu+ in
 simple roots by one integer solve on the Dynkin tree,
 ``_simple_coordinates``, and returns 0 before any sum when mu+ is not
-below lam; it keeps no table per root system.  Its recursion runs as
-one loop over the dominant weights between mu and lam, in order of
-height below lam, on integers only.  It stores for each of them the
-tail of every positive-root string above it and gets each new tail from
-a stored one at a dominant weight higher up: memo-first, by one lookup
-of nu + alpha when that is dominant, and otherwise by a walk into the
-dominant chamber (multiplicities and the inner product are
-W-invariant).  It keeps one table of entries, by packed key: its
-weights are packed by ``_packing`` and ``_pack`` too, with the radius
-rounded up to a power of two, so the packed zero weight is a mask of
-one sign bit per digit, nu +- alpha is one addition and dominance one
-mask test.  The norm |lam+rho|^2 - |nu+rho|^2 is carried down the
-search.  Each tail is an exact finite sum and each multiplicity one
-integer division whose remainder must be zero, so nothing is rounded
-and a broken table raises instead of returning a wrong number.
+below lam.  It reads the positive roots from one table per root system,
+``RootSystem.highest_first``: highest first, each with (alpha, alpha),
+its height, 2 (rho, alpha) - (alpha, alpha) and its raises, the index
+of s_j alpha for each j with <alpha, alpha_j^vee> < 0.  Its recursion
+runs as one loop over the dominant weights between mu and lam, in order
+of height below lam, on integers only.  It stores for each of them the
+tail of every positive-root string above it and gets each new tail
+from a stored one: by one lookup of nu + alpha when that is dominant;
+otherwise, when some raise j has nu_j = 0, from the tail of s_j alpha at
+the same nu, already computed as the roots come highest first (s_j fixes
+nu, and multiplicities and the inner product are W-invariant, which the
+pass checks as (alpha, alpha) = (s_j alpha, s_j alpha)); and otherwise,
+only in types B, C, F and G, by a walk into the dominant chamber.  It
+keeps one table of entries, by packed key: its weights are packed by
+``_packing`` and ``_pack`` too, with the radius rounded up to a power of
+two, so the packed zero weight is a mask of one sign bit per digit,
+nu +- alpha is one addition, dominance one mask test and nu_j = 0 one
+digit read; no visited weight is held as a tuple.  Each queued weight
+carries its pairings (nu, alpha) with every positive root, those of
+nu - alpha_k being nu's less one row of inner products (alpha_k, alpha),
+built from ``RootSystem.dots`` when the call first reads it, and the
+norm |lam+rho|^2 - |nu+rho|^2 is carried down the search too.  Each
+tail is an exact finite sum and each multiplicity one integer division
+whose remainder must be zero, so nothing is rounded and a broken table
+raises instead of returning a wrong number.
 """
 
 from __future__ import annotations
@@ -94,7 +104,7 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import compress
 from math import prod
-from operator import add, mul, sub
+from operator import mul, sub
 
 from demazure.roots import (
     RootSystem,
@@ -181,6 +191,11 @@ def _packing(rs: RootSystem, radius: int) -> _Packing:
 def _pack(pk: _Packing, mu: Weight) -> int:
     # reads the nonzero coordinates only, which a root of high rank has few of
     return sum(map(mul, filter(None, mu), compress(pk.places, mu))) + pk.offset
+
+
+def _weight(pk: _Packing, key: int) -> Weight:
+    """The weight packed as key."""
+    return tuple([key // p % pk.base - pk.radius for p in pk.places])
 
 
 def _letter(pk: _Packing, i: int, cur: dict[int, int]) -> dict[int, int]:
@@ -521,35 +536,53 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
     weight, and since weights fill unbroken root strings and nu is one,
     no nu + k alpha is: the tail is 0.
 
-    The lookup is memo-first.  For most pairs nu + alpha is dominant
-    already: then d = nu + alpha and beta = alpha, with no walk.  Every
-    stored weight is dominant and, once the level above nu is processed,
-    every dominant weight above nu in the search is stored; so a stored
-    entry at nu + alpha is d's, and a dominant nu + alpha with no entry
-    is not below lam, and its tail is 0.  Only a non-dominant nu + alpha
-    takes the ``roots._to_dominant`` walk to d, and beta follows from its
-    letters, by ``roots._reflect``, only when d has a stored entry.  One
-    table holds the entries, by packed key, and the packed keys make the
-    first case a few integer operations.  They come from ``_packing`` with
-    the radius 2^t, the least power of two that is at least both
-    ``_radius`` of lam + theta, theta the highest root, and max(gap) + 1.
-    Every weight the pass packs (nu, nu +- alpha and a walked d) is a
-    weight of V(lam) (x) V(theta), the adjoint module, so it lies in the
-    hull of W.(lam + theta) that ``_radius`` bounds; so nu +- alpha is one
-    integer addition, bit t of every digit is set exactly when the weight
-    is dominant, and no two weights share a key.  The remaining room
+    The roots are read from ``rs.highest_first``, highest first, so each
+    tail may read a higher root's tail at the same nu.  For most pairs
+    nu + alpha is dominant already: then d = nu + alpha and beta = alpha,
+    one lookup.  Every stored weight is dominant and, once the level
+    above nu is processed, every dominant weight above nu in the search is
+    stored; so a stored entry at nu + alpha is d's, and a dominant
+    nu + alpha with no entry is not below lam, and its tail is 0.  When
+    nu + alpha is not dominant, some j has <alpha, alpha_j^vee> < 0, one of
+    alpha's raises; if nu_j = 0 for one of them, s_j fixes nu and takes
+    alpha to the higher root s_j alpha, so (Moody and Patera, *Bull. AMS*
+    7, 1982)
+
+        T(nu, alpha) = T(nu, s_j alpha),
+
+    a tail already computed at nu.  That rests on the W-invariance of
+    ( , ), so the pass checks (alpha, alpha) = (s_j alpha, s_j alpha)
+    first, and raises RuntimeError at nu when a broken table fails it.
+    Only the rest, where nu_j >= 1 and <alpha, alpha_j^vee> <= -2 (types
+    B, C, F and G), unpack nu + alpha from its key and take the
+    ``roots._to_dominant`` walk to d; beta follows from its letters, by
+    ``roots._reflect`` and ``rs.highest_first_index``, only when d has a
+    stored entry.  One table holds the entries, by packed key, and the
+    packed keys make the first two cases a few integer operations.  They
+    come from ``_packing`` with the radius 2^t, the least power of two
+    that is at least both ``_radius`` of lam + theta, theta the highest
+    root, and max(gap) + 1.  Every weight the pass packs (nu, nu +- alpha
+    and a walked d) is a weight of V(lam) (x) V(theta), the adjoint
+    module, so it lies in the hull of W.(lam + theta) that ``_radius``
+    bounds; so nu +- alpha is one integer addition, bit t of every digit
+    is set exactly when the weight is dominant, nu_j = 0 exactly when
+    digit j is 2^t, and no two weights share a key.  The remaining room
     gap - (lam - nu), in simple roots, lies in -h..max(gap), h < 2^t the
     largest simple-root coefficient of a root; it is packed the same way,
     and one mask test keeps the search inside the gap.
 
-    Everything is an integer.  The norm N(nu) = |lam+rho|^2 - |nu+rho|^2
-    is carried down the search from N(lam) = 0:
+    Everything is an integer.  Each queued nu carries its pairings
+    (nu, alpha) over the table, and the norm N(nu) = |lam+rho|^2 -
+    |nu+rho|^2, carried down the search from N(lam) = 0:
 
-        N(nu - alpha) = N(nu) + 2 (nu, alpha) + 2 (rho, alpha) - (alpha, alpha),
+        (nu - alpha_k, alpha) = (nu, alpha) - (alpha_k, alpha),
+        N(nu - alpha) = N(nu) + 2 (nu, alpha) + 2 (rho, alpha) - (alpha, alpha).
 
-    all integers, since (mu, alpha) is the dot vector of alpha applied to
-    mu.  Each multiplicity is one exact division; a remainder or a
-    negative quotient raises RuntimeError.
+    lam's pairings are the dot vectors of ``rs.dots`` applied to lam, and
+    the row (alpha_k, alpha) over the table is built from them when the
+    call first subtracts alpha_k, so no call holds more rows than roots
+    it subtracts.  Each multiplicity is one exact division; a remainder or
+    a negative quotient raises RuntimeError.
 
     >>> freudenthal_multiplicity(root_system("A1"), (4000,), (0,))
     1
@@ -563,47 +596,61 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[in
         return 0
     radius = max(_radius(rs, [add_weights(lam, rs.positive_roots_fund[-1])]), max(gap) + 1)
     pk = _packing(rs, 1 << (radius - 1).bit_length())
-    mask = pk.offset  # bit t of every digit
-    # k, alpha packed, alpha, its simple-root coordinates packed, its height,
-    # its dot vector, (alpha, alpha) and 2 (rho, alpha) - (alpha, alpha)
+    mask, places, base, radius = pk.offset, pk.places, pk.base, pk.radius
+    table = rs.highest_first
+    # per entry of the table: its index i, alpha packed, its simple-root
+    # coordinates packed, alpha, (alpha, alpha), its height,
+    # 2 (rho, alpha) - (alpha, alpha) and its raises
     roots = [
-        (k, _pack(pk, alpha) - mask, alpha, _pack(pk, c) - mask, sum(c), dots, sq, 2 * sum(dots) - sq)
-        for k, (alpha, c, dots) in enumerate(zip(rs.positive_roots_fund, rs.positive_roots, rs.dots))
-        for sq in [sum(map(mul, dots, alpha))]
+        (i, _pack(pk, alpha) - mask, _pack(pk, c) - mask, alpha, *rest)
+        for i, (alpha, c, _, *rest) in enumerate(table)
     ]
-    index = {alpha: k for k, alpha in enumerate(rs.positive_roots_fund)}
+    gram: dict[int, list[int]] = {}  # i -> (alpha, alpha_i) over the table, built when first read
     # packed dominant weight -> None while queued, (multiplicity, tails) once
     # computed; lam's entry is preset: m = 1, every tail 0
     entries: dict[int, tuple[int, list[int]] | None] = {_pack(pk, lam): (1, [0] * len(roots))}
-    # height of lam - nu -> [(packed nu, nu, packed gap - (lam - nu), N(nu))]
-    levels: list[list[tuple[int, Weight, int, int]]] = [[] for _ in range(sum(gap) + 1)]
-    levels[0].append((_pack(pk, lam), lam, _pack(pk, gap), 0))
+    # height of lam - nu -> [(packed nu, packed gap - (lam - nu), N(nu), (nu, alpha) over the table)]
+    levels: list[list[tuple[int, int, int, list[int]]]] = [[] for _ in range(sum(gap) + 1)]
+    pairs = [sum(map(mul, dots, lam)) for _, _, dots, *_ in table]
+    levels[0].append((_pack(pk, lam), _pack(pk, gap), 0, pairs))
     for height, level in enumerate(levels):
-        for key, nu, room, norm in level:
+        for key, room, norm, pairs in level:
             tails = []
-            for k, a, alpha, c, ht, dots, sq, rise in roots:
-                pair = sum(map(mul, dots, nu))  # (nu, alpha)
+            for (i, a, c, alpha, sq, ht, rise, raises), pair in zip(roots, pairs):
                 below = key - a
                 if below & mask == mask and below not in entries:  # nu - alpha is dominant and new
                     left = room - c
                     if left & mask == mask:  # and within the gap
                         entries[below] = None
+                        row = gram.get(i)
+                        if row is None:
+                            row = gram[i] = [sum(map(mul, dots, alpha)) for _, _, dots, *_ in table]
                         below_norm = norm + 2 * pair + rise
-                        levels[height + ht].append((below, tuple(map(sub, nu, alpha)), left, below_norm))
+                        levels[height + ht].append((below, left, below_norm, list(map(sub, pairs, row))))
                 if not height:  # lam's entry is preset
                     continue
                 up = key + a
                 if up & mask == mask:  # d = nu + alpha, beta = alpha
-                    entry, beta = entries.get(up), k
+                    entry = entries.get(up)
+                    tails.append(entry[0] * (pair + sq) + entry[1][i] if entry else 0)
+                    continue
+                for j, h in raises:
+                    if key // places[j] % base == radius:  # nu_j = 0, so T(nu, alpha) = T(nu, s_j alpha)
+                        if roots[h][4] != sq:  # the form is W-invariant unless the table is broken
+                            nu = _weight(pk, key)
+                            raise RuntimeError(f"{rs.name}: Freudenthal recursion broke at {nu}")
+                        tails.append(tails[h])
+                        break
                 else:
-                    x = list(map(add, nu, alpha))
+                    x = list(_weight(pk, up))
                     letters = _to_dominant(rs.columns, x)
                     entry = entries.get(_pack(pk, x))
-                    beta = index[_reflect(rs, alpha, letters)] if entry else k
-                tails.append(entry[0] * (pair + sq) + entry[1][beta] if entry else 0)
+                    beta = rs.highest_first_index[_reflect(rs, alpha, letters)] if entry else i
+                    tails.append(entry[0] * (pair + sq) + entry[1][beta] if entry else 0)
             if height:
                 value, rem = divmod(2 * sum(tails), norm)
                 if rem or value < 0:
+                    nu = _weight(pk, key)
                     raise RuntimeError(f"{rs.name}: Freudenthal recursion broke at {nu}")
                 entries[key] = (value, tails)
     return entries[_pack(pk, bottom)][0]

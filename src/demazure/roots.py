@@ -27,7 +27,8 @@ Levi walk there subtracts a multiple of it from a packed weight.
 
 ``_to_dominant`` is the one walk into the dominant chamber, reflecting
 at the first negative coordinate until none is left: reduced words,
-w(rho), ``dominant_conjugate`` and Freudenthal's tails all take it.
+w(rho), ``dominant_conjugate`` and the Freudenthal tails that no
+stabiliser gives, in types B, C, F and G only, take it.
 
 No module reads the stored Cartan matrix: the build reads the matrix
 it makes, and every other reader takes ``columns``.  No module but this
@@ -64,10 +65,11 @@ classical formula for each family at construction time.
 
 A root system's fields are what the build makes; equality compares
 them.  What readers derive from them, the dot vectors of the positive
-roots, the order of the Weyl group and the table of Weyl's dimension
-product over all positive roots, are ``_cached`` attributes: each is
-computed on its first read and stored on the instance, so a build that
-nothing reads them from never pays for them.
+roots, the order of the Weyl group, the table of Weyl's dimension
+product over all positive roots, and Freudenthal's table of the
+positive roots highest first with its index, are ``_cached``
+attributes: each is computed on its first read and stored on the
+instance, so a build that nothing reads them from never pays for them.
 
 >>> a2 = root_system("A2")
 >>> a2.cartan
@@ -203,8 +205,11 @@ class RootSystem:
     - ``symmetrizer``: d_i = (alpha_i, alpha_i)/2, short roots 1, the
       least positive integers with d_i * a_ij == d_j * a_ji.
 
-    ``dots``, ``order`` and ``dim_table`` are ``_cached``: derived from
-    the fields on their first read, and stored on the instance.
+    ``dots``, ``order``, ``dim_table``, ``highest_first`` and
+    ``highest_first_index`` are ``_cached``: derived from the fields on
+    their first read, and stored on the instance.  The last two are built
+    from the instance's own ``dots``, never memoised by root system, so a
+    copy that equals this one but holds other dot vectors reads its own.
     """
 
     family: str
@@ -251,6 +256,34 @@ class RootSystem:
     def dim_table(self) -> tuple[tuple[Weight, ...], tuple[int, ...], int]:
         """Weyl's dimension product over all positive roots, as ``_dim_table`` lays it out."""
         return _dim_table(self.dots)
+
+    @_cached
+    def highest_first(self) -> tuple[tuple, ...]:
+        """The positive roots highest first, each with what Freudenthal's pass reads of it.
+
+        Entry i is alpha = ``positive_roots[-1 - i]``, as (fundamental
+        coordinates, simple-root coordinates, dot vector, (alpha, alpha),
+        height, 2 (rho, alpha) - (alpha, alpha), raises).  The norm applies
+        alpha's entry of ``dots`` to its fundamental coordinates, and
+        (rho, alpha) is that entry's sum, so a copy with other dot vectors
+        reads its own norms.  raises holds a pair (j, h) for each 0-based j
+        with <alpha, alpha_j^vee> < 0, j ascending: entry h is the root
+        s_j alpha = alpha - <alpha, alpha_j^vee> alpha_j, which is higher,
+        so h < i.
+        """
+        index = self.highest_first_index
+        out = []
+        for c, fund, v in zip(*map(reversed, (self.positive_roots, self.positive_roots_fund, self.dots))):
+            sq = sum(map(mul, v, fund))
+            raises = tuple((j, index[_reflect(self, fund, (j + 1,))]) for j, p in enumerate(fund) if p < 0)
+            out.append((fund, c, v, sq, sum(c), 2 * sum(v) - sq, raises))
+        return tuple(out)
+
+    @_cached
+    def highest_first_index(self) -> dict[Weight, int]:
+        """The entry of each positive root in ``highest_first``, keyed by its fundamental coordinates."""
+        last = len(self.positive_roots_fund) - 1
+        return {alpha: last - k for k, alpha in enumerate(self.positive_roots_fund)}
 
     @_cached
     def order(self) -> int:

@@ -188,14 +188,17 @@ def audit_rows(kmax: int, lmax: int) -> Iterator[tuple]:
     for a single biweight.  Route 2 expands the whole character of the
     dual module V(k2, k1) once per (k1, k2) and reads each row's weight
     multiplicity off it, the number ``weight_multiplicity`` gives for a
-    single biweight.  kmax and lmax are read by ``_ints``: True is 1,
-    and 0.5 raises ValueError naming both.
+    single biweight.  kmax and lmax are read by ``_ints`` when it is
+    called, before any row: True is 1, and 0.5 raises ValueError naming
+    both.  It returns the rows as an iterator, computed as they are read.
     """
     kmax, lmax = _ints((kmax, lmax), "grid bounds kmax={!r}, lmax={!r} are not both integers", kmax, lmax)
     a2 = root_system("A2")
     span = range(-lmax, lmax + 1)
-    for k1 in range(kmax + 1):
-        for k2 in range(kmax + 1):
-            dual = weyl_character(a2, (k2, k1))
-            for l in product(span, repeat=3):
-                yield _audit_row(k1, k2, l, dual.get(torus_weight_coords(l), 0))
+    return (
+        _audit_row(k1, k2, l, dual.get(torus_weight_coords(l), 0))
+        for k1 in range(kmax + 1)
+        for k2 in range(kmax + 1)
+        for dual in [weyl_character(a2, (k2, k1))]
+        for l in product(span, repeat=3)
+    )

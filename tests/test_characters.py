@@ -57,7 +57,7 @@ from demazure.characters import (
     _simple_coordinates,
     _unpack,
 )
-from demazure.roots import _check_index
+from demazure.roots import _check_index, _to_dominant
 from oracles import descent, gram_rows, half_norms, rebuilt, scaled_inverse_cartan, simple_root
 from test_golden import CLI_CASES, GOLDEN
 
@@ -766,6 +766,47 @@ def test_freudenthal_rank_one_deep(k):
     for mu in range(-k - 5, k + 6):
         if (k - mu) % 2 or abs(mu) > k:
             assert freudenthal_multiplicity(A1, (k,), (mu,)) == 0, (k, mu)
+
+
+def _counted_walks(monkeypatch):
+    """The list that each chamber walk of Freudenthal's pass appends to."""
+    walks = []
+
+    def counted(cols, x):
+        walks.append(tuple(x))
+        return _to_dominant(cols, x)
+
+    monkeypatch.setattr(characters, "_to_dominant", counted)
+    return walks
+
+
+def test_freudenthal_walks_only_where_no_stabiliser_applies(monkeypatch):
+    # a non-dominant nu + alpha has some j with <alpha, alpha_j^vee> < 0
+    # and nu_j + <alpha, alpha_j^vee> < 0; when nu_j = 0 its tail is that of
+    # s_j alpha, so a walk is left only where nu_j >= 1 and
+    # <alpha, alpha_j^vee> <= -2, never in type A; walking every
+    # non-dominant nu + alpha took 5,049 walks for A100 and 97,085 for C6
+    walks = _counted_walks(monkeypatch)
+    a100 = root_system("A100")
+    assert freudenthal_multiplicity(a100, (1,) + (0,) * 98 + (1,), (0,) * 100) == 100
+    assert walks == []
+    assert freudenthal_multiplicity(root_system("C6"), (2,) * 6, (0,) * 6) == 1_189_574_122_941
+    assert 0 < len(walks) <= 6_797
+
+
+def test_freudenthal_matches_the_character_where_stabilisers_and_walks_meet(monkeypatch):
+    # every dominant weight of every V(lam) with coordinates in 0..2, in
+    # the types where both the stabiliser and the remaining walk are taken
+    walks = _counted_walks(monkeypatch)
+    start = time.perf_counter()
+    for name in ("B2", "G2", "B3", "C3"):
+        rs = root_system(name)
+        for lam in product(range(3), repeat=rs.rank):
+            for mu, c in weyl_character(rs, lam).items():
+                if min(mu) >= 0:
+                    assert freudenthal_multiplicity(rs, lam, mu) == c, (name, lam, mu)
+    assert time.perf_counter() - start < 2.0
+    assert walks
 
 
 def test_a_corrupted_root_table_breaks_freudenthal():

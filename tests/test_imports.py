@@ -170,6 +170,17 @@ def test_one_function_packs_a_memoised_character():
     }
 
 
+def test_one_function_walks_into_the_dominant_chamber():
+    # the walkers that the roots and characters docstrings list: a Weyl
+    # element's peel and word, dominant_conjugate, and the Freudenthal
+    # tails that no stabiliser gives
+    assert _callers("_to_dominant") == {
+        ("characters.py", "freudenthal_multiplicity"),
+        ("roots.py", "dominant_conjugate"),
+        ("weyl.py", "WeylElement"),
+    }
+
+
 def test_no_module_imports_dataclasses():
     assert [p.name for p in SRC.glob("*.py") if "dataclasses" in _imported_modules(p)] == []
 

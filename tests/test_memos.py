@@ -5,11 +5,14 @@ has a finite ``maxsize``.  Only memos keyed on the root system alone (or
 on nothing) may be unbounded: there are finitely many root systems.
 A value that depends on one root system alone is no memo at all: it is
 a ``_cached`` attribute of the ``RootSystem`` (``dots``, ``order``,
-``dim_table``), stored on the instance on its first read.  So is the
-table of a Levi's positive roots: ``LeviDatum.dim_table``, stored on the
-``LeviDatum`` that a query builds.  ``roots._build_root_system`` is
-keyed on the upper-case family and the int rank that
-``build_root_system`` checks, never on its raw arguments.
+``dim_table``, ``highest_first``, ``highest_first_index``), stored on
+the instance on its first read.  So is the table of a Levi's positive
+roots: ``LeviDatum.dim_table``, stored on the ``LeviDatum`` that a query
+builds.  Freudenthal's tables are built from the instance's own
+``dots``: a memo keyed on the root system would hand a copy that equals
+A2 and hashes like it, but holds other dot vectors, the real A2's table.
+``roots._build_root_system`` is keyed on the upper-case family and the
+int rank that ``build_root_system`` checks, never on its raw arguments.
 ``MEMOS`` lists every memo with its ``maxsize``, so none is added,
 dropped or resized without a line here.
 ``perfbench/worker.py`` reads ``cache_info()`` of two of them under

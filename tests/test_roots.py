@@ -190,6 +190,31 @@ def test_dots_coroot_pairing_is_two():
             assert sum(d * a for d, a in zip(dots, alpha)) == 2 * half_norm, name
 
 
+@pytest.mark.parametrize("name", [
+    "A1", "A2", "A3", "A5", "B2", "B3", "B5", "C3", "C5", "D4", "D6", "G2", "F4", "E6", "E7", "E8",
+    "A30", "D30",
+])
+def test_highest_first_raises_match_a_simple_root_oracle(name):
+    # in simple-root coordinates, with the pairings read off the bond
+    # Cartan matrix: s_j alpha_k = alpha_k - <alpha_k, alpha_j^vee> alpha_j,
+    # listed for exactly the j where that pairing is negative
+    rs = root_system(name)
+    a = bond_cartan_matrix(rs.family, rs.rank)
+    down = rs.positive_roots[::-1]
+    halves = half_norms(rs.positive_roots, rs.positive_roots_fund, rs.symmetrizer)[::-1]
+    table = rs.highest_first
+    fields = zip(rs.positive_roots_fund, rs.positive_roots, rs.dots)
+    assert [entry[:3] for entry in table] == list(fields)[::-1]
+    assert rs.highest_first_index == {entry[0]: k for k, entry in enumerate(table)}
+    for k, (_, c, dots, sq, height, rise, raises) in enumerate(table):
+        assert (sq, height, rise) == (2 * halves[k], sum(c), 2 * sum(dots) - sq), (name, c)
+        pairings = [sum(ci * a[j][i] for i, ci in enumerate(c)) for j in range(rs.rank)]
+        assert [j for j, _ in raises] == [j for j, p in enumerate(pairings) if p < 0], (name, c)
+        for j, h in raises:
+            assert down[h] == tuple(ci - pairings[j] * (i == j) for i, ci in enumerate(c)), (name, c, j)
+            assert h < k
+
+
 @pytest.mark.parametrize("name, symmetrizer", [("G2", (1, 2)), ("B3", (1, 1, 2)), ("A2", (1, -1))])
 def test_dots_raise_on_a_bad_norm(name, symmetrizer):
     # an odd (G2, B3) or a nonpositive (A2) root norm raises on every read
@@ -207,14 +232,17 @@ def _counting(fn, calls):
     return counted
 
 
+CACHED = ("dots", "order", "dim_table", "highest_first", "highest_first_index")
+
+
 def test_dots_and_order_are_computed_once_per_instance(monkeypatch):
     calls = []
-    for attr in ("dots", "order", "dim_table"):
+    for attr in CACHED:
         descriptor = vars(RootSystem)[attr]
         monkeypatch.setattr(descriptor, "fn", _counting(descriptor.fn, calls))
     named = root_system("B3")
     fresh = rebuilt(named)
-    assert fresh is not named and not {"dots", "order", "dim_table"} & set(vars(fresh))
+    assert fresh is not named and not set(CACHED) & set(vars(fresh))
     dots, order = fresh.dots, fresh.order
     assert fresh.dots is dots and fresh.order == order
     assert calls == ["dots", "order"]
@@ -223,9 +251,14 @@ def test_dots_and_order_are_computed_once_per_instance(monkeypatch):
     table = fresh.dim_table
     assert fresh.dim_table is table and table[0] is dots and table[2] == prod(table[1])
     assert calls == ["dots", "order", "dim_table"]
+    # so is Freudenthal's table, which reads the index of its raises once
+    down = fresh.highest_first
+    assert fresh.highest_first is down and fresh.highest_first_index is vars(fresh)["highest_first_index"]
+    assert len(down) == len(dots) and all(entry[2] is v for entry, v in zip(down, reversed(dots)))
+    assert calls == ["dots", "order", "dim_table", "highest_first", "highest_first_index"]
     # they are stored on the instance, not as fields: equality and hashing ignore them
     assert fresh == named and hash(fresh) == hash(named)
-    assert not {"dots", "order", "dim_table"} & set(vars(rebuilt(fresh)))
+    assert not set(CACHED) & set(vars(rebuilt(fresh)))
 
 
 ORDER_NAMES = [
@@ -396,7 +429,7 @@ def test_repr_names_the_system():
 
 def test_a_cached_attribute_read_on_the_class_is_its_descriptor():
     # only an instance computes and stores the value
-    for attr in ("dots", "order", "dim_table"):
+    for attr in CACHED:
         descriptor = getattr(RootSystem, attr)
         assert isinstance(descriptor, roots._cached) and descriptor.name == attr
         assert descriptor.__doc__ == descriptor.fn.__doc__
@@ -411,8 +444,7 @@ def test_directly_built_system_equals_and_hashes_like_named_one():
         assert direct is not named
         assert direct == named and hash(direct) == hash(named), name
         # reading the derived values changes neither equality nor hash
-        derived = ("dots", "order", "dim_table")
-        assert [getattr(direct, a) for a in derived] == [getattr(named, a) for a in derived], name
+        assert [getattr(direct, a) for a in CACHED] == [getattr(named, a) for a in CACHED], name
         assert direct == named and hash(direct) == hash(named), name
         assert {named: name}[direct] == name
         # equality still compares every field

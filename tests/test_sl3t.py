@@ -169,6 +169,14 @@ def test_audit_rows_reads_its_grid_bounds_as_integers():
     assert list(audit_rows(True, 1)) == list(audit_rows(1, 1))
 
 
+def test_audit_rows_refuses_a_bad_bound_when_called():
+    # the bounds are read at the call, before any row, so a caller that
+    # reads the rows later does not meet the error there
+    message = "grid bounds kmax=0.5, lmax=0 are not both integers"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        audit_rows(0.5, 0)
+
+
 @pytest.mark.parametrize("kmax, lmax", [(3, 2), (1, 3)])
 def test_audit_rows_match_public_routes(kmax, lmax):
     # Every audit column against the public per-biweight function it stands for.
