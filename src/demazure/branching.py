@@ -44,13 +44,18 @@ dim V(lam), raises RuntimeError.
 Each Levi dimension, of a constituent or of ``levi_weyl_dim``, is
 Weyl's product over the positive roots of L_S, read from the table that
 the ``LeviDatum`` keeps (``LeviDatum.dim_table``, built on its first
-read): ``dimension_conserved`` of a result reads the table that
-``restrict_to_levi`` built for the same Levi.
+read by selecting the rows of ``RootSystem.dim_table`` whose roots
+``RootSystem.supports`` places inside S): ``dimension_conserved`` of a
+result reads the table that ``restrict_to_levi`` built for the same
+Levi.
 
 The bound is ``_coset_bound``, the dimension of the Demazure module of
-the minimal coset representative for S at the dual weight.
-``levi_length_bound`` compares the number of constituents with it, and
-the CLI ``branch`` compares that number and each multiplicity.
+the minimal coset representative for S at the dual weight, read from
+the memoised chain with no second check of the weight.
+``levi_length_bound`` runs the restriction and the bound once each on
+the weight ``_branch`` checked, and compares the number of constituents
+with the bound; the CLI ``branch`` compares that number and each
+multiplicity.
 ``unirad_mult_identity`` checks that the Demazure module of the
 parabolic longest element has exactly the dimension of the Levi module
 with the same highest weight.
@@ -60,16 +65,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import compress
+from math import prod
 
-from demazure.characters import (
-    _dim,
-    _straightened,
-    _weyl_dims,
-    demazure_dim,
-    dual_weight,
-    weyl_dim,
-)
+from demazure.characters import _dim, _straightened, _weyl_dims, dual_weight, weyl_dim
 from demazure.roots import (
     RootSystem,
     Weight,
@@ -77,7 +75,6 @@ from demazure.roots import (
     _check_dominant,
     _check_index,
     _check_integral,
-    _dim_table,
     _integral,
     _ints,
     _record,
@@ -102,10 +99,11 @@ class LeviDatum:
 
     The subset is stored as a frozenset of the ints ``roots._check_index``
     returns, so no Levi query meets an index as it was given.
-    ``dim_table`` is ``_cached``: the ``roots._dim_table`` of the
-    positive roots supported on the subset, built on its first read and
-    stored on the instance, as ``RootSystem.dim_table`` is for all
-    positive roots.
+    ``dim_table`` is ``_cached``: the rows of ``rs.dim_table`` whose
+    roots are supported on the subset, as ``rs.supports`` tells, built
+    on its first read and stored on the instance.  It reads the
+    instance's own ``rs``, so a copy of a root system that equals another
+    but holds other dot vectors gets a Levi table of its own.
     """
 
     rs: RootSystem
@@ -118,8 +116,11 @@ class LeviDatum:
     def dim_table(self) -> tuple[tuple[Weight, ...], tuple[int, ...], int]:
         """Weyl's dimension product over the positive roots of the Levi."""
         rs = self.rs
-        off = [i not in self.subset for i in range(1, rs.rank + 1)]
-        return _dim_table([v for c, v in zip(rs.positive_roots, rs.dots) if not any(compress(c, off))])
+        mask = sum(1 << (i - 1) for i in self.subset)
+        rows = [k for k, support in enumerate(rs.supports) if support | mask == mask]
+        dots, rho_dots, _ = rs.dim_table
+        rho_dots = tuple(rho_dots[k] for k in rows)
+        return tuple(dots[k] for k in rows), rho_dots, prod(rho_dots)
 
 
 @_record
@@ -206,13 +207,15 @@ def _filled(result: BranchingResult, dims: Sequence[int]) -> int:
 
 
 def _coset_bound(lam: Weight, levi: LeviDatum) -> int:
-    rep = min_coset_rep(levi.rs, levi.subset)
-    return demazure_dim(rep, dual_weight(levi.rs, lam))
+    """``demazure_dim`` of the minimal coset representative at lam*, for a checked dominant lam."""
+    rs = levi.rs
+    rep = min_coset_rep(rs, levi.subset)
+    return _dim(rs, reduced_word(rep), dual_weight(rs, lam))
 
 
 def levi_length_bound(lam: Sequence[int], levi: LeviDatum) -> tuple[int, int, bool]:
     """(number of constituents with multiplicity, Demazure bound, bound holds)."""
-    result = restrict_to_levi(lam, levi)
+    result = _branch(lam, levi)[0]
     bound = _coset_bound(result.lam, levi)
     return result.length, bound, result.length <= bound
 

@@ -34,8 +34,10 @@ running sum that steps by -a, divides by 1 - e^{-alpha_i}.  So a letter
 costs a sort of the table plus one dict write per weight it outputs,
 not one per step of every term's string; terms with m = 0 are fixed and
 added afterwards, and a letter that fixes every term returns its input
-as it is.  ``_packing`` lays the digits out for a radius R, and a
-chain takes R from the package's one radius rule, ``_radius``:
+as it is.  ``_packing`` lays the digits out for a radius R, memoised
+by (root system, R), the 256 most recently used, so no chain or
+Freudenthal call at a radius met before builds one; a chain takes R
+from the package's one radius rule, ``_radius``:
 R = h * max_mu sum_j |mu_j| + 1 over the start weights, with h the
 largest simple-root coefficient of a positive root.  Every weight a
 chain writes lies in the convex hull of the Weyl orbit of the start,
@@ -53,8 +55,10 @@ its terms sorted.  The operator acts on each alpha_i-string on its own,
 so one coefficient never needs the letter applied last over the whole
 support: ``weight_multiplicity`` reads the memoised character of w0's
 word without its first letter and applies that letter to mu's
-alpha_i-string only.  ``demazure_operator``, the one other caller of
-``_letter``, packs its own input for its one letter.
+alpha_i-string only, which it takes by probing the string's keys or by
+filtering the character's terms, whichever are fewer.
+``demazure_operator``, the one other caller of ``_letter``, packs its
+own input for its one letter.
 
 A memoised packed character has four readers: ``_character`` unpacks
 it whole, ``_dim`` sums its coefficients, ``weight_multiplicity`` reads
@@ -103,7 +107,6 @@ import json
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import compress
-from math import prod
 from operator import mul, sub
 
 from demazure.roots import (
@@ -172,6 +175,7 @@ def _radius(rs: RootSystem, start: Iterable[Weight]) -> int:
     return h * max((sum(map(abs, mu)) for mu in start), default=0) + 1
 
 
+@lru_cache(maxsize=256)
 def _packing(rs: RootSystem, radius: int) -> _Packing:
     """Digits for the weights whose coordinates lie in -radius..radius - 1.
 
@@ -180,6 +184,12 @@ def _packing(rs: RootSystem, radius: int) -> _Packing:
     absolute value.  Freudenthal's pass passes a power of two 2^t: a
     digit then has bit t set exactly when its coordinate is >= 0, and the
     offset is the mask of those bits.
+
+    Packings are memoised by (root system, radius), the 256 most recently
+    used, so a chain or a Freudenthal call with a radius met before
+    builds none.  A packing reads only ``rank`` and ``columns``, fields
+    that equality compares, so a copy of a root system that equals
+    another but holds other derived tables still gets a correct packing.
     """
     base = 2 * radius
     n = rs.rank
@@ -327,19 +337,18 @@ def _straightened(
     radius = pk.radius
     totals: dict[int, int] = {}
     for key, c in items.items():
-        k = 0
-        while k < len(walls):
-            place, a = walls[k]
-            m = key // place % base - radius
-            k += 1
+        while True:  # one pass over the walls, from the first after each reflection
+            for place, a in walls:
+                m = key // place % base - radius
+                if m < 0:
+                    break
+            else:  # S-dominant
+                totals[key] = totals.get(key, 0) + c
+                break
             if m == -1:
                 break
-            if m < -1:
-                key -= (m + 1) * a
-                c = -c
-                k = 0
-        else:
-            totals[key] = totals.get(key, 0) + c
+            key -= (m + 1) * a
+            c = -c
     return _unpack(pk, totals)
 
 
@@ -404,7 +413,8 @@ def weight_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -
     # mu + t alpha_i for the t that keep every coordinate inside (-R, R),
     # where every weight of the chain lies and key + t a is the key of
     # mu + t alpha_i; further out it can be the key of a weight off the
-    # string.
+    # string.  The string is read by probing its keys, or by filtering the
+    # chain's terms when there are fewer of those: the same keys either way.
     word = reduced_word(longest_element(rs))
     i = word[0]
     pk, cur = _demazure_items(rs, word[1:], lam)
@@ -415,7 +425,10 @@ def weight_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -
         lo = max(lo, (-radius - x) // abs(c) + 1)
         hi = min(hi, (radius - 1 - x) // abs(c))
     a = pk.simple[i - 1]
-    string = {k: cur[k] for k in range(key + lo * a, key + (hi + 1) * a, a) if k in cur}
+    if hi - lo < len(cur):
+        string = {k: cur[k] for k in range(key + lo * a, key + (hi + 1) * a, a) if k in cur}
+    else:
+        string = {k: c for k, c in cur.items() if not (k - key) % a and lo <= (k - key) // a <= hi}
     return _letter(pk, i, string).get(key, 0)
 
 
@@ -432,16 +445,19 @@ def weyl_dim(rs: RootSystem, lam: Sequence[int]) -> int:
 
 
 def _weyl_dims(rs: RootSystem, table: tuple, mus: Iterable[Weight]) -> list[int]:
-    """``weyl_dim`` of each checked weight mu, over the roots of a ``roots._dim_table``.
+    """``weyl_dim`` of each checked weight mu, over the roots of a (dots, rho_dots, den) table.
 
     The full root set's table is ``rs.dim_table``, built once per root
-    system, and a Levi's is ``branching.LeviDatum.dim_table``, built once
-    per ``LeviDatum``.
+    system, and a Levi's is ``branching.LeviDatum.dim_table``, a selection
+    of its rows built once per ``LeviDatum``.
     """
     roots, rho_dots, den = table
     dims = []
     for mu in mus:
-        dim, rem = divmod(prod(sum(map(mul, dots, mu)) + r for dots, r in zip(roots, rho_dots)), den)
+        num = 1
+        for dots, r in zip(roots, rho_dots):
+            num *= sum(map(mul, dots, mu)) + r
+        dim, rem = divmod(num, den)
         if rem:
             raise RuntimeError(f"{rs.name}: non-integral dimension product for {mu}")
         dims.append(dim)

@@ -66,10 +66,12 @@ classical formula for each family at construction time.
 A root system's fields are what the build makes; equality compares
 them.  What readers derive from them, the dot vectors of the positive
 roots, the order of the Weyl group, the table of Weyl's dimension
-product over all positive roots, and Freudenthal's table of the
-positive roots highest first with its index, are ``_cached``
-attributes: each is computed on its first read and stored on the
-instance, so a build that nothing reads them from never pays for them.
+product over all positive roots, the support of each positive root as
+a bitmask, from which a Levi selects the rows of that table, and
+Freudenthal's table of the positive roots highest first with its index,
+are ``_cached`` attributes: each is computed on its first read and
+stored on the instance, so a build that nothing reads them from never
+pays for them.
 
 >>> a2 = root_system("A2")
 >>> a2.cartan
@@ -205,9 +207,9 @@ class RootSystem:
     - ``symmetrizer``: d_i = (alpha_i, alpha_i)/2, short roots 1, the
       least positive integers with d_i * a_ij == d_j * a_ji.
 
-    ``dots``, ``order``, ``dim_table``, ``highest_first`` and
-    ``highest_first_index`` are ``_cached``: derived from the fields on
-    their first read, and stored on the instance.  The last two are built
+    ``dots``, ``order``, ``dim_table``, ``supports``, ``highest_first``
+    and ``highest_first_index`` are ``_cached``: derived from the fields
+    on their first read, and stored on the instance.  The last two are built
     from the instance's own ``dots``, never memoised by root system, so a
     copy that equals this one but holds other dot vectors reads its own.
     """
@@ -254,8 +256,25 @@ class RootSystem:
 
     @_cached
     def dim_table(self) -> tuple[tuple[Weight, ...], tuple[int, ...], int]:
-        """Weyl's dimension product over all positive roots, as ``_dim_table`` lays it out."""
-        return _dim_table(self.dots)
+        """Weyl's dimension product over all positive roots, as (dots, rho_dots, den).
+
+        rho_dots holds each root's pairing with rho, the sum of its dot
+        vector since rho has every coordinate 1, and den is their product:
+        dim V(mu) = prod (dots . mu + rho_dots) / den.  A Levi's table,
+        ``branching.LeviDatum.dim_table``, is a selection of its rows.
+        """
+        rho_dots = tuple(map(sum, self.dots))
+        return self.dots, rho_dots, prod(rho_dots)
+
+    @_cached
+    def supports(self) -> tuple[int, ...]:
+        """The support of each positive root as a bitmask, in ``positive_roots`` order.
+
+        Bit i - 1 is set when alpha_i occurs in the root with a nonzero
+        simple-root coordinate, so a root lies in the span of a subset S
+        exactly when its support has no bit outside S's mask.
+        """
+        return tuple(sum(1 << j for j, c in enumerate(root) if c) for root in self.positive_roots)
 
     @_cached
     def highest_first(self) -> tuple[tuple, ...]:
@@ -299,17 +318,6 @@ class RootSystem:
         """
         counts = Counter(map(sum, self.positive_roots))
         return prod((k + 1) ** (n - counts[k + 1]) for k, n in counts.items())
-
-
-def _dim_table(dots: Sequence[Weight]) -> tuple[tuple[Weight, ...], tuple[int, ...], int]:
-    """(dots, rho_dots, den) for the positive roots with the given dot vectors.
-
-    rho_dots holds each root's pairing with rho, the sum of its dot
-    vector since rho has every coordinate 1, and den is their product:
-    dim V(mu) = prod (dots . mu + rho_dots) / den, over these roots.
-    """
-    rho_dots = tuple(map(sum, dots))
-    return tuple(dots), rho_dots, prod(rho_dots)
 
 
 def _classical_positive_count(family: str, rank: int) -> int:

@@ -8,8 +8,8 @@ another's fields, by calling the given one's class.
 """
 
 from functools import lru_cache
-from itertools import accumulate
-from math import gcd, lcm
+from itertools import accumulate, compress
+from math import gcd, lcm, prod
 from operator import mul
 
 
@@ -224,6 +224,21 @@ def propagated_symmetrizer(rs):
             if d[i] * a[i][j] != d[j] * a[j][i]:
                 raise RuntimeError(f"{rs.name}: Cartan matrix is not symmetrizable")
     return tuple(d)
+
+
+def levi_dim_table(positive_roots, dots, subset):
+    """(dots, rho pairings, their product) over the positive roots of the Levi of subset.
+
+    The positive roots come in simple-root coordinates, with their dot
+    vectors in the same order.  A root is kept when each of its
+    coordinates off the subset, scanned one by one, is 0; its pairing
+    with rho is the sum of its dot vector, as rho has every fundamental
+    coordinate 1.
+    """
+    off = [i not in subset for i in range(1, len(positive_roots[0]) + 1)]
+    kept = tuple(v for c, v in zip(positive_roots, dots) if not any(compress(c, off)))
+    rho_dots = tuple(map(sum, kept))
+    return kept, rho_dots, prod(rho_dots)
 
 
 def straighten(cols, subset, mu):

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from demazure import (
     LeviDatum,
     demazure_character,
+    demazure_dim,
     dimension_conserved,
+    dual_weight,
     levi_length_bound,
     levi_weyl_dim,
     longest_parabolic,
@@ -22,7 +24,7 @@ from demazure import (
 from demazure import branching
 from demazure.branching import BranchingResult, _branch, _coset_bound, s_dominant
 from demazure.roots import sub_weights
-from oracles import scaled_inverse_cartan, simple_root, straighten
+from oracles import levi_dim_table, scaled_inverse_cartan, simple_root, straighten
 from test_characters import _apply
 
 A2 = root_system("A2")
@@ -383,6 +385,34 @@ def test_levi_weyl_dim_spots():
     for subset in ({0}, {-1}, {5}, {1, 3}):
         with pytest.raises(ValueError, match=r"^simple index -?\d out of range 1\.\.2$"):
             levi_weyl_dim(A2, subset, (-1, 1))
+
+
+LEVI_TABLE_NAMES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
+
+
+@pytest.mark.parametrize("name", LEVI_TABLE_NAMES)
+def test_levi_table_matches_the_coordinate_scan_oracle(name):
+    # the rows that the supports select are the roots whose simple-root
+    # coordinates off S are all 0, scanned one by one
+    rs = root_system(name)
+    for size in range(1, rs.rank + 1):
+        for subset in combinations(range(1, rs.rank + 1), size):
+            table = LeviDatum(rs, subset).dim_table
+            assert table == levi_dim_table(rs.positive_roots, rs.dots, set(subset)), (name, subset)
+
+
+def test_levi_length_bound_is_the_restriction_length_and_the_coset_dimension():
+    # the bound reads the chain without a second check of the weight; it
+    # is still the length of the restriction and demazure_dim at lam*
+    for rs in (A3, B3, root_system("C3"), root_system("A4")):
+        for size in range(1, rs.rank):
+            for subset in combinations(range(1, rs.rank + 1), size):
+                levi = LeviDatum(rs, subset)
+                rep = min_coset_rep(rs, subset)
+                for lam in product(range(2), repeat=rs.rank):
+                    length = restrict_to_levi(lam, levi).length
+                    bound = demazure_dim(rep, dual_weight(rs, lam))
+                    assert levi_length_bound(lam, levi) == (length, bound, length <= bound), (rs, subset, lam)
 
 
 def test_levi_datum_validation():

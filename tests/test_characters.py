@@ -253,6 +253,33 @@ def test_a_corrupted_copy_reads_its_own_dimension_table():
     assert rs.dim_table[0] == rs.dots != A2.dots == A2.dim_table[0]
 
 
+def test_a_corrupted_copy_reads_its_own_levi_table():
+    # a Levi's table is the rows of its own root system's table: the real
+    # A2's, read first, is not the copy's, though the two Levis are equal
+    rs = _corrupted_dots("A2", 2, (1, 2))
+    real, copy = LeviDatum(A2, {1, 2}), LeviDatum(rs, {1, 2})
+    assert copy == real and hash(copy) == hash(real)
+    assert real.dim_table == A2.dim_table and "dim_table" in vars(real)
+    assert copy.dim_table == rs.dim_table != A2.dim_table
+    with pytest.raises(RuntimeError, match=r"^A2: non-integral dimension product for \(1, 0\)$"):
+        levi_weyl_dim(rs, {1, 2}, (1, 0))
+    # the corrupted row is the highest root, outside the Levi of {1}
+    assert LeviDatum(rs, {1}).dim_table == LeviDatum(A2, {1}).dim_table
+    assert levi_weyl_dim(rs, {1}, (1, 0)) == 2
+
+
+def test_a_packing_is_memoised_and_a_corrupted_copy_gets_a_correct_one():
+    # a packing reads only rank and columns, which equality compares, so
+    # the memo may hand a copy with other dot vectors the named system's
+    _packing.cache_clear()
+    pk = _packing(A2, 7)
+    assert _packing(A2, 7) is pk and _packing(A2, 8) is not pk
+    info = _packing.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+    rs = _corrupted_dots("A2", 2, (1, 2))
+    assert _packing(rs, 7) is pk and pk == _packing.__wrapped__(rs, 7)
+
+
 def test_weyl_character_matches_dim_and_symmetry():
     for name, lam in (("A2", (2, 1)), ("B2", (1, 1)), ("G2", (1, 0))):
         rs = root_system(name)
@@ -1457,6 +1484,38 @@ def test_weight_multiplicity_reads_only_the_string_of_mu(monkeypatch, lam):
         for nu, _ in read[0][1]:  # nu = mu + t alpha_i, and alpha_i has coordinate i equal to 2
             t, rem = divmod(nu[i - 1] - mu[i - 1], 2)
             assert not rem and nu == tuple(x + t * a for x, a in zip(mu, alpha)), (mu, nu)
+
+
+@pytest.mark.parametrize("k", [2400, 2401])
+def test_rank_one_multiplicity_reads_a_one_term_string(monkeypatch, k):
+    # the chain of w0's word less its first letter is e^lam alone, so the
+    # string is taken from that one term, not probed at its 2k + 1 keys
+    a1 = root_system("A1")
+    lookups, read = [], []
+
+    class Counted(dict):
+        def __contains__(self, key):
+            lookups.append(key)
+            return super().__contains__(key)
+
+        def __getitem__(self, key):
+            lookups.append(key)
+            return super().__getitem__(key)
+
+    def counted(rs, word, lam):
+        pk, cur = _demazure_items(rs, word, lam)
+        return pk, Counted(cur)
+
+    def recorded(pk, i, cur):
+        read.append(dict(cur))
+        return _letter(pk, i, cur)
+
+    monkeypatch.setattr(characters, "_demazure_items", counted)
+    monkeypatch.setattr(characters, "_letter", recorded)
+    assert weight_multiplicity(a1, (k,), (k % 2,)) == 1
+    pk, cur = _demazure_items(a1, (), (k,))
+    assert read == [cur] == [{_pack(pk, (k,)): 1}]
+    assert len(lookups) <= len(cur)
 
 
 @st.composite

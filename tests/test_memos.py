@@ -5,12 +5,18 @@ has a finite ``maxsize``.  Only memos keyed on the root system alone (or
 on nothing) may be unbounded: there are finitely many root systems.
 A value that depends on one root system alone is no memo at all: it is
 a ``_cached`` attribute of the ``RootSystem`` (``dots``, ``order``,
-``dim_table``, ``highest_first``, ``highest_first_index``), stored on
-the instance on its first read.  So is the table of a Levi's positive
-roots: ``LeviDatum.dim_table``, stored on the ``LeviDatum`` that a query
-builds.  Freudenthal's tables are built from the instance's own
-``dots``: a memo keyed on the root system would hand a copy that equals
-A2 and hashes like it, but holds other dot vectors, the real A2's table.
+``dim_table``, ``supports``, ``highest_first``, ``highest_first_index``),
+stored on the instance on its first read.  So is the table of a Levi's
+positive roots: ``LeviDatum.dim_table``, the rows of its own
+``rs.dim_table`` that ``rs.supports`` selects, stored on the
+``LeviDatum`` that a query builds.  Freudenthal's tables are built from
+the instance's own ``dots``: a memo keyed on the root system would hand
+a copy that equals A2 and hashes like it, but holds other dot vectors,
+the real A2's table.  ``characters._packing`` is keyed on a root system
+and a radius, and may be: a packing reads only ``rank`` and ``columns``,
+fields that equality compares, so an equal copy is handed a packing
+that is right for it too.  It is bounded, as the radius grows with the
+input.
 ``roots._build_root_system`` is keyed on the upper-case family and the
 int rank that ``build_root_system`` checks, never on its raw arguments.
 ``MEMOS`` lists every memo with its ``maxsize``, so none is added,
@@ -38,6 +44,7 @@ from demazure.characters import _demazure_items
 MEMOS = {
     "branching._levi_char_items": 256,
     "characters._demazure_items": 256,
+    "characters._packing": 256,
     "cli.build_parser": None,
     "growth._interval": 1024,
     "roots._build_root_system": None,

@@ -232,7 +232,7 @@ def _counting(fn, calls):
     return counted
 
 
-CACHED = ("dots", "order", "dim_table", "highest_first", "highest_first_index")
+CACHED = ("dots", "order", "dim_table", "supports", "highest_first", "highest_first_index")
 
 
 def test_dots_and_order_are_computed_once_per_instance(monkeypatch):
@@ -251,11 +251,15 @@ def test_dots_and_order_are_computed_once_per_instance(monkeypatch):
     table = fresh.dim_table
     assert fresh.dim_table is table and table[0] is dots and table[2] == prod(table[1])
     assert calls == ["dots", "order", "dim_table"]
+    # the supports, from which a Levi selects rows of that table, once
+    supports = fresh.supports
+    assert fresh.supports is supports is vars(fresh)["supports"] and len(supports) == len(dots)
+    assert calls == ["dots", "order", "dim_table", "supports"]
     # so is Freudenthal's table, which reads the index of its raises once
     down = fresh.highest_first
     assert fresh.highest_first is down and fresh.highest_first_index is vars(fresh)["highest_first_index"]
     assert len(down) == len(dots) and all(entry[2] is v for entry, v in zip(down, reversed(dots)))
-    assert calls == ["dots", "order", "dim_table", "highest_first", "highest_first_index"]
+    assert calls == ["dots", "order", "dim_table", "supports", "highest_first", "highest_first_index"]
     # they are stored on the instance, not as fields: equality and hashing ignore them
     assert fresh == named and hash(fresh) == hash(named)
     assert not set(CACHED) & set(vars(rebuilt(fresh)))
