@@ -4,8 +4,9 @@ Columns: the lines that hold code, leaving out blank lines, comments and
 docstrings; the memos, functions decorated with functools.lru_cache or
 functools.cache; the attributes computed once per instance, functions
 decorated with roots._cached; the raise statements, a count of error
-paths; and the except clauses, a count of error-translation paths.  It
-gates nothing.  Stdlib only; run it from the repository root:
+paths; the except clauses, a count of error-translation paths; and the
+public names, the entries of the module's __all__.  It gates nothing.
+Stdlib only; run it from the repository root:
 
     python .github/code_lines.py
 """
@@ -31,8 +32,16 @@ def count(tree, kind):
     return sum(isinstance(node, kind) for node in ast.walk(tree))
 
 
-totals = [0, 0, 0, 0, 0]
-print(f"{'':16}{'code':>6}{'memos':>7}{'cached':>8}{'raises':>8}{'excepts':>9}")
+def exported(tree):
+    """The number of names in the module's __all__, 0 without one."""
+    return sum(
+        len(ast.literal_eval(node.value)) for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    )
+
+
+totals = [0, 0, 0, 0, 0, 0]
+print(f"{'':16}{'code':>6}{'memos':>7}{'cached':>8}{'raises':>8}{'excepts':>9}{'public':>8}")
 for path in sorted(Path("src/demazure").glob("*.py")):
     tree = ast.parse(path.read_text(), str(path))
     docstrings = set()
@@ -47,7 +56,8 @@ for path in sorted(Path("src/demazure").glob("*.py")):
             if tok.type not in NOT_CODE:
                 code.update(range(tok.start[0], tok.end[0] + 1))
     row = (len(code - docstrings), decorated(tree, {"lru_cache", "cache"}),
-           decorated(tree, {"_cached"}), count(tree, ast.Raise), count(tree, ast.ExceptHandler))
+           decorated(tree, {"_cached"}), count(tree, ast.Raise), count(tree, ast.ExceptHandler),
+           exported(tree))
     totals = [t + n for t, n in zip(totals, row)]
-    print(f"{path.name:16}{row[0]:6}{row[1]:7}{row[2]:8}{row[3]:8}{row[4]:9}")
-print(f"{'total':16}{totals[0]:6}{totals[1]:7}{totals[2]:8}{totals[3]:8}{totals[4]:9}")
+    print(f"{path.name:16}{row[0]:6}{row[1]:7}{row[2]:8}{row[3]:8}{row[4]:9}{row[5]:8}")
+print(f"{'total':16}{totals[0]:6}{totals[1]:7}{totals[2]:8}{totals[3]:8}{totals[4]:9}{totals[5]:8}")

@@ -45,9 +45,10 @@ Each Levi dimension, of a constituent or of ``levi_weyl_dim``, is
 Weyl's product over the positive roots of L_S, read from the table that
 the ``LeviDatum`` keeps (``LeviDatum.dim_table``, built on its first
 read by selecting the rows of ``RootSystem.dim_table`` whose roots
-``RootSystem.supports`` places inside S): ``dimension_conserved`` of a
-result reads the table that ``restrict_to_levi`` built for the same
-Levi.
+``RootSystem.supports`` places inside S).  ``_branch`` multiplies each
+constituent's multiplicity by its Levi dimension, read from that table,
+and checks the sum against dim V(lam), Weyl's product over all the
+positive roots.
 
 The bound is ``_coset_bound``, the dimension of the Demazure module of
 the minimal coset representative for S at the dual weight, read from
@@ -86,7 +87,6 @@ __all__ = [
     "BranchingResult",
     "levi_weyl_dim",
     "restrict_to_levi",
-    "dimension_conserved",
     "levi_length_bound",
     "unirad_mult_identity",
     "s_dominant",
@@ -190,20 +190,9 @@ def _branch(lam: Sequence[int], levi: LeviDatum) -> tuple[BranchingResult, list[
     result = BranchingResult(levi, lam, tuple(found))
     dims = _weyl_dims(rs, levi.dim_table, (mu for mu, _ in found))
     dim = weyl_dim(rs, lam)
-    if _filled(result, dims) != dim:
+    if sum(m * d for (_, m), d in zip(found, dims)) != dim:
         raise RuntimeError("branching lost dimensions; the alternating sum is broken")
     return result, dims, dim
-
-
-def dimension_conserved(result: BranchingResult) -> bool:
-    levi = result.levi
-    dims = _weyl_dims(levi.rs, levi.dim_table, (mu for mu, _ in result.constituents))
-    return _filled(result, dims) == weyl_dim(levi.rs, result.lam)
-
-
-def _filled(result: BranchingResult, dims: Sequence[int]) -> int:
-    """The dimension the constituents fill, given their Levi dimensions dims."""
-    return sum(m * d for (_, m), d in zip(result.constituents, dims))
 
 
 def _coset_bound(lam: Weight, levi: LeviDatum) -> int:

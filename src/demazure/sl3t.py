@@ -34,7 +34,8 @@ steps down from each member by its own membership tests, as
 ``theorem2_mult`` does.  The single query reads route 2 through
 ``mult_via_weights``, which calls ``weight_multiplicity``.  ``audit_rows``
 expands the whole character of V(k2, k1) once per (k1, k2), a memo entry
-of its own, and looks each torus character up in it.
+of its own, and looks each torus character up in it.  Membership is not
+exported on its own: ``closed_mult`` is positive exactly on members.
 """
 
 from __future__ import annotations
@@ -48,12 +49,10 @@ from demazure.roots import Weight, _ints, _record, root_system
 
 __all__ = [
     "Biweight",
-    "sigma_member",
     "closed_mult",
     "mult_via_weights",
     "theorem2_mult",
     "torus_weight_coords",
-    "generator_biweights",
     "audit_rows",
     "AUDIT_COLUMNS",
 ]
@@ -116,11 +115,6 @@ def _n_text(six_n: int) -> str:
     return str(six_n // g) if g == 6 else f"{six_n // g}/{6 // g}"
 
 
-def sigma_member(bw: Biweight) -> bool:
-    """Whether the biweight occurs at all (congruence plus n a nonnegative integer)."""
-    return _member(bw.k1, bw.k2, bw.l)
-
-
 def closed_mult(bw: Biweight) -> int:
     return _closed(bw.k1, bw.k2, bw.l, _six_n(bw.k1, bw.k2, bw.l))
 
@@ -146,24 +140,6 @@ def theorem2_mult(bw: Biweight) -> int:
     nonnegative weights).
     """
     return _steps(bw.k1, bw.k2, bw.l)
-
-
-def generator_biweights() -> tuple[Biweight, ...]:
-    """The distinct generator biweights of the eigensection algebra.
-
-    Three with SL3 weight omega_2 and a negated basis character, three
-    with omega_1 and a basis character, one with omega_1 + omega_2 and
-    the trivial character.
-    """
-    gens = []
-    for i in range(3):
-        l = tuple(-1 if j == i else 0 for j in range(3))
-        gens.append(Biweight(0, 1, l))
-    for i in range(3):
-        l = tuple(1 if j == i else 0 for j in range(3))
-        gens.append(Biweight(1, 0, l))
-    gens.append(Biweight(1, 1, (0, 0, 0)))
-    return tuple(gens)
 
 
 AUDIT_COLUMNS = (

@@ -65,7 +65,7 @@ True
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
 from demazure.roots import (
@@ -87,9 +87,7 @@ __all__ = [
     "simple_element",
     "from_word",
     "reduced_word",
-    "all_reduced_words",
     "left_descents",
-    "right_descents",
     "inverse",
     "longest_element",
     "longest_parabolic",
@@ -98,10 +96,6 @@ __all__ = [
     "demazure_product",
     "weyl_group",
 ]
-
-
-def _negative(v: Weight) -> tuple[int, ...]:
-    return tuple(i for i, x in enumerate(v, 1) if x < 0)
 
 
 def _rho_image(w: "WeylElement") -> Weight:
@@ -194,41 +188,14 @@ def _check_reduced(rs: RootSystem, word: tuple[int, ...]) -> WeylElement:
     return w
 
 
-def right_descents(w: WeylElement) -> tuple[int, ...]:
-    """Indices i with length(w s_i) < length(w), i.e. u_i < 0 for u = w^{-1}(rho)."""
-    return _negative(w.u)
-
-
 def left_descents(w: WeylElement) -> tuple[int, ...]:
     """Indices i with length(s_i w) < length(w), i.e. w(rho)_i < 0."""
-    return _negative(_rho_image(w))
+    return tuple(i for i, x in enumerate(_rho_image(w), 1) if x < 0)
 
 
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
     """Lexicographically smallest reduced word for w, computed once per element."""
     return w._word
-
-
-def all_reduced_words(w: WeylElement) -> Iterator[tuple[int, ...]]:
-    """All reduced words for w, in lexicographic order."""
-    # Depth first on v = x(rho), x the part of w not spelt yet: the next
-    # letters are x's left descents, the negative coordinates of v, and
-    # s_i x has v reflected in i.  The stack holds v and the untried
-    # descents per letter taken, so no word costs Python recursion.
-    word: list[int] = []
-    v = _rho_image(w)
-    stack = [(v, iter(_negative(v)))]
-    while stack:
-        v, todo = stack[-1]
-        del word[len(stack) - 1 :]
-        if min(v) > 0:  # nothing left to spell
-            yield tuple(word)
-        if i := next(todo, 0):
-            word.append(i)
-            v = _reflect(w.rs, v, (i,))
-            stack.append((v, iter(_negative(v))))
-        else:
-            stack.pop()
 
 
 def inverse(w: WeylElement) -> WeylElement:

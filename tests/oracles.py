@@ -7,6 +7,7 @@ checks.  ``rebuilt`` makes the one object here, a root system built from
 another's fields, by calling the given one's class.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
 from math import gcd, lcm, prod
@@ -241,6 +242,31 @@ def levi_dim_table(positive_roots, dots, subset):
     return kept, rho_dots, prod(rho_dots)
 
 
+def _weyl_product(table, mu):
+    """Weyl's dimension product at mu over the roots of a ``levi_dim_table`` table.
+
+    prod (dots . mu + rho dots) / prod rho dots; a remainder raises
+    RuntimeError.
+    """
+    kept, rho_dots, den = table
+    dim, rem = divmod(prod(sum(map(mul, v, mu)) + r for v, r in zip(kept, rho_dots)), den)
+    if rem:
+        raise RuntimeError(f"non-integral dimension product for {mu}")
+    return dim
+
+
+def dimension_conserved(positive_roots, dots, subset, lam, constituents):
+    """Whether the Levi constituents (nu, m) of V(lam) fill dim V(lam).
+
+    Each Levi dimension is Weyl's product over the roots that
+    ``levi_dim_table`` keeps for subset, and dim V(lam) the product over
+    every positive root, the table of the full subset.
+    """
+    levi = levi_dim_table(positive_roots, dots, subset)
+    whole = levi_dim_table(positive_roots, dots, range(1, len(lam) + 1))
+    return sum(m * _weyl_product(levi, nu) for nu, m in constituents) == _weyl_product(whole, lam)
+
+
 def straighten(cols, subset, mu):
     """(x.mu, eps(x)) for the x in W_S with x.mu S-dominant; None if mu + rho is S-singular.
 
@@ -260,6 +286,73 @@ def straighten(cols, subset, mu):
             nu[j] -= k * c
         sign = -sign
     return tuple(nu), sign
+
+
+def right_descents(u):
+    """Indices i with length(w s_i) < length(w): the negative coordinates of u = w^{-1}(rho)."""
+    return tuple(i for i, x in enumerate(u, 1) if x < 0)
+
+
+def all_reduced_words(cols, v):
+    """All reduced words of the w with w(rho) = v, in lexicographic order.
+
+    v is in fundamental coordinates and cols the column table of the root
+    system, as ``straighten`` reads it.  The first letters of the reduced
+    words of x are its left descents, the negative coordinates of
+    x(rho), and s_i x has x(rho) reflected in alpha_i.  The walk runs
+    depth first from v, smallest descent first, and yields a word when
+    it reaches rho, whose coordinates are all positive.  The stack holds
+    a weight and its untried descents per letter taken, so no word costs
+    Python recursion.
+    """
+    def descents(x):
+        return iter([i for i, c in enumerate(x, 1) if c < 0])
+
+    word = []
+    stack = [(v, descents(v))]
+    while stack:
+        x, todo = stack[-1]
+        del word[len(stack) - 1:]
+        if min(x) > 0:
+            yield tuple(word)
+        if i := next(todo, 0):
+            word.append(i)
+            x = list(x)
+            m = x[i - 1]
+            for j, c in cols[i - 1]:
+                x[j] -= m * c
+            stack.append((x, descents(x)))
+        else:
+            stack.pop()
+
+
+def sigma_member(k1, k2, l):
+    """Whether the SL3 biweight (k1, k2, l) occurs, from the definition in Fractions.
+
+    It does when k1 - k2 == l1 + l2 + l3 (mod 3) and
+    n = (k1 + k2)/2 - (1/6) * sum over cyclic (i, j, k) of |k1 - k2 + 2 l_i - l_j - l_k|
+    is a nonnegative integer.
+    """
+    l1, l2, l3 = l
+    d = k1 - k2
+    n = Fraction(k1 + k2, 2) - sum(
+        Fraction(abs(d + 2 * i - j - k), 6) for i, j, k in ((l1, l2, l3), (l2, l3, l1), (l3, l1, l2))
+    )
+    return (d - l1 - l2 - l3) % 3 == 0 and n >= 0 and n.denominator == 1
+
+
+def generator_biweights():
+    """The seven generator biweights (k1, k2, l) of the SL3 eigensection algebra.
+
+    Three with SL3 weight omega_2 and a negated basis character, three
+    with omega_1 and a basis character, one with omega_1 + omega_2 and
+    the trivial character.
+    """
+    return (
+        (0, 1, (-1, 0, 0)), (0, 1, (0, -1, 0)), (0, 1, (0, 0, -1)),
+        (1, 0, (1, 0, 0)), (1, 0, (0, 1, 0)), (1, 0, (0, 0, 1)),
+        (1, 1, (0, 0, 0)),
+    )
 
 
 def principal_specialisation(tables, lam, n_max):
