@@ -36,8 +36,9 @@ mu_i <= -2 it is minus that of s_i.mu = mu - (mu_i + 1) alpha_i, whose
 mu + rho is higher by a positive multiple of alpha_i.  The W_S-orbit is
 finite, so the walk stops, at an S-dominant weight.  The walk runs in
 ``characters._straightened``, on the packed keys of the memoised
-character of v, and only the totals per S-dominant weight are unpacked.  The signed sums per
-S-dominant nu are the multiplicities, since the characters L(nu) are
+character of v, whose chain runs on v's stored peel, reversed, and
+only the totals per S-dominant weight are unpacked.  The signed sums
+per S-dominant nu are the multiplicities, since the characters L(nu) are
 linearly independent.  A negative one, or a total that misses
 dim V(lam), raises RuntimeError.
 
@@ -52,14 +53,15 @@ positive roots.
 
 The bound is ``_coset_bound``, the dimension of the Demazure module of
 the minimal coset representative for S at the dual weight, read from
-the memoised chain with no second check of the weight.
+the memoised chain of the same word with no second check of the weight.
 ``levi_length_bound`` runs the restriction and the bound once each on
 the weight ``_branch`` checked, and compares the number of constituents
 with the bound; the CLI ``branch`` compares that number and each
 multiplicity.
 ``unirad_mult_identity`` checks that the Demazure module of the
 parabolic longest element has exactly the dimension of the Levi module
-with the same highest weight.
+with the same highest weight, from the chain of that element's stored
+peel, reversed, which its folds spelt, so no walk is taken.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from demazure.roots import (
     _ints,
     _record,
 )
-from demazure.weyl import longest_parabolic, min_coset_rep, reduced_word
+from demazure.weyl import longest_parabolic, min_coset_rep
 
 __all__ = [
     "LeviDatum",
@@ -162,7 +164,7 @@ def _check_s_dominant(rs: RootSystem, s: frozenset[int], mu: Sequence[int]) -> W
 def _levi_char_items(rs: RootSystem, subset: frozenset[int], mu: Weight) -> int:
     # The dimension of the Demazure module of w_S at mu.  The benchmark's
     # branching.levi_memo_* counters read this memo, under this name.
-    return _dim(rs, reduced_word(longest_parabolic(rs, subset)), mu)
+    return _dim(rs, longest_parabolic(rs, subset)._peel[::-1], mu)
 
 
 def levi_weyl_dim(rs: RootSystem, subset: Iterable[int], mu: Sequence[int]) -> int:
@@ -182,7 +184,7 @@ def _branch(lam: Sequence[int], levi: LeviDatum) -> tuple[BranchingResult, list[
     s = levi.subset
     lam = _check_dominant(rs, lam)
     found = []
-    for mu, n in _straightened(rs, reduced_word(min_coset_rep(rs, s)), lam, s):
+    for mu, n in _straightened(rs, min_coset_rep(rs, s)._peel[::-1], lam, s):
         if n < 0:
             raise RuntimeError(f"alternating sum gave multiplicity {n} at {mu}")
         if n:
@@ -198,8 +200,7 @@ def _branch(lam: Sequence[int], levi: LeviDatum) -> tuple[BranchingResult, list[
 def _coset_bound(lam: Weight, levi: LeviDatum) -> int:
     """``demazure_dim`` of the minimal coset representative at lam*, for a checked dominant lam."""
     rs = levi.rs
-    rep = min_coset_rep(rs, levi.subset)
-    return _dim(rs, reduced_word(rep), dual_weight(rs, lam))
+    return _dim(rs, min_coset_rep(rs, levi.subset)._peel[::-1], dual_weight(rs, lam))
 
 
 def levi_length_bound(lam: Sequence[int], levi: LeviDatum) -> tuple[int, int, bool]:

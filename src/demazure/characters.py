@@ -46,15 +46,19 @@ where no coordinate exceeds h * sum_j |mu_j| in absolute value.
 Characters are memoised whole: ``_demazure_items`` keeps the packing
 and the packed character of each (word, lam) asked for, the 256 most
 recently used, and builds a new one from e^lam by the package's one
-letter loop.  lam is dominant for the characters of ``V(lam)`` and
+letter loop.  The word of an element w is its stored peel, reversed:
+a reduced word of w that takes no walk of its own.  ``demazure_dim``,
+``weyl_character`` and the Levi routes of ``demazure.branching`` run
+on it.  lam is dominant for the characters of ``V(lam)`` and
 S-dominant for the Levi dimensions of ``unirad``.  A repeat is one
 lookup; a new word costs all of its letters, even when it shares a
 suffix with an earlier one.  Every reader of a memoised character
 decodes it with the packing stored beside it, and ``_unpack`` returns
 its terms sorted.  The operator acts on each alpha_i-string on its own,
 so one coefficient never needs the letter applied last over the whole
-support: ``weight_multiplicity`` reads the memoised character of w0's
-word without its first letter and applies that letter to mu's
+support: ``weight_multiplicity`` reads w0's peel forwards, a reduced
+word of w0 = w0^{-1} whose first letter is 1, takes the memoised
+character of the rest of it and applies that letter to mu's
 alpha_i-string only, which it takes by probing the string's keys or by
 filtering the character's terms, whichever are fewer.
 ``demazure_operator``, the one other caller of ``_letter``, packs its
@@ -125,7 +129,7 @@ from demazure.roots import (
     root_system,
     sub_weights,
 )
-from demazure.weyl import WeylElement, _check_reduced, longest_element, reduced_word
+from demazure.weyl import WeylElement, _check_reduced, longest_element
 
 Character = dict[Weight, int]
 
@@ -369,12 +373,12 @@ def demazure_character(rs: RootSystem, word: Sequence[int], lam: Sequence[int]) 
 def demazure_dim(w: WeylElement, lam: Sequence[int]) -> int:
     """Dimension of the Demazure module: coefficient sum of its character."""
     lam = _check_dominant(w.rs, lam)
-    return _dim(w.rs, reduced_word(w), lam)
+    return _dim(w.rs, w._peel[::-1], lam)
 
 
 def weyl_character(rs: RootSystem, lam: Sequence[int]) -> Character:
     """Character of the irreducible module with highest weight lam."""
-    return _character(rs, reduced_word(longest_element(rs)), _check_dominant(rs, lam))
+    return _character(rs, longest_element(rs)._peel[::-1], _check_dominant(rs, lam))
 
 
 def _multiplicity_input(
@@ -415,7 +419,11 @@ def weight_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -
     # mu + t alpha_i; further out it can be the key of a weight off the
     # string.  The string is read by probing its keys, or by filtering the
     # chain's terms when there are fewer of those: the same keys either way.
-    word = reduced_word(longest_element(rs))
+    # The word is w0's peel read forwards, a reduced word of w0 = w0^{-1}.
+    # Its first letter is 1, where -rho's walk starts, and alpha_1 packs to
+    # a nonzero a at every radius: its coordinate 1, 2 in the most
+    # significant place, outweighs its one other, -1 or -2.
+    word = longest_element(rs)._peel
     i = word[0]
     pk, cur = _demazure_items(rs, word[1:], lam)
     key = _pack(pk, mu)

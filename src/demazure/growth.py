@@ -52,6 +52,9 @@ for z in S_k and ends at F_e(f_0), the principal specialisation
 sum_mu c_mu q^{ht(lam - mu)} of the Demazure character; its value at
 q = 1 is dim V_w(lam).  ``_interval`` keeps the points and the pairs of
 every letter per (root system, word); they do not depend on lam.
+``dimension_sequence`` runs the chain on w's stored peel, reversed, a
+reduced word of w that takes no walk of its own; every reduced word of
+w gives the same character, and so the same values.
 
 *Evaluation at Q.*  Only the value at q = 1 is read, so each F_v is
 kept, per dilation n = 1..n_max, as one integer: its value at Q = 2^b,
@@ -87,7 +90,7 @@ from operator import gt, mod, mul, sub
 
 from demazure.characters import weyl_dim
 from demazure.roots import RootSystem, Weight, _check_dominant, _ints, _record
-from demazure.weyl import WeylElement, reduced_word
+from demazure.weyl import WeylElement
 
 __all__ = ["DilationSequence", "dimension_sequence", "finite_differences", "growth_degree"]
 
@@ -185,7 +188,7 @@ def dimension_sequence(w: WeylElement, lam: Sequence[int], n_max: int | None = N
     (n,) = _ints((n_max,), "n_max={!r} is not an integer", n_max)
     if n < need:
         raise ValueError(f"n_max={n_max} too small; need at least length(w)+2 = {need}")
-    q, at_q = _specialisation(w.rs, reduced_word(w), lam, n)
+    q, at_q = _specialisation(w.rs, w._peel[::-1], lam, n)
     values = tuple(map(mod, at_q, repeat(q - 1)))
     if any(map(gt, values, values[1:])):
         raise RuntimeError("dilation sequence must be nondecreasing")

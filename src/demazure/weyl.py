@@ -20,11 +20,13 @@ Only an element built from a vector walks: ``WeylElement(rs, u)``,
 ``weyl_group``.  It walks once, on first use, a fold onto it
 included: reflecting u at its first negative coordinate until it
 reaches rho takes letters a1, ..., ak with s_ak ... s_a1 w^{-1} = 1.
-Everything else reads the peel without scanning again, and any
-reduced word serves: the length is its count;
-``apply`` reflects a weight along it, a1 first, and w(rho) is rho
-reflected so; ``*`` reflects along it reversed; and
-``demazure_product`` folds it reversed.
+The peel is the one word an element keeps, and it serves every
+computation without scanning again, as any reduced word serves: the
+length is its count; ``apply`` reflects a weight along it, a1 first,
+and w(rho) is rho reflected so; ``*`` reflects along it reversed;
+``demazure_product`` folds it reversed; and the Demazure characters,
+Levi branching and dilation sequences of w run on it reversed, the
+word (ak, ..., a1) of w.
 
 Folding any reduced word of v gives the same 0-Hecke product w * v.
 The product is associative, and along a reduced word i1, ..., ik every
@@ -34,13 +36,13 @@ Coxeter groups", 2004).
 
 ``reduced_word`` returns the lexicographically smallest reduced word,
 the one word anything prints.  It is the greedy walk from w(rho) at the
-smallest left descent, a walk of its own whatever the peel.  A walked
-peel, the length and the word are stored in the instance dictionary by
-``roots._cached``, which, unlike ``functools.cached_property`` before
-Python 3.12, takes no lock on the first read; ``_with_peel`` stores a
-known peel in the same slot.  ``min_coset_rep`` is memoised per subset,
-so the minimal coset representative of a Levi subset, and with it its
-word, is built once.
+smallest left descent, taken on each call and never stored; only
+printing reads it, once per element.  A walked peel and the length
+are stored in the instance dictionary by ``roots._cached``, which,
+unlike ``functools.cached_property`` before Python 3.12, takes no lock
+on the first read; ``_with_peel`` stores a known peel in the same
+slot.  ``min_coset_rep`` is memoised per subset, so the minimal coset
+representative of a Levi subset, and with it its peel, is built once.
 
 Every letter is one simple reflection, and s_i changes only coordinate
 i and the coordinates of i's Dynkin neighbours: the entries of column i
@@ -123,13 +125,6 @@ class WeylElement:
         """Number of letters in the peel, which is reduced."""
         return len(self._peel)
 
-    @_cached
-    def _word(self) -> tuple[int, ...]:
-        # The valid first letters of reduced words are exactly the left
-        # descents, the negative coordinates of w(rho), so the walk that
-        # always reflects at the smallest one spells the least word.
-        return tuple(_to_dominant(self.rs.columns, list(_rho_image(self))))
-
     def apply(self, mu: Sequence[int]) -> Weight:
         """Image of a weight (fundamental coordinates) under this element."""
         return _reflect(self.rs, _check_integral(self.rs, mu), self._peel)
@@ -164,13 +159,13 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
 
     The word is folded first: when every letter ascends, it is reduced,
     the fold is the product, and it keeps the word, reversed, as its peel.
-    Otherwise rho is reflected along the letters as ``_check_index``
-    reads them.
+    Otherwise rho is reflected along the letters as ints: the fold has
+    read every letter and refused each one that is not an index.
     """
     word = tuple(word)
     x = demazure_fold(identity(rs), word)
-    if x.length != len(word):  # the fold has checked the range of every letter
-        x = WeylElement(rs, _reflect(rs, rho(rs), [_check_index(rs, i) for i in word]))
+    if x.length != len(word):
+        x = WeylElement(rs, _reflect(rs, rho(rs), map(int, word)))
     return x
 
 
@@ -194,8 +189,13 @@ def left_descents(w: WeylElement) -> tuple[int, ...]:
 
 
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
-    """Lexicographically smallest reduced word for w, computed once per element."""
-    return w._word
+    """Lexicographically smallest reduced word for w, walked afresh on each call.
+
+    The valid first letters of reduced words are exactly the left
+    descents, the negative coordinates of w(rho), so the walk that
+    always reflects at the smallest one spells the least word.
+    """
+    return tuple(_to_dominant(w.rs.columns, list(_rho_image(w))))
 
 
 def inverse(w: WeylElement) -> WeylElement:
@@ -224,8 +224,8 @@ def min_coset_rep(rs: RootSystem, subset: Iterable[int]) -> WeylElement:
 
     w_P is the parabolic longest element for the subset; the result is
     w_P^{-1} w0 (= w_P w0 since parabolic longest elements are involutions).
-    It is memoised per subset of checked ints, so its reduced word is
-    spelt once, however the indices came.
+    It is memoised per subset of checked ints, so its peel is walked
+    once, however the indices came.
     """
     return _min_coset_rep(rs, frozenset(_check_index(rs, i) for i in subset))
 

@@ -468,6 +468,29 @@ def test_integer_like_coordinates_are_read_as_ints():
     assert demazure_character(A2, (Index(2), True), (1, 1)) == demazure_character(A2, (2, 1), (1, 1))
 
 
+@pytest.mark.parametrize("kind", ["Index", "bool", "numpy"])
+def test_an_unreduced_word_reads_each_letter_once(monkeypatch, kind):
+    # from_word read every letter of an unreduced word a second time,
+    # through _check_index, after its fold had read and checked them all
+    if kind == "numpy":
+        letter = pytest.importorskip("numpy").int64
+    else:
+        letter = Index if kind == "Index" else bool
+    ints = (2, 1, 1, 2, 1, 1, 2)  # s2 s1 s1 s2 s1 s1 s2 = s2, not reduced
+    word = [letter(i) if i == 1 or kind != "bool" else i for i in ints]
+    calls = []
+
+    def counted(rs, i):
+        calls.append(i)
+        return _check_index(rs, i)
+
+    monkeypatch.setattr(weyl, "_check_index", counted)
+    x = from_word(A2, word)
+    assert len(calls) == sum(type(i) is not int for i in word) > 0
+    assert x == from_word(A2, ints) == simple_element(A2, 2)
+    assert x.length == 1 and all(type(c) is int for c in x.u)
+
+
 def test_a_memoised_character_is_keyed_on_ints(monkeypatch):
     # weight_multiplicity handed the memo (True, True) as it came
     seen = []
@@ -1566,12 +1589,13 @@ def test_a_whole_read_is_stored_back(monkeypatch):
     _demazure_items.cache_clear()
     lam = (1, 0, 1)
     assert weight_multiplicity(A3, lam, (0, 0, 0)) == 3
-    word = reduced_word(longest_element(A3))
-    # the chain of word[1:], l(w0) - 1 letters, then word[0] on one string
-    assert letters == list(reversed(word))
+    peel = longest_element(A3)._peel
+    # the chain of peel[1:], l(w0) - 1 letters, then peel[0] on one string
+    assert letters == list(reversed(peel))
     del letters[:]
     assert demazure_dim(longest_element(A3), lam) == weyl_dim(A3, lam)
-    assert letters == list(reversed(word))  # the whole word, in its own entry
+    # the whole word peel[::-1], applied last letter first, in its own entry
+    assert letters == list(peel) != list(reversed(peel))
     calls = [
         lambda: demazure_dim(longest_element(A3), lam),
         lambda: weyl_character(A3, lam),
@@ -1588,4 +1612,26 @@ def test_a_whole_read_is_stored_back(monkeypatch):
     assert demazure_dim(longest_element(A3), lam) == weyl_dim(A3, lam)
     assert letters == []
     assert weight_multiplicity(A3, lam, (0, 0, 0)) == 3
-    assert letters == [word[0]]
+    assert letters == [peel[0]]
+
+
+SPLIT_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", SPLIT_TYPES)
+def test_weight_multiplicity_splits_off_letter_1_of_w0s_peel(name):
+    # weight_multiplicity splits the first letter off w0's peel read
+    # forwards, which is w0's least word and starts at 1.  The reversed
+    # peel may start elsewhere: B2's starts at 2, whose alpha_2 packs to 0
+    # at lam = 0, and probing its string then asks for a range of step 0.
+    rs = root_system(name)
+    w0 = longest_element(rs)
+    assert w0._peel == reduced_word(w0) and w0._peel[0] == 1
+    zero = (0,) * rs.rank
+    assert weight_multiplicity(rs, zero, zero) == 1

@@ -311,9 +311,12 @@ def test_the_n_zero_entry_is_never_divided(monkeypatch):
     rs = root_system("B3")
     w0 = longest_element(rs)
     n_max = w0.length + 2
-    pairs = sum(map(len, growth._interval(rs, reduced_word(w0))[2]))
+    # the chain runs on w0's stored peel, reversed: its interval is a memo hit
+    pairs = sum(map(len, growth._interval(rs, w0._peel[::-1])[2]))
+    hits = growth._interval.cache_info().hits
     monkeypatch.setattr(growth, "divmod", counting, raising=False)
     seq = dimension_sequence(w0, (1, 1, 1), n_max)
+    assert growth._interval.cache_info().hits == hits + 1
     assert len(calls) == pairs * n_max
     assert len(seq.values) == n_max + 1 and seq.values[0] == 1
 

@@ -31,9 +31,12 @@ no module makes a named tuple.  No module imports ``typing`` either: the
 annotations are strings under the ``__future__`` import, and the
 abstract types they name come from ``collections.abc``.
 ``branching`` reads Demazure characters only, never an irreducible
-character or a weight multiplicity.  No module imports a name it never
-uses, and no private function or class is left that only the tests
-call.  The tests' own oracles in ``tests/oracles.py`` import nothing
+character or a weight multiplicity.  Every computation on a Weyl
+element reads its stored peel: only the CLI's ``hecke`` and ``growth``
+output and ``WeylElement.__repr__`` call ``reduced_word``, and
+``characters``, ``branching`` and ``growth`` do not import it.  No
+module imports a name it never uses, and no private function or class
+is left that only the tests call.  The tests' own oracles in ``tests/oracles.py`` import nothing
 from the package.
 
 No public name is left that only the tests call either.  Each name in a
@@ -118,6 +121,14 @@ def test_only_characters_reads_the_packing():
         assert _attribute_readers(field) == ["characters.py"], field
 
 
+def _calls(tree, name):
+    """Whether tree holds a call of name by its bare name."""
+    return any(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+        for node in ast.walk(tree)
+    )
+
+
 def _callers(name):
     """(module, top-level function or class) pairs of the package that call name.
 
@@ -126,10 +137,7 @@ def _callers(name):
     found = set()
     for p in SRC.glob("*.py"):
         for top in ast.parse(p.read_text(), str(p)).body:
-            if any(
-                isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
-                for node in ast.walk(top)
-            ):
+            if _calls(top, name):
                 found.add((p.name, getattr(top, "name", "<module>")))
     return found
 
@@ -171,13 +179,47 @@ def test_one_function_packs_a_memoised_character():
 
 def test_one_function_walks_into_the_dominant_chamber():
     # the walkers that the roots and characters docstrings list: a Weyl
-    # element's peel and word, dominant_conjugate, and the Freudenthal
-    # tails that no stabiliser gives
+    # element's peel, the printed word, dominant_conjugate, and the
+    # Freudenthal tails that no stabiliser gives
     assert _callers("_to_dominant") == {
         ("characters.py", "freudenthal_multiplicity"),
         ("roots.py", "dominant_conjugate"),
         ("weyl.py", "WeylElement"),
+        ("weyl.py", "reduced_word"),
     }
+
+
+def _function_callers(name):
+    """Qualified functions and methods of the package that call name.
+
+    A method counts as "Class.method", a call elsewhere in a class body
+    as "Class", a top-level function by its name, and a call anywhere
+    else in a module as "<module>".
+    """
+    found = set()
+    for p in SRC.glob("*.py"):
+        for top in ast.parse(p.read_text(), str(p)).body:
+            if isinstance(top, ast.ClassDef):
+                scopes = [
+                    (f"{top.name}.{item.name}" if isinstance(item, ast.FunctionDef) else top.name, item)
+                    for item in top.body
+                ]
+            else:
+                scopes = [(getattr(top, "name", "<module>"), top)]
+            found.update((p.name, qualified) for qualified, scope in scopes if _calls(scope, name))
+    return found
+
+
+def test_only_printing_spells_the_least_reduced_word():
+    # every computation reads an element's stored peel; reduced_word's
+    # walk serves the words the CLI prints and repr only
+    assert _function_callers("reduced_word") == {
+        ("cli.py", "_cmd_hecke"),
+        ("cli.py", "_cmd_growth"),
+        ("weyl.py", "WeylElement.__repr__"),
+    }
+    for layer in ("characters.py", "branching.py", "growth.py"):
+        assert "reduced_word" not in _imported_names(SRC / layer), layer
 
 
 def test_no_module_imports_dataclasses():

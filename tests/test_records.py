@@ -147,7 +147,7 @@ def test_cached_attributes_are_outside_equality_and_hashing():
     for word in ((1, 2, 1), (2, 3, 2, 1)):
         walked = from_word(B3, word)
         fresh = WeylElement(B3, walked.u)
-        assert not {"_peel", "length", "_word"} & set(vars(fresh))
+        assert not {"_peel", "length"} & set(vars(fresh))
         assert walked.length == len(word) and "_peel" in vars(walked)
         assert fresh == walked and hash(fresh) == hash(walked)
     cold = rebuilt(B3)

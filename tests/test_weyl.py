@@ -3,25 +3,31 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from demazure import branching, cli, weyl
+from demazure import branching, characters, cli, growth, weyl
 from demazure import (
     LeviDatum,
+    demazure_dim,
     demazure_fold,
     demazure_product,
+    dimension_sequence,
     dominant_conjugate,
     from_word,
     identity,
     inverse,
     left_descents,
+    levi_length_bound,
     longest_element,
     longest_parabolic,
     min_coset_rep,
     reduced_word,
+    restrict_to_levi,
     rho,
     root_system,
     simple_element,
     simple_reflection,
     unirad_mult_identity,
+    weight_multiplicity,
+    weyl_character,
     weyl_group,
 )
 from demazure.roots import _to_dominant
@@ -503,7 +509,12 @@ def test_weyl_layer_matches_reference_reflection(data):
     assert (x.u, y.u) == (ref_x.u, ref_y.u)
     assert x.length == len(ref_x.letters)
     assert x.apply(mu) == ref_x.apply(mu)
-    assert right_descents(x.u) == tuple(i for i, c in enumerate(ref_x.u, 1) if c < 0)
+    for i in range(1, rs.rank + 1):
+        # i is a right descent of x exactly when ref_x.u_i < 0: the fold
+        # of i then keeps x, and otherwise it is one letter longer
+        folded = demazure_fold(x, [i])
+        assert (folded == x) == (ref_x.u[i - 1] < 0), i
+        assert folded == x or folded.length == x.length + 1, i
     assert left_descents(x) == tuple(i for i, c in enumerate(ref_x.rho_image, 1) if c < 0)
     assert inverse(x).u == ref_x.rho_image
     assert reduced_word(x) == ref_x.reduced_word()
@@ -512,7 +523,7 @@ def test_weyl_layer_matches_reference_reflection(data):
 
 
 def test_reduced_word_is_first_of_all_reduced_words():
-    # every w of six groups, so every word the cache can hold there
+    # every w of six groups, so every word reduced_word can walk there
     for name in ("A3", "B3", "G2", "C3", "D4", "F4"):
         rs = root_system(name)
         for w in weyl_group(rs):
@@ -634,7 +645,7 @@ def test_a_known_reduced_word_takes_no_peel_walk(monkeypatch, capsys):
 def test_a_levi_subset_walks_once(monkeypatch):
     # w_S keeps the peel its fold stored, so neither query walks it:
     # the coset representative w_S * w0 walks for its length, and the
-    # unipotent-radical identity walks for the lexicographic word of w_S
+    # unipotent-radical identity runs on w_S's stored peel, with no walk
     walks = []
 
     def counted(cols, x):
@@ -649,7 +660,50 @@ def test_a_levi_subset_walks_once(monkeypatch):
     branching._levi_char_items.cache_clear()
     walks.clear()
     assert unirad_mult_identity((1, 1, 0), LeviDatum(b3, {1, 2})) == (8, 8, True)
-    assert len(walks) == 1
+    assert walks == []
+
+
+def test_computations_read_the_stored_peel(monkeypatch):
+    # once w0 and the coset representative are built, no computation on
+    # an element that stores its peel walks; reduced_word, which only
+    # printing calls, walks once per call
+    walks = []
+
+    def counted(cols, x):
+        walks.append(None)
+        return _to_dominant(cols, x)
+
+    rs = root_system("B3")
+    subset = frozenset({1, 2})
+    levi = LeviDatum(rs, subset)
+    lam = (1, 0, 1)
+    assert longest_element(rs).length == 9 and min_coset_rep(rs, subset).length == 6
+    characters._demazure_items.cache_clear()
+    branching._levi_char_items.cache_clear()
+    growth._interval.cache_clear()
+    monkeypatch.setattr(weyl, "_to_dominant", counted)
+    elements = [
+        demazure_fold(identity(rs), [3, 2, 3, 1, 2]),
+        from_word(rs, (1, 2, 3, 2)),
+        longest_parabolic(rs, {2, 3}),
+    ]
+    routes = {
+        "weyl_character": lambda: weyl_character(rs, lam),
+        "weight_multiplicity": lambda: weight_multiplicity(rs, lam, (0, 0, 0)),
+        "_levi_char_items": lambda: branching._levi_char_items(rs, subset, lam),
+        "_branch": lambda: restrict_to_levi(lam, levi),
+        "_coset_bound": lambda: levi_length_bound(lam, levi),
+    }
+    for w in elements:
+        routes[f"demazure_dim {w._peel}"] = lambda w=w: demazure_dim(w, lam)
+        routes[f"dimension_sequence {w._peel}"] = lambda w=w: dimension_sequence(w, lam)
+    for route, call in routes.items():
+        call()
+        assert walks == [], route
+    for w in (*elements, longest_element(rs), min_coset_rep(rs, subset)):
+        for k in (1, 2):
+            assert len(reduced_word(w)) == w.length and len(walks) == k
+        walks.clear()
 
 
 def test_a_corrupted_parabolic_peel_breaks_the_coset_lengths(monkeypatch):
