@@ -36,8 +36,12 @@ mu_i <= -2 it is minus that of s_i.mu = mu - (mu_i + 1) alpha_i, whose
 mu + rho is higher by a positive multiple of alpha_i.  The W_S-orbit is
 finite, so the walk stops, at an S-dominant weight.  The walk runs in
 ``characters._straightened``, on the packed keys of the memoised
-character of v, whose chain runs on v's stored peel, reversed, and
-only the totals per S-dominant weight are unpacked.  The signed sums
+character of v, and only the nonzero totals per S-dominant weight are
+unpacked.  Like every chain, that of v runs on the coset word,
+``weyl._coset_word``: a reduced word of v^lam, the least element of
+v W_lam, W_lam generated by the s_j with lam_j = 0.  Each such D_j fixes
+e^lam, so D_v e^lam = D_{v^lam} e^lam; in A100 at omega_1 with
+S = {1}, v has length 5,049 and v^lam length 100.  The signed sums
 per S-dominant nu are the multiplicities, since the characters L(nu) are
 linearly independent.  A negative one, or a total that misses
 dim V(lam), raises RuntimeError.
@@ -53,15 +57,19 @@ positive roots.
 
 The bound is ``_coset_bound``, the dimension of the Demazure module of
 the minimal coset representative for S at the dual weight, read from
-the memoised chain of the same word with no second check of the weight.
+the memoised chain of its coset word at that weight with no second
+check of the weight.  Both routes read the representative from its
+memo on the subset the ``LeviDatum`` checked, and ``_branch`` reads
+dim V(lam) from ``RootSystem.dim_table`` with no second check either.
 ``levi_length_bound`` runs the restriction and the bound once each on
 the weight ``_branch`` checked, and compares the number of constituents
 with the bound; the CLI ``branch`` compares that number and each
 multiplicity.
 ``unirad_mult_identity`` checks that the Demazure module of the
 parabolic longest element has exactly the dimension of the Levi module
-with the same highest weight, from the chain of that element's stored
-peel, reversed, which its folds spelt, so no walk is taken.
+with the same highest weight, from the chain of that element's coset
+word at the weight, which for a weight with no zero coordinate is its
+stored peel, reversed, which its folds spelt.
 """
 
 from __future__ import annotations
@@ -70,7 +78,7 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from math import prod
 
-from demazure.characters import _dim, _straightened, _weyl_dims, dual_weight, weyl_dim
+from demazure.characters import _dim, _straightened, _weyl_dims
 from demazure.roots import (
     RootSystem,
     Weight,
@@ -81,8 +89,9 @@ from demazure.roots import (
     _integral,
     _ints,
     _record,
+    dominant_conjugate,
 )
-from demazure.weyl import longest_parabolic, min_coset_rep
+from demazure.weyl import _coset_word, _min_coset_rep, longest_parabolic
 
 __all__ = [
     "LeviDatum",
@@ -164,7 +173,7 @@ def _check_s_dominant(rs: RootSystem, s: frozenset[int], mu: Sequence[int]) -> W
 def _levi_char_items(rs: RootSystem, subset: frozenset[int], mu: Weight) -> int:
     # The dimension of the Demazure module of w_S at mu.  The benchmark's
     # branching.levi_memo_* counters read this memo, under this name.
-    return _dim(rs, longest_parabolic(rs, subset)._peel[::-1], mu)
+    return _dim(rs, _coset_word(longest_parabolic(rs, subset), mu), mu)
 
 
 def levi_weyl_dim(rs: RootSystem, subset: Iterable[int], mu: Sequence[int]) -> int:
@@ -183,31 +192,34 @@ def _branch(lam: Sequence[int], levi: LeviDatum) -> tuple[BranchingResult, list[
     rs = levi.rs
     s = levi.subset
     lam = _check_dominant(rs, lam)
-    found = []
-    for mu, n in _straightened(rs, min_coset_rep(rs, s)._peel[::-1], lam, s):
+    found = _straightened(rs, _coset_word(_min_coset_rep(rs, s), lam), lam, s)
+    for mu, n in found:
         if n < 0:
             raise RuntimeError(f"alternating sum gave multiplicity {n} at {mu}")
-        if n:
-            found.append((mu, n))
     result = BranchingResult(levi, lam, tuple(found))
     dims = _weyl_dims(rs, levi.dim_table, (mu for mu, _ in found))
-    dim = weyl_dim(rs, lam)
+    dim = _weyl_dims(rs, rs.dim_table, [lam])[0]
     if sum(m * d for (_, m), d in zip(found, dims)) != dim:
         raise RuntimeError("branching lost dimensions; the alternating sum is broken")
     return result, dims, dim
 
 
 def _coset_bound(lam: Weight, levi: LeviDatum) -> int:
-    """``demazure_dim`` of the minimal coset representative at lam*, for a checked dominant lam."""
+    """``demazure_dim`` of the minimal coset representative at lam*, for a checked dominant lam.
+
+    lam* is the dominant conjugate of -lam, the highest weight of the dual.
+    """
     rs = levi.rs
-    return _dim(rs, min_coset_rep(rs, levi.subset)._peel[::-1], dual_weight(rs, lam))
+    dual = dominant_conjugate(rs, [-x for x in lam])
+    return _dim(rs, _coset_word(_min_coset_rep(rs, levi.subset), dual), dual)
 
 
 def levi_length_bound(lam: Sequence[int], levi: LeviDatum) -> tuple[int, int, bool]:
     """(number of constituents with multiplicity, Demazure bound, bound holds)."""
     result = _branch(lam, levi)[0]
+    length = result.length
     bound = _coset_bound(result.lam, levi)
-    return result.length, bound, result.length <= bound
+    return length, bound, length <= bound
 
 
 def unirad_mult_identity(lam: Sequence[int], levi: LeviDatum) -> tuple[int, int, bool]:

@@ -46,21 +46,28 @@ where no coordinate exceeds h * sum_j |mu_j| in absolute value.
 Characters are memoised whole: ``_demazure_items`` keeps the packing
 and the packed character of each (word, lam) asked for, the 256 most
 recently used, and builds a new one from e^lam by the package's one
-letter loop.  The word of an element w is its stored peel, reversed:
-a reduced word of w that takes no walk of its own.  ``demazure_dim``,
-``weyl_character`` and the Levi routes of ``demazure.branching`` run
-on it.  lam is dominant for the characters of ``V(lam)`` and
-S-dominant for the Levi dimensions of ``unirad``.  A repeat is one
-lookup; a new word costs all of its letters, even when it shares a
-suffix with an earlier one.  Every reader of a memoised character
-decodes it with the packing stored beside it, and ``_unpack`` returns
-its terms sorted.  The operator acts on each alpha_i-string on its own,
-so one coefficient never needs the letter applied last over the whole
-support: ``weight_multiplicity`` reads w0's peel forwards, a reduced
-word of w0 = w0^{-1} whose first letter is 1, takes the memoised
-character of the rest of it and applies that letter to mu's
-alpha_i-string only, which it takes by probing the string's keys or by
-filtering the character's terms, whichever are fewer.
+letter loop.  A chain of an element w at lam runs on the coset word,
+``weyl._coset_word``: a reduced word of w^lam, the least element of
+the coset w W_lam, where W_lam is generated by the s_j with lam_j = 0.
+Each such D_j fixes e^lam, so D_w e^lam = D_{w^lam} e^lam (Demazure
+1974; Kumar 2002, ch. VIII): the chain takes length(w^lam) letters,
+not length(w), and every member of the coset shares one memo entry.
+For lam with no zero coordinate the coset word is w's stored peel,
+reversed.  ``demazure_character``, ``demazure_dim``, ``weyl_character``
+and the Levi routes of ``demazure.branching`` run on it.  lam is
+dominant for the characters of ``V(lam)`` and S-dominant for the Levi
+dimensions of ``unirad``.  A repeat is one lookup; a new word costs all
+of its letters, even when it shares a suffix with an earlier one.
+Every reader of a memoised character decodes it with the packing
+stored beside it, and ``_unpack`` returns its terms sorted.  The
+operator acts on each alpha_i-string on its own, so one coefficient
+never needs the letter applied last over the whole support:
+``weight_multiplicity`` reads w0's peel forwards, a reduced word of
+w0 = w0^{-1} whose first letter is 1, takes the memoised character of
+the rest of it and reads the coefficient that letter leaves at mu off
+mu's alpha_i-string only, as one running sum over its terms,
+``_coefficient``.  It takes the string by probing the string's keys or
+by filtering the character's terms, whichever are fewer.
 ``demazure_operator``, the one other caller of ``_letter``, packs its
 own input for its one letter.
 
@@ -70,8 +77,8 @@ one alpha_i-string of it, and ``_straightened`` walks it for Levi
 branching (``demazure.branching``).  That walk takes each key
 of a memoised packed character into the S-dominant chamber by the dot
 action, one subtraction of a packed simple root per reflection, sums the
-signed terms by packed key and unpacks only those totals.  No other
-module reads a packing.
+signed terms by packed key and unpacks only the nonzero totals.  No
+other module reads a packing.
 
 ``weyl_dim`` (dimension product formula) and
 ``freudenthal_multiplicity`` are independent of the operator path and
@@ -129,7 +136,7 @@ from demazure.roots import (
     root_system,
     sub_weights,
 )
-from demazure.weyl import WeylElement, _check_reduced, longest_element
+from demazure.weyl import WeylElement, _check_reduced, _coset_word, longest_element
 
 Character = dict[Weight, int]
 
@@ -279,6 +286,35 @@ def _letter(pk: _Packing, i: int, cur: dict[int, int]) -> dict[int, int]:
     return out
 
 
+def _coefficient(pk: _Packing, i: int, key: int, string: dict[int, int]) -> int:
+    """The coefficient at key of the operator for alpha_i on string, terms on key's alpha_i-string.
+
+    It is ``_letter``'s output at key, read as one running sum with no
+    weight written.  ``_letter`` puts +c at each moving term's key k and
+    -c at k - (m + 1) a, and its sweep leaves at key the sum of the
+    entries at key + t a over t >= 0.  So with t = (k - key) / a a term
+    adds c when t >= 0, its partner, at t - (m + 1), subtracts c when
+    t > m, and a term with m = 0, which the letter fixes, counts only at
+    key itself.  At m = -1 the two cancel, as in ``_letter``.
+    """
+    a = pk.simple[i - 1]
+    place = pk.places[i - 1]
+    base = pk.base
+    radius = pk.radius
+    total = 0
+    for k, c in string.items():
+        m = k // place % base - radius
+        if m:
+            t = (k - key) // a
+            if t >= 0:
+                total += c
+            if t > m:
+                total -= c
+        elif k == key:
+            total += c
+    return total
+
+
 def _unpack(pk: _Packing, cur: dict[int, int]) -> list[tuple[Weight, int]]:
     """The terms of a packed character, sorted lexicographically by weight."""
     places = pk.places
@@ -333,7 +369,7 @@ def _straightened(
     -e^{mu - (m + 1) alpha_i}.  The walk runs on the memoised packed
     keys and stays in range: s_i.mu lies on the segment from mu to
     s_i(mu), so in the hull of W.lam that ``_packing`` covers.  Returns
-    the signed totals per S-dominant weight, zeros included, sorted.
+    the nonzero signed totals per S-dominant weight, sorted.
     """
     pk, items = _demazure_items(rs, word, lam)
     walls = [(pk.places[i - 1], pk.simple[i - 1]) for i in sorted(subset)]
@@ -353,7 +389,7 @@ def _straightened(
                 break
             key -= (m + 1) * a
             c = -c
-    return _unpack(pk, totals)
+    return _unpack(pk, {key: c for key, c in totals.items() if c})
 
 
 def demazure_character(rs: RootSystem, word: Sequence[int], lam: Sequence[int]) -> Character:
@@ -361,24 +397,27 @@ def demazure_character(rs: RootSystem, word: Sequence[int], lam: Sequence[int]) 
 
     Rejects non-reduced words (the word must have length equal to the
     length of the group element it spells) and non-dominant weights.
-    The chain runs on, and the memo is keyed on, the word as the check's
-    fold read it: the same letters, each an int, as its stored peel
-    holds them, reversed.
+    The chain runs on, and the memo is keyed on, the coset word of the
+    element w the word spells: a reduced word of w^lam, the least element
+    of w W_lam, which gives the same character, since each s_j in W_lam
+    has lam_j = 0 and D_j fixes e^lam.  Every word of every member of the
+    coset shares that one entry.
     """
     lam = _check_dominant(rs, lam)
     word = tuple(word)
-    return _character(rs, _check_reduced(rs, word)._peel[::-1], lam)
+    return _character(rs, _coset_word(_check_reduced(rs, word), lam), lam)
 
 
 def demazure_dim(w: WeylElement, lam: Sequence[int]) -> int:
     """Dimension of the Demazure module: coefficient sum of its character."""
     lam = _check_dominant(w.rs, lam)
-    return _dim(w.rs, w._peel[::-1], lam)
+    return _dim(w.rs, _coset_word(w, lam), lam)
 
 
 def weyl_character(rs: RootSystem, lam: Sequence[int]) -> Character:
     """Character of the irreducible module with highest weight lam."""
-    return _character(rs, longest_element(rs)._peel[::-1], _check_dominant(rs, lam))
+    lam = _check_dominant(rs, lam)
+    return _character(rs, _coset_word(longest_element(rs), lam), lam)
 
 
 def _multiplicity_input(
@@ -418,7 +457,8 @@ def weight_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -
     # where every weight of the chain lies and key + t a is the key of
     # mu + t alpha_i; further out it can be the key of a weight off the
     # string.  The string is read by probing its keys, or by filtering the
-    # chain's terms when there are fewer of those: the same keys either way.
+    # chain's terms when there are fewer of those: the same keys either way;
+    # _coefficient then reads the one coefficient at mu off its terms.
     # The word is w0's peel read forwards, a reduced word of w0 = w0^{-1}.
     # Its first letter is 1, where -rho's walk starts, and alpha_1 packs to
     # a nonzero a at every radius: its coordinate 1, 2 in the most
@@ -437,7 +477,7 @@ def weight_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -
         string = {k: cur[k] for k in range(key + lo * a, key + (hi + 1) * a, a) if k in cur}
     else:
         string = {k: c for k, c in cur.items() if not (k - key) % a and lo <= (k - key) // a <= hi}
-    return _letter(pk, i, string).get(key, 0)
+    return _coefficient(pk, i, key, string)
 
 
 def weyl_dim(rs: RootSystem, lam: Sequence[int]) -> int:

@@ -1,8 +1,10 @@
 """Dimension growth of Demazure modules along weight dilations.
 
 The sequence n -> dim of the module for n*lam is a polynomial in n of
-degree at most length(w); for regular lam (e.g. rho) the degree is
-exactly length(w).  The degree is detected exactly by finite
+degree length(w^lam), w^lam the least element of the coset w W_lam (it
+is the Hilbert polynomial of the Schubert variety of w^lam in G/P_lam).
+So the degree is at most length(w), and for regular lam (e.g. rho) it
+is exactly length(w).  The degree is detected exactly by finite
 differences, no fitting involved.
 
 The dimensions come from the principal specialisation of the Demazure
@@ -52,9 +54,14 @@ for z in S_k and ends at F_e(f_0), the principal specialisation
 sum_mu c_mu q^{ht(lam - mu)} of the Demazure character; its value at
 q = 1 is dim V_w(lam).  ``_interval`` keeps the points and the pairs of
 every letter per (root system, word); they do not depend on lam.
-``dimension_sequence`` runs the chain on w's stored peel, reversed, a
-reduced word of w that takes no walk of its own; every reduced word of
-w gives the same character, and so the same values.
+``dimension_sequence`` runs the chain on the coset word,
+``weyl._coset_word``: a reduced word of w^lam, the least element of the
+coset w W_lam, W_lam generated by the s_j with lam_j = 0.  Each such
+D_j fixes e^{n lam}, so w^lam gives the same character at every n lam,
+and so the same values, over the interval below w^lam rather than below
+w: in F4 at omega_4, s_1 w0 has length 23 and its coset word 15
+letters.  For lam with no zero coordinate the coset word is w's stored
+peel, reversed, which takes no walk of its own.
 
 *Evaluation at Q.*  Only the value at q = 1 is read, so each F_v is
 kept, per dilation n = 1..n_max, as one integer: its value at Q = 2^b,
@@ -90,7 +97,7 @@ from operator import gt, mod, mul, sub
 
 from demazure.characters import weyl_dim
 from demazure.roots import RootSystem, Weight, _check_dominant, _ints, _record
-from demazure.weyl import WeylElement
+from demazure.weyl import WeylElement, _coset_word
 
 __all__ = ["DilationSequence", "dimension_sequence", "finite_differences", "growth_degree"]
 
@@ -188,7 +195,7 @@ def dimension_sequence(w: WeylElement, lam: Sequence[int], n_max: int | None = N
     (n,) = _ints((n_max,), "n_max={!r} is not an integer", n_max)
     if n < need:
         raise ValueError(f"n_max={n_max} too small; need at least length(w)+2 = {need}")
-    q, at_q = _specialisation(w.rs, w._peel[::-1], lam, n)
+    q, at_q = _specialisation(w.rs, _coset_word(w, lam), lam, n)
     values = tuple(map(mod, at_q, repeat(q - 1)))
     if any(map(gt, values, values[1:])):
         raise RuntimeError("dilation sequence must be nondecreasing")

@@ -27,8 +27,9 @@ Levi walk there subtracts a multiple of it from a packed weight.
 
 ``_to_dominant`` is the one walk into the dominant chamber, reflecting
 at the first negative coordinate until none is left: reduced words,
-w(rho), ``dominant_conjugate`` and the Freudenthal tails that no
-stabiliser gives, in types B, C, F and G only, take it.
+w(rho), the least element of a coset w W_lam and its word,
+``dominant_conjugate`` and the Freudenthal tails that no stabiliser
+gives, in types B, C, F and G only, take it.
 
 No module reads the stored Cartan matrix: the build reads the matrix
 it makes, and every other reader takes ``columns``.  No module but this

@@ -23,10 +23,19 @@ reaches rho takes letters a1, ..., ak with s_ak ... s_a1 w^{-1} = 1.
 The peel is the one word an element keeps, and it serves every
 computation without scanning again, as any reduced word serves: the
 length is its count; ``apply`` reflects a weight along it, a1 first,
-and w(rho) is rho reflected so; ``*`` reflects along it reversed;
-``demazure_product`` folds it reversed; and the Demazure characters,
-Levi branching and dilation sequences of w run on it reversed, the
-word (ak, ..., a1) of w.
+and w(rho) is rho reflected so; ``*`` reflects along it reversed; and
+``demazure_product`` folds it reversed.
+
+The Demazure characters, Levi branching and dilation sequences of w at
+a weight lam run on the coset word, ``_coset_word``: a reduced word of
+w^lam, the least element of the coset w W_lam, W_lam generated by the
+s_j with lam_j = 0.  Each such D_j fixes e^lam, so a chain or a Bruhat
+interval of w^lam gives what w's would, with length(w^lam) letters
+(Demazure 1974; Kumar 2002, ch. VIII).  For lam with no zero
+coordinate the coset word is the peel reversed, the word (ak, ..., a1)
+of w; otherwise ``_least_in_coset`` walks u at the zeros of lam, then
+to rho, through the one walk, and keeps the word per (element, zero
+pattern), so every member of a coset gets the same word.
 
 Folding any reduced word of v gives the same 0-Hecke product w * v.
 The product is associative, and along a reduced word i1, ..., ik every
@@ -69,6 +78,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
+from operator import add, sub
 
 from demazure.roots import (
     RootSystem,
@@ -238,6 +248,44 @@ def _min_coset_rep(rs: RootSystem, subset: frozenset[int]) -> WeylElement:
     if w_p.length + rep.length != w0.length:
         raise RuntimeError("coset representative lengths do not add up")
     return rep
+
+
+def _coset_word(w: WeylElement, lam: Weight) -> tuple[int, ...]:
+    """A reduced word of w^lam, the least element of the coset w W_lam.
+
+    W_lam is generated by the s_j with lam_j = 0, lam a checked weight,
+    and D_j fixes e^lam for each such j, so every chain and interval at
+    lam runs on this word in place of a word of w.  When lam has no zero
+    coordinate, W_lam is trivial and the word is w's peel, reversed, with
+    no lookup; otherwise it is ``_least_in_coset``'s, one entry per
+    (element, zero pattern), so that every member of a coset gets the
+    same word.
+    """
+    if 0 not in lam:
+        return w._peel[::-1]
+    return _least_in_coset(w, tuple(x == 0 for x in lam))
+
+
+@lru_cache(maxsize=1024)
+def _least_in_coset(w: WeylElement, zeros: tuple[bool, ...]) -> tuple[int, ...]:
+    """A reduced word of the least element of w W_J, J the indices where zeros is True.
+
+    Reflecting u = w^{-1}(rho) at a j in J with u_j < 0 takes w to the
+    shorter w s_j, and u is J-dominant exactly at the least element.  The
+    one walk, ``roots._to_dominant``, takes those reflections on
+    x = u + N e, e_k = 1 off J and 0 on J: each s_j with j in J fixes e,
+    so it moves x as it moves u, and no other coordinate turns negative,
+    since |u_k|, the height of the coroot w(alpha_k^vee), is at most N,
+    the number of positive roots.  The least element's u is then walked
+    to rho for its peel, which is returned reversed.
+    """
+    big = len(w.rs.positive_roots)
+    cols = w.rs.columns
+    lift = [0 if z else big for z in zeros]
+    x = list(map(add, w.u, lift))
+    _to_dominant(cols, x)
+    x = list(map(sub, x, lift))
+    return tuple(_to_dominant(cols, x))[::-1]
 
 
 def demazure_fold(w: WeylElement, letters: Iterable[int]) -> WeylElement:

@@ -20,8 +20,9 @@ from demazure import (
     weyl_character,
     weyl_dim,
 )
-from demazure import branching
+from demazure import branching, characters
 from demazure.branching import BranchingResult, _branch, _coset_bound, s_dominant
+from demazure.characters import _letter
 from demazure.roots import sub_weights
 from oracles import dimension_conserved, levi_dim_table, scaled_inverse_cartan, simple_root, straighten
 from test_characters import _apply
@@ -454,3 +455,20 @@ def test_multiplicity_bound_against_weight_multiplicity():
         result = restrict_to_levi(lam, levi)
         for mu, mult in result.constituents:
             assert mult <= weight_multiplicity(A2, lam, mu)
+
+
+def test_the_a100_branch_runs_199_letters(monkeypatch):
+    # S = {1}: the representative v = w_S w0 has length 5,049, and its two
+    # chains, at omega_1 and at the dual weight omega_100, ran 10,098
+    # letters on v's whole peel.  On the coset words they run 199.
+    letters = []
+
+    def counted(pk, i, cur):
+        letters.append(i)
+        return _letter(pk, i, cur)
+
+    monkeypatch.setattr(characters, "_letter", counted)
+    rs = root_system("A100")
+    characters._demazure_items.cache_clear()
+    assert levi_length_bound((1,) + (0,) * 99, LeviDatum(rs, {1})) == (100, 100, True)
+    assert len(letters) <= 199

@@ -48,6 +48,7 @@ from demazure import (
 from demazure import characters, weyl
 from demazure.branching import s_dominant
 from demazure.characters import (
+    _coefficient,
     _demazure_items,
     _letter,
     _pack,
@@ -508,7 +509,9 @@ def test_a_memoised_character_is_keyed_on_ints(monkeypatch):
 
 
 def test_a_demazure_character_chain_reads_the_letters_as_ints(monkeypatch):
-    # demazure_character handed the memo its word as it came
+    # demazure_character handed the memo its word as it came.  The memo
+    # is keyed on the coset word: s_1 s_2 at (1, 0), whose zero is at 2,
+    # runs on its least coset member s_1
     seen = []
 
     def spy(rs, word, lam):
@@ -518,7 +521,7 @@ def test_a_demazure_character_chain_reads_the_letters_as_ints(monkeypatch):
     items = characters._demazure_items
     monkeypatch.setattr(characters, "_demazure_items", spy)
     assert demazure_character(A2, (True, Index(2)), (1, 0)) == demazure_character(A2, (1, 2), (1, 0))
-    assert seen == [(1, 2), (1, 2)] and all(type(i) is int for word in seen for i in word)
+    assert seen == [(1,), (1,)] and all(type(i) is int for word in seen for i in word)
 
 
 def test_numpy_coordinates_are_read_as_ints():
@@ -1496,11 +1499,13 @@ def test_weight_multiplicity_reads_only_the_string_of_mu(monkeypatch, lam):
     alpha = simple_root(rs, i)
     read = []
 
-    def recorded(pk, i, cur):
+    def recorded(pk, i, key, cur):
         read.append((i, _unpack(pk, cur)))
-        return _letter(pk, i, cur)
+        value = _coefficient(pk, i, key, cur)
+        assert value == _letter(pk, i, cur).get(key, 0)  # the oracle: the letter on the whole string
+        return value
 
-    monkeypatch.setattr(characters, "_letter", recorded)
+    monkeypatch.setattr(characters, "_coefficient", recorded)
     for mu in _packing_box(rs, lam, 10**4, random.Random(0)):
         del read[:]
         assert weight_multiplicity(rs, lam, mu) == expected.get(mu, 0), mu
@@ -1530,12 +1535,14 @@ def test_rank_one_multiplicity_reads_a_one_term_string(monkeypatch, k):
         pk, cur = _demazure_items(rs, word, lam)
         return pk, Counted(cur)
 
-    def recorded(pk, i, cur):
+    def recorded(pk, i, key, cur):
         read.append(dict(cur))
-        return _letter(pk, i, cur)
+        value = _coefficient(pk, i, key, cur)
+        assert value == _letter(pk, i, cur).get(key, 0)  # the oracle: the letter on the whole string
+        return value
 
     monkeypatch.setattr(characters, "_demazure_items", counted)
-    monkeypatch.setattr(characters, "_letter", recorded)
+    monkeypatch.setattr(characters, "_coefficient", recorded)
     assert weight_multiplicity(a1, (k,), (k % 2,)) == 1
     pk, cur = _demazure_items(a1, (), (k,))
     assert read == [cur] == [{_pack(pk, (k,)): 1}]
@@ -1578,24 +1585,34 @@ def test_demazure_dim_matches_the_whole_chain_for_every_element(name):
 
 
 def test_a_whole_read_is_stored_back(monkeypatch):
+    # letters applied by _letter, and ("string", i) for a coefficient
+    # read off one alpha_i-string
     letters = []
 
     def counted(pk, i, cur):
         letters.append(i)
         return _letter(pk, i, cur)
 
+    def read(pk, i, key, string):
+        letters.append(("string", i))
+        return _coefficient(pk, i, key, string)
+
     monkeypatch.setattr(characters, "_letter", counted)
+    monkeypatch.setattr(characters, "_coefficient", read)
     A3 = root_system("A3")
     _demazure_items.cache_clear()
     lam = (1, 0, 1)
     assert weight_multiplicity(A3, lam, (0, 0, 0)) == 3
     peel = longest_element(A3)._peel
-    # the chain of peel[1:], l(w0) - 1 letters, then peel[0] on one string
-    assert letters == list(reversed(peel))
+    # the chain of peel[1:], l(w0) - 1 letters, then peel[0] read off one string
+    assert letters == [*reversed(peel[1:]), ("string", peel[0])]
     del letters[:]
     assert demazure_dim(longest_element(A3), lam) == weyl_dim(A3, lam)
-    # the whole word peel[::-1], applied last letter first, in its own entry
-    assert letters == list(peel) != list(reversed(peel))
+    # the whole coset word of w0 at lam, l(w0) - 1 letters as lam_2 = 0,
+    # applied last letter first, in its own entry
+    word = weyl._coset_word(longest_element(A3), lam)
+    assert len(word) == len(peel) - 1 and letters == list(reversed(word))
+    assert _demazure_items.cache_info().currsize == 2
     calls = [
         lambda: demazure_dim(longest_element(A3), lam),
         lambda: weyl_character(A3, lam),
@@ -1608,11 +1625,11 @@ def test_a_whole_read_is_stored_back(monkeypatch):
         assert call() == first
         assert letters == [], call
     del letters[:]
-    # a repeated whole read applies no letter, a repeated multiplicity its one string letter
+    # a repeated whole read applies no letter, a repeated multiplicity reads its one string
     assert demazure_dim(longest_element(A3), lam) == weyl_dim(A3, lam)
     assert letters == []
     assert weight_multiplicity(A3, lam, (0, 0, 0)) == 3
-    assert letters == [peel[0]]
+    assert letters == [("string", peel[0])]
 
 
 SPLIT_TYPES = (
@@ -1635,3 +1652,46 @@ def test_weight_multiplicity_splits_off_letter_1_of_w0s_peel(name):
     assert w0._peel == reduced_word(w0) and w0._peel[0] == 1
     zero = (0,) * rs.rank
     assert weight_multiplicity(rs, zero, zero) == 1
+
+
+# A chain at lam runs on the coset word, a reduced word of w^lam, the
+# least element of w W_lam.  The oracle runs every letter of w's peel,
+# reversed, through the tests' ``_apply``.
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2"])
+def test_the_coset_word_gives_the_chain_of_the_whole_peel(name):
+    rs = root_system(name)
+    _demazure_items.cache_clear()
+    for lam in product(range(3), repeat=rs.rank):  # every zero pattern, with 1s and 2s off it
+        for w in weyl_group(rs):
+            word = w._peel[::-1]
+            expected = _apply(rs, word, {lam: 1})
+            assert demazure_character(rs, word, lam) == expected, (name, lam, word)
+            assert demazure_dim(w, lam) == sum(expected.values()), (name, lam, word)
+
+
+def test_every_member_of_a_coset_shares_one_memo_entry():
+    # B3 at omega_1: W_lam = <s_2, s_3> has 8 elements, so the 48 elements
+    # fall into 6 cosets, one for each weight w(omega_1)
+    rs = root_system("B3")
+    lam = (1, 0, 0)
+    group = weyl_group(rs)
+    _demazure_items.cache_clear()
+    for w in group:
+        assert demazure_dim(w, lam) == sum(_apply(rs, w._peel[::-1], {lam: 1}).values())
+    info = _demazure_items.cache_info()
+    assert info.currsize == info.misses == len({w.apply(lam) for w in group}) == 6
+    for w in group:
+        word = weyl._coset_word(w, lam)
+        least = min((x for x in group if x.apply(lam) == w.apply(lam)), key=lambda x: x.length)
+        assert from_word(rs, word) == least and len(word) == least.length
+
+
+def test_a_weight_with_no_zero_runs_on_the_peel_with_no_lookup():
+    rs = root_system("B3")
+    w = from_word(rs, (1, 2, 3, 2))
+    before = weyl._least_in_coset.cache_info()
+    assert weyl._coset_word(w, (1, 2, 1)) == w._peel[::-1] == (1, 2, 3, 2)
+    assert weyl._least_in_coset.cache_info() == before
+    # at 0 every letter fixes e^0: the coset word is empty
+    assert weyl._coset_word(longest_element(rs), (0, 0, 0)) == ()

@@ -102,19 +102,24 @@ def test_branch_output():
 
 def test_branch_computes_the_weyl_dimension_once(monkeypatch):
     # _branch checks that the constituents fill dim V(lam), and the CLI
-    # prints that same total instead of a second product
+    # prints that same total instead of a second product: one product
+    # over the whole root system's table, the rest over the Levi's
+    b3 = root_system("B3")
     calls = []
 
-    def counted(rs, lam):
-        calls.append(tuple(lam))
-        return weyl_dim(rs, lam)
+    def counted(rs, table, mus):
+        mus = list(mus)
+        if table is b3.dim_table:
+            calls.append(mus)
+        return weyl_dims(rs, table, mus)
 
+    weyl_dims = demazure.characters._weyl_dims
     for module in (demazure.characters, demazure.branching, cli):
-        monkeypatch.setattr(module, "weyl_dim", counted, raising=False)
+        monkeypatch.setattr(module, "_weyl_dims", counted, raising=False)
     code, out, _ = cap(["branch", "--type", "B3", "--weight", "2,1,2", "--subset", "1,3"])
     assert code == 0
-    assert json.loads(out)["weyl_dim"] == str(weyl_dim(root_system("B3"), (2, 1, 2)))
-    assert calls == [(2, 1, 2)]
+    assert calls == [[(2, 1, 2)]]
+    assert json.loads(out)["weyl_dim"] == str(weyl_dim(b3, (2, 1, 2)))
 
 
 def test_unirad_output():

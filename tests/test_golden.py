@@ -57,6 +57,11 @@ CLI_CASES = [
 ] + [
     ("bad_hecke_letter", ["hecke", "--type", "A3", "--left", "0,1", "--right", "1"], 2, True),
     ("bad_growth_not_reduced", ["growth", "--type", "A2", "--word", "1,1", "--weight", "1,1"], 2, True),
+    # s_1 w0 of F4 at omega_4: not the longest element of any parabolic
+    # subgroup, so the general interval route answers it
+    ("growth_F4_s1w0_0001",
+     ["growth", "--type", "F4", "--word", "2,1,3,2,1,3,2,3,4,3,2,1,3,2,3,4,3,2,1,3,2,3,4", "--weight", "0,0,0,1"],
+     0, False),
     # the two-token --grid form and grid size the benchmark sends
     ("sl3t_grid_2_1", ["sl3t", "--grid", "2", "1"], 0, False),
     ("bad_sl3t_grid_one_number", ["sl3t", "--grid", "1"], 2, True),

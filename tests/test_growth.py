@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from operator import mul
@@ -311,7 +312,8 @@ def test_the_n_zero_entry_is_never_divided(monkeypatch):
     rs = root_system("B3")
     w0 = longest_element(rs)
     n_max = w0.length + 2
-    # the chain runs on w0's stored peel, reversed: its interval is a memo hit
+    # the chain runs on the coset word, which at a weight with no zero
+    # coordinate is w0's stored peel, reversed: its interval is a memo hit
     pairs = sum(map(len, growth._interval(rs, w0._peel[::-1])[2]))
     hits = growth._interval.cache_info().hits
     monkeypatch.setattr(growth, "divmod", counting, raising=False)
@@ -425,3 +427,20 @@ def test_dimensions_grow_along_bruhat_covers(name, data):
     below = dimension_sequence(v, lam, n).values
     above = dimension_sequence(w, lam, n).values
     assert all(a <= b for a, b in zip(below, above)), (v, w, lam)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "B2", "G2"])
+def test_the_degree_is_the_length_of_the_least_coset_member(name):
+    # n -> dim V_w(n lam) is the Hilbert polynomial of the Schubert variety
+    # of w^lam in G/P_lam, of degree l(w^lam), w^lam the shortest x with
+    # x(lam) = w(lam), found here by a search of the whole group
+    rs = root_system(name)
+    group = weyl_group(rs)
+    for lam in itertools.product((0, 1), repeat=rs.rank):
+        if not any(lam):
+            continue
+        least = {}
+        for x in group:  # sorted by length, so the first x of each coset is its least
+            least.setdefault(x.apply(lam), x.length)
+        for w in group:
+            assert growth_degree(dimension_sequence(w, lam)) == least[w.apply(lam)], (name, lam, w)

@@ -160,13 +160,15 @@ def test_one_function_packs_a_memoised_character():
         ("characters.py", "_multiplicity_input"),
         ("characters.py", "freudenthal_multiplicity"),
     }
-    # weight_multiplicity applies w0's first letter to one alpha_i-string
-    # of the memo entry for the rest of the word
+    # weight_multiplicity reads the coefficient that w0's first letter
+    # leaves at mu off one alpha_i-string of the memo entry for the rest
+    # of the word, and writes no weight: the letter itself runs only in
+    # the chain and in the one-letter operator
     assert _callers("_letter") == {
         ("characters.py", "_demazure_items"),
-        ("characters.py", "weight_multiplicity"),
         ("characters.py", "demazure_operator"),
     }
+    assert _callers("_coefficient") == {("characters.py", "weight_multiplicity")}
     # only characters reads a memo entry; branching's Levi dimensions go
     # through _dim, as demazure_dim does
     assert _callers("_demazure_items") == {
@@ -179,12 +181,14 @@ def test_one_function_packs_a_memoised_character():
 
 def test_one_function_walks_into_the_dominant_chamber():
     # the walkers that the roots and characters docstrings list: a Weyl
-    # element's peel, the printed word, dominant_conjugate, and the
-    # Freudenthal tails that no stabiliser gives
+    # element's peel, the printed word, the least element of a coset
+    # w W_lam and its word, dominant_conjugate, and the Freudenthal tails
+    # that no stabiliser gives
     assert _callers("_to_dominant") == {
         ("characters.py", "freudenthal_multiplicity"),
         ("roots.py", "dominant_conjugate"),
         ("weyl.py", "WeylElement"),
+        ("weyl.py", "_least_in_coset"),
         ("weyl.py", "reduced_word"),
     }
 

@@ -48,6 +48,7 @@ MEMOS = {
     "cli.build_parser": None,
     "growth._interval": 1024,
     "roots._build_root_system": None,
+    "weyl._least_in_coset": 1024,
     "weyl._min_coset_rep": 1024,
     "weyl.longest_element": None,
     "weyl.weyl_group": None,

@@ -645,7 +645,9 @@ def test_a_known_reduced_word_takes_no_peel_walk(monkeypatch, capsys):
 def test_a_levi_subset_walks_once(monkeypatch):
     # w_S keeps the peel its fold stored, so neither query walks it:
     # the coset representative w_S * w0 walks for its length, and the
-    # unipotent-radical identity runs on w_S's stored peel, with no walk
+    # unipotent-radical identity runs on w_S's coset word at its weight,
+    # which walks only for a weight with a zero coordinate, twice, once
+    # per (element, zero pattern)
     walks = []
 
     def counted(cols, x):
@@ -658,14 +660,21 @@ def test_a_levi_subset_walks_once(monkeypatch):
     rep = weyl._min_coset_rep.__wrapped__(b3, frozenset({1, 2}))
     assert rep.length == 6 and len(walks) == 1
     branching._levi_char_items.cache_clear()
+    weyl._least_in_coset.cache_clear()
     walks.clear()
+    assert unirad_mult_identity((1, 1, 1), LeviDatum(b3, {1, 2})) == (8, 8, True)
+    assert walks == []
     assert unirad_mult_identity((1, 1, 0), LeviDatum(b3, {1, 2})) == (8, 8, True)
+    assert len(walks) == 2
+    walks.clear()
+    assert unirad_mult_identity((2, 1, 0), LeviDatum(b3, {1, 2})) == (15, 15, True)
     assert walks == []
 
 
 def test_computations_read_the_stored_peel(monkeypatch):
     # once w0 and the coset representative are built, no computation on
-    # an element that stores its peel walks; reduced_word, which only
+    # an element that stores its peel walks, but for the two walks of
+    # each new coset word (lam has a zero); reduced_word, which only
     # printing calls, walks once per call
     walks = []
 
@@ -681,6 +690,7 @@ def test_computations_read_the_stored_peel(monkeypatch):
     characters._demazure_items.cache_clear()
     branching._levi_char_items.cache_clear()
     growth._interval.cache_clear()
+    weyl._least_in_coset.cache_clear()
     monkeypatch.setattr(weyl, "_to_dominant", counted)
     elements = [
         demazure_fold(identity(rs), [3, 2, 3, 1, 2]),
@@ -698,8 +708,11 @@ def test_computations_read_the_stored_peel(monkeypatch):
         routes[f"demazure_dim {w._peel}"] = lambda w=w: demazure_dim(w, lam)
         routes[f"dimension_sequence {w._peel}"] = lambda w=w: dimension_sequence(w, lam)
     for route, call in routes.items():
+        misses = weyl._least_in_coset.cache_info().misses
         call()
-        assert walks == [], route
+        assert len(walks) == 2 * (weyl._least_in_coset.cache_info().misses - misses), route
+        walks.clear()
+    assert weyl._least_in_coset.cache_info().misses == 6  # w0, the representative, w_S and three elements
     for w in (*elements, longest_element(rs), min_coset_rep(rs, subset)):
         for k in (1, 2):
             assert len(reduced_word(w)) == w.length and len(walks) == k
