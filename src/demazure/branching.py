@@ -68,8 +68,8 @@ multiplicity.
 ``unirad_mult_identity`` checks that the Demazure module of the
 parabolic longest element has exactly the dimension of the Levi module
 with the same highest weight, from the chain of that element's coset
-word at the weight, which for a weight with no zero coordinate is its
-stored peel, reversed, which its folds spelt.
+word at the weight.  No chain here reads an element's peel: each runs on
+a coset word, which depends on the coset alone.
 """
 
 from __future__ import annotations

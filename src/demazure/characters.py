@@ -33,9 +33,8 @@ and -c at key - (m + 1) a, and one sweep down each alpha_i-string, a
 running sum that steps by -a, divides by 1 - e^{-alpha_i}.  So a letter
 costs a sort of the table plus one dict write per weight it outputs,
 not one per step of every term's string; terms with m = 0 are fixed and
-added afterwards, and a letter that fixes every term returns its input
-as it is.  ``_packing`` lays the digits out for a radius R, memoised
-by (root system, R), the 256 most recently used, so no chain or
+added afterwards.  ``_packing`` lays the digits out for a radius R,
+memoised by (root system, R), the 256 most recently used, so no chain or
 Freudenthal call at a radius met before builds one; a chain takes R
 from the package's one radius rule, ``_radius``:
 R = h * max_mu sum_j |mu_j| + 1 over the start weights, with h the
@@ -51,25 +50,26 @@ letter loop.  A chain of an element w at lam runs on the coset word,
 the coset w W_lam, where W_lam is generated by the s_j with lam_j = 0.
 Each such D_j fixes e^lam, so D_w e^lam = D_{w^lam} e^lam (Demazure
 1974; Kumar 2002, ch. VIII): the chain takes length(w^lam) letters,
-not length(w), and every member of the coset shares one memo entry.
-For lam with no zero coordinate the coset word is w's stored peel,
-reversed.  ``demazure_character``, ``demazure_dim``, ``weyl_character``
-and the Levi routes of ``demazure.branching`` run on it.  lam is
-dominant for the characters of ``V(lam)`` and S-dominant for the Levi
-dimensions of ``unirad``.  A repeat is one lookup; a new word costs all
-of its letters, even when it shares a suffix with an earlier one.
-Every reader of a memoised character decodes it with the packing
-stored beside it, and ``_unpack`` returns its terms sorted.  The
+not length(w), and every word of every member of the coset shares one
+memo entry.  No letter of such a chain fixes the running character: if
+D_j fixed D_v e^lam, v a suffix of the coset word, then s_j v would lie
+in v W_lam, and w^lam would not be least in its coset.
+``demazure_character``, ``demazure_dim``, ``weyl_character``,
+``weight_multiplicity`` and the Levi routes of ``demazure.branching`` run
+on it.  lam is dominant for the characters of ``V(lam)`` and S-dominant
+for the Levi dimensions of ``unirad``.  A repeat is one lookup; a new
+word costs all of its letters, even when it shares a suffix with an
+earlier one.  Every reader of a memoised character decodes it with the
+packing stored beside it, and ``_unpack`` returns its terms sorted.  The
 operator acts on each alpha_i-string on its own, so one coefficient
 never needs the letter applied last over the whole support:
-``weight_multiplicity`` reads w0's peel forwards, a reduced word of
-w0 = w0^{-1} whose first letter is 1, takes the memoised character of
-the rest of it and reads the coefficient that letter leaves at mu off
-mu's alpha_i-string only, as one running sum over its terms,
-``_coefficient``.  It takes the string by probing the string's keys or
-by filtering the character's terms, whichever are fewer.
-``demazure_operator``, the one other caller of ``_letter``, packs its
-own input for its one letter.
+``weight_multiplicity`` splits the first letter c0 off the coset word c
+of w0 at lam, takes the memoised character of c[1:] and reads the
+coefficient that c0 leaves at mu off mu's alpha_i-string only, as one
+running sum over its terms, ``_coefficient``.  It takes the string by
+probing the string's keys or by filtering the character's terms,
+whichever are fewer.  ``demazure_operator``, the one other caller of
+``_letter``, packs its own input for its one letter.
 
 A memoised packed character has four readers: ``_character`` unpacks
 it whole, ``_dim`` sums its coefficients, ``weight_multiplicity`` reads
@@ -220,10 +220,10 @@ def _weight(pk: _Packing, key: int) -> Weight:
 
 
 def _letter(pk: _Packing, i: int, cur: dict[int, int]) -> dict[int, int]:
-    """The operator for alpha_i on a packed character, with no zero entries.
+    """The operator for alpha_i on a packed character, with no zero entries, as a new dict.
 
-    Returns cur itself when every term pairs to 0 with alpha_i^vee, so
-    that the letter fixes the character, and a new dict otherwise.
+    A chain never meets a letter that fixes its running character, as it
+    runs on a coset word, so the letter has no shortcut for one.
 
     Demazure's formula reads D_i f = (f - e^{-alpha_i} s_i f)/(1 - e^{-alpha_i}).
     For one term c e^mu with m = <mu, alpha_i^vee>, s_i mu = mu - m alpha_i,
@@ -265,8 +265,6 @@ def _letter(pk: _Packing, i: int, cur: dict[int, int]) -> dict[int, int]:
             diff[key] = get(key, 0) + c
             key -= (m + 1) * a
             diff[key] = get(key, 0) - c
-    if len(fixed) == len(cur):
-        return cur
     out: dict[int, int] = {}
     for key in sorted(diff, reverse=a > 0):
         s = diff[key]
@@ -401,7 +399,8 @@ def demazure_character(rs: RootSystem, word: Sequence[int], lam: Sequence[int]) 
     element w the word spells: a reduced word of w^lam, the least element
     of w W_lam, which gives the same character, since each s_j in W_lam
     has lam_j = 0 and D_j fixes e^lam.  Every word of every member of the
-    coset shares that one entry.
+    coset shares that one entry, as the coset word depends on the coset
+    alone.
     """
     lam = _check_dominant(rs, lam)
     word = tuple(word)
@@ -451,20 +450,25 @@ def weight_multiplicity(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -
     lam, mu, radius = _multiplicity_input(rs, lam, mu)
     if mu is None:
         return 0
-    # D_i acts on each alpha_i-string on its own, so with w0 = s_i w the
-    # coefficient at mu reads only the terms of D_w e^lam on mu's string:
-    # mu + t alpha_i for the t that keep every coordinate inside (-R, R),
-    # where every weight of the chain lies and key + t a is the key of
-    # mu + t alpha_i; further out it can be the key of a weight off the
-    # string.  The string is read by probing its keys, or by filtering the
-    # chain's terms when there are fewer of those: the same keys either way;
-    # _coefficient then reads the one coefficient at mu off its terms.
-    # The word is w0's peel read forwards, a reduced word of w0 = w0^{-1}.
-    # Its first letter is 1, where -rho's walk starts, and alpha_1 packs to
-    # a nonzero a at every radius: its coordinate 1, 2 in the most
-    # significant place, outweighs its one other, -1 or -2.
-    word = longest_element(rs)._peel
+    # The chain runs on the coset word of w0 at lam, (i, *rest), so the
+    # character is D_i D_v e^lam, v spelt by rest.  lam = 0 is the only
+    # weight with an empty coset word, and mu = 0 the only weight
+    # _multiplicity_input lets through there.
+    word = _coset_word(longest_element(rs), lam)
+    if not word:
+        return 1
     i = word[0]
+    # D_i acts on each alpha_i-string on its own, so the coefficient at mu
+    # reads only the terms of D_v e^lam on mu's string: mu + t alpha_i for
+    # the t that keep every coordinate inside (-R, R), where every weight of
+    # the chain lies and key + t a is the key of mu + t alpha_i; further out
+    # it can be the key of a weight off the string.  The string is read by
+    # probing its keys, or by filtering the chain's terms when there are
+    # fewer of those: the same keys either way; _coefficient then reads the
+    # one coefficient at mu off its terms.  a is nonzero: lam != 0 gives
+    # R >= 2, so the base 2R is at least 4, and the leading nonzero digit
+    # of a packed alpha_i outweighs the rest, each at most 3 in absolute
+    # value, as 3 (base^k - 1) / (base - 1) < base^k.
     pk, cur = _demazure_items(rs, word[1:], lam)
     key = _pack(pk, mu)
     lo, hi = -radius, radius

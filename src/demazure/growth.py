@@ -60,8 +60,8 @@ coset w W_lam, W_lam generated by the s_j with lam_j = 0.  Each such
 D_j fixes e^{n lam}, so w^lam gives the same character at every n lam,
 and so the same values, over the interval below w^lam rather than below
 w: in F4 at omega_4, s_1 w0 has length 23 and its coset word 15
-letters.  For lam with no zero coordinate the coset word is w's stored
-peel, reversed, which takes no walk of its own.
+letters.  The coset word depends on the coset alone, so every reduced
+word of every member of w W_lam shares one ``_interval`` entry.
 
 *Evaluation at Q.*  Only the value at q = 1 is read, so each F_v is
 kept, per dilation n = 1..n_max, as one integer: its value at Q = 2^b,

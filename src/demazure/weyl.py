@@ -5,8 +5,7 @@ fundamental-weight coordinates.  rho is regular, so u determines w, and
 equality of group elements is equality of vectors regardless of which
 word produced them.  The coordinate u_i is <rho, w(alpha_i^vee)>, so i
 is a right descent of w exactly when u_i < 0, and right multiplication
-by s_i stores s_i(u).  Left descents are the negative coordinates of
-w(rho).
+by s_i stores s_i(u).
 
 Each element carries its peel: letters a1, ..., ak with
 w = s_ak ... s_a1, a reduced word of w reversed.  Every builder that
@@ -26,16 +25,19 @@ length is its count; ``apply`` reflects a weight along it, a1 first,
 and w(rho) is rho reflected so; ``*`` reflects along it reversed; and
 ``demazure_product`` folds it reversed.
 
-The Demazure characters, Levi branching and dilation sequences of w at
-a weight lam run on the coset word, ``_coset_word``: a reduced word of
-w^lam, the least element of the coset w W_lam, W_lam generated by the
-s_j with lam_j = 0.  Each such D_j fixes e^lam, so a chain or a Bruhat
-interval of w^lam gives what w's would, with length(w^lam) letters
-(Demazure 1974; Kumar 2002, ch. VIII).  For lam with no zero
-coordinate the coset word is the peel reversed, the word (ak, ..., a1)
-of w; otherwise ``_least_in_coset`` walks u at the zeros of lam, then
-to rho, through the one walk, and keeps the word per (element, zero
-pattern), so every member of a coset gets the same word.
+The Demazure characters, weight multiplicities, Levi branching and
+dilation sequences of w at a weight lam run on the coset word,
+``_coset_word``: a reduced word of w^lam, the least element of the coset
+w W_lam, W_lam generated by the s_j with lam_j = 0.  Each such D_j fixes
+e^lam, so a chain or a Bruhat interval of w^lam gives what w's would,
+with length(w^lam) letters (Demazure 1974; Kumar 2002, ch. VIII).  It is
+the one word any chain or interval runs on and is memoised under:
+``_least_in_coset`` walks u at the zeros of lam, then to rho, through
+the one walk, and keeps the word per (element, zero pattern), so every
+member of a coset, and every word of each, gets the same word, the
+coset's alone.  For lam with no zero coordinate the first walk takes no
+step, and the word is the walk of u to rho, reversed; no module but this
+one reads a peel.
 
 Folding any reduced word of v gives the same 0-Hecke product w * v.
 The product is associative, and along a reduced word i1, ..., ik every
@@ -99,7 +101,6 @@ __all__ = [
     "simple_element",
     "from_word",
     "reduced_word",
-    "left_descents",
     "inverse",
     "longest_element",
     "longest_parabolic",
@@ -193,11 +194,6 @@ def _check_reduced(rs: RootSystem, word: tuple[int, ...]) -> WeylElement:
     return w
 
 
-def left_descents(w: WeylElement) -> tuple[int, ...]:
-    """Indices i with length(s_i w) < length(w), i.e. w(rho)_i < 0."""
-    return tuple(i for i, x in enumerate(_rho_image(w), 1) if x < 0)
-
-
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
     """Lexicographically smallest reduced word for w, walked afresh on each call.
 
@@ -255,14 +251,11 @@ def _coset_word(w: WeylElement, lam: Weight) -> tuple[int, ...]:
 
     W_lam is generated by the s_j with lam_j = 0, lam a checked weight,
     and D_j fixes e^lam for each such j, so every chain and interval at
-    lam runs on this word in place of a word of w.  When lam has no zero
-    coordinate, W_lam is trivial and the word is w's peel, reversed, with
-    no lookup; otherwise it is ``_least_in_coset``'s, one entry per
-    (element, zero pattern), so that every member of a coset gets the
-    same word.
+    lam runs on this word in place of a word of w, and every memo of one
+    is keyed on it.  It is ``_least_in_coset``'s, one entry per (element,
+    zero pattern), and reads no peel: w is compared by u alone, so every
+    member of a coset, however it was built, gets the same word.
     """
-    if 0 not in lam:
-        return w._peel[::-1]
     return _least_in_coset(w, tuple(x == 0 for x in lam))
 
 

@@ -293,6 +293,11 @@ def right_descents(u):
     return tuple(i for i, x in enumerate(u, 1) if x < 0)
 
 
+def left_descents(v):
+    """Indices i with length(s_i w) < length(w): the negative coordinates of v = w(rho)."""
+    return tuple(i for i, x in enumerate(v, 1) if x < 0)
+
+
 def all_reduced_words(cols, v):
     """All reduced words of the w with w(rho) = v, in lexicographic order.
 

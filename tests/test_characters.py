@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from demazure import (
     LeviDatum,
+    WeylElement,
     add_weights,
     character_from_json,
     character_to_json,
@@ -1308,10 +1309,12 @@ def test_kernel_on_long_strings_and_both_signs(name, word, char):
 
 
 def test_letter_that_fixes_every_term_returns_its_input():
-    # every term pairs to 0 with alpha_1^vee: the letter is the identity
+    # every term pairs to 0 with alpha_1^vee: the letter is the identity,
+    # and returns a new dict equal to its input
     pk = _packing(A2, _radius(A2, [(6, 0)]))
     fixed = {_pack(pk, mu): c for mu, c in {(0, 3): 1, (0, -2): -4}.items()}
-    assert _letter(pk, 1, fixed) is fixed
+    out = _letter(pk, 1, fixed)
+    assert out == fixed and out is not fixed
     moved = {**fixed, _pack(pk, (1, 0)): 2}
     out = _letter(pk, 1, moved)
     assert out is not moved and out == {**fixed, _pack(pk, (1, 0)): 2, _pack(pk, (-1, 1)): 2}
@@ -1448,10 +1451,10 @@ def test_weight_multiplicity_at_packing_boundary(name, lam):
 
 
 # A memo entry holds the whole character of its word.  A weight
-# multiplicity reads the entry of w0's word without its first letter and
-# applies that letter to one alpha_i-string; every other reader reads
-# the whole entry of its own word.  The oracle is the tests' ``_apply``:
-# the whole word in one packing.
+# multiplicity reads the entry of c[1:], c the coset word of w0 at lam,
+# and applies c's first letter c0 to one alpha_i-string; every other
+# reader reads the whole entry of its own word.  The oracle is the
+# tests' ``_apply``: the whole word in one packing.
 
 def _packing_box(rs, lam, limit, rng):
     """Every mu with all coordinates inside (-R, R), or limit of them drawn."""
@@ -1460,7 +1463,7 @@ def _packing_box(rs, lam, limit, rng):
     return box if len(box) <= limit else rng.sample(box, limit)
 
 
-@pytest.mark.parametrize("name, lams", [
+PACKING_BOX_CASES = [
     ("A1", [(0,), (1,), (5,)]),
     ("A2", [(0, 0), (1, 0), (0, 2), (2, 1)]),
     ("B2", [(1, 0), (0, 1), (1, 1)]),
@@ -1468,7 +1471,10 @@ def _packing_box(rs, lam, limit, rng):
     ("A3", [(1, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1)]),
     ("B3", [(0, 0, 1), (1, 0, 0), (1, 0, 1)]),
     ("C3", [(1, 0, 0), (0, 0, 1), (1, 1, 0)]),
-])
+]
+
+
+@pytest.mark.parametrize("name, lams", PACKING_BOX_CASES)
 def test_weight_multiplicity_matches_the_whole_chain_on_the_packing_box(name, lams):
     rs = root_system(name)
     word = reduced_word(longest_element(rs))
@@ -1479,8 +1485,12 @@ def test_weight_multiplicity_matches_the_whole_chain_on_the_packing_box(name, la
         for mu in _packing_box(rs, lam, 1500, rng):
             assert weight_multiplicity(rs, lam, mu) == expected.get(mu, 0), (name, lam, mu)
         built = _demazure_items.cache_info()
-        _demazure_items(rs, word[1:], lam)
-        # the reads built one entry, word[1:]'s, and never the whole word's
+        c = weyl._coset_word(longest_element(rs), lam)
+        if not c:  # lam = 0: every read returned before any chain
+            assert lam == (0,) * rs.rank and built.currsize == 0
+            continue
+        _demazure_items(rs, c[1:], lam)
+        # the reads built one entry, c[1:]'s, and never the whole word's
         assert built.currsize == 1 and _demazure_items.cache_info().hits == built.hits + 1
 
 
@@ -1494,8 +1504,8 @@ def test_weight_multiplicity_reads_only_the_string_of_mu(monkeypatch, lam):
     word = reduced_word(longest_element(rs))
     expected = _apply(rs, word, {lam: 1})
     _demazure_items.cache_clear()
-    assert weight_multiplicity(rs, lam, lam) == 1  # builds the chain of word[1:]
-    i = word[0]
+    assert weight_multiplicity(rs, lam, lam) == 1  # builds the chain of c[1:]
+    i = weyl._coset_word(longest_element(rs), lam)[0]
     alpha = simple_root(rs, i)
     read = []
 
@@ -1509,7 +1519,7 @@ def test_weight_multiplicity_reads_only_the_string_of_mu(monkeypatch, lam):
     for mu in _packing_box(rs, lam, 10**4, random.Random(0)):
         del read[:]
         assert weight_multiplicity(rs, lam, mu) == expected.get(mu, 0), mu
-        assert [letter for letter, _ in read] == [i]  # one letter, w0's first
+        assert [letter for letter, _ in read] == [i]  # one letter, c0
         for nu, _ in read[0][1]:  # nu = mu + t alpha_i, and alpha_i has coordinate i equal to 2
             t, rem = divmod(nu[i - 1] - mu[i - 1], 2)
             assert not rem and nu == tuple(x + t * a for x, a in zip(mu, alpha)), (mu, nu)
@@ -1517,8 +1527,8 @@ def test_weight_multiplicity_reads_only_the_string_of_mu(monkeypatch, lam):
 
 @pytest.mark.parametrize("k", [2400, 2401])
 def test_rank_one_multiplicity_reads_a_one_term_string(monkeypatch, k):
-    # the chain of w0's word less its first letter is e^lam alone, so the
-    # string is taken from that one term, not probed at its 2k + 1 keys
+    # the chain of w0's coset word less its first letter is e^lam alone,
+    # so the string is taken from that one term, not probed at its 2k + 1 keys
     a1 = root_system("A1")
     lookups, read = [], []
 
@@ -1603,15 +1613,15 @@ def test_a_whole_read_is_stored_back(monkeypatch):
     _demazure_items.cache_clear()
     lam = (1, 0, 1)
     assert weight_multiplicity(A3, lam, (0, 0, 0)) == 3
-    peel = longest_element(A3)._peel
-    # the chain of peel[1:], l(w0) - 1 letters, then peel[0] read off one string
-    assert letters == [*reversed(peel[1:]), ("string", peel[0])]
+    # c is the coset word of w0 at lam, l(w0) - 1 letters as lam_2 = 0:
+    # the chain of c[1:], then c[0] read off one string
+    c = weyl._coset_word(longest_element(A3), lam)
+    assert len(c) == longest_element(A3).length - 1
+    assert letters == [*reversed(c[1:]), ("string", c[0])]
     del letters[:]
     assert demazure_dim(longest_element(A3), lam) == weyl_dim(A3, lam)
-    # the whole coset word of w0 at lam, l(w0) - 1 letters as lam_2 = 0,
-    # applied last letter first, in its own entry
-    word = weyl._coset_word(longest_element(A3), lam)
-    assert len(word) == len(peel) - 1 and letters == list(reversed(word))
+    # the whole coset word, applied last letter first, in its own entry
+    assert letters == list(reversed(c))
     assert _demazure_items.cache_info().currsize == 2
     calls = [
         lambda: demazure_dim(longest_element(A3), lam),
@@ -1629,7 +1639,52 @@ def test_a_whole_read_is_stored_back(monkeypatch):
     assert demazure_dim(longest_element(A3), lam) == weyl_dim(A3, lam)
     assert letters == []
     assert weight_multiplicity(A3, lam, (0, 0, 0)) == 3
-    assert letters == [("string", peel[0])]
+    assert letters == [("string", c[0])]
+
+
+def _letter_spy(monkeypatch):
+    """The (input, output) pairs of every ``_letter`` call from here on."""
+    calls = []
+
+    def spied(pk, i, cur):
+        out = _letter(pk, i, cur)
+        calls.append((dict(cur), out))
+        return out
+
+    monkeypatch.setattr(characters, "_letter", spied)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2"])
+def test_no_letter_of_a_chain_fixes_its_character(monkeypatch, name):
+    # Each chain runs on a coset word, a reduced word of w^lam, least in
+    # w W_lam.  If D_j fixed D_v e^lam, v a suffix of it, s_j v would lie
+    # in v W_lam, and w^lam would not be least.  So no call gives back a
+    # character equal to the one it was handed.
+    rs = root_system(name)
+    calls = _letter_spy(monkeypatch)
+    for lam in product(range(2), repeat=rs.rank):
+        _demazure_items.cache_clear()
+        for w in weyl_group(rs):
+            demazure_dim(w, lam)
+    for case_name, lams in PACKING_BOX_CASES:
+        case = root_system(case_name)
+        _demazure_items.cache_clear()
+        for lam in lams:
+            assert weight_multiplicity(case, lam, lam) == 1
+    assert calls and all(out != cur for cur, out in calls)
+
+
+def test_an_e8_multiplicity_runs_the_coset_word_less_one_letter(monkeypatch):
+    # the coset word of w0 at omega_1 has 78 letters: a chain of 77, then
+    # one string read, where w0 has 120
+    e8 = root_system("E8")
+    lam = (1,) + (0,) * 7
+    assert len(weyl._coset_word(longest_element(e8), lam)) == 78
+    calls = _letter_spy(monkeypatch)
+    _demazure_items.cache_clear()
+    assert weight_multiplicity(e8, lam, (0,) * 8) == 35
+    assert len(calls) == 77
 
 
 SPLIT_TYPES = (
@@ -1643,15 +1698,24 @@ SPLIT_TYPES = (
 
 @pytest.mark.parametrize("name", SPLIT_TYPES)
 def test_weight_multiplicity_splits_off_letter_1_of_w0s_peel(name):
-    # weight_multiplicity splits the first letter off w0's peel read
-    # forwards, which is w0's least word and starts at 1.  The reversed
-    # peel may start elsewhere: B2's starts at 2, whose alpha_2 packs to 0
-    # at lam = 0, and probing its string then asks for a range of step 0.
+    # weight_multiplicity splits the first letter c0 off c, the coset word
+    # of w0 at lam: its string is probed in steps of the packed alpha_c0,
+    # which must not be 0.  At lam = 0 alpha_2 of B2 packs to 0, but c is
+    # empty there and the multiplicity returns 1 before any chain.  At
+    # every other lam the base is at least 4, and every packed simple
+    # root is nonzero.
     rs = root_system(name)
+    n = rs.rank
     w0 = longest_element(rs)
-    assert w0._peel == reduced_word(w0) and w0._peel[0] == 1
-    zero = (0,) * rs.rank
+    zero = (0,) * n
+    assert weyl._coset_word(w0, zero) == ()
+    before = _demazure_items.cache_info()
     assert weight_multiplicity(rs, zero, zero) == 1
+    assert _demazure_items.cache_info() == before
+    for lam in [(1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,), rho(rs)]:
+        pk = _packing(rs, _radius(rs, [lam]))
+        assert pk.base >= 4 and all(pk.simple), lam
+        assert len(weyl._coset_word(w0, lam)) >= 1
 
 
 # A chain at lam runs on the coset word, a reduced word of w^lam, the
@@ -1687,11 +1751,18 @@ def test_every_member_of_a_coset_shares_one_memo_entry():
         assert from_word(rs, word) == least and len(word) == least.length
 
 
-def test_a_weight_with_no_zero_runs_on_the_peel_with_no_lookup():
+def test_a_weight_with_no_zero_runs_on_the_walked_peel():
+    # W_lam is trivial, and the coset word is the walk of u to rho,
+    # reversed, whichever word built w: the peel of w built from u, and
+    # one entry for every word of w
     rs = root_system("B3")
-    w = from_word(rs, (1, 2, 3, 2))
-    before = weyl._least_in_coset.cache_info()
-    assert weyl._coset_word(w, (1, 2, 1)) == w._peel[::-1] == (1, 2, 3, 2)
-    assert weyl._least_in_coset.cache_info() == before
+    x, y = from_word(rs, (1, 3, 2)), from_word(rs, (3, 1, 2))
+    assert x == y and x._peel != y._peel
+    weyl._least_in_coset.cache_clear()
+    word = weyl._coset_word(x, (1, 2, 1))
+    assert word == weyl._coset_word(y, (2, 1, 1)) == WeylElement(rs, x.u)._peel[::-1]
+    assert from_word(rs, word) == x and len(word) == 3
+    info = weyl._least_in_coset.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
     # at 0 every letter fixes e^0: the coset word is empty
     assert weyl._coset_word(longest_element(rs), (0, 0, 0)) == ()

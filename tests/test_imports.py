@@ -16,8 +16,8 @@ layout, ``_packing``, builds every packing, of chains and of
 Freudenthal's keys alike, each sized by the one radius rule,
 ``_radius``.  Only ``_demazure_items`` sizes the packing of a memoised
 character and runs a word's letters, and only ``characters`` reads its
-entries; ``weight_multiplicity`` applies the first letter of w0's word
-to one alpha_i-string of the entry for the rest of the word;
+entries; ``weight_multiplicity`` applies the first letter of w0's coset
+word to one alpha_i-string of the entry for the rest of that word;
 ``demazure_operator`` packs its input for one letter;
 ``freudenthal_multiplicity`` packs its keys with a power-of-two radius;
 and ``_multiplicity_input``, the one front end of both multiplicity
@@ -34,7 +34,9 @@ abstract types they name come from ``collections.abc``.
 character or a weight multiplicity.  Every computation on a Weyl
 element reads its stored peel: only the CLI's ``hecke`` and ``growth``
 output and ``WeylElement.__repr__`` call ``reduced_word``, and
-``characters``, ``branching`` and ``growth`` do not import it.  No
+``characters``, ``branching`` and ``growth`` do not import it.  Only
+``weyl`` reads a peel: every chain and interval elsewhere runs on a coset
+word, which depends on the coset alone.  No
 module imports a name it never uses, and no private function or class
 is left that only the tests call.  The tests' own oracles in ``tests/oracles.py`` import nothing
 from the package.
@@ -46,8 +48,8 @@ definition, ``scripts/`` or ``perfbench/``, a backticked span or a
 doctest line of README.md, or a doctest in the package.  No file under
 ``tests/`` counts, the acceptance suite included.  A name counts as used
 where it is read as a name, as an attribute or as an imported name; in
-text, where it is a word.  The one exception is listed in
-``UNUSED_PUBLIC``, with its reason.  Code that only the tests need lives
+text, where it is a word.  An exception would be listed in
+``UNUSED_PUBLIC``, with its reason; there is none.  Code that only the tests need lives
 in the tests, as ``tests/oracles.py`` and the test-side helpers do.
 
 Each layer's ``__all__`` is also the one list of what the package
@@ -115,6 +117,12 @@ def test_only_roots_reads_operator_index():
     assert readers == ["roots.py"]
 
 
+def test_only_weyl_reads_a_peel():
+    # chains and intervals run on the coset word, which weyl._coset_word
+    # walks from u alone, so no other module sees which word built an element
+    assert _attribute_readers("_peel") == ["weyl.py"]
+
+
 def test_only_characters_reads_the_packing():
     # the packed weight format is known to one module
     for field in ("places", "radius", "base", "offset", "simple"):
@@ -160,9 +168,9 @@ def test_one_function_packs_a_memoised_character():
         ("characters.py", "_multiplicity_input"),
         ("characters.py", "freudenthal_multiplicity"),
     }
-    # weight_multiplicity reads the coefficient that w0's first letter
-    # leaves at mu off one alpha_i-string of the memo entry for the rest
-    # of the word, and writes no weight: the letter itself runs only in
+    # weight_multiplicity reads the coefficient that the first letter of
+    # w0's coset word leaves at mu off one alpha_i-string of the memo entry
+    # for the rest of the word, and writes no weight: the letter itself runs only in
     # the chain and in the one-letter operator
     assert _callers("_letter") == {
         ("characters.py", "_demazure_items"),
@@ -348,12 +356,7 @@ def test_oracles_import_nothing_from_the_package():
 ROOT = TESTS.parent
 
 # Public names that nothing outside the tests uses, each with the reason it stays.
-UNUSED_PUBLIC = {
-    "left_descents": (
-        "perfbench's weyl.left_descents_calls counter hooks it by its name, a string;"
-        " it moves into tests/oracles.py when ROADMAP item 1 drops that counter"
-    ),
-}
+UNUSED_PUBLIC = {}
 
 
 def _names_read(tree, skip=()):

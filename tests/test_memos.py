@@ -21,6 +21,11 @@ input.
 int rank that ``build_root_system`` checks, never on its raw arguments.
 ``MEMOS`` lists every memo with its ``maxsize``, so none is added,
 dropped or resized without a line here.
+Memo sharing is a design property: ``characters._demazure_items`` and
+``growth._interval`` are keyed by the coset word of w at lam, which
+depends on the coset w W_lam alone, so every reduced word of every
+member of a coset lands on one entry of each.  The CI ``tier1`` job runs
+this file under three hash seeds, as it runs the goldens.
 ``perfbench/worker.py`` reads ``cache_info()`` of two of them under
 ``--trace``, and the CI ``bench-smoke`` job runs that path.
 ``branching._levi_char_items`` is read in the library only by
@@ -34,10 +39,24 @@ and its ``lru_cache``, until the benchmark stops reading its counters
 import importlib
 import pkgutil
 
+import pytest
+
 import demazure
-from demazure import LeviDatum, root_system, unirad_mult_identity, weyl_character
+from demazure import (
+    LeviDatum,
+    demazure_character,
+    dimension_sequence,
+    from_word,
+    rho,
+    root_system,
+    unirad_mult_identity,
+    weyl_character,
+    weyl_group,
+)
 from demazure.branching import _levi_char_items
 from demazure.characters import _demazure_items
+from demazure.growth import _interval
+from oracles import all_reduced_words
 
 # every memo of the package and its maxsize; None only where the key is
 # a root system, a (family, rank) pair or nothing
@@ -85,6 +104,30 @@ def test_full_character_keeps_one_memo_entry():
     char = weyl_character(root_system("E8"), (1, 0, 0, 0, 0, 0, 0, 0))
     assert sum(char.values()) == 3875
     assert _demazure_items.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "A3", "G2"])
+@pytest.mark.parametrize("which", ["rho", "omega1"])
+def test_every_word_of_a_coset_shares_one_entry(name, which):
+    # a chain and an interval are keyed by the coset word, which depends on
+    # w W_lam alone: every reduced word of every member of a coset, each
+    # element built by folding that word, lands on one entry of each memo
+    rs = root_system(name)
+    lam = rho(rs) if which == "rho" else (1,) + (0,) * (rs.rank - 1)
+    group = weyl_group(rs)
+    _demazure_items.cache_clear()
+    _interval.cache_clear()
+    words = 0
+    for w in group:
+        for word in all_reduced_words(rs.columns, w.apply(rho(rs))):
+            demazure_character(rs, word, lam)
+            dimension_sequence(from_word(rs, word), lam)
+            words += 1
+    # rho is regular, so there each coset is one element
+    cosets = len({w.apply(lam) for w in group})
+    assert cosets < words and (which != "rho" or cosets == len(group))
+    assert _demazure_items.cache_info().currsize == cosets
+    assert _interval.cache_info().currsize == cosets
 
 
 def test_unirad_fills_the_levi_memo():
