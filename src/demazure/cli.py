@@ -37,24 +37,29 @@ converted values as keyword arguments named after their dests (``rs``
 for ``--type``).
 
 The character cache (``--cache DIR``, default from the environment
-variable DEMAZURE_CACHE_DIR) keeps one plain text file per character,
-named by the SHA-256 of its key, (format version, type, word, weight),
-with the suffix ``.txt``.  Format 2 writes three parts: the key on the
-first line, the SHA-256 of the character's canonical JSON on the second,
-and then that JSON, as ``character_to_json`` writes it, which
+variable DEMAZURE_CACHE_DIR) keeps one plain text file per character.
+``_entry_name`` names it by its key, (format version, type, word,
+weight): 16 hex digits, the CRC-32 and the Adler-32 of the key, with the
+suffix ``.txt``.  Format 3 writes three parts: the key on the first
+line, the CRC-32 of the character's canonical JSON on the second, and
+then that JSON, as ``character_to_json`` writes it, which
 ``character_from_json`` reads back.  An entry whose key or checksum does
 not match, or whose text that reader refuses, is corrupt: it is
-recomputed and overwritten with a warning.  Entries of another format
+recomputed and overwritten with a warning.  The checksum detects
+accidental corruption (a torn write, a changed digit); it authenticates
+nothing, since anyone who can write the directory can write a matching
+one.  Two keys that share a name cost a recompute, never a wrong
+character, since the key line must match.  Entries of another format
 have other names and are never read.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 import sys
+import zlib
 from collections.abc import Sequence
 
 from demazure.branching import LeviDatum, unirad_mult_identity
@@ -76,7 +81,7 @@ from demazure.weyl import _check_reduced
 CACHE_ENV_VAR = "DEMAZURE_CACHE_DIR"
 # Part of every cache key, and so of every entry's file name: raising it
 # when the entry format changes leaves older entries unread.
-_CACHE_FORMAT = 2
+_CACHE_FORMAT = 3
 
 __all__ = ["run", "main", "CACHE_ENV_VAR"]
 
@@ -91,10 +96,21 @@ def _csv_ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _entry_name(key: str) -> str:
+    """The file name of the cache entry under ``key``."""
+    data = key.encode()
+    return f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}.txt"
+
+
+def _checksum(text: str) -> str:
+    return f"{zlib.crc32(text.encode()):08x}"
+
+
 def _cached_character(rs, word, lam, cache: str | None):
+    """The character and, when cached, the canonical JSON read or written."""
     cache = cache or os.environ.get(CACHE_ENV_VAR)  # the --cache flag, else the variable
     if not cache:
-        return demazure_character(rs, word, lam)
+        return demazure_character(rs, word, lam), None
     try:
         os.makedirs(cache, exist_ok=True)
     except OSError as exc:
@@ -103,17 +119,16 @@ def _cached_character(rs, word, lam, cache: str | None):
         f"format={_CACHE_FORMAT};{rs.name};word={','.join(map(str, word))};"
         f"weight={','.join(map(str, lam))}"
     )
-    digest = hashlib.sha256(key.encode()).hexdigest()
-    name = digest + ".txt"
+    name = _entry_name(key)
     path = os.path.join(cache, name)
     if os.path.exists(path):
         try:
             with open(path) as f:
                 stored_key, checksum, text = f.read().split("\n", 2)
-            if stored_key == key and hashlib.sha256(text.encode()).hexdigest() == checksum:
+            if stored_key == key and _checksum(text) == checksum:
                 _, char = character_from_json(text)
                 print(f"cache hit: {name}", file=sys.stderr)
-                return char
+                return char, text
         except (OSError, ValueError):
             pass
         print(f"cache entry {name} is corrupt; recomputing", file=sys.stderr)
@@ -121,15 +136,15 @@ def _cached_character(rs, word, lam, cache: str | None):
     text = character_to_json(rs, char)
     # Write a uniquely named sibling and rename it over the entry, so a
     # concurrent reader sees either no entry or a whole one.
-    tmp = os.path.join(cache, f".{digest}.{os.urandom(16).hex()}.tmp")
+    tmp = os.path.join(cache, f".{name}.{os.urandom(16).hex()}.tmp")
     try:
         with open(tmp, "w") as f:
-            f.write(f"{key}\n{hashlib.sha256(text.encode()).hexdigest()}\n{text}")
+            f.write(f"{key}\n{_checksum(text)}\n{text}")
         os.replace(tmp, path)
     finally:
         if os.path.lexists(tmp):
             os.unlink(tmp)
-    return char
+    return char, text
 
 
 def _dumps(obj) -> str:
@@ -137,12 +152,13 @@ def _dumps(obj) -> str:
 
 
 def _cmd_char(rs, word, weight, cache) -> int:
-    print(character_to_json(rs, _cached_character(rs, word, weight, cache)))
+    char, text = _cached_character(rs, word, weight, cache)
+    print(text or character_to_json(rs, char))
     return 0
 
 
 def _cmd_dim(rs, word, weight, cache) -> int:
-    print(sum(_cached_character(rs, word, weight, cache).values()))
+    print(sum(_cached_character(rs, word, weight, cache)[0].values()))
     return 0
 
 

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -425,7 +426,18 @@ def test_a_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
     assert list(cache.iterdir()) == []
 
 
+def _crc(text):
+    """The checksum line of a format-3 entry holding ``text``."""
+    return f"{zlib.crc32(text.encode()):08x}"
+
+
+def _name(key):
+    """The file name of the format-3 entry under ``key``."""
+    return f"{zlib.crc32(key.encode()):08x}{zlib.adler32(key.encode()):08x}.txt"
+
+
 def _sha(text):
+    """The SHA-256 that named and checked entries of formats 1 and 2."""
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -496,7 +508,7 @@ def _corrupt_entry(entry, key, checksum, text):
     if entry == "wrong key":
         return f"{key.replace('word=2,1', 'word=1,2')}\n{checksum}\n{text}".encode()
     if entry == "checksum of another text":
-        return f"{key}\n{_sha(text[:-1])}\n{text}".encode()
+        return f"{key}\n{_crc(text[:-1])}\n{text}".encode()
     if entry == "non-UTF-8":
         return f"{key}\n{checksum}\n{text}".encode() + b"\xff"
     # the rest hold a text other than the character under a valid checksum
@@ -509,7 +521,7 @@ def _corrupt_entry(entry, key, checksum, text):
     else:
         # written without spaces, so that the terms alone are at fault
         text = json.dumps({"root_system": "A2", "terms": _BAD_TERMS[entry]}, separators=(",", ":"))
-    return f"{key}\n{_sha(text)}\n{text}".encode()
+    return f"{key}\n{_crc(text)}\n{text}".encode()
 
 
 @pytest.mark.parametrize("sub", ["char", "dim"])
@@ -536,22 +548,26 @@ def test_cached_character_catches_only_os_and_value_errors():
     assert len(handlers) == 2
     caught = [ast.unparse(handler.type) for handler in handlers]
     assert caught == ["OSError", "(OSError, ValueError)"], caught  # makedirs, then the read
-    assert cli._CACHE_FORMAT == 2
+    assert cli._CACHE_FORMAT == 3
 
 
 def test_cache_never_reads_an_unversioned_entry(tmp_path):
     # Well-formed entries under the file names of older keys, each holding
-    # a wrong character: the key with no format version, and the format-1
-    # key, whose entries were JSON objects in files named <digest>.json.
-    # Each is also written in the current layout under its key's .txt
-    # name.  None of them must be read.
+    # a wrong character: the key with no format version, the format-1 key,
+    # whose entries were JSON objects in files named <SHA-256>.json, and
+    # the format-2 key, whose entries were named <SHA-256>.txt and checked
+    # by the SHA-256 of their text.  Each key is written in each of those
+    # layouts, and in the current one under its own name.  None of them
+    # must be read.
     rs = root_system("A2")
     wrong = demazure.characters.character_to_json(rs, {(1, 1): 5})
     old = {}
-    for old_key in ("A2;word=1,2,1;weight=1,1", "format=1;A2;word=1,2,1;weight=1,1"):
+    for old_key in ("A2;word=1,2,1;weight=1,1", "format=1;A2;word=1,2,1;weight=1,1",
+                    "format=2;A2;word=1,2,1;weight=1,1"):
         payload = {"key": old_key, "sha256": _sha(wrong), "character": wrong}
         old[_sha(old_key) + ".json"] = json.dumps(payload, separators=(",", ":"))
         old[_sha(old_key) + ".txt"] = f"{old_key}\n{_sha(wrong)}\n{wrong}"
+        old[_name(old_key)] = f"{old_key}\n{_crc(wrong)}\n{wrong}"
     for sub, expected in (("char", ADJOINT_JSON + "\n"), ("dim", "8\n")):
         cache = tmp_path / sub
         cache.mkdir()
@@ -573,8 +589,8 @@ def test_cache_write_is_atomic_rename(tmp_path, monkeypatch):
         # the entry must not exist until the rename puts the whole file there
         assert not list(tmp_path.glob("*.txt"))
         key, checksum, text = _entry_parts(Path(src))
-        assert key == "format=2;B2;word=1,2;weight=1,1"
-        assert checksum == _sha(text)
+        assert key == "format=3;B2;word=1,2;weight=1,1"
+        assert checksum == _crc(text)
         assert demazure.characters.character_from_json(text)[0].name == "B2"
         renames.append((src, dst))
         real_replace(src, dst)
@@ -588,7 +604,25 @@ def test_cache_write_is_atomic_rename(tmp_path, monkeypatch):
     src, dst = map(Path, renames[0])
     assert src.parent == dst.parent == tmp_path
     assert list(tmp_path.iterdir()) == [dst]
-    assert re.fullmatch(r"[0-9a-f]{64}\.txt", dst.name)
+    assert dst.name == _name("format=3;B2;word=1,2;weight=1,1")
+    assert re.fullmatch(r"[0-9a-f]{16}\.txt", dst.name)
+
+
+def test_cached_char_serialises_once(tmp_path, monkeypatch):
+    # a miss prints the text it wrote and a hit the text it read back, so
+    # the CLI serialises the character once per miss and never on a hit
+    real, calls = cli.character_to_json, []
+
+    def spy(rs, char):
+        calls.append(rs.name)
+        return real(rs, char)
+
+    monkeypatch.setattr(cli, "character_to_json", spy)
+    argv = ["char", "--type", "A2", "--word", "1,2,1", "--weight", "1,1", "--cache", str(tmp_path)]
+    assert cap(argv)[:2] == (0, ADJOINT_JSON + "\n")
+    assert calls == ["A2"]
+    assert cap(argv)[:2] == (0, ADJOINT_JSON + "\n")
+    assert calls == ["A2"]
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
@@ -643,8 +677,8 @@ def test_cache_concurrent_writers_leave_one_whole_entry(tmp_path):
     entries = list(cache.iterdir())
     assert [p.suffix for p in entries] == [".txt"]
     key, checksum, text = _entry_parts(entries[0])
-    assert entries[0].name == _sha(key) + ".txt"
-    assert _sha(text) == checksum
+    assert entries[0].name == _name(key)
+    assert _crc(text) == checksum
     assert text + "\n" == golden
     code, out, err = cap(argv)
     assert (code, out) == (0, golden)
@@ -709,9 +743,10 @@ def test_only_the_fallback_parser_imports_argparse(tmp_path):
 
 # Modules a fresh import of the CLI must not load: ``dataclasses`` brings
 # ``inspect`` and ``ast`` with it, annotations are strings and name
-# ``collections.abc`` types instead of ``typing`` ones, and only the cache
-# needs paths, which it joins with ``os.path``.
-_HEAVY = ("dataclasses", "inspect", "ast", "pathlib", "typing")
+# ``collections.abc`` types instead of ``typing`` ones, only the cache
+# needs paths, which it joins with ``os.path``, and it names and checks
+# its entries with ``zlib``, where ``hashlib`` would load OpenSSL.
+_HEAVY = ("dataclasses", "inspect", "ast", "pathlib", "typing", "hashlib", "_hashlib")
 
 
 def test_a_fresh_cli_import_loads_no_dataclasses_or_pathlib():
@@ -723,6 +758,32 @@ def test_a_fresh_cli_import_loads_no_dataclasses_or_pathlib():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# A fresh interpreter runs a cached char call twice, a miss and a hit, and
+# a cached dim call on the same entry twice, and notes which hash modules
+# are loaded.
+_NO_HASHLIB = """
+import json, sys
+from demazure.cli import run
+codes = [
+    run([sub, "--type=A2", "--word=1,2", "--weight=1,1", "--cache=" + sys.argv[1]])
+    for sub in ("char", "char", "dim", "dim")
+]
+print(json.dumps([codes, [m for m in ("hashlib", "_hashlib") if m in sys.modules]]))
+"""
+
+
+def test_a_cached_call_loads_no_hashlib(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV_VAR}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _NO_HASHLIB, str(tmp_path / "cache")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("cache hit: ") == 3, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0, 0], []]
 
 
 # --- the parser across many in-process calls ------------------------------

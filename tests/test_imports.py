@@ -27,7 +27,8 @@ The package has one per-instance cache: ``_cached`` is defined only in
 way to make a frozen record too: ``_record`` is defined only in
 ``roots``, no module imports ``dataclasses``, which would load
 ``inspect`` and ``ast`` in every process that imports the package, and
-no module makes a named tuple.  No module imports ``typing`` either: the
+no module makes a named tuple.  No module imports ``hashlib``, which
+loads OpenSSL.  No module imports ``typing`` either: the
 annotations are strings under the ``__future__`` import, and the
 abstract types they name come from ``collections.abc``.
 ``branching`` reads Demazure characters only, never an irreducible
@@ -236,6 +237,13 @@ def test_only_printing_spells_the_least_reduced_word():
 
 def test_no_module_imports_dataclasses():
     assert [p.name for p in SRC.glob("*.py") if "dataclasses" in _imported_modules(p)] == []
+
+
+def test_no_module_imports_hashlib():
+    # hashlib loads OpenSSL's libcrypto; the cache names and checks its
+    # entries with zlib
+    hashlibs = {"hashlib", "_hashlib"}
+    assert [p.name for p in SRC.glob("*.py") if hashlibs & _imported_modules(p)] == []
 
 
 def _definers(name):
